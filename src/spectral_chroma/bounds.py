@@ -226,55 +226,60 @@ def chain_bounds(
 # --------------------------------------------------------------------------
 # smallest integer c compatible with the partial-sum inequality
 
-_INTEGER_C_CANDIDATES = ("zero", "deg", "negdeg")
-
-
-def _candidate_b(g: Graph, name: str) -> np.ndarray:
-    d = np.diag(g.degrees().astype(np.float64))
-    return {"zero": np.zeros((g.n, g.n)), "deg": d, "negdeg": -d}[name]
+# trial values of c per stacked eigensolve; a chunk covers every c when n <= 9
+_C_CHUNK = 8
 
 
 def integer_c_minima(g: Graph, extra_b: np.ndarray | None = None) -> dict[str, list[int]]:
     """Per-candidate, per-m smallest c = 2..n satisfying the top-sum test.
 
-    For each diagonal candidate B and each m, scan c upward and record
-    the first c where the top-m eigenvalue sum of B - A is at least that
-    of B + A/(c-1), minus PROPERTY_TOL. Pairs that never satisfy it
-    contribute n (the color count never exceeds n). The scan is linear
-    on purpose: monotonicity in c is not assumed.
+    For each diagonal candidate B and each m, find the first c where the
+    top-m eigenvalue sum of B - A is at least that of B + A/(c-1), minus
+    PROPERTY_TOL. Pairs that never satisfy it contribute n (the color
+    count never exceeds n).
+
+    c is scanned upward in chunks of _C_CHUNK trial values, one stacked
+    eigensolve per chunk, and the scan stops once every m has its first
+    hit. Monotonicity in c is not assumed: every c below an m's recorded
+    minimum has been tested and failed, so the minimum is the same first
+    hit a scan over all c = 2..n records, and the values of c after it
+    cannot change it. Memory is O(_C_CHUNK * n^2).
     """
 
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
     n = g.n
     a = build_matrix(g, GraphMatrixKind.ADJACENCY)
-    names = list(_INTEGER_C_CANDIDATES)
-    mats = [_candidate_b(g, name) for name in names]
+    d = np.diag(g.degrees().astype(np.float64))
+    candidates = {"zero": np.zeros((n, n)), "deg": d, "negdeg": -d}
     if extra_b is not None:
         b = np.asarray(extra_b, dtype=np.float64)
         if b.shape != (n, n):
             raise DomainError(f"extra candidate has shape {b.shape}, expected {(n, n)}")
         if not np.array_equal(b, b.T):
             raise DomainError("extra candidate must be symmetric")
-        names.append("extra")
-        mats.append(b)
-    cs = np.arange(2, n + 1)
+        candidates["extra"] = b
     out: dict[str, list[int]] = {}
-    for name, b in zip(names, mats):
+    for name, b in candidates.items():
         lhs = np.cumsum(eigenvalues_sym(b - a).values)
-        # one stacked solve for all trial c: B + A/(c-1), c = 2..n
-        stack = b[None, :, :] + a[None, :, :] / (cs - 1)[:, None, None]
-        eigs = np.linalg.eigvalsh(stack)[:, ::-1]
-        traces = np.trace(stack, axis1=1, axis2=2)
-        if np.abs(eigs.sum(axis=1) - traces).max() > 1e-9 * max(1.0, np.abs(traces).max()):
-            raise NumericError("stacked eigensolve disagrees with matrix traces")
-        rhs = np.cumsum(eigs, axis=1)
-        satisfied = lhs[None, :] >= rhs - PROPERTY_TOL
-        minima = []
-        for m_idx in range(n):
-            hits = np.nonzero(satisfied[:, m_idx])[0]
-            minima.append(int(cs[hits[0]]) if hits.size else n)
-        out[name] = minima
+        minima = np.full(n, n)
+        open_m = np.ones(n, dtype=bool)
+        for first_c in range(2, n + 1, _C_CHUNK):
+            cs = np.arange(first_c, min(first_c + _C_CHUNK, n + 1))
+            # one stacked solve for this chunk: B + A/(c-1)
+            stack = b[None, :, :] + a[None, :, :] / (cs - 1)[:, None, None]
+            eigs = np.linalg.eigvalsh(stack)[:, ::-1]
+            traces = np.trace(stack, axis1=1, axis2=2)
+            if np.abs(eigs.sum(axis=1) - traces).max() > 1e-9 * max(1.0, np.abs(traces).max()):
+                raise NumericError("stacked eigensolve disagrees with matrix traces")
+            rhs = np.cumsum(eigs, axis=1)
+            satisfied = lhs[None, :] >= rhs - PROPERTY_TOL
+            hit = open_m & satisfied.any(axis=0)
+            minima[hit] = cs[satisfied.argmax(axis=0)[hit]]
+            open_m &= ~hit
+            if not open_m.any():
+                break
+        out[name] = minima.tolist()
     return out
 
 

@@ -1,6 +1,7 @@
 """All fifteen bound evaluations, sweeps, the integer search, and reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +29,13 @@ from spectral_chroma.graphs import (
     Graph,
     GraphMatrixKind,
     barbell,
+    build_matrix,
     circulant,
     complete,
     complete_bipartite,
     complete_multipartite,
     cycle,
+    emit_graph6,
     from_edges,
     mycielskian,
     petersen,
@@ -40,8 +43,13 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
-from spectral_chroma.linalg import PROPERTY_TOL, graph_spectrum
-from spectral_chroma.oracle import chromatic_number
+from spectral_chroma.linalg import (
+    PROPERTY_TOL,
+    eigenvalues_sym,
+    graph_spectrum,
+    random_hermitian,
+)
+from spectral_chroma.oracle import all_graphs, chromatic_number
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -306,6 +314,83 @@ class TestIntegerC:
             return
         v = integer_c_search(g)
         assert v.value <= chromatic_number(g).chi
+
+
+def full_scan_minima(g, extra_b=None):
+    """Reference for integer_c_minima: every c = 2..n in one (n-1, n, n) stack.
+
+    This is the scan the package ran before the early exit. It records the
+    first satisfied c per m from the whole stack, so it needs no assumption
+    about monotonicity in c and no early exit.
+    """
+
+    n = g.n
+    a = build_matrix(g, GraphMatrixKind.ADJACENCY)
+    d = np.diag(g.degrees().astype(np.float64))
+    candidates = {"zero": np.zeros((n, n)), "deg": d, "negdeg": -d}
+    if extra_b is not None:
+        candidates["extra"] = np.asarray(extra_b, dtype=np.float64)
+    cs = np.arange(2, n + 1)
+    out = {}
+    for name, b in candidates.items():
+        lhs = np.cumsum(eigenvalues_sym(b - a).values)
+        stack = b[None, :, :] + a[None, :, :] / (cs - 1)[:, None, None]
+        rhs = np.cumsum(np.linalg.eigvalsh(stack)[:, ::-1], axis=1)
+        satisfied = lhs[None, :] >= rhs - PROPERTY_TOL
+        minima = []
+        for m_idx in range(n):
+            hits = np.nonzero(satisfied[:, m_idx])[0]
+            minima.append(int(cs[hits[0]]) if hits.size else n)
+        out[name] = minima
+    return out
+
+
+class TestIntegerCEarlyExit:
+    """The chunked early-exit scan returns exactly the full-stack minima."""
+
+    def test_exhaustive_corpus(self):
+        checked = 0
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                if g.edge_count == 0:
+                    continue
+                assert integer_c_minima(g) == full_scan_minima(g), emit_graph6(g)
+                checked += 1
+        assert checked == 2292
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_random_graphs_up_to_40(self, p):
+        for n in range(2, 41):
+            g = random_gnp(n, p, 1000 * n + int(10 * p))
+            if g.edge_count == 0:
+                continue
+            assert integer_c_minima(g) == full_scan_minima(g), (n, p)
+
+    @pytest.mark.parametrize("n", range(10, 21))
+    def test_complete_crosses_chunks(self, n):
+        # chi = n, so some m first hits at c = n, in the last chunk
+        minima = integer_c_minima(complete(n))
+        assert minima == full_scan_minima(complete(n))
+        assert max(max(column) for column in minima.values()) == n
+
+    def test_extra_candidate(self):
+        g = random_gnp(24, 0.5, 5)
+        extra = random_hermitian(24, 6)
+        minima = integer_c_minima(g, extra_b=extra)
+        assert set(minima) == {"zero", "deg", "negdeg", "extra"}
+        assert minima == full_scan_minima(g, extra_b=extra)
+
+    def test_memory_is_quadratic(self):
+        # the full stack held (n-1) n^2 float64s, 63 MB at n = 200
+        n = 200
+        g = random_gnp(n, 0.5, 11)
+        tracemalloc.start()
+        try:
+            integer_c_search(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n * n * 8
 
 
 class TestFullReport:
