@@ -6,180 +6,9 @@ forms. The bounds module evaluates fifteen lower bounds on chi, the
 certify module proves the matrix identities behind them constructively,
 and the oracle module supplies exact chromatic numbers at desk scale so
 every bound can be checked for soundness.
+
+The package namespace re-exports nothing: import the API from the
+submodules, e.g. ``from spectral_chroma.bounds import full_report``.
 """
 
-from .bounds import (
-    BoundId,
-    BoundReport,
-    BoundValue,
-    chain_bounds,
-    classical_bounds,
-    full_report,
-    generalized_bounds,
-    generalized_sweep,
-    integer_c_minima,
-    integer_c_search,
-    loan_bound,
-    normalized_bounds,
-    normalized_sweep,
-    round_display,
-)
-from .certify import (
-    Coloring,
-    ColoringCertificate,
-    LoanIdentityReport,
-    MajorizationStepReport,
-    OrthoCheckResult,
-    OrthoRepresentation,
-    PinchingInstance,
-    build_conversion,
-    certificate_from_json,
-    check_ortho_representation,
-    check_proper,
-    coloring_projectors,
-    coloring_representation,
-    conversion_residual,
-    conversion_unitaries,
-    pinch,
-    pinch_via_unitaries,
-    pinching_corollary_check,
-    verify_loan_identity,
-    verify_majorization_step,
-)
-from .errors import (
-    DomainError,
-    NumericError,
-    ParseError,
-    SpectralChromaError,
-    VerificationError,
-)
-from .experiments import (
-    bollobas_estimate,
-    load_no_perfect_matching,
-    named_comparison,
-    random_table,
-    resolve_graph_input,
-)
-from .graphs import (
-    Graph,
-    GraphMatrixKind,
-    barbell,
-    build_matrix,
-    circulant,
-    complete,
-    complete_bipartite,
-    complete_multipartite,
-    cycle,
-    emit_graph6,
-    generate_from_spec,
-    mycielskian,
-    parse_edge_list,
-    parse_graph6,
-    petersen,
-    random_gnp,
-    sun,
-    windmill,
-)
-from .linalg import (
-    PROPERTY_TOL,
-    SPECTRUM_TOL,
-    UNITARY_TOL,
-    Spectrum,
-    eigenvalues_sym,
-    graph_spectrum,
-    hermitian_eigenvalues,
-    ky_fan,
-    ky_fan_sums,
-    ky_fan_tail,
-)
-from .oracle import (
-    ChromaticResult,
-    all_graphs,
-    chromatic_number,
-    colorable_with,
-    greedy_coloring,
-    labeled_graphs,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundId",
-    "BoundReport",
-    "BoundValue",
-    "ChromaticResult",
-    "Coloring",
-    "ColoringCertificate",
-    "DomainError",
-    "Graph",
-    "GraphMatrixKind",
-    "LoanIdentityReport",
-    "MajorizationStepReport",
-    "NumericError",
-    "OrthoCheckResult",
-    "OrthoRepresentation",
-    "ParseError",
-    "PinchingInstance",
-    "PROPERTY_TOL",
-    "SPECTRUM_TOL",
-    "SpectralChromaError",
-    "Spectrum",
-    "UNITARY_TOL",
-    "VerificationError",
-    "all_graphs",
-    "barbell",
-    "bollobas_estimate",
-    "build_conversion",
-    "build_matrix",
-    "certificate_from_json",
-    "chain_bounds",
-    "check_ortho_representation",
-    "check_proper",
-    "chromatic_number",
-    "circulant",
-    "classical_bounds",
-    "colorable_with",
-    "coloring_projectors",
-    "coloring_representation",
-    "complete",
-    "complete_bipartite",
-    "complete_multipartite",
-    "conversion_residual",
-    "conversion_unitaries",
-    "cycle",
-    "eigenvalues_sym",
-    "emit_graph6",
-    "full_report",
-    "generalized_bounds",
-    "generalized_sweep",
-    "generate_from_spec",
-    "graph_spectrum",
-    "greedy_coloring",
-    "hermitian_eigenvalues",
-    "integer_c_minima",
-    "integer_c_search",
-    "ky_fan",
-    "ky_fan_sums",
-    "ky_fan_tail",
-    "labeled_graphs",
-    "load_no_perfect_matching",
-    "loan_bound",
-    "mycielskian",
-    "named_comparison",
-    "normalized_bounds",
-    "normalized_sweep",
-    "parse_edge_list",
-    "parse_graph6",
-    "petersen",
-    "pinch",
-    "pinch_via_unitaries",
-    "pinching_corollary_check",
-    "random_gnp",
-    "random_table",
-    "resolve_graph_input",
-    "round_display",
-    "sun",
-    "verify_loan_identity",
-    "verify_majorization_step",
-    "windmill",
-]

@@ -118,22 +118,34 @@ def loan_bound(g: Graph, spec_q: Spectrum) -> BoundValue:
     return _ratio_bound(BoundId.LOAN, two_e, two_e - g.n * delta_n)
 
 
-def _sweep_max(bound_id: BoundId, numerators: np.ndarray, denominators: np.ndarray) -> BoundValue:
-    """Max of 1 + num/denom over m with admissible (> PROPERTY_TOL) denominators."""
+def _ratio_sweep(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """1 + num/denom per m; -inf masks an m whose denominator is <= PROPERTY_TOL.
+
+    -inf never wins a maximum, so a bound over m is the first argmax of
+    this array and its sweep is the same array with the mask as None.
+    """
 
     admissible = denominators > PROPERTY_TOL
-    if not admissible.any():
-        return invalid_bound(bound_id)
     values = np.full(numerators.shape, -np.inf)
     values[admissible] = 1.0 + numerators[admissible] / denominators[admissible]
+    return values
+
+
+def _sweep_max(bound_id: BoundId, values: np.ndarray) -> BoundValue:
     best = int(values.argmax())
+    if values[best] == -np.inf:
+        return invalid_bound(bound_id)
     return BoundValue(bound_id, float(values[best]), best_m=best + 1)
 
 
-def _gen_denominators(
+def _sweep_column(values: np.ndarray) -> list[float | None]:
+    return np.where(values == -np.inf, None, values).tolist()
+
+
+def _generalized_values(
     spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
 ) -> dict[BoundId, np.ndarray]:
-    """Per-m denominator vectors for the four generalized bounds."""
+    """Per-m value arrays of the four generalized bounds."""
 
     mu = spec_a.values
     th = spec_l.values
@@ -142,12 +154,13 @@ def _gen_denominators(
     bottom_mu = np.cumsum(mu[::-1])
     bottom_th = np.cumsum(th[::-1])
     bottom_dl = np.cumsum(dl[::-1])
-    return {
+    denominators = {
         BoundId.GEN_HOFFMAN: -bottom_mu,
         BoundId.GEN_NIKIFOROV: np.cumsum(th - mu),
         BoundId.GEN_KOLOTILINA_1: np.cumsum(mu - dl + th),
         BoundId.GEN_KOLOTILINA_2: top_mu - bottom_dl + bottom_th,
     }
+    return {bound_id: _ratio_sweep(top_mu, denom) for bound_id, denom in denominators.items()}
 
 
 def generalized_bounds(
@@ -155,11 +168,8 @@ def generalized_bounds(
 ) -> list[BoundValue]:
     """Partial-sum versions of the four ratio bounds, maximized over m."""
 
-    numerators = np.cumsum(spec_a.values)
-    return [
-        _sweep_max(bound_id, numerators, denom)
-        for bound_id, denom in _gen_denominators(spec_a, spec_l, spec_q).items()
-    ]
+    values = _generalized_values(spec_a, spec_l, spec_q)
+    return [_sweep_max(bound_id, column) for bound_id, column in values.items()]
 
 
 def generalized_sweep(
@@ -167,39 +177,27 @@ def generalized_sweep(
 ) -> dict[BoundId, list[float | None]]:
     """Per-m values for the generalized bounds; None marks inadmissible m."""
 
-    numerators = np.cumsum(spec_a.values)
-    out: dict[BoundId, list[float | None]] = {}
-    for bound_id, denom in _gen_denominators(spec_a, spec_l, spec_q).items():
-        column: list[float | None] = []
-        for m in range(denom.size):
-            if denom[m] > PROPERTY_TOL:
-                column.append(float(1.0 + numerators[m] / denom[m]))
-            else:
-                column.append(None)
-        out[bound_id] = column
-    return out
+    values = _generalized_values(spec_a, spec_l, spec_q)
+    return {bound_id: _sweep_column(column) for bound_id, column in values.items()}
+
+
+def _normalized_values(spec_na: Spectrum) -> np.ndarray:
+    mu = spec_na.values
+    return _ratio_sweep(np.cumsum(mu), -np.cumsum(mu[::-1]))
 
 
 def normalized_bounds(spec_na: Spectrum) -> list[BoundValue]:
     """Bounds from the normalized adjacency spectrum alone."""
 
-    mu = spec_na.values
-    hoffman = _ratio_bound(BoundId.NORMALIZED_HOFFMAN, 1.0, -float(mu[-1]))
-    numerators = np.cumsum(mu)
-    denominators = -np.cumsum(mu[::-1])
-    gen = _sweep_max(BoundId.GEN_NORMALIZED_HOFFMAN, numerators, denominators)
+    hoffman = _ratio_bound(BoundId.NORMALIZED_HOFFMAN, 1.0, -float(spec_na.values[-1]))
+    gen = _sweep_max(BoundId.GEN_NORMALIZED_HOFFMAN, _normalized_values(spec_na))
     return [hoffman, gen]
 
 
 def normalized_sweep(spec_na: Spectrum) -> list[float | None]:
-    """Per-m values of the generalized normalized bound."""
+    """Per-m values of the generalized normalized bound; None marks inadmissible m."""
 
-    numerators = np.cumsum(spec_na.values)
-    denominators = -np.cumsum(spec_na.values[::-1])
-    return [
-        float(1.0 + numerators[m] / denominators[m]) if denominators[m] > PROPERTY_TOL else None
-        for m in range(denominators.size)
-    ]
+    return _sweep_column(_normalized_values(spec_na))
 
 
 def chain_bounds(

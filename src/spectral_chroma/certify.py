@@ -10,10 +10,7 @@ against explicit tolerances; nothing is taken on faith.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +20,6 @@ from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     UNITARY_TOL,
-    Spectrum,
     eigenvalues_sym,
     hermitian_eigenvalues,
     ky_fan,
@@ -138,44 +134,6 @@ class ColoringCertificate:
         if np.abs(last - 1.0).max() > UNITARY_TOL:
             raise VerificationError("final conversion unitary is not the identity")
         object.__setattr__(self, "unitaries", u)
-
-    def to_json(self) -> str:
-        """Exact re-checkable form: phases recorded as rationals in turns."""
-
-        col = self.coloring
-        payload = {
-            "c": col.c,
-            "colors": list(col.colors),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "unitaries": [
-                {
-                    "s": s,
-                    "phase_turns": [
-                        str(Fraction(s * color, col.c)) for color in col.colors
-                    ],
-                }
-                for s in range(1, col.c + 1)
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-
-def certificate_from_json(text: str) -> ColoringCertificate:
-    """Rebuild a certificate from its JSON form, recomputing the unitaries."""
-
-    payload = json.loads(text)
-    col = Coloring(tuple(payload["colors"]), int(payload["c"]))
-    diags = conversion_unitaries(col)
-    for entry in payload["unitaries"]:
-        s = int(entry["s"])
-        phases = [Fraction(t) for t in entry["phase_turns"]]
-        rebuilt = np.exp(2j * np.pi * np.array([float(f) for f in phases]))
-        if np.abs(rebuilt - diags[s - 1]).max() > 1e-9:
-            raise VerificationError(f"stored phases for s={s} disagree with the coloring")
-    return ColoringCertificate(
-        col, diags, float(payload["residual"]), float(payload["tolerance"])
-    )
 
 
 def build_conversion(a, col: Coloring) -> ColoringCertificate:
@@ -309,6 +267,53 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
         minima_ok=bool((minima >= delta_n - PROPERTY_TOL).all()),
         inequality_ok=avg <= (c - 1) * (avg - delta_n) + PROPERTY_TOL,
     )
+
+
+# --------------------------------------------------------------------------
+# the whole certification sequence for one graph
+
+@dataclass(frozen=True)
+class GraphCertificationReport:
+    conversion: ColoringCertificate
+    steps: dict[str, MajorizationStepReport]  # keyed by B: "zero", "deg", "negdeg"
+    loan: LoanIdentityReport | None             # None for an edgeless graph
+
+    @property
+    def ok(self) -> bool:
+        steps_ok = all(step.ok for step in self.steps.values())
+        return steps_ok and (self.loan is None or self.loan.ok)
+
+
+def greedy_certificate_coloring(g: Graph) -> Coloring:
+    """The greedy coloring, widened to two colors if it uses one.
+
+    The conversion construction needs at least two color classes, and
+    an edgeless graph colors greedily with one.
+    """
+
+    from .oracle import greedy_coloring  # oracle imports Coloring from here
+
+    col = greedy_coloring(g)
+    return col.with_palette(2) if col.c < 2 else col
+
+
+def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
+    """Conversion certificate, majorization step for B in {0, D, -D}, loan identity.
+
+    The loan identity needs an edge and is skipped (None) without one.
+    Raises DomainError for an improper coloring and VerificationError
+    when the conversion residual exceeds its tolerance.
+    """
+
+    a = build_matrix(g, GraphMatrixKind.ADJACENCY)
+    conversion = build_conversion(a, col)
+    deg = np.diag(g.degrees().astype(np.float64))
+    steps = {
+        label: verify_majorization_step(a, b, col)
+        for label, b in (("zero", np.zeros_like(a)), ("deg", deg), ("negdeg", -deg))
+    }
+    loan = verify_loan_identity(g, col) if g.edge_count >= 1 else None
+    return GraphCertificationReport(conversion, steps, loan)
 
 
 # --------------------------------------------------------------------------

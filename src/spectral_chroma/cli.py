@@ -9,11 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .bounds import (
     BoundId,
@@ -23,12 +19,7 @@ from .bounds import (
     normalized_sweep,
     round_display,
 )
-from .certify import (
-    Coloring,
-    build_conversion,
-    verify_loan_identity,
-    verify_majorization_step,
-)
+from .certify import Coloring, certify_graph, greedy_certificate_coloring
 from .errors import (
     DomainError,
     NumericError,
@@ -46,11 +37,10 @@ from .experiments import (
     report_json_payload,
     resolve_graph_input,
 )
-from .graphs import Graph, GraphMatrixKind, build_matrix
+from .graphs import Graph, GraphMatrixKind
 from .linalg import graph_spectrum
-from .oracle import all_graphs, chromatic_number, colorable_with, greedy_coloring
+from .oracle import all_graphs, chromatic_number, colorable_with
 
-_THREADS_ENV = "SPECTRAL_CHROMA_THREADS"
 _SOUNDNESS_SLACK = 1e-6
 _CERT_RESIDUAL_LIMIT = 1e-10
 
@@ -71,29 +61,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise DomainError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise DomainError(f"{_THREADS_ENV} must be >= 1, got {count}")
-    return count
-
-
-def _ordered_map(fn, items):
-    """Apply fn across items, preserving order; thread count from the env."""
-
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=16))
 
 
 # --------------------------------------------------------------------------
@@ -141,50 +108,40 @@ def _cmd_sweep(args) -> int:
 
 
 def _certify_coloring(g: Graph, colors: int | None) -> Coloring:
-    if colors is not None:
-        col = colorable_with(g, colors)
-        if col is None:
-            raise DomainError(f"graph admits no proper coloring with {colors} colors")
-        return col
-    col = greedy_coloring(g)
-    # the conversion construction needs at least two color classes; an
-    # edgeless graph colors greedily with one, so widen the palette
-    return col.with_palette(2) if col.c < 2 else col
+    if colors is None:
+        return greedy_certificate_coloring(g)
+    col = colorable_with(g, colors)
+    if col is None:
+        raise DomainError(f"graph admits no proper coloring with {colors} colors")
+    return col
 
 
 def _cmd_certify(args) -> int:
     g = resolve_graph_input(args.input)
     col = _certify_coloring(g, args.colors)
     print(f"graph n={g.n} edges={g.edge_count} colors={col.c}")
-    failed = False
+    report = certify_graph(g, col)  # raises VerificationError on a conversion breach
 
-    cert = build_conversion(g, col)  # raises VerificationError on breach
+    cert = report.conversion
     print(f"conversion residual {cert.residual:.3e} tolerance {cert.tolerance:.3e} ok")
-
-    a = build_matrix(g, GraphMatrixKind.ADJACENCY)
-    deg = np.diag(g.degrees().astype(np.float64))
-    for label, b in (("zero", np.zeros_like(a)), ("deg", deg), ("negdeg", -deg)):
-        step = verify_majorization_step(a, b, col)
+    for label, step in report.steps.items():
         state = "ok" if step.ok else "FAIL"
         print(
             f"majorization B={label} residual {step.identity_residual:.3e} "
             f"min_margin {step.spectral_margins.min():.3e} {state}"
         )
-        failed |= not step.ok
-
-    if g.edge_count >= 1:
-        loan = verify_loan_identity(g, col)
+    loan = report.loan
+    if loan is not None:
         state = "ok" if loan.ok else "FAIL"
         print(
             f"loan residual {loan.identity_residual:.3e} "
             f"rayleigh {loan.rayleigh_value:.6f} {state}"
         )
-        failed |= not loan.ok
     else:
         print("loan skipped (needs an edge)")
 
-    print("FAILED" if failed else "certified")
-    return 3 if failed else 0
+    print("certified" if report.ok else "FAILED")
+    return 0 if report.ok else 3
 
 
 def _cmd_chromatic(args) -> int:
@@ -248,21 +205,12 @@ def _check_graph(g: Graph) -> tuple[bool, bool]:
         if v.valid
     )
 
-    col = greedy_coloring(g)
-    if col.c < 2:
-        col = col.with_palette(2)
+    col = greedy_certificate_coloring(g)
     try:
-        cert = build_conversion(g, col)
-        certified = cert.residual < _CERT_RESIDUAL_LIMIT
-        a = build_matrix(g, GraphMatrixKind.ADJACENCY)
-        deg = np.diag(g.degrees().astype(np.float64))
-        for b in (np.zeros_like(a), deg, -deg):
-            certified &= verify_majorization_step(a, b, col).ok
-        if g.edge_count >= 1:
-            certified &= verify_loan_identity(g, col).ok
+        report = certify_graph(g, col)
     except VerificationError:
-        certified = False
-    return sound, certified
+        return sound, False
+    return sound, report.ok and report.conversion.residual < _CERT_RESIDUAL_LIMIT
 
 
 def _cmd_corpus_check(args) -> int:
@@ -271,7 +219,7 @@ def _cmd_corpus_check(args) -> int:
     total = 0
     for n in range(1, args.max_n + 1):
         graphs = list(all_graphs(n))
-        results = _ordered_map(_check_graph, graphs)
+        results = [_check_graph(g) for g in graphs]
         bad_sound = sum(1 for sound, _ in results if not sound)
         bad_cert = sum(1 for _, certified in results if not certified)
         print(

@@ -209,6 +209,8 @@ def resolve_graph_input(text: str) -> Graph:
             content = path.read_text(encoding="ascii")
         except OSError as exc:
             raise DomainError(f"cannot read graph file {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"graph file {path} is not ASCII: {exc}") from None
         return parse_graph_file(content)
     return parse_graph6(text)
 

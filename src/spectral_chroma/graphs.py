@@ -88,9 +88,6 @@ class Graph:
     def has_isolated_vertex(self) -> bool:
         return bool((self.degrees() == 0).any())
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
 
 def from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from any iterable of endpoint pairs."""

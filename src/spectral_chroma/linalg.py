@@ -1,4 +1,4 @@
-"""Symmetric eigensolving, diagonal-unitary conjugation, and Ky Fan sums.
+"""Symmetric and Hermitian eigensolving, and Ky Fan sums.
 
 All graph-matrix spectra go through the real symmetric path; complex
 arithmetic appears only where coloring unitaries demand it. Every
@@ -8,7 +8,7 @@ guarantees rather than trusted blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -153,33 +153,6 @@ def ky_fan_tail(spec: Spectrum, m: int) -> float:
 
     m = _check_m(m, spec.n)
     return float(spec.values[spec.n - m:].sum())
-
-
-def ky_fan_sums(spec: Spectrum) -> np.ndarray:
-    """All prefix sums at once: out[m-1] = sum of the m largest eigenvalues."""
-
-    return np.cumsum(spec.values)
-
-
-def conjugate(u_diag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u{dagger} x u for a diagonal unitary given by its diagonal vector.
-
-    Entry (k, l) of the result is conj(u_k) * x_kl * u_l. Diagonal
-    entries must be unit modulus to UNITARY_TOL.
-    """
-
-    u = np.asarray(u_diag, dtype=np.complex128)
-    if u.ndim != 1:
-        raise DomainError("conjugate expects the unitary as a 1-d diagonal vector")
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] != u.size:
-        raise DomainError(
-            f"shape mismatch: diagonal has {u.size} entries, matrix is {x.shape}"
-        )
-    off = np.abs(np.abs(u) - 1.0).max() if u.size else 0.0
-    if off > UNITARY_TOL:
-        raise DomainError(f"diagonal entries deviate from unit modulus by {off:.3e}")
-    return np.conj(u)[:, None] * x * u[None, :]
 
 
 def random_hermitian(n: int, seed: int) -> np.ndarray:

@@ -75,6 +75,22 @@ def spectra(g):
     )
 
 
+def graphs_with_edge(max_n):
+    return [g for n in range(2, max_n + 1) for g in all_graphs(n) if g.edge_count]
+
+
+def assert_max_is_first_sweep_max(v, column):
+    """A bound over m equals its largest admissible sweep entry, at the first index."""
+
+    admissible = [x for x in column if x is not None]
+    if not admissible:
+        assert not v.valid
+        return
+    top = max(admissible)
+    assert v.valid and v.value == top
+    assert v.best_m == column.index(top) + 1
+
+
 class TestBoundValue:
     def test_valid_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -198,11 +214,11 @@ class TestGeneralizedBounds:
         assert generalized_sweep(sa, sl, sq)[BoundId.GEN_HOFFMAN][9] is None
 
     def test_best_m_recorded(self):
-        sa, sl, sq = spectra(circulant(16, [1, 7, 8]))
-        vals = {v.id: v for v in generalized_bounds(sa, sl, sq)}
-        sweep = generalized_sweep(sa, sl, sq)
-        for bound_id, v in vals.items():
-            assert sweep[bound_id][v.best_m - 1] == v.value
+        for g in [circulant(16, [1, 7, 8])] + graphs_with_edge(6):
+            sa, sl, sq = spectra(g)
+            sweep = generalized_sweep(sa, sl, sq)
+            for v in generalized_bounds(sa, sl, sq):
+                assert_max_is_first_sweep_max(v, sweep[v.id])
 
 
 class TestNormalizedBounds:
@@ -231,6 +247,11 @@ class TestNormalizedBounds:
         sna = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
         vals = normalized_bounds(sna)
         assert normalized_sweep(sna)[0] == vals[0].value
+        for g in [petersen()] + graphs_with_edge(6):
+            if g.has_isolated_vertex():
+                continue
+            sna = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
+            assert_max_is_first_sweep_max(normalized_bounds(sna)[1], normalized_sweep(sna))
 
 
 class TestChainBounds:

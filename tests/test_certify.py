@@ -10,13 +10,14 @@ from spectral_chroma.certify import (
     OrthoRepresentation,
     PinchingInstance,
     build_conversion,
-    certificate_from_json,
+    certify_graph,
     check_ortho_representation,
     check_proper,
     coloring_projectors,
     coloring_representation,
     conversion_residual,
     conversion_unitaries,
+    greedy_certificate_coloring,
     pinch,
     pinch_via_unitaries,
     pinching_corollary_check,
@@ -25,6 +26,7 @@ from spectral_chroma.certify import (
 )
 from spectral_chroma.errors import DomainError
 from spectral_chroma.graphs import (
+    Graph,
     GraphMatrixKind,
     build_matrix,
     complete,
@@ -94,20 +96,6 @@ class TestConversion:
         with pytest.raises(DomainError, match="at least 2"):
             build_conversion(a, Coloring((0, 0, 0), 1))
 
-    def test_json_round_trip(self):
-        g = cycle(5)
-        cert = build_conversion(adjacency(g), chromatic_number(g).witness)
-        back = certificate_from_json(cert.to_json())
-        assert back.coloring == cert.coloring
-        assert back.residual == cert.residual
-
-    def test_json_phases_are_exact_rationals(self):
-        import json
-
-        cert = build_conversion(adjacency(complete(3)), Coloring((0, 1, 2), 3))
-        payload = json.loads(cert.to_json())
-        assert payload["unitaries"][0]["phase_turns"] == ["0", "1/3", "2/3"]
-
     @seed(11)
     @given(st.integers(2, 9), seeds)
     @settings(max_examples=60, deadline=None)
@@ -118,6 +106,29 @@ class TestConversion:
             col = col.with_palette(2)
         cert = build_conversion(adjacency(g), col)
         assert cert.residual <= cert.tolerance
+
+
+class TestCertifyGraph:
+    def test_petersen_greedy(self):
+        g = petersen()
+        report = certify_graph(g, greedy_coloring(g))
+        assert report.ok
+        assert list(report.steps) == ["zero", "deg", "negdeg"]
+        assert all(step.ok for step in report.steps.values())
+        assert report.loan is not None and report.loan.ok
+        assert report.conversion.residual <= report.conversion.tolerance
+
+    def test_single_vertex_widened_palette(self):
+        g = Graph(1)
+        col = greedy_certificate_coloring(g)
+        assert col.c == 2
+        report = certify_graph(g, col)
+        assert report.ok
+        assert report.loan is None
+
+    def test_improper_coloring_rejected(self):
+        with pytest.raises(DomainError, match="improper"):
+            certify_graph(complete(3), Coloring((0, 0, 1), 2))
 
 
 class TestMajorizationStep:
@@ -175,8 +186,6 @@ class TestLoanIdentity:
         assert rep.ok
 
     def test_edgeless_rejected(self):
-        from spectral_chroma.graphs import Graph
-
         with pytest.raises(DomainError, match="edge"):
             verify_loan_identity(Graph(3), Coloring((0, 1, 0), 2))
 

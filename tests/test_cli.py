@@ -52,6 +52,13 @@ class TestBoundsCommand:
         assert code == 2
         assert err
 
+    def test_non_ascii_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"B\xff\n")
+        code, _, err = run(capsys, "bounds", f"@{path}")
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestSweepCommand:
     def test_csv_body(self, capsys):
@@ -167,6 +174,14 @@ class TestCompareCommand:
         assert "gen:complete(3) chi=3" in out
         assert "gen:nosuch(2) error:" in out
 
+    def test_non_ascii_file_is_an_error_row(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"B\xff\n")
+        code, out, _ = run(capsys, "compare", "gen:complete(3)", f"@{path}")
+        assert code == 0
+        assert "gen:complete(3) chi=3" in out
+        assert f"@{path} error:" in out
+
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare")
         assert code == 1
@@ -185,19 +200,6 @@ class TestCorpusCheckCommand:
         code, _, err = run(capsys, "corpus-check", "--max-n", "9")
         assert code == 1
         assert "usage error" in err
-
-    def test_thread_env_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_CHROMA_THREADS", "zero")
-        code, _, err = run(capsys, "corpus-check", "--max-n", "2")
-        assert code == 2
-        assert "SPECTRAL_CHROMA_THREADS" in err
-
-    def test_parallel_output_matches_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_CHROMA_THREADS", "1")
-        _, serial, _ = run(capsys, "corpus-check", "--max-n", "4")
-        monkeypatch.setenv("SPECTRAL_CHROMA_THREADS", "4")
-        _, parallel, _ = run(capsys, "corpus-check", "--max-n", "4")
-        assert serial == parallel
 
 
 class TestTopLevel:

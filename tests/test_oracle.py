@@ -54,7 +54,7 @@ class TestChromaticNumber:
         assert res.chi == 4
         # independent exhaustive refutation of 3-colorability: fix vertex 0
         # to color 0 by symmetry and sweep the remaining 3^10 assignments
-        edges = g.sorted_edges()
+        edges = g.edges
         for rest in itertools.product(range(3), repeat=g.n - 1):
             colors = (0,) + rest
             if all(colors[u] != colors[v] for u, v in edges):
