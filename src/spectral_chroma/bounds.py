@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .graphs import Graph, GraphMatrixKind, build_matrix, emit_graph6
+from .graphs import Graph, GraphMatrixKind, emit_graph6
 from .linalg import PROPERTY_TOL, Spectrum, eigenvalues_sym, graph_spectrum
 
 
@@ -247,7 +247,7 @@ def integer_c_minima(g: Graph, extra_b: np.ndarray | None = None) -> dict[str, l
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
     n = g.n
-    a = build_matrix(g, GraphMatrixKind.ADJACENCY)
+    a = g.adjacency()
     d = np.diag(g.degrees().astype(np.float64))
     candidates = {"zero": np.zeros((n, n)), "deg": d, "negdeg": -d}
     if extra_b is not None:

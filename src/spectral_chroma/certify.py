@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .graphs import Graph, GraphMatrixKind, build_matrix
+from .graphs import Graph, GraphMatrixKind
 from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
@@ -64,7 +64,7 @@ class Coloring:
 
 def _as_adjacency(a) -> np.ndarray:
     if isinstance(a, Graph):
-        return build_matrix(a, GraphMatrixKind.ADJACENCY)
+        return a.adjacency()
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"adjacency must be square, got shape {a.shape}")
@@ -79,13 +79,16 @@ def check_proper(a, col: Coloring) -> None:
     a = _as_adjacency(a)
     if a.shape[0] != col.n:
         raise DomainError(f"coloring covers {col.n} vertices, graph has {a.shape[0]}")
-    rows, cols = np.nonzero(np.triu(a, 1))
-    for k, l in zip(rows, cols):
-        if col.colors[k] == col.colors[l]:
-            raise DomainError(
-                f"improper coloring: edge ({k}, {l}) has both endpoints colored "
-                f"{col.colors[k]}"
-            )
+    rows, cols = np.nonzero(np.triu(a, 1))  # edges in row-major order
+    colors = np.asarray(col.colors)
+    clash = colors[rows] == colors[cols]
+    if clash.any():
+        first = clash.argmax()
+        k, l = int(rows[first]), int(cols[first])
+        raise DomainError(
+            f"improper coloring: edge ({k}, {l}) has both endpoints colored "
+            f"{col.colors[k]}"
+        )
 
 
 def conversion_unitaries(col: Coloring) -> np.ndarray:
@@ -234,7 +237,7 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
 
     if g.edge_count < 1:
         raise DomainError("identity needs at least one edge")
-    a = build_matrix(g, GraphMatrixKind.ADJACENCY)
+    a = g.adjacency()
     check_proper(a, col)
     if col.c < 2:
         raise DomainError(f"identity needs at least 2 colors, got c={col.c}")
@@ -305,7 +308,7 @@ def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
     when the conversion residual exceeds its tolerance.
     """
 
-    a = build_matrix(g, GraphMatrixKind.ADJACENCY)
+    a = g.adjacency()
     conversion = build_conversion(a, col)
     deg = np.diag(g.degrees().astype(np.float64))
     steps = {

@@ -218,17 +218,19 @@ def _cmd_corpus_check(args) -> int:
     uncertified = 0
     total = 0
     for n in range(1, args.max_n + 1):
-        graphs = list(all_graphs(n))
-        results = [_check_graph(g) for g in graphs]
-        bad_sound = sum(1 for sound, _ in results if not sound)
-        bad_cert = sum(1 for _, certified in results if not certified)
+        count = bad_sound = bad_cert = 0
+        for g in all_graphs(n):  # one graph, with its caches, alive at a time
+            sound, certified = _check_graph(g)
+            count += 1
+            bad_sound += not sound
+            bad_cert += not certified
         print(
-            f"n={n} graphs={len(graphs)} "
+            f"n={n} graphs={count} "
             f"soundness_violations={bad_sound} certification_failures={bad_cert}"
         )
         unsound += bad_sound
         uncertified += bad_cert
-        total += len(graphs)
+        total += count
     print(
         f"checked {total} graphs: {unsound} soundness violations, "
         f"{uncertified} certification failures"

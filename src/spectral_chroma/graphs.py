@@ -9,6 +9,8 @@ platforms.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,13 +44,56 @@ NORMALIZED_KINDS = frozenset(
 )
 
 
+def _computed_once(method):
+    """Cache a zero-argument Graph method's result on the instance.
+
+    Graph is frozen, so its fields never change and neither can anything
+    derived from them; the value is stored under "_" + the method name
+    in the instance dict, which dataclass equality and hashing ignore.
+    """
+
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)
+            return value
+
+    return cached
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _endpoint_array(edges: Iterable[Sequence[int]]) -> np.ndarray:
+    """Endpoint pairs as an (m, 2) int64 array, in iteration order."""
+
+    try:
+        if set(map(len, edges)) - {2}:
+            raise ValueError("not a pair")
+        flat = np.fromiter(
+            itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+        )
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("edges must be pairs of integer vertex indices") from None
+    return flat.reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are stored as a frozenset of (min, max) pairs; loops and
-    duplicates are rejected at construction, so every Graph value in the
-    system satisfies the invariants by construction.
+    out-of-range endpoints are rejected at construction and duplicates
+    collapse, so every Graph value in the system satisfies the
+    invariants by construction. Degrees, neighborhoods and the dense
+    adjacency are derived on first use, once per graph, and returned
+    read-only.
     """
 
     n: int
@@ -57,33 +102,54 @@ class Graph:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"vertex count must be a positive integer, got {self.n!r}")
-        normalized = set()
-        for e in self.edges:
-            u, v = e
+        edges = self.edges if isinstance(self.edges, frozenset) else tuple(self.edges)
+        ends = _endpoint_array(edges)
+        u, v = ends.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
+        if bad.any():
+            first = bad.argmax()  # the first bad edge in iteration order
+            u, v = int(u[first]), int(v[first])
             if u == v:
                 raise DomainError(f"loop edge ({u}, {v}) not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DomainError(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
-            normalized.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(normalized))
+            raise DomainError(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
+        if not isinstance(edges, frozenset) or (u > v).any():
+            edges = frozenset(zip(lo.tolist(), hi.tolist()))
+            ends = _endpoint_array(edges)
+        object.__setattr__(self, "edges", edges)
+        # the validated endpoints, one (i, j) row per edge with i < j
+        object.__setattr__(self, "_ends", _read_only(ends))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @_computed_once
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        """Vertex degrees as int64."""
 
-    def neighbors(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        d = np.bincount(self._ends.ravel(), minlength=self.n)
+        return _read_only(d.astype(np.int64, copy=False))
+
+    @_computed_once
+    def adjacency(self) -> np.ndarray:
+        """The dense 0/1 adjacency matrix as float64."""
+
+        a = np.zeros((self.n, self.n), dtype=np.float64)
+        u, v = self._ends.T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+        return _read_only(a)
+
+    @_computed_once
+    def neighbors(self) -> tuple[frozenset[int], ...]:
+        """Neighborhood of each vertex."""
+
+        deg = self.degrees().tolist()
+        _, cols = np.nonzero(self.adjacency())  # row-major: vertex by vertex
+        cols = cols.tolist()
+        stops = itertools.accumulate(deg)
+        return tuple(frozenset(cols[stop - d:stop]) for stop, d in zip(stops, deg))
 
     def has_isolated_vertex(self) -> bool:
         return bool((self.degrees() == 0).any())
@@ -154,23 +220,28 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - offset > nbytes:
         raise ParseError(f"unexpected trailing graph6 bytes at offset {offset + nbytes}")
-    bits: list[int] = []
-    for i in range(nbytes):
-        b = data[offset + i]
-        if not 63 <= b <= 126:
-            raise ParseError(f"out-of-range graph6 byte {b} at offset {offset + i}")
-        chunk = b - 63
-        bits.extend((chunk >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    body = np.frombuffer(data, dtype=np.uint8)[offset:]
+    chunks = body - np.uint8(63)  # bytes outside 63..126 wrap to values above 63
+    bad = chunks > 63
+    if bad.any():
+        k = int(bad.argmax())
+        raise ParseError(f"out-of-range graph6 byte {int(body[k])} at offset {offset + k}")
+    # each byte holds 6 bits, most significant first
+    bits = np.unpackbits(chunks[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise ParseError("nonzero graph6 padding bits; encoding is not canonical")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, frozenset(edges))
+    k = np.flatnonzero(bits[:nbits])
+    starts = _g6_column_starts(n)
+    j = np.searchsorted(starts, k, side="right") - 1
+    i = k - starts[j]
+    return Graph(n, frozenset(zip(i.tolist(), j.tolist())))
+
+
+def _g6_column_starts(n: int) -> np.ndarray:
+    """Bit index of pair (0, j) for j = 0..n-1: column j holds j pairs (i, j), i < j."""
+
+    j = np.arange(n, dtype=np.int64)
+    return j * (j - 1) // 2
 
 
 def emit_graph6(g: Graph) -> str:
@@ -183,20 +254,13 @@ def emit_graph6(g: Graph) -> str:
         header = [n + 63]
     else:
         header = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    present = g.edges
-    out = list(header)
-    chunk = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            chunk = (chunk << 1) | ((i, j) in present)
-            filled += 1
-            if filled == 6:
-                out.append(chunk + 63)
-                chunk, filled = 0, 0
-    if filled:
-        out.append((chunk << (6 - filled)) + 63)
-    return bytes(out).decode("ascii")
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    bits = np.zeros(6 * nbytes, dtype=np.uint8)
+    i, j = g._ends.T  # i < j
+    bits[_g6_column_starts(n)[j] + i] = 1
+    # six bits per byte, most significant first, then the offset 63
+    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    return (bytes(header) + body.tobytes()).decode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -254,33 +318,29 @@ def parse_edge_list(text: str) -> Graph:
 # derived matrices
 
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    """Build one of the six derived matrices, exactly symmetric.
+    """Build one of the six derived matrices as a new array, exactly symmetric.
 
-    Each off-diagonal entry is computed once and mirrored, so symmetry
-    holds to the last bit. Normalized kinds require every vertex to
-    have positive degree.
+    Every kind is an array expression in the graph's cached adjacency
+    and degrees; a normalized entry is the product of its endpoints'
+    inverse square-root degrees, which is the same in either order, so
+    symmetry holds to the last bit. Normalized kinds require every
+    vertex to have positive degree.
     """
 
     n = g.n
     deg = g.degrees()
+    a = g.adjacency()
     if kind in NORMALIZED_KINDS:
         isolated = np.nonzero(deg == 0)[0]
         if isolated.size:
             raise DomainError(
                 f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
             )
-    a = np.zeros((n, n), dtype=np.float64)
-    if kind in NORMALIZED_KINDS:
         inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
-        for u, v in g.edges:
-            w = inv_sqrt[u] * inv_sqrt[v]
-            a[u, v] = w
-            a[v, u] = w
-    else:
-        for u, v in g.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-    if kind is GraphMatrixKind.ADJACENCY or kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
+        a = a * np.outer(inv_sqrt, inv_sqrt)
+    if kind is GraphMatrixKind.ADJACENCY:
+        return a.copy()
+    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         return a
     if kind is GraphMatrixKind.LAPLACIAN:
         return np.diag(deg.astype(np.float64)) - a
@@ -521,20 +581,23 @@ def _arity(spec: str, got: list[int], want: int) -> list[int]:
 #
 # One independent 64-bit draw per vertex pair, in lexicographic pair
 # order, from the SplitMix64 output function evaluated at
-# seed + (counter + 1) * GAMMA. Pure integer arithmetic: the same
+# seed + (counter + 1) * GAMMA. Integer arithmetic mod 2^64: the same
 # (n, p, seed) gives the same edge set on any platform. The pair is
 # included iff its draw is below floor(p * 2^64), computed exactly from
 # the binary expansion of p.
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(x: int) -> int:
-    z = x & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function on a uint64 array; products wrap mod 2^64."""
+
+    z = (x ^ (x >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
@@ -544,12 +607,11 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must lie in [0, 1], got {p}")
     threshold = int(Fraction(p) * (1 << 64))
-    base = seed & _MASK64
-    edges = []
-    counter = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            counter += 1
-            if _splitmix64(base + counter * _GAMMA) < threshold:
-                edges.append((i, j))
-    return Graph(n, frozenset(edges))
+    rows, cols = np.triu_indices(n, 1)  # counter k + 1 belongs to the k-th pair
+    counters = np.arange(1, rows.size + 1, dtype=np.uint64)
+    draws = _splitmix64(np.uint64(seed & _MASK64) + counters * _GAMMA)
+    if threshold > _MASK64:  # p = 1: every 64-bit draw is below 2^64
+        keep = np.ones(draws.shape, dtype=bool)
+    else:
+        keep = draws < np.uint64(threshold)
+    return Graph(n, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))

@@ -135,14 +135,12 @@ def labeled_graphs(n: int) -> Iterator[Graph]:
 
 
 @lru_cache(maxsize=None)
-def _corpus(n: int) -> tuple[Graph, ...]:
+def _corpus_lines(n: int) -> tuple[str, ...]:
+    """The graph6 lines of the bundled n-vertex corpus; graphs are parsed per use."""
+
     path = resources.files("spectral_chroma.data") / f"graphs{n}.g6"
     lines = path.read_text(encoding="ascii").splitlines()
-    graphs = tuple(parse_graph6(line) for line in lines if line.strip())
-    for g in graphs:
-        if g.n != n:
-            raise DomainError(f"corpus graphs{n}.g6 contains a graph on {g.n} vertices")
-    return graphs
+    return tuple(line for line in lines if line.strip())
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -154,5 +152,9 @@ def all_graphs(n: int) -> Iterator[Graph]:
         raise DomainError(f"exhaustive enumeration supports at most 7 vertices, got {n}")
     if n <= 5:
         yield from labeled_graphs(n)
-    else:
-        yield from _corpus(n)
+        return
+    for line in _corpus_lines(n):
+        g = parse_graph6(line)
+        if g.n != n:
+            raise DomainError(f"corpus graphs{n}.g6 contains a graph on {g.n} vertices")
+        yield g

@@ -32,6 +32,7 @@ from spectral_chroma.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    from_edges,
     petersen,
     random_gnp,
 )
@@ -61,6 +62,16 @@ class TestColoring:
     def test_check_proper_names_edge(self):
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
             check_proper(adjacency(complete(3)), Coloring((0, 0, 1), 2))
+
+    def test_check_proper_names_first_bad_edge_in_row_major_order(self):
+        # both (0, 3) and (1, 2) are monochromatic; row-major order meets (0, 3) first
+        g = from_edges(4, [(1, 2), (0, 3), (0, 1)])
+        for a in (g, adjacency(g)):
+            with pytest.raises(DomainError) as info:
+                check_proper(a, Coloring((0, 1, 1, 0), 2))
+            assert str(info.value) == (
+                "improper coloring: edge (0, 3) has both endpoints colored 0"
+            )
 
 
 class TestConversion:

@@ -1,5 +1,7 @@
 """Graph representation, codecs, generators, and the G(n, p) sampler."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 
 from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.graphs import (
+    _G6_MAX_N,
+    NORMALIZED_KINDS,
     Graph,
     GraphMatrixKind,
+    _g6_vertex_count,
     barbell,
     build_matrix,
     circulant,
@@ -27,6 +32,7 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
+from spectral_chroma.oracle import all_graphs
 
 
 class TestGraphInvariants:
@@ -307,3 +313,249 @@ class TestRandomGnp:
     def test_density_sane(self, n, s):
         g = random_gnp(n, 0.5, s)
         assert 0 <= g.edge_count <= n * (n - 1) // 2
+
+
+# --------------------------------------------------------------------------
+# scalar references: the per-pair, per-edge loops the array code replaced.
+# The vectorized sampler, codec and matrix builds must agree with them
+# bit for bit.
+
+_REF_MASK64 = (1 << 64) - 1
+_REF_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _ref_splitmix64(x: int) -> int:
+    z = x & _REF_MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _REF_MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _REF_MASK64
+    return z ^ (z >> 31)
+
+
+def reference_gnp_edges(n: int, p: float, seed_value: int) -> frozenset:
+    threshold = int(Fraction(p) * (1 << 64))
+    base = seed_value & _REF_MASK64
+    edges = []
+    counter = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            counter += 1
+            if _ref_splitmix64(base + counter * _REF_GAMMA) < threshold:
+                edges.append((i, j))
+    return frozenset(edges)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    line = text.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"graph6 input is not ASCII: {exc}") from None
+    n, offset = _g6_vertex_count(data)
+    if n < 1:
+        raise ParseError("graph6 encodes an empty vertex set; graphs here need n >= 1")
+    if n > _G6_MAX_N:
+        raise ParseError(f"graph6 vertex count {n} exceeds the supported maximum {_G6_MAX_N}")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - offset < nbytes:
+        raise ParseError(
+            f"truncated graph6 bit field at byte offset {len(data)}: "
+            f"need {nbytes} data bytes for n={n}, got {len(data) - offset}"
+        )
+    if len(data) - offset > nbytes:
+        raise ParseError(f"unexpected trailing graph6 bytes at offset {offset + nbytes}")
+    bits: list[int] = []
+    for i in range(nbytes):
+        b = data[offset + i]
+        if not 63 <= b <= 126:
+            raise ParseError(f"out-of-range graph6 byte {b} at offset {offset + i}")
+        chunk = b - 63
+        bits.extend((chunk >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise ParseError("nonzero graph6 padding bits; encoding is not canonical")
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, frozenset(edges))
+
+
+def reference_emit_graph6(g: Graph) -> str:
+    n = g.n
+    if n <= 62:
+        header = [n + 63]
+    else:
+        header = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    out = list(header)
+    chunk = 0
+    filled = 0
+    for j in range(1, n):
+        for i in range(j):
+            chunk = (chunk << 1) | ((i, j) in g.edges)
+            filled += 1
+            if filled == 6:
+                out.append(chunk + 63)
+                chunk, filled = 0, 0
+    if filled:
+        out.append((chunk << (6 - filled)) + 63)
+    return bytes(out).decode("ascii")
+
+
+def reference_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
+    n = g.n
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    if kind in NORMALIZED_KINDS:
+        isolated = np.nonzero(deg == 0)[0]
+        if isolated.size:
+            raise DomainError(
+                f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
+            )
+    a = np.zeros((n, n), dtype=np.float64)
+    if kind in NORMALIZED_KINDS:
+        inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
+        for u, v in g.edges:
+            w = inv_sqrt[u] * inv_sqrt[v]
+            a[u, v] = w
+            a[v, u] = w
+    else:
+        for u, v in g.edges:
+            a[u, v] = 1.0
+            a[v, u] = 1.0
+    if kind is GraphMatrixKind.ADJACENCY or kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
+        return a
+    if kind is GraphMatrixKind.LAPLACIAN:
+        return np.diag(deg.astype(np.float64)) - a
+    if kind is GraphMatrixKind.SIGNLESS_LAPLACIAN:
+        return np.diag(deg.astype(np.float64)) + a
+    if kind is GraphMatrixKind.NORMALIZED_LAPLACIAN:
+        return np.eye(n) - a
+    return np.eye(n) + a
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.fixture(scope="module")
+def equivalence_graphs() -> list[Graph]:
+    """Every graph of all_graphs(n <= 7), then G(n, p) across the graph6 header switch."""
+
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    for n in (62, 63, 64, 300):
+        for p, seed_value in ((0.5, 1), (0.1, 2), (0.9, 3)):
+            graphs.append(random_gnp(n, p, seed_value))
+    return graphs
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestScalarReferenceEquivalence:
+    @pytest.mark.parametrize("seed_value", [-1, 0, 1, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("p", [0.0, 2.0**-60, 1 / 3, 0.5, 0.9, 1.0])
+    def test_sampler_matches_scalar_reference(self, p, seed_value):
+        for n in range(1, 61):
+            assert random_gnp(n, p, seed_value).edges == reference_gnp_edges(n, p, seed_value)
+
+    def test_graph6_matches_scalar_reference(self, equivalence_graphs):
+        for g in equivalence_graphs:
+            text = emit_graph6(g)
+            assert text == reference_emit_graph6(g)
+            back = parse_graph6(text)
+            assert back.n == g.n
+            assert back.edges == reference_parse_graph6(text).edges == g.edges
+
+    def test_matrices_match_scalar_reference(self, equivalence_graphs):
+        for g in equivalence_graphs:
+            for kind in GraphMatrixKind:
+                expected = _raised(reference_build_matrix, g, kind)
+                if expected is not None:
+                    assert _raised(build_matrix, g, kind) == expected
+                    continue
+                got = build_matrix(g, kind)
+                assert _bits(got) == _bits(reference_build_matrix(g, kind)), (g, kind)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "B" + chr(63 + 1),             # nonzero padding
+            "D",                            # truncated bit field
+            "C~~",                          # trailing byte
+            "C" + chr(20),                  # out-of-range data byte
+            "E" + chr(20) + "?" + chr(127),  # two bad bytes: the first is reported
+            "E?" + chr(127) + chr(20),
+            "?",                            # empty vertex set
+            "~",                            # truncated long header
+            "~??",
+            "~~??????",                     # beyond the 18-bit form
+            "~?" + chr(20) + "?",           # out-of-range header byte
+            "~B??",                         # n = 12288 exceeds the maximum
+            "~??~" + "?" * 10,              # n = 63, truncated
+            "Dé",                           # not ASCII
+            " " + chr(127),                 # out-of-range first byte
+        ],
+    )
+    def test_bad_graph6_same_error(self, text):
+        expected = _raised(reference_parse_graph6, text)
+        assert expected is not None and expected[0] is ParseError
+        assert _raised(parse_graph6, text) == expected
+
+
+class TestGraphCaches:
+    def test_derived_values_are_cached_and_read_only(self):
+        g = petersen()
+        for method in (g.degrees, g.adjacency, g.neighbors):
+            assert method() is method()
+        with pytest.raises(ValueError):
+            g.degrees()[0] = 7
+        with pytest.raises(ValueError):
+            g.adjacency()[0, 1] = 0.0
+        assert all(isinstance(nb, frozenset) for nb in g.neighbors())
+
+    def test_caches_do_not_affect_equality(self):
+        a, b = cycle(6), cycle(6)
+        a.adjacency()
+        a.neighbors()
+        assert a == b and hash(a) == hash(b)
+
+    def test_derived_values_match_edges(self, equivalence_graphs):
+        for g in equivalence_graphs:
+            expected = [set() for _ in range(g.n)]
+            for u, v in g.edges:
+                expected[u].add(v)
+                expected[v].add(u)
+            assert [set(nb) for nb in g.neighbors()] == expected
+            assert g.degrees().tolist() == [len(nb) for nb in expected]
+            assert g.degrees().dtype == np.int64
+
+    def test_first_bad_edge_reported(self):
+        with pytest.raises(DomainError, match=r"loop edge \(2, 2\)"):
+            Graph(3, ((0, 1), (2, 2), (0, 5)))
+        with pytest.raises(DomainError, match=r"edge \(0, 5\) outside"):
+            Graph(3, ((0, 1), (0, 5), (2, 2)))
+        with pytest.raises(DomainError, match=r"edge \(-1, 1\) outside"):
+            Graph(3, ((-1, 1),))
+
+    def test_non_pairs_rejected(self):
+        for bad in (((0, 1, 2),), ((0,),), (5,), ((0, 2**70),)):
+            with pytest.raises(DomainError, match="pairs"):
+                Graph(3, bad)
+
+    def test_sequence_input_normalized_and_deduplicated(self):
+        g = Graph(3, [(1, 0), (0, 1), [2, 1]])
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.degrees().tolist() == [1, 2, 1]

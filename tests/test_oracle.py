@@ -1,6 +1,8 @@
 """Exact coloring solver, enumeration streams, and the greedy feeder."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, seed, settings
@@ -165,3 +167,13 @@ class TestEnumeration:
     def test_corpus_no_duplicates(self):
         seen = {g.edges for g in all_graphs(6)}
         assert len(seen) == 156
+
+    def test_corpus_graphs_are_not_retained(self):
+        # only the graph6 lines are cached, so a graph and its derived
+        # matrices are freed once the caller drops it
+        first = next(all_graphs(7))
+        first.adjacency()
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None
