@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .graphs import Graph, GraphMatrixKind, emit_graph6
-from .linalg import PROPERTY_TOL, Spectrum, eigenvalues_sym, graph_spectrum
+from .linalg import (
+    PROPERTY_TOL,
+    SPECTRUM_TOL,
+    Spectrum,
+    eigenvalues_sym,
+    graph_spectrum,
+)
 
 
 class BoundId(Enum):
@@ -222,83 +228,137 @@ def chain_bounds(
 
 
 # --------------------------------------------------------------------------
-# smallest integer c compatible with the partial-sum inequality
+# the integer search: the largest per-m minimum color count over candidates
+#
+# For a symmetric candidate B, c passes at m when the top-m eigenvalue sum
+# of B - A is at least that of B + A/(c-1), minus PROPERTY_TOL; an m's
+# minimum is its first passing c in 2..n, or n if none. The bound is the
+# largest minimum over candidates and m. Passing is monotone in c: the
+# Ky Fan sum of B + tA is convex in t and equals the left-hand side at
+# t = -1, so the passing t = 1/(c-1) >= 0 form an interval from 0, or
+# there are none. Hence the largest minimum of a candidate is its first c
+# at which every m passes (n if there is none), which a search finds
+# without computing any per-m minimum.
 
-# trial values of c per stacked eigensolve; a chunk covers every c when n <= 9
-_C_CHUNK = 8
+
+def _zero_minima(spec_a: Spectrum) -> np.ndarray:
+    """Per-m minima of the candidate B = 0, in closed form from the A spectrum.
+
+    With T_m and B_m the top-m and bottom-m sums of the A spectrum, c
+    passes at m when PROPERTY_TOL - B_m >= T_m/(c-1), that is from
+    c = 1 + T_m/(PROPERTY_TOL - B_m) on. That divisor is positive: B_m is
+    at most m/n of the trace, which is 0 up to the trace check of the
+    validated spectrum, far below PROPERTY_TOL.
+    """
+
+    mu = spec_a.values
+    slack = PROPERTY_TOL - np.cumsum(mu[::-1])
+    if (slack <= 0).any():
+        raise NumericError("adjacency spectrum has a bottom partial sum above PROPERTY_TOL")
+    return np.clip(np.ceil(1.0 + np.cumsum(mu) / slack), 2, mu.size).astype(np.int64)
 
 
-def integer_c_minima(g: Graph, extra_b: np.ndarray | None = None) -> dict[str, list[int]]:
-    """Per-candidate, per-m smallest c = 2..n satisfying the top-sum test.
+def _probe(b: np.ndarray, a: np.ndarray, lhs: np.ndarray, c: int) -> np.ndarray:
+    """Per-m pass test of one c: one validated n x n eigensolve of B + A/(c-1)."""
 
-    For each diagonal candidate B and each m, find the first c where the
-    top-m eigenvalue sum of B - A is at least that of B + A/(c-1), minus
-    PROPERTY_TOL. Pairs that never satisfy it contribute n (the color
-    count never exceeds n).
+    matrix = b + a / (c - 1)
+    eigs = np.linalg.eigvalsh(matrix)[::-1]
+    tr = float(np.trace(matrix))
+    if abs(float(eigs.sum()) - tr) > SPECTRUM_TOL * max(1.0, abs(tr)):
+        raise NumericError(f"eigensolve at c={c} disagrees with the matrix trace")
+    return lhs >= np.cumsum(eigs) - PROPERTY_TOL
 
-    c is scanned upward in chunks of _C_CHUNK trial values, one stacked
-    eigensolve per chunk, and the scan stops once every m has its first
-    hit. Monotonicity in c is not assumed: every c below an m's recorded
-    minimum has been tested and failed, so the minimum is the same first
-    hit a scan over all c = 2..n records, and the values of c after it
-    cannot change it. Memory is O(_C_CHUNK * n^2).
+
+def _first_all_pass(
+    b: np.ndarray, a: np.ndarray, lhs: np.ndarray, fail_c: int, fail: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Smallest c > fail_c at which every m passes, capped at n.
+
+    fail is the per-m test at fail_c, where some m fails. Gallop upward
+    from fail_c + 1, then bisect. Returns that c and the per-m test at
+    c - 1, whose first failing m is the first m with minimum c. c = n is
+    never probed: an m that fails there has minimum n all the same.
+    """
+
+    n = a.shape[0]
+    pass_c = n
+    step = 1
+    while fail_c + step < pass_c:
+        c = fail_c + step
+        sat = _probe(b, a, lhs, c)
+        if sat.all():
+            pass_c = c
+            break
+        fail_c, fail = c, sat
+        step *= 2
+    while pass_c - fail_c > 1:
+        c = (fail_c + pass_c) // 2
+        sat = _probe(b, a, lhs, c)
+        if sat.all():
+            pass_c = c
+        else:
+            fail_c, fail = c, sat
+    return pass_c, fail
+
+
+def integer_c_search(
+    g: Graph,
+    extra_b: np.ndarray | None = None,
+    *,
+    spec_a: Spectrum | None = None,
+    spec_l: Spectrum | None = None,
+) -> BoundValue:
+    """Integer lower bound: max over candidates and m of the smallest valid c.
+
+    Candidates are the zero matrix and the diagonal degree matrix with
+    both signs; a caller may add one more symmetric candidate, which is
+    sound only if it commutes with the conversion unitaries of some
+    proper coloring (block-diagonal over color classes). best_m is the
+    lowest m achieving the maximum in the first candidate (in the order
+    zero, deg, negdeg, extra) that achieves it.
+
+    The zero candidate comes in closed form from the A spectrum. Each
+    later candidate first probes c = best: if every m passes, it cannot
+    raise the maximum; otherwise a gallop and bisection find its first
+    all-pass c. The deg left-hand side is the Laplacian spectrum, since
+    B - A = D - A = L. spec_a and spec_l are computed when not given.
     """
 
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
     n = g.n
     a = g.adjacency()
-    d = np.diag(g.degrees().astype(np.float64))
-    candidates = {"zero": np.zeros((n, n)), "deg": d, "negdeg": -d}
+    if spec_a is None:
+        spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+    if spec_l is None:
+        spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
+    # D and -D are built at their turn, so one dense D is alive at a time;
+    # -1.0 * D has the -0.0 off-diagonal entries of -D
+    candidates = [(1.0, spec_l.values), (-1.0, None)]
     if extra_b is not None:
         b = np.asarray(extra_b, dtype=np.float64)
         if b.shape != (n, n):
             raise DomainError(f"extra candidate has shape {b.shape}, expected {(n, n)}")
         if not np.array_equal(b, b.T):
             raise DomainError("extra candidate must be symmetric")
-        candidates["extra"] = b
-    out: dict[str, list[int]] = {}
-    for name, b in candidates.items():
-        lhs = np.cumsum(eigenvalues_sym(b - a).values)
-        minima = np.full(n, n)
-        open_m = np.ones(n, dtype=bool)
-        for first_c in range(2, n + 1, _C_CHUNK):
-            cs = np.arange(first_c, min(first_c + _C_CHUNK, n + 1))
-            # one stacked solve for this chunk: B + A/(c-1)
-            stack = b[None, :, :] + a[None, :, :] / (cs - 1)[:, None, None]
-            eigs = np.linalg.eigvalsh(stack)[:, ::-1]
-            traces = np.trace(stack, axis1=1, axis2=2)
-            if np.abs(eigs.sum(axis=1) - traces).max() > 1e-9 * max(1.0, np.abs(traces).max()):
-                raise NumericError("stacked eigensolve disagrees with matrix traces")
-            rhs = np.cumsum(eigs, axis=1)
-            satisfied = lhs[None, :] >= rhs - PROPERTY_TOL
-            hit = open_m & satisfied.any(axis=0)
-            minima[hit] = cs[satisfied.argmax(axis=0)[hit]]
-            open_m &= ~hit
-            if not open_m.any():
-                break
-        out[name] = minima.tolist()
-    return out
-
-
-def integer_c_search(g: Graph, extra_b: np.ndarray | None = None) -> BoundValue:
-    """Integer lower bound: max over candidates and m of the smallest valid c.
-
-    Candidates are the zero matrix and the diagonal degree matrix with
-    both signs; a caller may add one more symmetric candidate, which is
-    sound only if it commutes with the conversion unitaries of some
-    proper coloring (block-diagonal over color classes).
-    """
-
-    minima = integer_c_minima(g, extra_b)
-    best_value = 0
-    best_m = 1
-    for name in minima:
-        for m_idx, c in enumerate(minima[name]):
-            if c > best_value:
-                best_value = c
-                best_m = m_idx + 1
-    return BoundValue(BoundId.INTEGER_C, float(best_value), best_m=best_m)
+        candidates.append((b, None))
+    zero = _zero_minima(spec_a)
+    best = int(zero.max())
+    best_m = int(zero.argmax()) + 1
+    for b, lhs_values in candidates:
+        if best == n:
+            break
+        if np.ndim(b) == 0:
+            b = b * np.diag(g.degrees().astype(np.float64))
+        if lhs_values is None:
+            lhs_values = eigenvalues_sym(b - a).values
+        lhs = np.cumsum(lhs_values)
+        at_best = _probe(b, a, lhs, best)
+        if at_best.all():
+            continue
+        best, fail = _first_all_pass(b, a, lhs, best, at_best)
+        best_m = int(np.argmin(fail)) + 1
+    return BoundValue(BoundId.INTEGER_C, float(best), best_m=best_m)
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +436,7 @@ def full_report(g: Graph) -> BoundReport:
         spectra[GraphMatrixKind.NORMALIZED_ADJACENCY] = spec_na
         values.extend(normalized_bounds(spec_na))
     values.extend(chain_bounds(spec_a, spec_l, spec_q, g.n))
-    values.append(integer_c_search(g))
+    values.append(integer_c_search(g, spec_a=spec_a, spec_l=spec_l))
     by_id = {v.id for v in values}
     if by_id != set(BoundId):
         raise DomainError("report does not cover every bound exactly once")

@@ -88,7 +88,8 @@ def eigenvalues_sym(a: np.ndarray, kind: SpectrumKind = "custom") -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from None
     scale = max(1.0, float(np.linalg.norm(a, "fro")))
-    residual = a @ v - v * w
+    residual = a @ v
+    residual -= v * w
     worst = float(np.linalg.norm(residual, axis=0).max())
     if worst > SPECTRUM_TOL * scale:
         raise NumericError(

@@ -16,7 +16,6 @@ from spectral_chroma.bounds import (
     full_report,
     generalized_bounds,
     generalized_sweep,
-    integer_c_minima,
     integer_c_search,
     invalid_bound,
     loan_bound,
@@ -305,7 +304,7 @@ class TestIntegerC:
     def test_sun8_from_degree_branch(self):
         v = integer_c_search(sun(8))
         assert v.value == 7 and v.best_m == 1
-        minima = integer_c_minima(sun(8))
+        minima = full_scan_minima(sun(8))
         assert minima["deg"][0] == 7
         assert max(minima["zero"]) < 7 and max(minima["negdeg"]) < 7
 
@@ -338,11 +337,10 @@ class TestIntegerC:
 
 
 def full_scan_minima(g, extra_b=None):
-    """Reference for integer_c_minima: every c = 2..n in one (n-1, n, n) stack.
+    """Reference per-m minima: every c = 2..n in one (n-1, n, n) stack.
 
-    This is the scan the package ran before the early exit. It records the
-    first satisfied c per m from the whole stack, so it needs no assumption
-    about monotonicity in c and no early exit.
+    It records the first satisfied c per m from the whole stack, so it
+    needs no assumption about monotonicity in c and no early exit.
     """
 
     n = g.n
@@ -366,8 +364,42 @@ def full_scan_minima(g, extra_b=None):
     return out
 
 
-class TestIntegerCEarlyExit:
-    """The chunked early-exit scan returns exactly the full-stack minima."""
+def full_scan_max(g, extra_b=None):
+    """(value, best_m) of the reference: a strictly larger minimum wins.
+
+    Candidates in the order zero, deg, negdeg, extra, then m upward, so a
+    tie keeps the first candidate and the lowest m that reached it.
+    """
+
+    best_value, best_m = 0, 1
+    for column in full_scan_minima(g, extra_b).values():
+        for m_idx, c in enumerate(column):
+            if c > best_value:
+                best_value, best_m = c, m_idx + 1
+    return best_value, best_m
+
+
+def search_result(g, extra_b=None):
+    v = integer_c_search(g, extra_b=extra_b)
+    return int(v.value), v.best_m
+
+
+def orthogonality_graph(k):
+    """Omega_k: the +-1 vectors of length k up to sign, adjacent when orthogonal.
+
+    Vertex i is the vector with first entry +1 and entry j + 1 equal to
+    -1 exactly when bit j of i is set, so there are 2^(k-1) vertices.
+    """
+
+    bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1)) & 1
+    vectors = np.hstack([np.ones((bits.shape[0], 1)), 1 - 2 * bits])
+    gram = vectors @ vectors.T
+    rows, cols = np.nonzero(np.triu(gram == 0, 1))
+    return from_edges(vectors.shape[0], zip(rows.tolist(), cols.tolist()))
+
+
+class TestIntegerCSearchMatchesFullScan:
+    """The monotone max-search returns the full-stack maximum and its m."""
 
     def test_exhaustive_corpus(self):
         checked = 0
@@ -375,7 +407,7 @@ class TestIntegerCEarlyExit:
             for g in all_graphs(n):
                 if g.edge_count == 0:
                     continue
-                assert integer_c_minima(g) == full_scan_minima(g), emit_graph6(g)
+                assert search_result(g) == full_scan_max(g), emit_graph6(g)
                 checked += 1
         assert checked == 2292
 
@@ -385,24 +417,23 @@ class TestIntegerCEarlyExit:
             g = random_gnp(n, p, 1000 * n + int(10 * p))
             if g.edge_count == 0:
                 continue
-            assert integer_c_minima(g) == full_scan_minima(g), (n, p)
+            assert search_result(g) == full_scan_max(g), (n, p)
 
     @pytest.mark.parametrize("n", range(10, 21))
-    def test_complete_crosses_chunks(self, n):
-        # chi = n, so some m first hits at c = n, in the last chunk
-        minima = integer_c_minima(complete(n))
-        assert minima == full_scan_minima(complete(n))
-        assert max(max(column) for column in minima.values()) == n
+    def test_complete_reaches_n(self, n):
+        assert search_result(complete(n)) == full_scan_max(complete(n)) == (n, 1)
 
-    def test_extra_candidate(self):
+    @pytest.mark.parametrize("extra_kind", ["random", "adjacency"])
+    def test_extra_candidate(self, extra_kind):
+        # with B = A every m < n fails below c = n, so the extra candidate
+        # raises the maximum to n and best_m must be the lowest such m
         g = random_gnp(24, 0.5, 5)
-        extra = random_hermitian(24, 6)
-        minima = integer_c_minima(g, extra_b=extra)
-        assert set(minima) == {"zero", "deg", "negdeg", "extra"}
-        assert minima == full_scan_minima(g, extra_b=extra)
+        extra = random_hermitian(24, 6) if extra_kind == "random" else g.adjacency()
+        assert search_result(g, extra) == full_scan_max(g, extra)
 
     def test_memory_is_quadratic(self):
-        # the full stack held (n-1) n^2 float64s, 63 MB at n = 200
+        # an 8-matrix chunk of c values alone is 8 n^2 float64s; the search
+        # holds a few n x n matrices at once
         n = 200
         g = random_gnp(n, 0.5, 11)
         tracemalloc.start()
@@ -411,7 +442,42 @@ class TestIntegerCEarlyExit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * n * n * 8
+        assert peak < 8 * n * n * 8
+
+    def test_probes_are_single_matrices_and_logarithmic(self, monkeypatch):
+        n = 300
+        g = random_gnp(n, 0.5, 3)
+        shapes = []
+        solve = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        integer_c_search(g)
+        # with B = A no m < n ever passes, so the extra candidate climbs to n,
+        # where a scan upward would solve about n matrices
+        assert integer_c_search(g, extra_b=g.adjacency()).value == n
+        assert shapes and all(shape == (n, n) for shape in shapes)
+        # per candidate after zero: one probe at the running maximum, then a
+        # gallop and a bisection of at most log2(n) probes each
+        per_candidate = 1 + 2 * math.ceil(math.log2(n))
+        assert len(shapes) <= (2 + 3) * per_candidate
+
+
+class TestOrthogonalityGraphs:
+    """Omega_4 and Omega_8: chi = k, and the +-1 vectors show IntegerC = k is tight."""
+
+    @pytest.mark.parametrize("k, n", [(4, 8), (8, 128)])
+    def test_integer_c_and_hoffman_equal_k(self, k, n):
+        g = orthogonality_graph(k)
+        assert g.n == n
+        r = full_report(g)
+        v = r.value(BoundId.INTEGER_C)
+        assert (v.value, v.best_m) == (k, 1)
+        assert r.display(BoundId.HOFFMAN) == f"{k}.0"
+        assert search_result(g) == full_scan_max(g) == (k, 1)
 
 
 class TestFullReport:
