@@ -269,28 +269,23 @@ def _probe(b: np.ndarray, a: np.ndarray, lhs: np.ndarray, c: int) -> np.ndarray:
     return lhs >= np.cumsum(eigs) - PROPERTY_TOL
 
 
-def _first_all_pass(
-    b: np.ndarray, a: np.ndarray, lhs: np.ndarray, fail_c: int, fail: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Smallest c > fail_c at which every m passes, capped at n.
+def _raise_best(
+    b: np.ndarray, a: np.ndarray, lhs_values: np.ndarray, best: int, best_m: int
+) -> tuple[int, int]:
+    """Running maximum and its m after one more candidate B.
 
-    fail is the per-m test at fail_c, where some m fails. Gallop upward
-    from fail_c + 1, then bisect. Returns that c and the per-m test at
-    c - 1, whose first failing m is the first m with minimum c. c = n is
-    never probed: an m that fails there has minimum n all the same.
+    lhs_values is the spectrum of B - A. One probe at c = best: if every
+    m passes there, B cannot raise the maximum. Otherwise bisect (best, n]
+    for the smallest c at which every m passes; the new best_m is the first
+    m failing at c - 1. c = n is never probed: an m that fails there has
+    minimum n all the same.
     """
 
-    n = a.shape[0]
-    pass_c = n
-    step = 1
-    while fail_c + step < pass_c:
-        c = fail_c + step
-        sat = _probe(b, a, lhs, c)
-        if sat.all():
-            pass_c = c
-            break
-        fail_c, fail = c, sat
-        step *= 2
+    lhs = np.cumsum(lhs_values)
+    fail = _probe(b, a, lhs, best)
+    if fail.all():
+        return best, best_m
+    fail_c, pass_c = best, a.shape[0]
     while pass_c - fail_c > 1:
         c = (fail_c + pass_c) // 2
         sat = _probe(b, a, lhs, c)
@@ -298,7 +293,15 @@ def _first_all_pass(
             pass_c = c
         else:
             fail_c, fail = c, sat
-    return pass_c, fail
+    return pass_c, int(np.argmin(fail)) + 1
+
+
+def _check_spectrum(spec: Spectrum, kind: GraphMatrixKind, n: int) -> None:
+    if spec.kind is not kind or spec.n != n:
+        raise DomainError(
+            f"expected the {kind.value} spectrum of an {n}-vertex graph, "
+            f"got {spec.kind} with {spec.n} values"
+        )
 
 
 def integer_c_search(
@@ -317,47 +320,42 @@ def integer_c_search(
     lowest m achieving the maximum in the first candidate (in the order
     zero, deg, negdeg, extra) that achieves it.
 
-    The zero candidate comes in closed form from the A spectrum. Each
-    later candidate first probes c = best: if every m passes, it cannot
-    raise the maximum; otherwise a gallop and bisection find its first
-    all-pass c. The deg left-hand side is the Laplacian spectrum, since
-    B - A = D - A = L. spec_a and spec_l are computed when not given.
+    The zero candidate comes in closed form from the A spectrum; each
+    later one goes through _raise_best. The deg left-hand side is the
+    Laplacian spectrum, since B - A = D - A = L. spec_a and spec_l are
+    computed when not given and must match g when given.
     """
 
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
     n = g.n
     a = g.adjacency()
+    if extra_b is not None:
+        extra_b = np.asarray(extra_b, dtype=np.float64)
+        if extra_b.shape != (n, n):
+            raise DomainError(f"extra candidate has shape {extra_b.shape}, expected {(n, n)}")
+        if not np.array_equal(extra_b, extra_b.T):
+            raise DomainError("extra candidate must be symmetric")
     if spec_a is None:
         spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
     if spec_l is None:
         spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-    # D and -D are built at their turn, so one dense D is alive at a time;
-    # -1.0 * D has the -0.0 off-diagonal entries of -D
-    candidates = [(1.0, spec_l.values), (-1.0, None)]
-    if extra_b is not None:
-        b = np.asarray(extra_b, dtype=np.float64)
-        if b.shape != (n, n):
-            raise DomainError(f"extra candidate has shape {b.shape}, expected {(n, n)}")
-        if not np.array_equal(b, b.T):
-            raise DomainError("extra candidate must be symmetric")
-        candidates.append((b, None))
+    _check_spectrum(spec_a, GraphMatrixKind.ADJACENCY, n)
+    _check_spectrum(spec_l, GraphMatrixKind.LAPLACIAN, n)
     zero = _zero_minima(spec_a)
     best = int(zero.max())
     best_m = int(zero.argmax()) + 1
-    for b, lhs_values in candidates:
-        if best == n:
-            break
-        if np.ndim(b) == 0:
-            b = b * np.diag(g.degrees().astype(np.float64))
-        if lhs_values is None:
-            lhs_values = eigenvalues_sym(b - a).values
-        lhs = np.cumsum(lhs_values)
-        at_best = _probe(b, a, lhs, best)
-        if at_best.all():
-            continue
-        best, fail = _first_all_pass(b, a, lhs, best, at_best)
-        best_m = int(np.argmin(fail)) + 1
+    if best < n:
+        d = np.diag(g.degrees().astype(np.float64))
+        best, best_m = _raise_best(d, a, spec_l.values, best, best_m)
+        if best < n:
+            # -D in the same buffer, so one dense D is alive at a time
+            np.negative(d, out=d)
+            best, best_m = _raise_best(d, a, eigenvalues_sym(d - a).values, best, best_m)
+        del d
+    if extra_b is not None and best < n:
+        lhs_values = eigenvalues_sym(extra_b - a).values
+        best, best_m = _raise_best(extra_b, a, lhs_values, best, best_m)
     return BoundValue(BoundId.INTEGER_C, float(best), best_m=best_m)
 
 
