@@ -24,13 +24,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .graphs import Graph, GraphMatrixKind, emit_graph6
+from .graphs import Graph, GraphMatrixKind, build_matrix, common_order, emit_graph6
 from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     Spectrum,
+    SpectrumKind,
     eigenvalues_sym,
+    graph_spectra,
     graph_spectrum,
+    spectra_batch,
 )
 
 
@@ -296,10 +299,11 @@ def _raise_best(
     return pass_c, int(np.argmin(fail)) + 1
 
 
-def _check_spectrum(spec: Spectrum, kind: GraphMatrixKind, n: int) -> None:
-    if spec.kind is not kind or spec.n != n:
+def _check_spectrum(spec: Spectrum, kind: SpectrumKind, n: int) -> None:
+    if spec.kind != kind or spec.n != n:
+        name = kind.value if isinstance(kind, GraphMatrixKind) else kind
         raise DomainError(
-            f"expected the {kind.value} spectrum of an {n}-vertex graph, "
+            f"expected the {name} spectrum of an {n}-vertex graph, "
             f"got {spec.kind} with {spec.n} values"
         )
 
@@ -310,6 +314,7 @@ def integer_c_search(
     *,
     spec_a: Spectrum | None = None,
     spec_l: Spectrum | None = None,
+    spec_negdeg: Spectrum | None = None,
 ) -> BoundValue:
     """Integer lower bound: max over candidates and m of the smallest valid c.
 
@@ -322,8 +327,10 @@ def integer_c_search(
 
     The zero candidate comes in closed form from the A spectrum; each
     later one goes through _raise_best. The deg left-hand side is the
-    Laplacian spectrum, since B - A = D - A = L. spec_a and spec_l are
-    computed when not given and must match g when given.
+    Laplacian spectrum, since B - A = D - A = L; the negdeg one is the
+    spectrum of -D - A, given as spec_negdeg or solved when needed.
+    spec_a and spec_l are computed when not given; all three must match
+    g in kind and size when given.
     """
 
     if g.edge_count < 1:
@@ -342,6 +349,8 @@ def integer_c_search(
         spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
     _check_spectrum(spec_a, GraphMatrixKind.ADJACENCY, n)
     _check_spectrum(spec_l, GraphMatrixKind.LAPLACIAN, n)
+    if spec_negdeg is not None:
+        _check_spectrum(spec_negdeg, "custom", n)
     zero = _zero_minima(spec_a)
     best = int(zero.max())
     best_m = int(zero.argmax()) + 1
@@ -351,7 +360,9 @@ def integer_c_search(
         if best < n:
             # -D in the same buffer, so one dense D is alive at a time
             np.negative(d, out=d)
-            best, best_m = _raise_best(d, a, eigenvalues_sym(d - a).values, best, best_m)
+            if spec_negdeg is None:
+                spec_negdeg = eigenvalues_sym(d - a)
+            best, best_m = _raise_best(d, a, spec_negdeg.values, best, best_m)
         del d
     if extra_b is not None and best < n:
         lhs_values = eigenvalues_sym(extra_b - a).values
@@ -394,13 +405,10 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
     return out
 
 
-def full_report(g: Graph) -> BoundReport:
-    """Compute all spectra once and evaluate every bound.
-
-    Edgeless graphs yield a report where every bound is invalid with
-    value 1. Graphs with isolated vertices (but some edge) get invalid
-    normalized bounds and ordinary values elsewhere.
-    """
+def _report(
+    g: Graph, spectra: dict[GraphMatrixKind, Spectrum], spec_negdeg: Spectrum | None
+) -> BoundReport:
+    """Every bound of one graph from its spectra; none are given for an edgeless graph."""
 
     g6 = emit_graph6(g)
     digest = hashlib.sha256(g6.encode("ascii")).hexdigest()[:16]
@@ -415,14 +423,9 @@ def full_report(g: Graph) -> BoundReport:
             values=values,
             rounded_display=_display_map(values),
         )
-    spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-    spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-    spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
-    spectra: dict[GraphMatrixKind, Spectrum] = {
-        GraphMatrixKind.ADJACENCY: spec_a,
-        GraphMatrixKind.LAPLACIAN: spec_l,
-        GraphMatrixKind.SIGNLESS_LAPLACIAN: spec_q,
-    }
+    spec_a = spectra[GraphMatrixKind.ADJACENCY]
+    spec_l = spectra[GraphMatrixKind.LAPLACIAN]
+    spec_q = spectra[GraphMatrixKind.SIGNLESS_LAPLACIAN]
     values = list(classical_bounds(spec_a, spec_l, spec_q))
     values.append(loan_bound(g, spec_q))
     values.extend(generalized_bounds(spec_a, spec_l, spec_q))
@@ -430,11 +433,11 @@ def full_report(g: Graph) -> BoundReport:
         values.append(invalid_bound(BoundId.NORMALIZED_HOFFMAN))
         values.append(invalid_bound(BoundId.GEN_NORMALIZED_HOFFMAN))
     else:
-        spec_na = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
-        spectra[GraphMatrixKind.NORMALIZED_ADJACENCY] = spec_na
-        values.extend(normalized_bounds(spec_na))
+        values.extend(normalized_bounds(spectra[GraphMatrixKind.NORMALIZED_ADJACENCY]))
     values.extend(chain_bounds(spec_a, spec_l, spec_q, g.n))
-    values.append(integer_c_search(g, spec_a=spec_a, spec_l=spec_l))
+    values.append(
+        integer_c_search(g, spec_a=spec_a, spec_l=spec_l, spec_negdeg=spec_negdeg)
+    )
     by_id = {v.id for v in values}
     if by_id != set(BoundId):
         raise DomainError("report does not cover every bound exactly once")
@@ -447,3 +450,51 @@ def full_report(g: Graph) -> BoundReport:
         values=tuple(values),
         rounded_display=_display_map(values),
     )
+
+
+def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
+    """full_report for each of several graphs with the same vertex count.
+
+    Each matrix role is one stack over the batch, solved and validated
+    by one spectra_batch call: A, L and Q of the graphs with an edge,
+    the normalized A of those without an isolated vertex, and -D - A for
+    the integer search. The per-graph bounds read rows of those spectra,
+    so a report equals the one full_report gives for the graph alone.
+    """
+
+    graphs = list(graphs)
+    common_order(graphs)
+    edged = [g for g in graphs if g.edge_count]
+    spectra: list[dict[GraphMatrixKind, Spectrum]] = [{} for _ in edged]
+    negdeg: list[Spectrum] = []
+    if edged:
+        for kind in (GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN):
+            for found, spec in zip(spectra, graph_spectra(edged, kind)):
+                found[kind] = spec
+        kind = GraphMatrixKind.SIGNLESS_LAPLACIAN
+        q = np.stack([build_matrix(g, kind) for g in edged])
+        for found, row in zip(spectra, spectra_batch(q)):
+            found[kind] = Spectrum(kind, row)
+        # -Q is -D - A entry for entry, signed zeros included, as the search builds it
+        np.negative(q, out=q)
+        negdeg = [Spectrum("custom", row) for row in spectra_batch(q)]
+        del q
+        normal = [k for k, g in enumerate(edged) if not g.has_isolated_vertex()]
+        if normal:
+            kind = GraphMatrixKind.NORMALIZED_ADJACENCY
+            for k, spec in zip(normal, graph_spectra([edged[k] for k in normal], kind)):
+                spectra[k][kind] = spec
+    rows = iter(zip(spectra, negdeg))  # in the order of the graphs with an edge
+    return [_report(g, *(next(rows) if g.edge_count else ({}, None))) for g in graphs]
+
+
+def full_report(g: Graph) -> BoundReport:
+    """Compute all spectra once and evaluate every bound.
+
+    Edgeless graphs yield a report where every bound is invalid with
+    value 1. Graphs with isolated vertices (but some edge) get invalid
+    normalized bounds and ordinary values elsewhere. This is
+    full_reports on a batch of one.
+    """
+
+    return full_reports([g])[0]

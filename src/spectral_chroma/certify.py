@@ -11,18 +11,20 @@ against explicit tolerances; nothing is taken on faith.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .graphs import Graph, GraphMatrixKind
+from .graphs import Graph, common_order
 from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     UNITARY_TOL,
-    eigenvalues_sym,
+    frobenius_norms,
     hermitian_eigenvalues,
     ky_fan,
+    spectra_batch,
 )
 
 CONVERSION_TOL = 1e-9
@@ -73,22 +75,41 @@ def _as_adjacency(a) -> np.ndarray:
     return a
 
 
+def _check_proper_stack(a: np.ndarray, cols: Sequence[Coloring]) -> None:
+    """Raise unless cols[g] is proper for the graph of adjacency a[g], for each g.
+
+    The first failing graph raises, with the message check_proper gives
+    for it alone: an improper coloring names its first monochromatic
+    edge in row-major order.
+    """
+
+    n = a.shape[1]
+    for col in cols:
+        if col.n != n:
+            raise DomainError(f"coloring covers {col.n} vertices, graph has {n}")
+    rows, cols_ = np.triu_indices(n, 1)  # vertex pairs in row-major order
+    colors = np.array([col.colors for col in cols])
+    clash = (a[:, rows, cols_] != 0) & (colors[:, rows] == colors[:, cols_])
+    if clash.any():
+        g = int(clash.any(axis=1).argmax())
+        first = int(clash[g].argmax())
+        k, l = int(rows[first]), int(cols_[first])
+        raise DomainError(
+            f"improper coloring: edge ({k}, {l}) has both endpoints colored "
+            f"{cols[g].colors[k]}"
+        )
+
+
+def _require_two_colors(cols: Sequence[Coloring], what: str) -> None:
+    for col in cols:
+        if col.c < 2:
+            raise DomainError(f"{what} needs at least 2 colors, got c={col.c}")
+
+
 def check_proper(a, col: Coloring) -> None:
     """Raise unless col is proper for the graph of adjacency a."""
 
-    a = _as_adjacency(a)
-    if a.shape[0] != col.n:
-        raise DomainError(f"coloring covers {col.n} vertices, graph has {a.shape[0]}")
-    rows, cols = np.nonzero(np.triu(a, 1))  # edges in row-major order
-    colors = np.asarray(col.colors)
-    clash = colors[rows] == colors[cols]
-    if clash.any():
-        first = clash.argmax()
-        k, l = int(rows[first]), int(cols[first])
-        raise DomainError(
-            f"improper coloring: edge ({k}, {l}) has both endpoints colored "
-            f"{col.colors[k]}"
-        )
+    _check_proper_stack(_as_adjacency(a)[None], [col])
 
 
 def conversion_unitaries(col: Coloring) -> np.ndarray:
@@ -100,6 +121,37 @@ def conversion_unitaries(col: Coloring) -> np.ndarray:
     s = np.arange(1, col.c + 1)[:, None]
     k = np.asarray(col.colors)[None, :]
     return np.exp(2j * np.pi * s * k / col.c)
+
+
+def _conjugations(
+    x: np.ndarray, diags: Sequence[np.ndarray], counts: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """U_s^dag X_g U_s over a (G, n, n) stack, for s = 1, 2, ... in turn.
+
+    diags[g] holds graph g's unitary diagonals, row s-1 for U_s, and
+    graph g takes the first counts[g] of them. Past its count a graph's
+    term is zero, which leaves a running sum unchanged up to the sign of
+    an exact zero, so no norm of it moves. Every term is written into
+    the same buffer, so a caller reads it before asking for the next.
+    """
+
+    u = np.zeros((len(diags), max(counts), x.shape[1]), dtype=np.complex128)
+    for g, (rows, count) in enumerate(zip(diags, counts)):
+        u[g, :count] = rows[:count]
+    term = np.empty(x.shape, dtype=np.complex128)
+    for s in range(u.shape[1]):
+        np.multiply(np.conj(u[:, s])[:, :, None], x, out=term)
+        term *= u[:, s, None, :]
+        yield term
+
+
+def _conjugation_sum(
+    x: np.ndarray, diags: Sequence[np.ndarray], counts: Sequence[int]
+) -> np.ndarray:
+    total = np.zeros(x.shape, dtype=np.complex128)
+    for term in _conjugations(x, diags, counts):
+        total += term
+    return total
 
 
 def conversion_residual(a, col: Coloring) -> float:
@@ -114,12 +166,8 @@ def conversion_residual(a, col: Coloring) -> float:
     a = _as_adjacency(a)
     if a.shape[0] != col.n:
         raise DomainError(f"coloring covers {col.n} vertices, graph has {a.shape[0]}")
-    diags = conversion_unitaries(col)
-    total = np.zeros(a.shape, dtype=np.complex128)
-    for s in range(col.c):
-        u = diags[s]
-        total += np.conj(u)[:, None] * a * u[None, :]
-    return float(np.linalg.norm(total, "fro"))
+    total = _conjugation_sum(a[None], [conversion_unitaries(col)], [col.c])
+    return float(frobenius_norms(total)[0])
 
 
 @dataclass(frozen=True)
@@ -139,20 +187,31 @@ class ColoringCertificate:
         object.__setattr__(self, "unitaries", u)
 
 
+def _conversions(
+    a: np.ndarray, cols: Sequence[Coloring], diags: Sequence[np.ndarray]
+) -> list[ColoringCertificate]:
+    """Conversion certificates for a (G, n, n) adjacency stack with checked colorings.
+
+    The first graph whose residual exceeds its tolerance raises
+    VerificationError.
+    """
+
+    c = np.array([col.c for col in cols])
+    residual = frobenius_norms(_conjugation_sum(a, diags, c)).tolist()
+    tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(a))).tolist()
+    for r, t in zip(residual, tol):
+        if r > t:
+            raise VerificationError(f"conversion residual {r:.3e} exceeds tolerance {t:.3e}")
+    return [ColoringCertificate(*cert) for cert in zip(cols, diags, residual, tol)]
+
+
 def build_conversion(a, col: Coloring) -> ColoringCertificate:
     """Certificate that the coloring's unitaries convert adjacency a to zero."""
 
     a = _as_adjacency(a)
-    if col.c < 2:
-        raise DomainError(f"conversion needs at least 2 colors, got c={col.c}")
-    check_proper(a, col)
-    residual = conversion_residual(a, col)
-    tol = CONVERSION_TOL * col.c * max(1.0, float(np.linalg.norm(a, "fro")))
-    if residual > tol:
-        raise VerificationError(
-            f"conversion residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return ColoringCertificate(col, conversion_unitaries(col), residual, tol)
+    _require_two_colors([col], "conversion")
+    _check_proper_stack(a[None], [col])
+    return _conversions(a[None], [col], [conversion_unitaries(col)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -171,6 +230,39 @@ class MajorizationStepReport:
         return self.identity_ok and self.spectral_ok
 
 
+def _majorization_steps(
+    a: np.ndarray, b: np.ndarray, cols: Sequence[Coloring], diags: Sequence[np.ndarray]
+) -> list[MajorizationStepReport]:
+    """verify_majorization_step for (G, n, n) stacks of A and diagonal B.
+
+    The colorings must already be checked. Each side's spectra are one
+    spectra_batch call.
+    """
+
+    c = np.array([col.c for col in cols])
+    x = b - a
+    total = _conjugation_sum(x, diags, c - 1)
+    residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a)).tolist()
+    tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))).tolist()
+    lhs = spectra_batch(x)
+    rhs = spectra_batch(b + a / (c - 1)[:, None, None])
+    # one sum per m, as ky_fan takes it: a cumulative sum can differ from
+    # it in the last bit from m = 8 on, and certify prints these margins
+    margins = np.empty(lhs.shape)
+    for m in range(1, lhs.shape[1] + 1):
+        margins[:, m - 1] = lhs[:, :m].sum(axis=1) - rhs[:, :m].sum(axis=1)
+    return [
+        MajorizationStepReport(
+            identity_residual=r,
+            identity_tolerance=t,
+            identity_ok=r <= t,
+            spectral_margins=row,
+            spectral_ok=bool((row >= -PROPERTY_TOL).all()),
+        )
+        for r, t, row in zip(residual, tol, margins)
+    ]
+
+
 def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationStepReport:
     """Check sum_{s<c} U_s^dag (B-A) U_s = (c-1)B + A and its spectral consequence.
 
@@ -185,32 +277,9 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
         raise DomainError(f"B has shape {b.shape}, expected {a.shape}")
     if np.abs(b - np.diag(np.diag(b))).max() != 0.0:
         raise DomainError("B must be diagonal")
-    check_proper(a, col)
-    if col.c < 2:
-        raise DomainError(f"identity needs at least 2 colors, got c={col.c}")
-    c = col.c
-    diags = conversion_unitaries(col)
-    x = b - a
-    total = np.zeros(a.shape, dtype=np.complex128)
-    for s in range(c - 1):
-        u = diags[s]
-        total += np.conj(u)[:, None] * x * u[None, :]
-    target = (c - 1) * b + a
-    residual = float(np.linalg.norm(total - target, "fro"))
-    tol = CONVERSION_TOL * c * max(1.0, float(np.linalg.norm(x, "fro")))
-    n = a.shape[0]
-    lhs = eigenvalues_sym(x)
-    rhs = eigenvalues_sym(b + a / (c - 1))
-    margins = np.array(
-        [ky_fan(lhs, m) - ky_fan(rhs, m) for m in range(1, n + 1)]
-    )
-    return MajorizationStepReport(
-        identity_residual=residual,
-        identity_tolerance=tol,
-        identity_ok=residual <= tol,
-        spectral_margins=margins,
-        spectral_ok=bool((margins >= -PROPERTY_TOL).all()),
-    )
+    _check_proper_stack(a[None], [col])
+    _require_two_colors([col], "identity")
+    return _majorization_steps(a[None], b[None], [col], [conversion_unitaries(col)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -232,44 +301,64 @@ class LoanIdentityReport:
         return self.identity_ok and self.rayleigh_ok and self.minima_ok and self.inequality_ok
 
 
+def _loan_identities(
+    graphs: Sequence[Graph],
+    a: np.ndarray,
+    d: np.ndarray,
+    cols: Sequence[Coloring],
+    diags: Sequence[np.ndarray],
+) -> list[LoanIdentityReport]:
+    """verify_loan_identity for graphs with an edge and checked colorings.
+
+    a and d are the (G, n, n) adjacency and diagonal degree stacks; the
+    Q spectra are one spectra_batch call.
+    """
+
+    n = a.shape[1]
+    c = np.array([col.c for col in cols])
+    q = d + a
+    v = np.full(n, 1.0 / np.sqrt(n))
+    # U_s Q U_s^dag is the conjugation by U_s^dag, whose diagonal is conj(u)
+    total = np.zeros(a.shape, dtype=np.complex128)
+    conj_values: list[list[float]] = [[] for _ in cols]
+    for s, term in enumerate(_conjugations(q, [np.conj(u) for u in diags], c - 1)):
+        total += term
+        for k in np.flatnonzero(c - 1 > s):
+            conj_values[k].append(float(np.real(v @ term[k] @ v)))
+    residual = frobenius_norms(((c - 1)[:, None, None] * d - total) - a).tolist()
+    tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(q))).tolist()
+    delta = spectra_batch(q)[:, -1].tolist()
+    reports = []
+    for k, g in enumerate(graphs):
+        avg = 2.0 * g.edge_count / n
+        rayleigh = float(np.real(v @ a[k] @ v))
+        minima = np.array(conj_values[k])
+        ck, delta_n = int(c[k]), delta[k]
+        reports.append(
+            LoanIdentityReport(
+                identity_residual=residual[k],
+                identity_tolerance=tol[k],
+                identity_ok=residual[k] <= tol[k],
+                rayleigh_value=rayleigh,
+                rayleigh_ok=abs(rayleigh - avg) <= SPECTRUM_TOL * max(1.0, avg),
+                conjugate_minima=minima,
+                minima_ok=bool((minima >= delta_n - PROPERTY_TOL).all()),
+                inequality_ok=avg <= (ck - 1) * (avg - delta_n) + PROPERTY_TOL,
+            )
+        )
+    return reports
+
+
 def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
     """Check A = (c-1)D - sum_{s<c} U_s Q U_s^dag and the scalar chain under it."""
 
     if g.edge_count < 1:
         raise DomainError("identity needs at least one edge")
     a = g.adjacency()
-    check_proper(a, col)
-    if col.c < 2:
-        raise DomainError(f"identity needs at least 2 colors, got c={col.c}")
-    c = col.c
-    n = g.n
+    _check_proper_stack(a[None], [col])
+    _require_two_colors([col], "identity")
     d = np.diag(g.degrees().astype(np.float64))
-    q = d + a
-    diags = conversion_unitaries(col)
-    total = np.zeros((n, n), dtype=np.complex128)
-    conj_values = []
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for s in range(c - 1):
-        u = diags[s]
-        term = u[:, None] * q * np.conj(u)[None, :]
-        total += term
-        conj_values.append(float(np.real(v @ term @ v)))
-    residual = float(np.linalg.norm(((c - 1) * d - total) - a, "fro"))
-    tol = CONVERSION_TOL * c * max(1.0, float(np.linalg.norm(q, "fro")))
-    avg = 2.0 * g.edge_count / n
-    rayleigh = float(np.real(v @ a @ v))
-    delta_n = float(eigenvalues_sym(q, GraphMatrixKind.SIGNLESS_LAPLACIAN).values[-1])
-    minima = np.array(conj_values)
-    return LoanIdentityReport(
-        identity_residual=residual,
-        identity_tolerance=tol,
-        identity_ok=residual <= tol,
-        rayleigh_value=rayleigh,
-        rayleigh_ok=abs(rayleigh - avg) <= SPECTRUM_TOL * max(1.0, avg),
-        conjugate_minima=minima,
-        minima_ok=bool((minima >= delta_n - PROPERTY_TOL).all()),
-        inequality_ok=avg <= (c - 1) * (avg - delta_n) + PROPERTY_TOL,
-    )
+    return _loan_identities([g], a[None], d[None], [col], [conversion_unitaries(col)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -300,23 +389,62 @@ def greedy_certificate_coloring(g: Graph) -> Coloring:
     return col.with_palette(2) if col.c < 2 else col
 
 
+def certify_graphs(
+    graphs: Sequence[Graph], cols: Sequence[Coloring]
+) -> list[GraphCertificationReport]:
+    """certify_graph for each of several graphs with the same vertex count.
+
+    Each coloring is checked once and its unitaries are built once. The
+    spectra of each matrix role (B - A and B + A/(c-1) for each B, and Q
+    for the loan identity) are one spectra_batch call over the batch, so
+    a report equals the one certify_graph gives for the graph alone. The
+    first graph that fails a check raises, as certify_graph would for it.
+    """
+
+    graphs = list(graphs)
+    cols = list(cols)
+    if len(cols) != len(graphs):
+        raise DomainError(f"{len(graphs)} graphs but {len(cols)} colorings")
+    common_order(graphs)
+    a = np.stack([g.adjacency() for g in graphs])
+    _require_two_colors(cols, "conversion")
+    _check_proper_stack(a, cols)
+    diags = [conversion_unitaries(col) for col in cols]
+    conversions = _conversions(a, cols, diags)
+    deg = np.stack([np.diag(g.degrees().astype(np.float64)) for g in graphs])
+    steps = {
+        label: _majorization_steps(a, b, cols, diags)
+        for label, b in (("zero", np.zeros_like(a)), ("deg", deg), ("negdeg", -deg))
+    }
+    edged = [k for k, g in enumerate(graphs) if g.edge_count >= 1]
+    loans = {}
+    if edged:
+        reports = _loan_identities(
+            [graphs[k] for k in edged],
+            a[edged],
+            deg[edged],
+            [cols[k] for k in edged],
+            [diags[k] for k in edged],
+        )
+        loans = dict(zip(edged, reports))
+    return [
+        GraphCertificationReport(
+            conversions[k], {label: step[k] for label, step in steps.items()}, loans.get(k)
+        )
+        for k in range(len(graphs))
+    ]
+
+
 def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
     """Conversion certificate, majorization step for B in {0, D, -D}, loan identity.
 
     The loan identity needs an edge and is skipped (None) without one.
     Raises DomainError for an improper coloring and VerificationError
-    when the conversion residual exceeds its tolerance.
+    when the conversion residual exceeds its tolerance. This is
+    certify_graphs on a batch of one.
     """
 
-    a = g.adjacency()
-    conversion = build_conversion(a, col)
-    deg = np.diag(g.degrees().astype(np.float64))
-    steps = {
-        label: verify_majorization_step(a, b, col)
-        for label, b in (("zero", np.zeros_like(a)), ("deg", deg), ("negdeg", -deg))
-    }
-    loan = verify_loan_identity(g, col) if g.edge_count >= 1 else None
-    return GraphCertificationReport(conversion, steps, loan)
+    return certify_graphs([g], [col])[0]
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 computation or domain error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -15,11 +16,18 @@ from .bounds import (
     BoundId,
     BoundReport,
     full_report,
+    full_reports,
     generalized_sweep,
     normalized_sweep,
     round_display,
 )
-from .certify import Coloring, certify_graph, greedy_certificate_coloring
+from .certify import (
+    Coloring,
+    GraphCertificationReport,
+    certify_graph,
+    certify_graphs,
+    greedy_certificate_coloring,
+)
 from .errors import (
     DomainError,
     NumericError,
@@ -43,6 +51,9 @@ from .oracle import all_graphs, chromatic_number, colorable_with
 
 _SOUNDNESS_SLACK = 1e-6
 _CERT_RESIDUAL_LIMIT = 1e-10
+# corpus-check batch size: per-call overhead is spread as well as over a
+# whole order, while only this many graphs and their caches are alive
+CORPUS_CHUNK = 128
 
 _SWEEPABLE = (
     BoundId.GEN_HOFFMAN,
@@ -194,23 +205,41 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _check_graph(g: Graph) -> tuple[bool, bool]:
-    """One corpus entry: (soundness ok, certification ok)."""
-
-    report = full_report(g)
-    chi = chromatic_number(g).chi
-    sound = all(
+def _sound(report: BoundReport, chi: int) -> bool:
+    return all(
         math.ceil(v.value - _SOUNDNESS_SLACK) <= chi
         for v in report.values
         if v.valid
     )
 
-    col = greedy_certificate_coloring(g)
+
+def _certified(report: GraphCertificationReport) -> bool:
+    return report.ok and report.conversion.residual < _CERT_RESIDUAL_LIMIT
+
+
+def _certified_alone(g: Graph, col: Coloring) -> bool:
     try:
-        report = certify_graph(g, col)
+        return _certified(certify_graph(g, col))
     except VerificationError:
-        return sound, False
-    return sound, report.ok and report.conversion.residual < _CERT_RESIDUAL_LIMIT
+        return False
+
+
+def _check_chunk(graphs: list[Graph]) -> tuple[int, int]:
+    """Soundness violations and certification failures among graphs of one order."""
+
+    # each batch of reports is dropped once counted, so one is alive at a time
+    unsound = sum(
+        not _sound(report, chromatic_number(g).chi)
+        for g, report in zip(graphs, full_reports(graphs))
+    )
+    cols = [greedy_certificate_coloring(g) for g in graphs]
+    try:
+        certified = [_certified(cert) for cert in certify_graphs(graphs, cols)]
+    except VerificationError:
+        # a conversion breach stops the batch; certify one at a time to
+        # count every graph that breaches
+        certified = [_certified_alone(g, col) for g, col in zip(graphs, cols)]
+    return unsound, len(graphs) - sum(certified)
 
 
 def _cmd_corpus_check(args) -> int:
@@ -219,11 +248,13 @@ def _cmd_corpus_check(args) -> int:
     total = 0
     for n in range(1, args.max_n + 1):
         count = bad_sound = bad_cert = 0
-        for g in all_graphs(n):  # one graph, with its caches, alive at a time
-            sound, certified = _check_graph(g)
-            count += 1
-            bad_sound += not sound
-            bad_cert += not certified
+        graphs = iter(all_graphs(n))
+        # CORPUS_CHUNK graphs, with their caches, alive at a time
+        while chunk := list(itertools.islice(graphs, CORPUS_CHUNK)):
+            chunk_unsound, chunk_uncertified = _check_chunk(chunk)
+            count += len(chunk)
+            bad_sound += chunk_unsound
+            bad_cert += chunk_uncertified
         print(
             f"n={n} graphs={count} "
             f"soundness_violations={bad_sound} certification_failures={bad_cert}"

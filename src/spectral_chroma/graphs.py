@@ -155,6 +155,18 @@ class Graph:
         return bool((self.degrees() == 0).any())
 
 
+def common_order(graphs: Sequence[Graph]) -> int:
+    """The vertex count shared by a nonempty batch of graphs."""
+
+    if not graphs:
+        raise DomainError("a batch needs at least one graph")
+    n = graphs[0].n
+    for k, g in enumerate(graphs):
+        if g.n != n:
+            raise DomainError(f"a batch needs graphs of one order: graph {k} has n={g.n}, not {n}")
+    return n
+
+
 def from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from any iterable of endpoint pairs."""
 

@@ -1,0 +1,81 @@
+"""Print the default-format output of a fixed list of CLI invocations.
+
+Run from the root of a checkout, with PYTHONPATH naming the source tree
+to exercise:
+
+    PYTHONPATH=src python tools/cli_outputs.py > head.txt
+    PYTHONPATH=../base/src python tools/cli_outputs.py > base.txt
+    diff base.txt head.txt
+
+For each invocation it prints the argv, the exit code and stdout, so two
+source trees that print the same text give byte-identical CLI output on
+these inputs. The G(n, p) inputs come from this script's own seeded
+stdlib RNG and graph6 writer, not from the program. JSON output is left
+out, so that keys added to it do not show as differences.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+
+from spectral_chroma.cli import main
+from spectral_chroma.experiments import DEFAULT_NAMED
+
+SWEEP_BOUNDS = (
+    "GenHoffman",
+    "GenNikiforov",
+    "GenKolotilina1",
+    "GenKolotilina2",
+    "GenNormalizedHoffman",
+)
+GNP_SIZES = (9, 14, 25, 40)  # graph6 of n = 1 would start with "@", a file reference
+GNP_P = 0.5
+GNP_SEED = 7
+
+
+def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
+    """graph6 text of G(n, p): header byte, then the upper triangle column by column."""
+
+    if not 2 <= n <= 62:
+        raise ValueError(f"one-byte graph6 headers cover 2 <= n <= 62, got {n}")
+    bits = [rng.random() < p for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    out = [n + 63]
+    for k in range(0, len(bits), 6):
+        chunk = 0
+        for bit in bits[k:k + 6]:
+            chunk = (chunk << 1) | bit
+        out.append(chunk + 63)
+    return bytes(out).decode("ascii")
+
+
+def invocations() -> list[list[str]]:
+    rng = random.Random(GNP_SEED)
+    gnp = [gnp_graph6(n, GNP_P, rng) for n in GNP_SIZES]
+    out = []
+    for spec in DEFAULT_NAMED:
+        out.append(["bounds", spec])
+        out.append(["certify", spec])
+        out.extend(["sweep", spec, "--bound", bound] for bound in SWEEP_BOUNDS)
+    for g6 in gnp:
+        out.append(["bounds", g6])
+        out.append(["certify", g6])
+    out.append(["compare", "--named", "default"])
+    out.append(["corpus-check", "--max-n", "7"])
+    out.append(["chromatic", "gen:petersen"])
+    out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
+    return out
+
+
+def run(argv: list[str]) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return f"$ spectral-chroma {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}"
+
+
+if __name__ == "__main__":
+    for argv in invocations():
+        print(run(argv), end="", flush=True)
