@@ -29,10 +29,7 @@ from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     Spectrum,
-    SpectrumKind,
-    eigenvalues_sym,
     graph_spectra,
-    graph_spectrum,
     spectra_batch,
 )
 
@@ -267,7 +264,7 @@ def _probe(b: np.ndarray, a: np.ndarray, lhs: np.ndarray, c: int) -> np.ndarray:
     matrix = b + a / (c - 1)
     eigs = np.linalg.eigvalsh(matrix)[::-1]
     tr = float(np.trace(matrix))
-    if abs(float(eigs.sum()) - tr) > SPECTRUM_TOL * max(1.0, abs(tr)):
+    if not abs(float(eigs.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
         raise NumericError(f"eigensolve at c={c} disagrees with the matrix trace")
     return lhs >= np.cumsum(eigs) - PROPERTY_TOL
 
@@ -299,58 +296,26 @@ def _raise_best(
     return pass_c, int(np.argmin(fail)) + 1
 
 
-def _check_spectrum(spec: Spectrum, kind: SpectrumKind, n: int) -> None:
-    if spec.kind != kind or spec.n != n:
-        name = kind.value if isinstance(kind, GraphMatrixKind) else kind
-        raise DomainError(
-            f"expected the {name} spectrum of an {n}-vertex graph, "
-            f"got {spec.kind} with {spec.n} values"
-        )
-
-
 def integer_c_search(
-    g: Graph,
-    extra_b: np.ndarray | None = None,
-    *,
-    spec_a: Spectrum | None = None,
-    spec_l: Spectrum | None = None,
-    spec_negdeg: Spectrum | None = None,
+    g: Graph, *, spec_a: Spectrum, spec_l: Spectrum, spec_negdeg: Spectrum
 ) -> BoundValue:
     """Integer lower bound: max over candidates and m of the smallest valid c.
 
     Candidates are the zero matrix and the diagonal degree matrix with
-    both signs; a caller may add one more symmetric candidate, which is
-    sound only if it commutes with the conversion unitaries of some
-    proper coloring (block-diagonal over color classes). best_m is the
-    lowest m achieving the maximum in the first candidate (in the order
-    zero, deg, negdeg, extra) that achieves it.
+    both signs. best_m is the lowest m achieving the maximum in the first
+    candidate (in the order zero, deg, negdeg) that achieves it.
 
-    The zero candidate comes in closed form from the A spectrum; each
-    later one goes through _raise_best. The deg left-hand side is the
-    Laplacian spectrum, since B - A = D - A = L; the negdeg one is the
-    spectrum of -D - A, given as spec_negdeg or solved when needed.
-    spec_a and spec_l are computed when not given; all three must match
-    g in kind and size when given.
+    The zero candidate comes in closed form from spec_a, the A spectrum;
+    each later one goes through _raise_best with the spectrum of B - A:
+    spec_l, the Laplacian spectrum, for B = D, and spec_negdeg, the
+    spectrum of -D - A, for B = -D. No spectrum is solved here, only the
+    probes.
     """
 
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
     n = g.n
     a = g.adjacency()
-    if extra_b is not None:
-        extra_b = np.asarray(extra_b, dtype=np.float64)
-        if extra_b.shape != (n, n):
-            raise DomainError(f"extra candidate has shape {extra_b.shape}, expected {(n, n)}")
-        if not np.array_equal(extra_b, extra_b.T):
-            raise DomainError("extra candidate must be symmetric")
-    if spec_a is None:
-        spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-    if spec_l is None:
-        spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-    _check_spectrum(spec_a, GraphMatrixKind.ADJACENCY, n)
-    _check_spectrum(spec_l, GraphMatrixKind.LAPLACIAN, n)
-    if spec_negdeg is not None:
-        _check_spectrum(spec_negdeg, "custom", n)
     zero = _zero_minima(spec_a)
     best = int(zero.max())
     best_m = int(zero.argmax()) + 1
@@ -360,13 +325,8 @@ def integer_c_search(
         if best < n:
             # -D in the same buffer, so one dense D is alive at a time
             np.negative(d, out=d)
-            if spec_negdeg is None:
-                spec_negdeg = eigenvalues_sym(d - a)
             best, best_m = _raise_best(d, a, spec_negdeg.values, best, best_m)
         del d
-    if extra_b is not None and best < n:
-        lhs_values = eigenvalues_sym(extra_b - a).values
-        best, best_m = _raise_best(extra_b, a, lhs_values, best, best_m)
     return BoundValue(BoundId.INTEGER_C, float(best), best_m=best_m)
 
 
@@ -474,10 +434,10 @@ def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
         kind = GraphMatrixKind.SIGNLESS_LAPLACIAN
         q = np.stack([build_matrix(g, kind) for g in edged])
         for found, row in zip(spectra, spectra_batch(q)):
-            found[kind] = Spectrum(kind, row)
-        # -Q is -D - A entry for entry, signed zeros included, as the search builds it
+            found[kind] = Spectrum(row)
+        # -Q is -D - A, the left-hand side of the search's negdeg candidate
         np.negative(q, out=q)
-        negdeg = [Spectrum("custom", row) for row in spectra_batch(q)]
+        negdeg = [Spectrum(row) for row in spectra_batch(q)]
         del q
         normal = [k for k, g in enumerate(edged) if not g.has_isolated_vertex()]
         if normal:

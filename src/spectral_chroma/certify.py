@@ -28,7 +28,6 @@ from .linalg import (
 )
 
 CONVERSION_TOL = 1e-9
-PINCH_AGREE_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 
 

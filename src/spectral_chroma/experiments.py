@@ -13,7 +13,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .bounds import (
@@ -311,16 +310,11 @@ def load_no_perfect_matching() -> Graph | None:
     """The 16-vertex matching-free comparison graph, if a file provides it.
 
     Its construction is not specified anywhere in scope, so it can only
-    be loaded: from the path in SPECTRAL_CHROMA_NPM_FILE, or from an
-    optional bundled data file. Returns None when neither exists.
+    be loaded, from the path in SPECTRAL_CHROMA_NPM_FILE. Returns None
+    when that variable is unset or empty.
     """
 
     env_path = os.environ.get(_EXTERNAL_GRAPH_ENV)
-    if env_path:
-        return parse_graph_file(Path(env_path).read_text(encoding="ascii"))
-    try:
-        data = resources.files("spectral_chroma.data") / "no_perfect_matching.g6"
-        content = data.read_text(encoding="ascii")
-    except (FileNotFoundError, ModuleNotFoundError):
+    if not env_path:
         return None
-    return parse_graph_file(content)
+    return parse_graph_file(Path(env_path).read_text(encoding="ascii"))

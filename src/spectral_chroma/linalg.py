@@ -2,14 +2,15 @@
 
 All graph-matrix spectra go through the real symmetric path; complex
 arithmetic appears only where coloring unitaries demand it. Every
-eigenvalue vector returned here is validated against residual and trace
-guarantees rather than trusted blindly.
+eigenvalue vector returned here is validated rather than trusted
+blindly: real symmetric spectra against residual and trace guarantees,
+complex Hermitian ones against the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -21,26 +22,14 @@ SPECTRUM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 PROPERTY_TOL = 1e-8
 
-SpectrumKind = Union[GraphMatrixKind, Literal["custom"]]
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted non-increasing, tagged with their source matrix kind.
+    """Eigenvalues sorted non-increasing."""
 
-    The kind is a GraphMatrixKind, or "custom" for any other matrix.
-    """
-
-    kind: SpectrumKind
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, GraphMatrixKind) and not (
-            isinstance(self.kind, str) and self.kind == "custom"
-        ):
-            raise DomainError(
-                f"spectrum kind must be a GraphMatrixKind or 'custom', got {self.kind!r}"
-            )
         v = np.asarray(self.values, dtype=np.float64).copy()
         if v.ndim != 1 or v.size < 1:
             raise DomainError("spectrum needs a nonempty 1-d value vector")
@@ -112,8 +101,8 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     matrix is validated on its own: every eigenpair satisfies
     ||M v - lambda v|| <= SPECTRUM_TOL * max(1, ||M||_F), and the
     eigenvalue sum matches the trace to SPECTRUM_TOL * max(1, |trace|).
-    A failing matrix raises NumericError naming its index in the stack;
-    so does solver non-convergence.
+    A failing matrix, NaN results included, raises NumericError naming
+    its index in the stack; so does solver non-convergence.
     """
 
     stack = _validate_symmetric_stack(stack)
@@ -126,20 +115,20 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     residual -= v * w[:, None, :]
     worst = np.linalg.norm(residual, axis=1).max(axis=1)
     del residual
-    bad = worst > limit
+    bad = ~(worst <= limit)  # NaN fails
     if bad.any():
         g = int(bad.argmax())
         raise NumericError(
             f"matrix {g}: eigenpair residual {worst[g]:.3e} exceeds {limit[g]:.3e}"
         )
     tr = np.trace(stack, axis1=1, axis2=2)
-    bad = np.abs(w.sum(axis=1) - tr) > SPECTRUM_TOL * np.maximum(1.0, np.abs(tr))
+    bad = ~(np.abs(w.sum(axis=1) - tr) <= SPECTRUM_TOL * np.maximum(1.0, np.abs(tr)))
     if bad.any():
         raise NumericError(f"matrix {int(bad.argmax())}: eigenvalue sum disagrees with the trace")
     return np.ascontiguousarray(w[:, ::-1])
 
 
-def eigenvalues_sym(a: np.ndarray, kind: SpectrumKind = "custom") -> Spectrum:
+def eigenvalues_sym(a: np.ndarray) -> Spectrum:
     """Full spectrum of a real symmetric matrix, sorted non-increasing.
 
     The solve is spectra_batch on a stack of one, with the same
@@ -149,15 +138,16 @@ def eigenvalues_sym(a: np.ndarray, kind: SpectrumKind = "custom") -> Spectrum:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return Spectrum(kind, spectra_batch(a[None])[0])
+    return Spectrum(spectra_batch(a[None])[0])
 
 
-def hermitian_eigenvalues(a: np.ndarray, kind: SpectrumKind = "custom") -> Spectrum:
+def hermitian_eigenvalues(a: np.ndarray) -> Spectrum:
     """Spectrum of a (possibly complex) Hermitian matrix, sorted non-increasing.
 
     Accepts numerically Hermitian input: the anti-Hermitian part must be
     below SPECTRUM_TOL * max(1, ||A||_F) and is projected away before
-    solving.
+    solving. Real input goes through eigenvalues_sym; complex input has
+    its eigenvalue sum checked against the trace to the same tolerance.
     """
 
     a = np.asarray(a)
@@ -166,7 +156,7 @@ def hermitian_eigenvalues(a: np.ndarray, kind: SpectrumKind = "custom") -> Spect
     if not np.isfinite(a).all():
         raise DomainError("matrix contains non-finite entries")
     if not np.iscomplexobj(a):
-        return eigenvalues_sym(symmetrize(a), kind)
+        return eigenvalues_sym(symmetrize(a))
     scale = max(1.0, float(np.linalg.norm(a, "fro")))
     skew = float(np.abs(a - a.conj().T).max())
     if skew > SPECTRUM_TOL * scale:
@@ -176,7 +166,10 @@ def hermitian_eigenvalues(a: np.ndarray, kind: SpectrumKind = "custom") -> Spect
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from None
-    return Spectrum(kind, w[::-1])
+    tr = float(np.trace(h).real)
+    if not abs(float(w.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
+        raise NumericError("Hermitian eigenvalue sum disagrees with the trace")
+    return Spectrum(w[::-1])
 
 
 def graph_spectra(graphs: Sequence[Graph], kind: GraphMatrixKind) -> list[Spectrum]:
@@ -184,13 +177,13 @@ def graph_spectra(graphs: Sequence[Graph], kind: GraphMatrixKind) -> list[Spectr
 
     common_order(graphs)
     stack = np.stack([build_matrix(g, kind) for g in graphs])
-    return [Spectrum(kind, row) for row in spectra_batch(stack)]
+    return [Spectrum(row) for row in spectra_batch(stack)]
 
 
 def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
     """Spectrum of one of a graph's derived matrices."""
 
-    return eigenvalues_sym(build_matrix(g, kind), kind)
+    return eigenvalues_sym(build_matrix(g, kind))
 
 
 def _check_m(m: int, n: int) -> int:
@@ -206,13 +199,6 @@ def ky_fan(spec: Spectrum, m: int) -> float:
 
     m = _check_m(m, spec.n)
     return float(spec.values[:m].sum())
-
-
-def ky_fan_tail(spec: Spectrum, m: int) -> float:
-    """Sum of the m smallest eigenvalues (1-based m)."""
-
-    m = _check_m(m, spec.n)
-    return float(spec.values[spec.n - m:].sum())
 
 
 def random_hermitian(n: int, seed: int) -> np.ndarray:

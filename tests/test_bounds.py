@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spectral_chroma.bounds import (
     BoundId,
     BoundValue,
+    _raise_best,
     chain_bounds,
     classical_bounds,
     full_report,
@@ -23,7 +24,7 @@ from spectral_chroma.bounds import (
     normalized_sweep,
     round_display,
 )
-from spectral_chroma.errors import DomainError
+from spectral_chroma.errors import DomainError, NumericError
 from spectral_chroma.graphs import (
     Graph,
     GraphMatrixKind,
@@ -291,18 +292,32 @@ class TestChainBounds:
                 assert hi.value >= lo.value - PROPERTY_TOL
 
 
+def search_spectra(g):
+    """The three spectra integer_c_search reads, solved as full_reports solves them."""
+
+    return {
+        "spec_a": graph_spectrum(g, GraphMatrixKind.ADJACENCY),
+        "spec_l": graph_spectrum(g, GraphMatrixKind.LAPLACIAN),
+        "spec_negdeg": eigenvalues_sym(-build_matrix(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)),
+    }
+
+
+def search(g):
+    return integer_c_search(g, **search_spectra(g))
+
+
 class TestIntegerC:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_complete_exact(self, n):
-        v = integer_c_search(complete(n))
+        v = search(complete(n))
         assert v.value == n
 
     def test_bipartite_two(self):
-        assert integer_c_search(complete_bipartite(3, 4)).value == 2
-        assert integer_c_search(cycle(8)).value == 2
+        assert search(complete_bipartite(3, 4)).value == 2
+        assert search(cycle(8)).value == 2
 
     def test_sun8_from_degree_branch(self):
-        v = integer_c_search(sun(8))
+        v = search(sun(8))
         assert v.value == 7 and v.best_m == 1
         minima = full_scan_minima(sun(8))
         assert minima["deg"][0] == 7
@@ -310,30 +325,48 @@ class TestIntegerC:
 
     def test_edgeless_rejected(self):
         with pytest.raises(DomainError, match="edge"):
-            integer_c_search(Graph(4))
+            search(Graph(4))
 
     def test_extra_candidate_accepted(self):
+        # a further candidate B goes through _raise_best like deg and negdeg
+        # and never lowers the running maximum; B = 0 cannot raise it either,
+        # since the closed-form zero minima already count it
         g = cycle(5)
-        base = integer_c_search(g)
-        with_extra = integer_c_search(g, extra_b=np.zeros((5, 5)))
-        assert with_extra.value >= base.value
+        base = search(g)
+        a = g.adjacency()
+        running = (int(base.value), base.best_m)
+        assert _raise_best(np.zeros((5, 5)), a, eigenvalues_sym(-a).values, *running) == running
 
-    def test_extra_candidate_validated(self):
-        g = cycle(5)
-        with pytest.raises(DomainError, match="shape"):
-            integer_c_search(g, extra_b=np.zeros((4, 4)))
-        with pytest.raises(DomainError, match="symmetric"):
-            integer_c_search(g, extra_b=np.triu(np.ones((5, 5))))
+    def test_equals_full_report(self):
+        for g in (petersen(), sun(8), random_gnp(30, 0.5, 4)):
+            assert search(g) == full_report(g).value(BoundId.INTEGER_C)
 
-    def test_given_spectra_validated(self):
-        g = cycle(5)
-        spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-        spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-        assert integer_c_search(g, spec_a=spec_a, spec_l=spec_l) == integer_c_search(g)
-        with pytest.raises(DomainError, match="Laplacian"):
-            integer_c_search(g, spec_a=spec_a, spec_l=spec_a)
-        with pytest.raises(DomainError, match="5-vertex"):
-            integer_c_search(g, spec_a=graph_spectrum(cycle(6), GraphMatrixKind.ADJACENCY))
+    def test_solves_no_spectrum(self, monkeypatch):
+        # the search reads the report's spectra and solves only its probes
+        g = random_gnp(30, 0.5, 4)
+        spectra = search_spectra(g)
+        expected = full_report(g).value(BoundId.INTEGER_C)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integer_c_search called eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert integer_c_search(g, **spectra) == expected
+
+    def test_nan_probe_raises(self, monkeypatch):
+        # NaN fails the probe's trace check instead of passing every m
+        g = random_gnp(40, 0.5, 3)
+        spectra = search_spectra(g)
+        solve = np.linalg.eigvalsh
+
+        def poisoned(a, *args, **kwargs):
+            w = solve(a, *args, **kwargs).copy()
+            w[0] = np.nan
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
+        with pytest.raises(NumericError, match=r"eigensolve at c=\d+ disagrees"):
+            integer_c_search(g, **spectra)
 
     @seed(21)
     @given(st.integers(2, 8), seeds)
@@ -342,7 +375,7 @@ class TestIntegerC:
         g = random_gnp(n, 0.5, s)
         if g.edge_count == 0:
             return
-        v = integer_c_search(g)
+        v = search(g)
         assert v.value <= chromatic_number(g).chi
 
 
@@ -389,8 +422,8 @@ def full_scan_max(g, extra_b=None):
     return best_value, best_m
 
 
-def search_result(g, extra_b=None):
-    v = integer_c_search(g, extra_b=extra_b)
+def search_result(g):
+    v = search(g)
     return int(v.value), v.best_m
 
 
@@ -435,22 +468,29 @@ class TestIntegerCSearchMatchesFullScan:
 
     @pytest.mark.parametrize("extra_kind", ["random", "adjacency"])
     def test_extra_candidate(self, extra_kind):
-        # with B = A every m < n fails below c = n, so the extra candidate
-        # raises the maximum to n and best_m must be the lowest such m
+        # a further candidate B after zero, deg and negdeg, through
+        # _raise_best. With B = A every m < n fails below c = n, so the
+        # maximum climbs to n and best_m must be the lowest of the m that
+        # fail at n - 1
         g = random_gnp(24, 0.5, 5)
-        extra = random_hermitian(24, 6) if extra_kind == "random" else g.adjacency()
-        assert search_result(g, extra) == full_scan_max(g, extra)
+        a = g.adjacency()
+        extra = random_hermitian(24, 6) if extra_kind == "random" else a
+        lhs_values = eigenvalues_sym(extra - a).values
+        raised = _raise_best(extra, a, lhs_values, *search_result(g))
+        assert raised == full_scan_max(g, extra_b=extra)
 
     def test_memory_is_quadratic(self):
-        # an 8-matrix chunk of c values alone is 8 n^2 float64s; the search
-        # holds a few n x n matrices at once. Measured peak: 6.2 n^2 float64
-        # with numpy 2.4.6, so a numpy whose eigh/eigvalsh or matmul adds an
-        # n x n temporary can fail this without a change here
+        # the report solves its spectra one validated eigh at a time, with
+        # the eigenvectors and residual alive, and the search holds a few
+        # n x n matrices. Measured peak: 5.26 n^2 float64 with numpy 2.4.6,
+        # of which one n^2 is the graph's cached dense adjacency, so a numpy
+        # whose eigh/eigvalsh or matmul adds n x n temporaries can fail this
+        # without a change here
         n = 200
         g = random_gnp(n, 0.5, 11)
         tracemalloc.start()
         try:
-            integer_c_search(g)
+            full_report(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -466,16 +506,21 @@ class TestIntegerCSearchMatchesFullScan:
             shapes.append(np.shape(a))
             return solve(a, *args, **kwargs)
 
+        spectra = search_spectra(g)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        integer_c_search(g)
-        # with B = A no m < n ever passes, so the extra candidate climbs to n,
-        # where a scan upward would solve about n matrices
-        assert integer_c_search(g, extra_b=g.adjacency()).value == n
-        assert shapes and all(shape == (n, n) for shape in shapes)
+        v = integer_c_search(g, **spectra)
         # per candidate after zero: one probe at the running maximum, then a
         # bisection of (best, n] in at most log2(n) probes
         per_candidate = 1 + math.ceil(math.log2(n))
-        assert len(shapes) <= (2 + 3) * per_candidate
+        assert shapes and all(shape == (n, n) for shape in shapes)
+        assert len(shapes) <= 2 * per_candidate
+        # with B = A no m < n ever passes, so a further candidate climbs to
+        # n, where a scan upward would solve about n matrices
+        shapes.clear()
+        a = g.adjacency()
+        assert _raise_best(a, a, np.zeros(n), int(v.value), v.best_m)[0] == n
+        assert shapes and all(shape == (n, n) for shape in shapes)
+        assert len(shapes) <= per_candidate
 
 
 class TestOrthogonalityGraphs:

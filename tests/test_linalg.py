@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from spectral_chroma.errors import DomainError
+from spectral_chroma.errors import DomainError, NumericError
 from spectral_chroma.graphs import (
     GraphMatrixKind,
     build_matrix,
@@ -22,7 +22,6 @@ from spectral_chroma.linalg import (
     graph_spectrum,
     hermitian_eigenvalues,
     ky_fan,
-    ky_fan_tail,
     random_hermitian,
     symmetrize,
 )
@@ -33,19 +32,19 @@ seeds = st.integers(0, 2**32 - 1)
 class TestSpectrumType:
     def test_sorted_enforced(self):
         with pytest.raises(DomainError, match="sorted"):
-            Spectrum("custom", np.array([1.0, 2.0]))
+            Spectrum(np.array([1.0, 2.0]))
 
     def test_values_read_only(self):
-        s = Spectrum("custom", np.array([2.0, 1.0]))
+        s = Spectrum(np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
-            Spectrum("custom", np.array([np.inf, 0.0]))
+            Spectrum(np.array([np.inf, 0.0]))
 
     def test_len(self):
-        assert len(Spectrum("custom", np.array([3.0, 1.0, 0.0]))) == 3
+        assert len(Spectrum(np.array([3.0, 1.0, 0.0]))) == 3
 
 
 class TestEigenvaluesSym:
@@ -106,27 +105,11 @@ class TestKyFan:
         spec = graph_spectrum(complete(3), GraphMatrixKind.ADJACENCY)
         assert abs(ky_fan(spec, 2) - 1.0) <= SPECTRUM_TOL
 
-    def test_k4_tail_two(self):
-        spec = graph_spectrum(complete(4), GraphMatrixKind.ADJACENCY)
-        assert abs(ky_fan_tail(spec, 2) - (-2.0)) <= SPECTRUM_TOL
-
-    def test_tail_one_is_minimum(self):
-        spec = eigenvalues_sym(random_hermitian(5, 8))
-        assert ky_fan_tail(spec, 1) == spec.values[-1]
-
-    def test_partition_identity(self):
-        spec = eigenvalues_sym(random_hermitian(8, 21))
-        total = spec.values.sum()
-        for m in range(1, 8):
-            assert abs(ky_fan(spec, 8 - m) + ky_fan_tail(spec, m) - total) <= 1e-12
-
     def test_m_out_of_range(self):
-        spec = Spectrum("custom", np.array([1.0, 0.0]))
+        spec = Spectrum(np.array([1.0, 0.0]))
         for bad in (0, 3, -1):
             with pytest.raises(DomainError):
                 ky_fan(spec, bad)
-            with pytest.raises(DomainError):
-                ky_fan_tail(spec, bad)
 
     def test_prefix_sums_consistent(self):
         spec = eigenvalues_sym(random_hermitian(9, 5))
@@ -181,6 +164,39 @@ class TestConjugate:
         sx = eigenvalues_sym(x)
         sy = hermitian_eigenvalues(y)
         assert np.allclose(sx.values, sy.values, atol=PROPERTY_TOL)
+
+
+class TestComplexHermitian:
+    """The complex branch of hermitian_eigenvalues checks the trace as eigh does."""
+
+    @staticmethod
+    def conjugated(s):
+        x = random_hermitian(6, s)
+        phases = np.exp(2j * np.pi * np.arange(6) / 6)
+        return np.conj(phases)[:, None] * x * phases[None, :]
+
+    @staticmethod
+    def patch_solver(monkeypatch, edit):
+        solve = np.linalg.eigvalsh
+
+        def patched(a, *args, **kwargs):
+            w = solve(a, *args, **kwargs).copy()
+            edit(w)
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+
+    def test_perturbed_eigenvalue_rejected(self, monkeypatch):
+        y = self.conjugated(4)
+        self.patch_solver(monkeypatch, lambda w: w.__setitem__(-1, w[-1] + 1e-3))
+        with pytest.raises(NumericError, match="trace"):
+            hermitian_eigenvalues(y)
+
+    def test_nan_eigenvalue_rejected(self, monkeypatch):
+        y = self.conjugated(5)
+        self.patch_solver(monkeypatch, lambda w: w.__setitem__(0, np.nan))
+        with pytest.raises(NumericError, match="trace"):
+            hermitian_eigenvalues(y)
 
 
 class TestRandomHermitian:

@@ -11,7 +11,10 @@ For each invocation it prints the argv, the exit code and stdout, so two
 source trees that print the same text give byte-identical CLI output on
 these inputs. The G(n, p) inputs come from this script's own seeded
 stdlib RNG and graph6 writer, not from the program. JSON output is left
-out, so that keys added to it do not show as differences.
+out, so that keys added to it do not show as differences. The one CSV
+invocation has a fixed schema and prints the random-table averages at
+full precision (repr), so a change in the last bits of the spectra
+shows there.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ def invocations() -> list[list[str]]:
     out.append(["corpus-check", "--max-n", "7"])
     out.append(["chromatic", "gen:petersen"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
+    out.append(["random-table", "--rows", "7:0.3,20:1.0,50:0.5", "--samples", "50", "--csv"])
     return out
 
 
