@@ -370,6 +370,39 @@ class TestSpectraBatch:
         with pytest.raises(NumericError, match=r"^matrix 2: eigenpair residual nan"):
             spectra_batch(stack)
 
+    @staticmethod
+    def patch_trace(monkeypatch, edit):
+        trace = np.trace
+
+        def patched(a, *args, **kwargs):
+            t = np.array(trace(a, *args, **kwargs), dtype=np.float64)
+            edit(t)
+            return t
+
+        monkeypatch.setattr(np, "trace", patched)
+
+    def test_trace_mismatch_names_the_matrix(self, monkeypatch):
+        self.patch_trace(monkeypatch, lambda t: t.__setitem__(4, t[4] + 1e-3))
+        stack = np.stack([random_hermitian(5, s) for s in range(6)])
+        with pytest.raises(NumericError, match=r"^matrix 4: eigenvalue sum disagrees"):
+            spectra_batch(stack)
+
+    def test_nan_trace_names_the_matrix(self, monkeypatch):
+        # the eigenpairs hold, so only the trace check can catch the NaN
+        self.patch_trace(monkeypatch, lambda t: t.__setitem__(1, np.nan))
+        stack = np.stack([random_hermitian(5, s) for s in range(3)])
+        with pytest.raises(NumericError, match=r"^matrix 1: eigenvalue sum disagrees"):
+            spectra_batch(stack)
+
+    def test_non_convergence_is_numeric_error(self, monkeypatch):
+        def diverge(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", diverge)
+        stack = np.stack([random_hermitian(4, s) for s in range(2)])
+        with pytest.raises(NumericError, match="failed to converge"):
+            spectra_batch(stack)
+
     def test_frobenius_norms_match_numpy(self):
         rng = np.random.default_rng(5)
         for n in (1, 3, 7, 16, 33):

@@ -1,5 +1,6 @@
 """All fifteen bound evaluations, sweeps, the integer search, and reports."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -367,6 +368,30 @@ class TestIntegerC:
         monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
         with pytest.raises(NumericError, match=r"eigensolve at c=\d+ disagrees"):
             integer_c_search(g, **spectra)
+
+    def test_perturbed_probe_raises(self, monkeypatch):
+        g = random_gnp(40, 0.5, 3)
+        spectra = search_spectra(g)
+        solve = np.linalg.eigvalsh
+
+        def perturbed(a, *args, **kwargs):
+            w = solve(a, *args, **kwargs).copy()
+            w[-1] += 1e-3
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(NumericError, match=r"eigensolve at c=\d+ disagrees"):
+            integer_c_search(g, **spectra)
+
+    def test_spectra_are_required_keywords(self):
+        params = inspect.signature(integer_c_search).parameters
+        assert list(params) == ["g", "spec_a", "spec_l", "spec_negdeg"]
+        assert params["g"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        for name in ("spec_a", "spec_l", "spec_negdeg"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            integer_c_search(cycle(5))
 
     @seed(21)
     @given(st.integers(2, 8), seeds)

@@ -215,3 +215,7 @@ class TestExternalGraph:
     def test_absent_returns_none(self, monkeypatch):
         monkeypatch.delenv("SPECTRAL_CHROMA_NPM_FILE", raising=False)
         assert load_no_perfect_matching() is None
+
+    def test_empty_variable_returns_none(self, monkeypatch):
+        monkeypatch.setenv("SPECTRAL_CHROMA_NPM_FILE", "")
+        assert load_no_perfect_matching() is None

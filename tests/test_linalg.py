@@ -1,5 +1,7 @@
 """Eigensolver guarantees, Ky Fan sums, and spectra invariants."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -45,6 +47,13 @@ class TestSpectrumType:
 
     def test_len(self):
         assert len(Spectrum(np.array([3.0, 1.0, 0.0]))) == 3
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            Spectrum(np.array([1.0, np.nan, 0.0]))
+
+    def test_values_is_the_only_field(self):
+        assert [f.name for f in fields(Spectrum)] == ["values"]
 
 
 class TestEigenvaluesSym:
@@ -196,6 +205,20 @@ class TestComplexHermitian:
         y = self.conjugated(5)
         self.patch_solver(monkeypatch, lambda w: w.__setitem__(0, np.nan))
         with pytest.raises(NumericError, match="trace"):
+            hermitian_eigenvalues(y)
+
+    def test_non_convergence_is_numeric_error(self, monkeypatch):
+        def diverge(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+        with pytest.raises(NumericError, match="failed to converge"):
+            hermitian_eigenvalues(self.conjugated(6))
+
+    def test_anti_hermitian_part_rejected(self):
+        y = self.conjugated(7)
+        y[0, 1] += 1e-3j
+        with pytest.raises(DomainError, match="not Hermitian"):
             hermitian_eigenvalues(y)
 
 
