@@ -181,7 +181,7 @@ class ColoringCertificate:
     def __post_init__(self) -> None:
         u = np.asarray(self.unitaries)
         last = u[-1]
-        if np.abs(last - 1.0).max() > UNITARY_TOL:
+        if not np.abs(last - 1.0).max() <= UNITARY_TOL:  # NaN fails
             raise VerificationError("final conversion unitary is not the identity")
         object.__setattr__(self, "unitaries", u)
 
@@ -191,15 +191,15 @@ def _conversions(
 ) -> list[ColoringCertificate]:
     """Conversion certificates for a (G, n, n) adjacency stack with checked colorings.
 
-    The first graph whose residual exceeds its tolerance raises
-    VerificationError.
+    The first graph whose residual exceeds its tolerance, or is NaN,
+    raises VerificationError.
     """
 
     c = np.array([col.c for col in cols])
     residual = frobenius_norms(_conjugation_sum(a, diags, c)).tolist()
     tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(a))).tolist()
     for r, t in zip(residual, tol):
-        if r > t:
+        if not r <= t:  # NaN fails
             raise VerificationError(f"conversion residual {r:.3e} exceeds tolerance {t:.3e}")
     return [ColoringCertificate(*cert) for cert in zip(cols, diags, residual, tol)]
 
@@ -460,7 +460,7 @@ class OrthoRepresentation:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DomainError(f"representation needs shape (n, d), got {v.shape}")
         off = float(np.abs(np.abs(v) - 1.0).max())
-        if off > UNITARY_TOL:
+        if not off <= UNITARY_TOL:  # NaN fails
             raise DomainError(
                 f"representation entries deviate from unit modulus by {off:.3e}"
             )
@@ -553,15 +553,16 @@ class PinchingInstance:
             raise DomainError("pinching needs at least one projector")
         n = projs[0].shape[0]
         total = np.zeros((n, n), dtype=np.complex128)
+        # each deviation is compared as `not dev <= tol`, so a NaN fails
         for idx, p in enumerate(projs):
             if p.shape != (n, n):
                 raise DomainError(f"projector {idx} has shape {p.shape}, expected {(n, n)}")
-            if float(np.abs(p - p.conj().T).max()) > PROJECTOR_TOL:
+            if not float(np.abs(p - p.conj().T).max()) <= PROJECTOR_TOL:
                 raise DomainError(f"projector {idx} is not Hermitian")
-            if float(np.abs(p @ p - p).max()) > PROJECTOR_TOL:
+            if not float(np.abs(p @ p - p).max()) <= PROJECTOR_TOL:
                 raise DomainError(f"projector {idx} is not idempotent")
             total += p
-        if float(np.abs(total - np.eye(n)).max()) > PROJECTOR_TOL:
+        if not float(np.abs(total - np.eye(n)).max()) <= PROJECTOR_TOL:
             raise DomainError("projectors do not sum to the identity")
         x = np.asarray(self.test_matrix)
         if x.shape != (n, n):

@@ -1,10 +1,21 @@
 """Exact ground truth at desk scale.
 
-Backtracking chromatic numbers for graphs up to 64 vertices, exhaustive
-labeled enumeration for tiny n, the bundled deduplicated corpora for 6
-and 7 vertices, and the deterministic greedy coloring that feeds the
-certificate machinery. The solver refuses rather than guessing: any
-input past its ceiling raises instead of returning an estimate.
+Backtracking chromatic numbers, exhaustive labeled enumeration for tiny
+n, the bundled deduplicated corpora for 6 and 7 vertices, and the
+deterministic greedy coloring that feeds the certificate machinery.
+
+The backtracking keeps, for each vertex, an int bitmask of the colors
+its colored neighbors hold, and checks forward: giving a vertex a
+color marks it in every later neighbor's mask, and a neighbor left
+with all k colors taken ends the branch. Such a branch holds no
+coloring, so the search meets the colorings in the same order as
+plain backtracking would, and returns the same witnesses.
+
+Reach, on a 2-vCPU VM with Python 3.11: G(50, .5) takes about 1-2 s
+(0.1-5.7 s over ten seeds), and G(64, .5) is not guaranteed to finish,
+as there is no node budget yet. The solver refuses rather than
+guessing: any input past its 64-vertex ceiling raises instead of
+returning an estimate.
 """
 
 from __future__ import annotations
@@ -64,9 +75,15 @@ def _greedy_clique(g: Graph) -> list[int]:
 def colorable_with(g: Graph, k: int) -> Coloring | None:
     """Decide k-colorability; returns a witness or None.
 
-    Backtracking over vertices in degree-descending order, colors tried
-    in index order, with new color indices introduced only in order (the
-    first vertex always takes color 0). k = 0 is decidable too: no
+    Backtracking over vertices in degree-descending order (ties by
+    index), colors tried in index order, with new color indices
+    introduced only in order (the first vertex always takes color 0).
+    Each search position holds a bitmask of the colors its earlier
+    neighbors took. A color given to a vertex is set in the masks of
+    its later neighbors, and the branch is cut as soon as one of them
+    has all k bits set. Only branches without a complete coloring are
+    cut, so the first coloring found, the witness, is the one plain
+    backtracking in the same order finds. k = 0 is decidable too: no
     nonempty graph is 0-colorable.
     """
 
@@ -76,30 +93,51 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
         return None
     if k >= g.n:
         return Coloring(tuple(range(g.n)), k)
+    n = g.n
     deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    order = sorted(range(n), key=lambda v: (-deg[v], v))
     adj = g.neighbors()
-    pos = {v: i for i, v in enumerate(order)}
-    assigned = [-1] * g.n
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # everything below is indexed by search position, not by vertex; later
+    # neighbors are lists because freed small tuples stay in the interpreter's
+    # free lists: they raised the peak RSS of 250 G(30, .5) calls by 1 MB
+    later = [[pos[u] for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
+    taken = [0] * n  # bit c set: a colored neighbor holds color c
+    full = (1 << k) - 1
+    assigned = [0] * n
 
     def backtrack(i: int, used: int) -> bool:
-        if i == g.n:
+        if i == n:
             return True
-        v = order[i]
-        forbidden = {assigned[u] for u in adj[v] if pos[u] < i}
-        limit = min(k, used + 1)
-        for color in range(limit):
-            if color in forbidden:
+        forbidden = taken[i]
+        for color in range(min(k, used + 1)):
+            bit = 1 << color
+            if forbidden & bit:
                 continue
-            assigned[v] = color
-            if backtrack(i + 1, max(used, color + 1)):
-                return True
-            assigned[v] = -1
+            marked = []
+            alive = True
+            for j in later[i]:
+                mask = taken[j]
+                if not mask & bit:
+                    mask |= bit
+                    taken[j] = mask
+                    marked.append(j)
+                    if mask == full:
+                        alive = False
+                        break
+            if alive:
+                assigned[i] = color
+                if backtrack(i + 1, max(used, color + 1)):
+                    return True
+            for j in marked:
+                taken[j] ^= bit
         return False
 
     if not backtrack(0, 0):
         return None
-    return Coloring(tuple(assigned), k)
+    return Coloring(tuple(assigned[p] for p in pos), k)
 
 
 def chromatic_number(g: Graph) -> ChromaticResult:

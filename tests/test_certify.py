@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spectral_chroma import certify
 from spectral_chroma.certify import (
     Coloring,
+    ColoringCertificate,
     OrthoRepresentation,
     PinchingInstance,
     build_conversion,
@@ -24,7 +26,7 @@ from spectral_chroma.certify import (
     verify_loan_identity,
     verify_majorization_step,
 )
-from spectral_chroma.errors import DomainError
+from spectral_chroma.errors import DomainError, VerificationError
 from spectral_chroma.graphs import (
     Graph,
     GraphMatrixKind,
@@ -87,6 +89,20 @@ class TestConversion:
         col = Coloring((0, 1, 2, 0), 3)
         diags = conversion_unitaries(col)
         assert np.allclose(diags[-1], 1.0, atol=1e-12)
+
+    def test_nan_final_unitary_rejected(self):
+        col = Coloring((0, 1), 2)
+        u = conversion_unitaries(col).copy()
+        u[-1, 0] = np.nan
+        with pytest.raises(VerificationError, match="identity"):
+            ColoringCertificate(col, u, 0.0, 1.0)
+
+    def test_nan_residual_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            certify, "_conjugation_sum", lambda a, diags, c: np.full(a.shape, np.nan)
+        )
+        with pytest.raises(VerificationError, match="residual nan"):
+            build_conversion(complete(2), Coloring((0, 1), 2))
 
     def test_residual_tiny_for_proper(self):
         g = petersen()
@@ -217,6 +233,10 @@ class TestOrthoRepresentation:
         with pytest.raises(DomainError, match="modulus"):
             OrthoRepresentation(np.array([[1.0, 0.5], [1.0, 1.0]]))
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(DomainError, match="modulus"):
+            OrthoRepresentation(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+
     def test_k2_plus_minus(self):
         rep = OrthoRepresentation(np.array([[1, 1], [1, -1]], dtype=complex))
         out = check_ortho_representation(adjacency(complete(2)), rep)
@@ -295,6 +315,28 @@ class TestPinching:
         p = np.diag([0.5, 0.5])
         with pytest.raises(DomainError, match="idempotent"):
             PinchingInstance((p, np.eye(2) - p), np.zeros((2, 2)))
+
+    def test_nan_projector_rejected(self):
+        p = np.diag([np.nan, 0.0])
+        with pytest.raises(DomainError, match="Hermitian"):
+            PinchingInstance((p, np.eye(2) - p), np.zeros((2, 2)))
+
+    def test_nan_square_rejected(self):
+        # exactly Hermitian, but p @ p overflows and its complex terms
+        # cancel to NaN
+        b = 1e200 * (1 + 1j)
+        p = np.array([[1e200, b], [np.conj(b), -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match="idempotent"
+        ):
+            PinchingInstance((p,), np.zeros((2, 2)))
+
+    def test_nan_sum_rejected(self, monkeypatch):
+        p = np.diag([1.0, 0.0])
+        projs = (p, np.eye(2) - p)
+        monkeypatch.setattr(np, "eye", lambda n: np.full((n, n), np.nan))
+        with pytest.raises(DomainError, match="identity"):
+            PinchingInstance(projs, np.zeros((2, 2)))
 
     def test_trace_preserved(self):
         x = random_hermitian(6, 3)

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spectral_chroma import oracle
+from spectral_chroma.certify import Coloring
 from spectral_chroma.errors import DomainError
+from spectral_chroma.experiments import DEFAULT_NAMED, resolve_graph_input
 from spectral_chroma.graphs import (
     Graph,
     circulant,
@@ -32,6 +35,55 @@ seeds = st.integers(0, 2**32 - 1)
 
 def is_proper(g, col):
     return all(col.colors[u] != col.colors[v] for u, v in g.edges)
+
+
+def reference_colorable_with(g: Graph, k: int) -> Coloring | None:
+    """The plain backtracking that colorable_with must agree with exactly.
+
+    Same vertex order, color order and symmetry breaking, but no bitset
+    state and no forward checking: it visits every node of the tree.
+    """
+
+    if k < 0:
+        raise DomainError(f"color count must be nonnegative, got {k}")
+    if k == 0:
+        return None
+    if k >= g.n:
+        return Coloring(tuple(range(g.n)), k)
+    deg = g.degrees()
+    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    adj = g.neighbors()
+    pos = {v: i for i, v in enumerate(order)}
+    assigned = [-1] * g.n
+
+    def backtrack(i: int, used: int) -> bool:
+        if i == g.n:
+            return True
+        v = order[i]
+        forbidden = {assigned[u] for u in adj[v] if pos[u] < i}
+        limit = min(k, used + 1)
+        for color in range(limit):
+            if color in forbidden:
+                continue
+            assigned[v] = color
+            if backtrack(i + 1, max(used, color + 1)):
+                return True
+            assigned[v] = -1
+        return False
+
+    if not backtrack(0, 0):
+        return None
+    return Coloring(tuple(assigned), k)
+
+
+# graphs on which colorable_with and chromatic_number must match the reference
+AGREEMENT_FAMILIES = {
+    "exhaustive": lambda: itertools.chain.from_iterable(all_graphs(n) for n in range(1, 8)),
+    "named": lambda: (resolve_graph_input(spec) for spec in DEFAULT_NAMED),
+    "complete": lambda: (complete(n) for n in range(3, 11)),
+    "cycle": lambda: (cycle(n) for n in range(3, 13)),
+    "gnp": lambda: (random_gnp(n, 0.5, s) for n in range(8, 31) for s in (1, 2)),
+}
 
 
 class TestChromaticNumber:
@@ -111,6 +163,26 @@ class TestColorableWith:
     def test_odd_cycle_needs_three(self):
         assert colorable_with(cycle(5), 2) is None
         assert colorable_with(cycle(5), 3) is not None
+
+
+class TestAgreesWithReference:
+    """colorable_with prunes only subtrees without a coloring, so it meets
+    the same first coloring as the reference: same answers, same witnesses."""
+
+    @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
+    def test_colorable_with_for_every_k(self, family):
+        for index, g in enumerate(AGREEMENT_FAMILIES[family]()):
+            for k in range(greedy_coloring(g).c + 1):
+                expected = reference_colorable_with(g, k)
+                assert colorable_with(g, k) == expected, (family, index, k)
+
+    @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
+    def test_chromatic_number(self, family, monkeypatch):
+        results = [chromatic_number(g) for g in AGREEMENT_FAMILIES[family]()]
+        # chromatic_number deepens through the module-level colorable_with
+        monkeypatch.setattr(oracle, "colorable_with", reference_colorable_with)
+        expected = [chromatic_number(g) for g in AGREEMENT_FAMILIES[family]()]
+        assert results == expected
 
 
 class TestGreedyColoring:

@@ -65,6 +65,9 @@ def invocations() -> list[list[str]]:
     for g6 in gnp:
         out.append(["bounds", g6])
         out.append(["certify", g6])
+        out.append(["chromatic", g6])
+    # an exact witness from colorable_with; this graph's chromatic number is 7
+    out.append(["certify", gnp[GNP_SIZES.index(25)], "--colors", "7"])
     out.append(["compare", "--named", "default"])
     out.append(["corpus-check", "--max-n", "7"])
     out.append(["chromatic", "gen:petersen"])
