@@ -7,6 +7,17 @@ swept over m, two normalized bounds, three weaker chain bounds kept for
 comparison tables, and the integer search for the smallest color count
 compatible with the partial-sum inequality.
 
+Every family is array code on (G, n) spectra, one row per graph of a
+batch with the same vertex count: partial sums are cumsums along each
+row, every ratio goes through one masked sweep, and a maximum over m is
+the first argmax of its row, so it comes from the same array as the
+per-m sweep. The integer search probes all open graphs of a batch
+with one eigvalsh call per round and bisects them in lockstep.
+full_reports evaluates each family once per batch; full_report and the
+per-family functions (classical_bounds, generalized_bounds, ...) are the
+same code on a batch of one. A report's rounded display strings are
+computed on first read.
+
 Invalid bounds (nonpositive denominators, edgeless graphs, isolated
 vertices for the normalized family) are reported as value 1 with
 valid=False, never as exceptions, so sweeps over arbitrary graphs keep
@@ -19,6 +30,7 @@ import hashlib
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +41,6 @@ from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     Spectrum,
-    graph_spectra,
     spectra_batch,
 )
 
@@ -52,6 +63,23 @@ class BoundId(Enum):
     INTEGER_C = "IntegerC"
 
 
+# the families in report order; together they are BoundId in definition order
+_CLASSICAL_IDS = (
+    BoundId.HOFFMAN,
+    BoundId.NIKIFOROV_HYBRID,
+    BoundId.KOLOTILINA_1,
+    BoundId.KOLOTILINA_2,
+)
+_GENERALIZED_IDS = (
+    BoundId.GEN_HOFFMAN,
+    BoundId.GEN_NIKIFOROV,
+    BoundId.GEN_KOLOTILINA_1,
+    BoundId.GEN_KOLOTILINA_2,
+)
+_NORMALIZED_IDS = BoundId.NORMALIZED_HOFFMAN, BoundId.GEN_NORMALIZED_HOFFMAN
+_CHAIN_IDS = BoundId.KOLOTILINA_CHAIN_317, BoundId.HANSEN_LUCAS, BoundId.CVETKOVIC
+
+
 @dataclass(frozen=True)
 class BoundValue:
     """One evaluated bound: its value, the m that achieved it, validity."""
@@ -62,10 +90,10 @@ class BoundValue:
     valid: bool = True
 
     def __post_init__(self) -> None:
-        if self.valid and self.value < 1.0 - 1e-12:
-            raise DomainError(f"{self.id.value}: valid bound below 1 ({self.value})")
+        if self.valid and not self.value >= 1.0 - 1e-12:  # NaN fails
+            raise DomainError(f"{self.id.value}: valid bound must be at least 1, got {self.value}")
         if self.valid and self.id is BoundId.INTEGER_C:
-            if self.value != int(self.value) or self.value < 2:
+            if not (self.value >= 2 and float(self.value).is_integer()):  # NaN fails
                 raise DomainError(f"IntegerC must be an integer >= 2, got {self.value}")
 
 
@@ -79,94 +107,135 @@ def round_display(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def _ratio_bound(bound_id: BoundId, numerator: float, denominator: float) -> BoundValue:
-    if denominator <= PROPERTY_TOL:
-        return invalid_bound(bound_id)
-    return BoundValue(bound_id, 1.0 + numerator / denominator)
+# --------------------------------------------------------------------------
+# the bound families on (G, n) spectra, one row per graph
+#
+# A value array holds -inf where a bound is invalid; _bound_values turns
+# each row into BoundValue objects.
+
+
+def _ratio_sweep(numerators, denominators: np.ndarray) -> np.ndarray:
+    """1 + num/denom elementwise; -inf masks an entry whose denominator is <= PROPERTY_TOL.
+
+    The numerators broadcast to the shape of the denominators. -inf never
+    wins a maximum, so a bound over m is the first argmax of its row and
+    its sweep is the same row with the mask as None.
+    """
+
+    admissible = denominators > PROPERTY_TOL  # NaN is not admissible
+    values = np.full(denominators.shape, -np.inf)
+    np.divide(numerators, denominators, out=values, where=admissible)
+    np.add(values, 1.0, out=values, where=admissible)
+    return values
+
+
+def _first_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest entry of each row of a sweep and its 1-based m, the first on ties."""
+
+    return values.max(axis=-1), values.argmax(axis=-1) + 1
+
+
+def _bound_values(
+    ids: Sequence[BoundId], values: np.ndarray, best_m: np.ndarray | None = None
+) -> list[list[BoundValue]]:
+    """Per row of (G, len(ids)) arrays, one BoundValue per column; best_m defaults to 1."""
+
+    rows = values.tolist()
+    best_ms = [[1] * len(ids)] * len(rows) if best_m is None else best_m.tolist()
+    return [
+        [
+            invalid_bound(bound_id) if v == -np.inf else BoundValue(bound_id, v, best_m=m)
+            for bound_id, v, m in zip(ids, row, ms)
+        ]
+        for row, ms in zip(rows, best_ms)
+    ]
+
+
+def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """(4, G, n) per-m values of the generalized bounds from the A, L and Q spectra."""
+
+    def bottom(x):
+        return np.cumsum(x[:, ::-1], axis=1)
+
+    top_mu = np.cumsum(mu, axis=1)
+    denominators = np.stack([
+        -bottom(mu),
+        np.cumsum(th - mu, axis=1),
+        np.cumsum(mu - dl + th, axis=1),
+        top_mu - bottom(dl) + bottom(th),
+    ])
+    return _ratio_sweep(top_mu, denominators)
+
+
+def _classical_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """(G, 4) classical ratio bounds; a graph with mu_1 <= PROPERTY_TOL has none.
+
+    Their denominators -mu_n, theta_1 - mu_1, mu_1 - delta_1 + theta_1 and
+    mu_1 - delta_n + theta_n are the first partial sums of the generalized
+    ones, so each equals the m = 1 entry of its generalized sweep to the
+    bit. The smallest Laplacian eigenvalue enters the fourth exactly as
+    computed (theoretically zero).
+    """
+
+    mu1 = mu[:, :1]
+    denominators = np.concatenate(
+        [-mu[:, -1:], th[:, :1] - mu1, mu1 - dl[:, :1] + th[:, :1], mu1 - dl[:, -1:] + th[:, -1:]],
+        axis=1,
+    )
+    values = _ratio_sweep(mu1, denominators)
+    values[mu1[:, 0] <= PROPERTY_TOL] = -np.inf
+    return values
+
+
+def _loan_values(edges: np.ndarray, n: int, dl: np.ndarray) -> np.ndarray:
+    """(G,) average-degree bounds 1 + 2E/(2E - n*delta_n)."""
+
+    two_e = 2.0 * edges
+    values = _ratio_sweep(two_e, two_e - n * dl[:, -1])
+    values[edges < 1] = -np.inf
+    return values
+
+
+def _normalized_values(na: np.ndarray) -> np.ndarray:
+    """(G, n) per-m values of the generalized normalized bound."""
+
+    return _ratio_sweep(np.cumsum(na, axis=1), -np.cumsum(na[:, ::-1], axis=1))
+
+
+def _normalized_columns(na: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 2) values and best m of the normalized Hoffman bound and its generalization."""
+
+    top, best_m = _first_max(_normalized_values(na))
+    values = np.stack([_ratio_sweep(1.0, -na[:, -1]), top], axis=1)
+    return values, np.stack([np.ones_like(best_m), best_m], axis=1)
+
+
+def _chain_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray, n: int) -> np.ndarray:
+    """(G, 3) closed-form chain bounds; a graph with mu_1 <= PROPERTY_TOL has none."""
+
+    mu1, th1, dl1 = mu[:, 0], th[:, 0], dl[:, 0]
+    values = _ratio_sweep(
+        np.stack([dl1, dl1, mu1], axis=1),
+        np.stack([2.0 * th1 - dl1, 2.0 * n - dl1, n - mu1], axis=1),
+    )
+    values[mu1 <= PROPERTY_TOL] = -np.inf
+    return values
 
 
 def classical_bounds(
     spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
 ) -> list[BoundValue]:
-    """The four m = 1 ratio bounds from the three unnormalized spectra.
+    """The four m = 1 ratio bounds from the three unnormalized spectra."""
 
-    The smallest Laplacian eigenvalue enters the fourth bound exactly as
-    computed (theoretically zero); dropping it would change nothing in
-    exact arithmetic but the computed value is kept for honesty.
-    """
-
-    mu = spec_a.values
-    th = spec_l.values
-    dl = spec_q.values
-    mu1, mun = float(mu[0]), float(mu[-1])
-    if mu1 <= PROPERTY_TOL:
-        return [
-            invalid_bound(BoundId.HOFFMAN),
-            invalid_bound(BoundId.NIKIFOROV_HYBRID),
-            invalid_bound(BoundId.KOLOTILINA_1),
-            invalid_bound(BoundId.KOLOTILINA_2),
-        ]
-    return [
-        _ratio_bound(BoundId.HOFFMAN, mu1, -mun),
-        _ratio_bound(BoundId.NIKIFOROV_HYBRID, mu1, float(th[0]) - mu1),
-        _ratio_bound(BoundId.KOLOTILINA_1, mu1, mu1 - float(dl[0]) + float(th[0])),
-        _ratio_bound(BoundId.KOLOTILINA_2, mu1, mu1 - float(dl[-1]) + float(th[-1])),
-    ]
+    values = _classical_values(spec_a.values[None], spec_l.values[None], spec_q.values[None])
+    return _bound_values(_CLASSICAL_IDS, values)[0]
 
 
 def loan_bound(g: Graph, spec_q: Spectrum) -> BoundValue:
     """Average-degree bound 1 + 2E/(2E - n*delta_n)."""
 
-    if g.edge_count < 1:
-        return invalid_bound(BoundId.LOAN)
-    two_e = 2.0 * g.edge_count
-    delta_n = float(spec_q.values[-1])
-    return _ratio_bound(BoundId.LOAN, two_e, two_e - g.n * delta_n)
-
-
-def _ratio_sweep(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """1 + num/denom per m; -inf masks an m whose denominator is <= PROPERTY_TOL.
-
-    -inf never wins a maximum, so a bound over m is the first argmax of
-    this array and its sweep is the same array with the mask as None.
-    """
-
-    admissible = denominators > PROPERTY_TOL
-    values = np.full(numerators.shape, -np.inf)
-    values[admissible] = 1.0 + numerators[admissible] / denominators[admissible]
-    return values
-
-
-def _sweep_max(bound_id: BoundId, values: np.ndarray) -> BoundValue:
-    best = int(values.argmax())
-    if values[best] == -np.inf:
-        return invalid_bound(bound_id)
-    return BoundValue(bound_id, float(values[best]), best_m=best + 1)
-
-
-def _sweep_column(values: np.ndarray) -> list[float | None]:
-    return np.where(values == -np.inf, None, values).tolist()
-
-
-def _generalized_values(
-    spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
-) -> dict[BoundId, np.ndarray]:
-    """Per-m value arrays of the four generalized bounds."""
-
-    mu = spec_a.values
-    th = spec_l.values
-    dl = spec_q.values
-    top_mu = np.cumsum(mu)
-    bottom_mu = np.cumsum(mu[::-1])
-    bottom_th = np.cumsum(th[::-1])
-    bottom_dl = np.cumsum(dl[::-1])
-    denominators = {
-        BoundId.GEN_HOFFMAN: -bottom_mu,
-        BoundId.GEN_NIKIFOROV: np.cumsum(th - mu),
-        BoundId.GEN_KOLOTILINA_1: np.cumsum(mu - dl + th),
-        BoundId.GEN_KOLOTILINA_2: top_mu - bottom_dl + bottom_th,
-    }
-    return {bound_id: _ratio_sweep(top_mu, denom) for bound_id, denom in denominators.items()}
+    values = _loan_values(np.array([g.edge_count]), g.n, spec_q.values[None])[:, None]
+    return _bound_values((BoundId.LOAN,), values)[0][0]
 
 
 def generalized_bounds(
@@ -174,8 +243,13 @@ def generalized_bounds(
 ) -> list[BoundValue]:
     """Partial-sum versions of the four ratio bounds, maximized over m."""
 
-    values = _generalized_values(spec_a, spec_l, spec_q)
-    return [_sweep_max(bound_id, column) for bound_id, column in values.items()]
+    values = _generalized_values(spec_a.values[None], spec_l.values[None], spec_q.values[None])
+    top, best_m = _first_max(values)
+    return _bound_values(_GENERALIZED_IDS, top.T, best_m.T)[0]
+
+
+def _sweep_column(values: np.ndarray) -> list[float | None]:
+    return np.where(values == -np.inf, None, values).tolist()
 
 
 def generalized_sweep(
@@ -183,27 +257,20 @@ def generalized_sweep(
 ) -> dict[BoundId, list[float | None]]:
     """Per-m values for the generalized bounds; None marks inadmissible m."""
 
-    values = _generalized_values(spec_a, spec_l, spec_q)
-    return {bound_id: _sweep_column(column) for bound_id, column in values.items()}
-
-
-def _normalized_values(spec_na: Spectrum) -> np.ndarray:
-    mu = spec_na.values
-    return _ratio_sweep(np.cumsum(mu), -np.cumsum(mu[::-1]))
+    values = _generalized_values(spec_a.values[None], spec_l.values[None], spec_q.values[None])
+    return {bound_id: _sweep_column(sweep[0]) for bound_id, sweep in zip(_GENERALIZED_IDS, values)}
 
 
 def normalized_bounds(spec_na: Spectrum) -> list[BoundValue]:
     """Bounds from the normalized adjacency spectrum alone."""
 
-    hoffman = _ratio_bound(BoundId.NORMALIZED_HOFFMAN, 1.0, -float(spec_na.values[-1]))
-    gen = _sweep_max(BoundId.GEN_NORMALIZED_HOFFMAN, _normalized_values(spec_na))
-    return [hoffman, gen]
+    return _bound_values(_NORMALIZED_IDS, *_normalized_columns(spec_na.values[None]))[0]
 
 
 def normalized_sweep(spec_na: Spectrum) -> list[float | None]:
     """Per-m values of the generalized normalized bound; None marks inadmissible m."""
 
-    return _sweep_column(_normalized_values(spec_na))
+    return _sweep_column(_normalized_values(spec_na.values[None])[0])
 
 
 def chain_bounds(
@@ -211,20 +278,8 @@ def chain_bounds(
 ) -> list[BoundValue]:
     """Three successively weaker closed-form bounds kept for comparisons."""
 
-    mu1 = float(spec_a.values[0])
-    th1 = float(spec_l.values[0])
-    dl1 = float(spec_q.values[0])
-    if mu1 <= PROPERTY_TOL:
-        return [
-            invalid_bound(BoundId.KOLOTILINA_CHAIN_317),
-            invalid_bound(BoundId.HANSEN_LUCAS),
-            invalid_bound(BoundId.CVETKOVIC),
-        ]
-    return [
-        _ratio_bound(BoundId.KOLOTILINA_CHAIN_317, dl1, 2.0 * th1 - dl1),
-        _ratio_bound(BoundId.HANSEN_LUCAS, dl1, 2.0 * n - dl1),
-        _ratio_bound(BoundId.CVETKOVIC, mu1, n - mu1),
-    ]
+    values = _chain_values(spec_a.values[None], spec_l.values[None], spec_q.values[None], n)
+    return _bound_values(_CHAIN_IDS, values)[0]
 
 
 # --------------------------------------------------------------------------
@@ -239,61 +294,140 @@ def chain_bounds(
 # there are none. Hence the largest minimum of a candidate is its first c
 # at which every m passes (n if there is none), which a search finds
 # without computing any per-m minimum.
+#
+# Each function below works on a batch: row or matrix k belongs to the
+# graph whose index in the caller's batch is index[k], and an error names
+# that index.
 
 
-def _zero_minima(spec_a: Spectrum) -> np.ndarray:
-    """Per-m minima of the candidate B = 0, in closed form from the A spectrum.
+def _take(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given rows of a stack, or the stack itself when they are all of it."""
 
-    With T_m and B_m the top-m and bottom-m sums of the A spectrum, c
+    return stack if rows.size == len(stack) else stack[rows]
+
+
+def _zero_minima(mu: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(G, n) per-m minima of the candidate B = 0, in closed form from the A spectra.
+
+    With T_m and B_m the top-m and bottom-m sums of an A spectrum, c
     passes at m when PROPERTY_TOL - B_m >= T_m/(c-1), that is from
     c = 1 + T_m/(PROPERTY_TOL - B_m) on. That divisor is positive: B_m is
     at most m/n of the trace, which is 0 up to the trace check of the
     validated spectrum, far below PROPERTY_TOL.
     """
 
-    mu = spec_a.values
-    slack = PROPERTY_TOL - np.cumsum(mu[::-1])
-    if (slack <= 0).any():
-        raise NumericError("adjacency spectrum has a bottom partial sum above PROPERTY_TOL")
-    return np.clip(np.ceil(1.0 + np.cumsum(mu) / slack), 2, mu.size).astype(np.int64)
+    slack = PROPERTY_TOL - np.cumsum(mu[:, ::-1], axis=1)
+    bad = ~(slack > 0).all(axis=1)  # NaN fails
+    if bad.any():
+        k = int(bad.argmax())
+        raise NumericError(
+            f"graph {index[k]}: adjacency spectrum has a bottom partial sum above PROPERTY_TOL"
+        )
+    return np.clip(np.ceil(1.0 + np.cumsum(mu, axis=1) / slack), 2, mu.shape[1]).astype(np.int64)
 
 
-def _probe(b: np.ndarray, a: np.ndarray, lhs: np.ndarray, c: int) -> np.ndarray:
-    """Per-m pass test of one c: one validated n x n eigensolve of B + A/(c-1)."""
+def _probe(
+    b: np.ndarray, a: np.ndarray, lhs: np.ndarray, c: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """(G, n) per-m pass test of c[k] for graph k: one eigvalsh call on the B + A/(c-1) stack.
 
-    matrix = b + a / (c - 1)
-    eigs = np.linalg.eigvalsh(matrix)[::-1]
-    tr = float(np.trace(matrix))
-    if not abs(float(eigs.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
-        raise NumericError(f"eigensolve at c={c} disagrees with the matrix trace")
-    return lhs >= np.cumsum(eigs) - PROPERTY_TOL
+    Each matrix's eigenvalue sum must match its trace; a NaN fails.
+    """
+
+    stack = a / (c - 1)[:, None, None]
+    stack += b
+    eigs = np.linalg.eigvalsh(stack)[:, ::-1]
+    tr = np.trace(stack, axis1=1, axis2=2)
+    bad = ~(np.abs(eigs.sum(axis=1) - tr) <= SPECTRUM_TOL * np.maximum(1.0, np.abs(tr)))
+    if bad.any():
+        k = int(bad.argmax())
+        raise NumericError(
+            f"graph {index[k]}: eigensolve at c={c[k]} disagrees with the matrix trace"
+        )
+    return lhs >= np.cumsum(eigs, axis=1) - PROPERTY_TOL
 
 
 def _raise_best(
-    b: np.ndarray, a: np.ndarray, lhs_values: np.ndarray, best: int, best_m: int
-) -> tuple[int, int]:
-    """Running maximum and its m after one more candidate B.
+    b: np.ndarray,
+    a: np.ndarray,
+    lhs_values: np.ndarray,
+    best: np.ndarray,
+    best_m: np.ndarray,
+    index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Running maxima and their m after one more candidate B per graph.
 
-    lhs_values is the spectrum of B - A. One probe at c = best: if every
-    m passes there, B cannot raise the maximum. Otherwise bisect (best, n]
-    for the smallest c at which every m passes; the new best_m is the first
-    m failing at c - 1. c = n is never probed: an m that fails there has
-    minimum n all the same.
+    b and a are (G, n, n) stacks, lhs_values the (G, n) spectra of B - A,
+    best and best_m the running maxima. One probe at c = best: a graph
+    whose every m passes there keeps its maximum. The others bisect
+    (best, n] in lockstep, one probe call per round on the graphs whose
+    interval is still open, for the smallest c at which every m passes;
+    the new best_m is the first m failing at c - 1. c = n is never
+    probed: an m that fails there has minimum n all the same.
     """
 
-    lhs = np.cumsum(lhs_values)
-    fail = _probe(b, a, lhs, best)
-    if fail.all():
-        return best, best_m
-    fail_c, pass_c = best, a.shape[0]
-    while pass_c - fail_c > 1:
-        c = (fail_c + pass_c) // 2
-        sat = _probe(b, a, lhs, c)
-        if sat.all():
-            pass_c = c
-        else:
-            fail_c, fail = c, sat
-    return pass_c, int(np.argmin(fail)) + 1
+    n = a.shape[1]
+    lhs = np.cumsum(lhs_values, axis=1)
+    sat = _probe(b, a, lhs, best, index)
+    rows = np.flatnonzero(~sat.all(axis=1))
+    fail_c, pass_c, fail = best[rows], np.full(rows.size, n), sat[rows]
+    while (live := np.flatnonzero(pass_c - fail_c > 1)).size:
+        c = (fail_c[live] + pass_c[live]) // 2
+        probed = rows[live]
+        sat = _probe(_take(b, probed), _take(a, probed), lhs[probed], c, index[probed])
+        passed = sat.all(axis=1)
+        pass_c[live[passed]] = c[passed]
+        fail_c[live[~passed]] = c[~passed]
+        fail[live[~passed]] = sat[~passed]
+    best, best_m = best.copy(), best_m.copy()
+    best[rows] = pass_c
+    best_m[rows] = fail.argmin(axis=1) + 1
+    return best, best_m
+
+
+def _integer_c(
+    a: np.ndarray,
+    d: np.ndarray,
+    mu: np.ndarray,
+    th: np.ndarray,
+    negdeg: np.ndarray,
+    index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G,) IntegerC values and best m from stacks of A and D and the A, L, -D - A spectra.
+
+    Candidates in the order zero, deg, negdeg; a graph whose maximum has
+    reached n is not probed again. d is negated in place for the negdeg
+    candidate, so one dense degree stack is alive at a time.
+    """
+
+    n = a.shape[1]
+    zero = _zero_minima(mu, index)
+    best, best_m = zero.max(axis=1), zero.argmax(axis=1) + 1
+    for lhs_values in (th, negdeg):
+        rows = np.flatnonzero(best < n)
+        if not rows.size:
+            break
+        best[rows], best_m[rows] = _raise_best(
+            _take(d, rows), _take(a, rows), lhs_values[rows], best[rows], best_m[rows], index[rows]
+        )
+        np.negative(d, out=d)
+    return best, best_m
+
+
+def _degree_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """(G, n, n) stack of the diagonal degree matrices."""
+
+    n = graphs[0].n
+    d = np.zeros((len(graphs), n, n))
+    diag = np.arange(n)
+    d[:, diag, diag] = [g.degrees() for g in graphs]
+    return d
+
+
+def _stack(matrices: list[np.ndarray]) -> np.ndarray:
+    """A (G, n, n) stack; a single matrix is a view, not a copy."""
+
+    return matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
 
 
 def integer_c_search(
@@ -314,20 +448,15 @@ def integer_c_search(
 
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
-    n = g.n
-    a = g.adjacency()
-    zero = _zero_minima(spec_a)
-    best = int(zero.max())
-    best_m = int(zero.argmax()) + 1
-    if best < n:
-        d = np.diag(g.degrees().astype(np.float64))
-        best, best_m = _raise_best(d, a, spec_l.values, best, best_m)
-        if best < n:
-            # -D in the same buffer, so one dense D is alive at a time
-            np.negative(d, out=d)
-            best, best_m = _raise_best(d, a, spec_negdeg.values, best, best_m)
-        del d
-    return BoundValue(BoundId.INTEGER_C, float(best), best_m=best_m)
+    best, best_m = _integer_c(
+        _stack([g.adjacency()]),
+        _degree_stack([g]),
+        spec_a.values[None],
+        spec_l.values[None],
+        spec_negdeg.values[None],
+        np.zeros(1, dtype=np.int64),
+    )
+    return BoundValue(BoundId.INTEGER_C, float(best[0]), best_m=int(best_m[0]))
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +472,12 @@ class BoundReport:
     edge_count: int
     spectra: Mapping[GraphMatrixKind, Spectrum]
     values: tuple[BoundValue, ...]
-    rounded_display: Mapping[str, str]
+
+    @cached_property
+    def rounded_display(self) -> Mapping[str, str]:
+        """Display string per bound name, computed on first read."""
+
+        return _display_map(self.values)
 
     def value(self, bound_id: BoundId) -> BoundValue:
         for v in self.values:
@@ -365,87 +499,99 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
     return out
 
 
-def _report(
-    g: Graph, spectra: dict[GraphMatrixKind, Spectrum], spec_negdeg: Spectrum | None
-) -> BoundReport:
-    """Every bound of one graph from its spectra; none are given for an edgeless graph."""
+def _edged_reports(
+    graphs: Sequence[Graph], index: np.ndarray
+) -> list[tuple[dict[GraphMatrixKind, Spectrum], tuple[BoundValue, ...]]]:
+    """Spectra and bound values of graphs of one order, each with an edge.
 
-    g6 = emit_graph6(g)
-    digest = hashlib.sha256(g6.encode("ascii")).hexdigest()[:16]
-    if g.edge_count == 0:
-        values = tuple(invalid_bound(bound_id) for bound_id in BoundId)
-        return BoundReport(
-            graph_id=g6,
-            graph_hash=digest,
-            n=g.n,
-            edge_count=0,
-            spectra={},
-            values=values,
-            rounded_display=_display_map(values),
-        )
-    spec_a = spectra[GraphMatrixKind.ADJACENCY]
-    spec_l = spectra[GraphMatrixKind.LAPLACIAN]
-    spec_q = spectra[GraphMatrixKind.SIGNLESS_LAPLACIAN]
-    values = list(classical_bounds(spec_a, spec_l, spec_q))
-    values.append(loan_bound(g, spec_q))
-    values.extend(generalized_bounds(spec_a, spec_l, spec_q))
-    if g.has_isolated_vertex():
-        values.append(invalid_bound(BoundId.NORMALIZED_HOFFMAN))
-        values.append(invalid_bound(BoundId.GEN_NORMALIZED_HOFFMAN))
-    else:
-        values.extend(normalized_bounds(spectra[GraphMatrixKind.NORMALIZED_ADJACENCY]))
-    values.extend(chain_bounds(spec_a, spec_l, spec_q, g.n))
-    values.append(
-        integer_c_search(g, spec_a=spec_a, spec_l=spec_l, spec_negdeg=spec_negdeg)
-    )
-    by_id = {v.id for v in values}
-    if by_id != set(BoundId):
-        raise DomainError("report does not cover every bound exactly once")
-    return BoundReport(
-        graph_id=g6,
-        graph_hash=digest,
-        n=g.n,
-        edge_count=g.edge_count,
-        spectra=spectra,
-        values=tuple(values),
-        rounded_display=_display_map(values),
-    )
+    Each matrix role is one stack over the batch, solved and validated
+    by one spectra_batch call: A, L = D - A, Q = D + A, -Q = -D - A for
+    the integer search, and the normalized A of the graphs without an
+    isolated vertex. Each family then runs once on those (G, n) arrays.
+    index[k] is graph k's position in the caller's batch, which errors name.
+    """
+
+    n = graphs[0].n
+    # one dense stack besides A alive at a time: D is rebuilt where needed
+    a = _stack([g.adjacency() for g in graphs])
+    mu = spectra_batch(a)
+    th = spectra_batch(_degree_stack(graphs) - a)
+    q = _degree_stack(graphs)
+    q += a
+    dl = spectra_batch(q)
+    np.negative(q, out=q)
+    negdeg = spectra_batch(q)
+    del q
+    edges = np.array([g.edge_count for g in graphs])
+    normal = np.flatnonzero([not g.has_isolated_vertex() for g in graphs])
+    normalized = np.full((len(graphs), 2), -np.inf)
+    normalized_m = np.ones(normalized.shape, dtype=np.int64)
+    if normal.size:
+        kind = GraphMatrixKind.NORMALIZED_ADJACENCY
+        na = spectra_batch(_stack([build_matrix(graphs[k], kind) for k in normal]))
+        normalized[normal], normalized_m[normal] = _normalized_columns(na)
+    top, top_m = _first_max(_generalized_values(mu, th, dl))
+    integer, integer_m = _integer_c(a, _degree_stack(graphs), mu, th, negdeg, index)
+    values = np.column_stack([
+        _classical_values(mu, th, dl),
+        _loan_values(edges, n, dl),
+        top.T,
+        normalized,
+        _chain_values(mu, th, dl, n),
+        integer,
+    ])
+    best_m = np.column_stack([
+        np.ones((len(graphs), len(_CLASSICAL_IDS) + 1), dtype=np.int64),  # and LOAN
+        top_m.T,
+        normalized_m,
+        np.ones((len(graphs), len(_CHAIN_IDS)), dtype=np.int64),
+        integer_m,
+    ])
+    spectra: list[dict[GraphMatrixKind, Spectrum]] = [
+        {
+            GraphMatrixKind.ADJACENCY: Spectrum(mu_row),
+            GraphMatrixKind.LAPLACIAN: Spectrum(th_row),
+            GraphMatrixKind.SIGNLESS_LAPLACIAN: Spectrum(dl_row),
+        }
+        for mu_row, th_row, dl_row in zip(mu, th, dl)
+    ]
+    if normal.size:
+        for k, row in zip(normal, na):
+            spectra[k][GraphMatrixKind.NORMALIZED_ADJACENCY] = Spectrum(row)
+    return list(zip(spectra, map(tuple, _bound_values(tuple(BoundId), values, best_m))))
 
 
 def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
     """full_report for each of several graphs with the same vertex count.
 
-    Each matrix role is one stack over the batch, solved and validated
-    by one spectra_batch call: A, L and Q of the graphs with an edge,
-    the normalized A of those without an isolated vertex, and -D - A for
-    the integer search. The per-graph bounds read rows of those spectra,
-    so a report equals the one full_report gives for the graph alone.
+    The graphs with an edge go through _edged_reports as one batch; an
+    edgeless graph gets no spectra and every bound invalid. A report
+    equals the one full_report gives for the graph alone, to the bit.
     """
 
     graphs = list(graphs)
     common_order(graphs)
-    edged = [g for g in graphs if g.edge_count]
-    spectra: list[dict[GraphMatrixKind, Spectrum]] = [{} for _ in edged]
-    negdeg: list[Spectrum] = []
+    edged = [k for k, g in enumerate(graphs) if g.edge_count]
+    invalid = tuple(invalid_bound(bound_id) for bound_id in BoundId)
+    found = [({}, invalid) for _ in graphs]
     if edged:
-        for kind in (GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN):
-            for found, spec in zip(spectra, graph_spectra(edged, kind)):
-                found[kind] = spec
-        kind = GraphMatrixKind.SIGNLESS_LAPLACIAN
-        q = np.stack([build_matrix(g, kind) for g in edged])
-        for found, row in zip(spectra, spectra_batch(q)):
-            found[kind] = Spectrum(row)
-        # -Q is -D - A, the left-hand side of the search's negdeg candidate
-        np.negative(q, out=q)
-        negdeg = [Spectrum(row) for row in spectra_batch(q)]
-        del q
-        normal = [k for k, g in enumerate(edged) if not g.has_isolated_vertex()]
-        if normal:
-            kind = GraphMatrixKind.NORMALIZED_ADJACENCY
-            for k, spec in zip(normal, graph_spectra([edged[k] for k in normal], kind)):
-                spectra[k][kind] = spec
-    rows = iter(zip(spectra, negdeg))  # in the order of the graphs with an edge
-    return [_report(g, *(next(rows) if g.edge_count else ({}, None))) for g in graphs]
+        batch = _edged_reports([graphs[k] for k in edged], np.array(edged))
+        for k, entry in zip(edged, batch):
+            found[k] = entry
+    reports = []
+    for g, (spectra, values) in zip(graphs, found):
+        g6 = emit_graph6(g)
+        reports.append(
+            BoundReport(
+                graph_id=g6,
+                graph_hash=hashlib.sha256(g6.encode("ascii")).hexdigest()[:16],
+                n=g.n,
+                edge_count=g.edge_count,
+                spectra=spectra,
+                values=values,
+            )
+        )
+    return reports
 
 
 def full_report(g: Graph) -> BoundReport:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 computation or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -290,7 +291,14 @@ def _parse_rows(text: str) -> list[tuple[int, float]]:
     return rows
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first main call and reused by later ones.
+
+    parse_args makes a fresh namespace per call and leaves the parser
+    unchanged, so no flag or default carries over from one call to the next.
+    """
+
     parser = _Parser(
         prog="spectral-chroma",
         description="Spectral lower bounds on the chromatic number.",

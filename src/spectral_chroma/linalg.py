@@ -10,12 +10,11 @@ complex Hermitian ones against the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .graphs import Graph, GraphMatrixKind, build_matrix, common_order
+from .graphs import Graph, GraphMatrixKind, build_matrix
 
 # Centralized tolerances; tests reference these by name.
 SPECTRUM_TOL = 1e-9
@@ -170,14 +169,6 @@ def hermitian_eigenvalues(a: np.ndarray) -> Spectrum:
     if not abs(float(w.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
         raise NumericError("Hermitian eigenvalue sum disagrees with the trace")
     return Spectrum(w[::-1])
-
-
-def graph_spectra(graphs: Sequence[Graph], kind: GraphMatrixKind) -> list[Spectrum]:
-    """Spectra of one derived matrix of each of several graphs of one order, one solve."""
-
-    common_order(graphs)
-    stack = np.stack([build_matrix(g, kind) for g in graphs])
-    return [Spectrum(row) for row in spectra_batch(stack)]
 
 
 def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:

@@ -1,8 +1,12 @@
-"""Shared pytest wiring: the acceptance suite's verdict lines.
+"""Shared pytest wiring: the acceptance suite's verdict lines, and test graphs.
 
 Verdicts are echoed after the run summary so they stay visible even
 though pytest captures stdout of passing tests.
 """
+
+import numpy as np
+
+from spectral_chroma.graphs import from_edges
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -16,3 +20,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def orthogonality_graph(k):
+    """Omega_k: the +-1 vectors of length k up to sign, adjacent when orthogonal.
+
+    Vertex i is the vector with first entry +1 and entry j + 1 equal to
+    -1 exactly when bit j of i is set, so there are 2^(k-1) vertices.
+    """
+
+    bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1)) & 1
+    vectors = np.hstack([np.ones((bits.shape[0], 1)), 1 - 2 * bits])
+    gram = vectors @ vectors.T
+    rows, cols = np.nonzero(np.triu(gram == 0, 1))
+    return from_edges(vectors.shape[0], zip(rows.tolist(), cols.tolist()))

@@ -1,31 +1,37 @@
 """Batched spectra, reports and certificates against per-matrix references.
 
 The reference_* functions are test-only copies of the per-matrix solver
-and the per-graph report and certification bodies the batched code
-replaced: one validated eigh per matrix, properness checked by every
-step, and the majorization margins as a loop of ky_fan calls. The
-batched results must equal them bit for bit.
+and the per-graph report, bound-family and certification bodies the
+batched code replaced: one validated eigh per matrix, scalar ratio
+bounds and 1-d sweeps per graph, one eigvalsh per integer-search probe,
+properness checked by every step, and the majorization margins as a
+loop of ky_fan calls. The batched results, and the family functions as
+batches of one, must equal them bit for bit.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import orthogonality_graph
 
-from spectral_chroma import cli
+from spectral_chroma import bounds, cli
 from spectral_chroma.bounds import (
     BoundId,
     BoundReport,
-    _display_map,
+    BoundValue,
     chain_bounds,
     classical_bounds,
     full_report,
     full_reports,
     generalized_bounds,
+    generalized_sweep,
     integer_c_search,
     invalid_bound,
     loan_bound,
     normalized_bounds,
+    normalized_sweep,
+    round_display,
 )
 from spectral_chroma.certify import (
     CONVERSION_TOL,
@@ -87,45 +93,232 @@ def reference_eigenvalues_sym(a) -> Spectrum:
     return Spectrum(w[::-1])
 
 
-def reference_full_report(g: Graph) -> BoundReport:
+# the per-graph bound families and integer search that full_reports'
+# chunk-wide array code replaced: scalar ratios, 1-d sweeps, and one n x n
+# eigvalsh per probe of one graph
+
+
+def reference_ratio_bound(bound_id: BoundId, numerator: float, denominator: float) -> BoundValue:
+    if denominator <= PROPERTY_TOL:
+        return invalid_bound(bound_id)
+    return BoundValue(bound_id, 1.0 + numerator / denominator)
+
+
+def reference_classical_bounds(spec_a, spec_l, spec_q) -> list[BoundValue]:
+    mu = spec_a.values
+    th = spec_l.values
+    dl = spec_q.values
+    mu1, mun = float(mu[0]), float(mu[-1])
+    if mu1 <= PROPERTY_TOL:
+        return [
+            invalid_bound(BoundId.HOFFMAN),
+            invalid_bound(BoundId.NIKIFOROV_HYBRID),
+            invalid_bound(BoundId.KOLOTILINA_1),
+            invalid_bound(BoundId.KOLOTILINA_2),
+        ]
+    return [
+        reference_ratio_bound(BoundId.HOFFMAN, mu1, -mun),
+        reference_ratio_bound(BoundId.NIKIFOROV_HYBRID, mu1, float(th[0]) - mu1),
+        reference_ratio_bound(BoundId.KOLOTILINA_1, mu1, mu1 - float(dl[0]) + float(th[0])),
+        reference_ratio_bound(BoundId.KOLOTILINA_2, mu1, mu1 - float(dl[-1]) + float(th[-1])),
+    ]
+
+
+def reference_loan_bound(g: Graph, spec_q) -> BoundValue:
+    if g.edge_count < 1:
+        return invalid_bound(BoundId.LOAN)
+    two_e = 2.0 * g.edge_count
+    delta_n = float(spec_q.values[-1])
+    return reference_ratio_bound(BoundId.LOAN, two_e, two_e - g.n * delta_n)
+
+
+def reference_ratio_sweep(numerators, denominators):
+    admissible = denominators > PROPERTY_TOL
+    values = np.full(numerators.shape, -np.inf)
+    values[admissible] = 1.0 + numerators[admissible] / denominators[admissible]
+    return values
+
+
+def reference_sweep_max(bound_id: BoundId, values) -> BoundValue:
+    best = int(values.argmax())
+    if values[best] == -np.inf:
+        return invalid_bound(bound_id)
+    return BoundValue(bound_id, float(values[best]), best_m=best + 1)
+
+
+def reference_sweep_column(values) -> list:
+    return np.where(values == -np.inf, None, values).tolist()
+
+
+def reference_generalized_values(spec_a, spec_l, spec_q) -> dict:
+    mu = spec_a.values
+    th = spec_l.values
+    dl = spec_q.values
+    top_mu = np.cumsum(mu)
+    bottom_mu = np.cumsum(mu[::-1])
+    bottom_th = np.cumsum(th[::-1])
+    bottom_dl = np.cumsum(dl[::-1])
+    denominators = {
+        BoundId.GEN_HOFFMAN: -bottom_mu,
+        BoundId.GEN_NIKIFOROV: np.cumsum(th - mu),
+        BoundId.GEN_KOLOTILINA_1: np.cumsum(mu - dl + th),
+        BoundId.GEN_KOLOTILINA_2: top_mu - bottom_dl + bottom_th,
+    }
+    return {
+        bound_id: reference_ratio_sweep(top_mu, denom) for bound_id, denom in denominators.items()
+    }
+
+
+def reference_generalized_bounds(spec_a, spec_l, spec_q) -> list[BoundValue]:
+    values = reference_generalized_values(spec_a, spec_l, spec_q)
+    return [reference_sweep_max(bound_id, column) for bound_id, column in values.items()]
+
+
+def reference_generalized_sweep(spec_a, spec_l, spec_q) -> dict:
+    values = reference_generalized_values(spec_a, spec_l, spec_q)
+    return {bound_id: reference_sweep_column(column) for bound_id, column in values.items()}
+
+
+def reference_normalized_values(spec_na):
+    mu = spec_na.values
+    return reference_ratio_sweep(np.cumsum(mu), -np.cumsum(mu[::-1]))
+
+
+def reference_normalized_bounds(spec_na) -> list[BoundValue]:
+    hoffman = reference_ratio_bound(BoundId.NORMALIZED_HOFFMAN, 1.0, -float(spec_na.values[-1]))
+    gen = reference_sweep_max(BoundId.GEN_NORMALIZED_HOFFMAN, reference_normalized_values(spec_na))
+    return [hoffman, gen]
+
+
+def reference_normalized_sweep(spec_na) -> list:
+    return reference_sweep_column(reference_normalized_values(spec_na))
+
+
+def reference_chain_bounds(spec_a, spec_l, spec_q, n: int) -> list[BoundValue]:
+    mu1 = float(spec_a.values[0])
+    th1 = float(spec_l.values[0])
+    dl1 = float(spec_q.values[0])
+    if mu1 <= PROPERTY_TOL:
+        return [
+            invalid_bound(BoundId.KOLOTILINA_CHAIN_317),
+            invalid_bound(BoundId.HANSEN_LUCAS),
+            invalid_bound(BoundId.CVETKOVIC),
+        ]
+    return [
+        reference_ratio_bound(BoundId.KOLOTILINA_CHAIN_317, dl1, 2.0 * th1 - dl1),
+        reference_ratio_bound(BoundId.HANSEN_LUCAS, dl1, 2.0 * n - dl1),
+        reference_ratio_bound(BoundId.CVETKOVIC, mu1, n - mu1),
+    ]
+
+
+def reference_zero_minima(spec_a):
+    mu = spec_a.values
+    slack = PROPERTY_TOL - np.cumsum(mu[::-1])
+    if (slack <= 0).any():
+        raise NumericError("adjacency spectrum has a bottom partial sum above PROPERTY_TOL")
+    return np.clip(np.ceil(1.0 + np.cumsum(mu) / slack), 2, mu.size).astype(np.int64)
+
+
+def reference_probe(b, a, lhs, c: int):
+    matrix = b + a / (c - 1)
+    eigs = np.linalg.eigvalsh(matrix)[::-1]
+    tr = float(np.trace(matrix))
+    if not abs(float(eigs.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
+        raise NumericError(f"eigensolve at c={c} disagrees with the matrix trace")
+    return lhs >= np.cumsum(eigs) - PROPERTY_TOL
+
+
+def reference_raise_best(b, a, lhs_values, best: int, best_m: int) -> tuple[int, int]:
+    lhs = np.cumsum(lhs_values)
+    fail = reference_probe(b, a, lhs, best)
+    if fail.all():
+        return best, best_m
+    fail_c, pass_c = best, a.shape[0]
+    while pass_c - fail_c > 1:
+        c = (fail_c + pass_c) // 2
+        sat = reference_probe(b, a, lhs, c)
+        if sat.all():
+            pass_c = c
+        else:
+            fail_c, fail = c, sat
+    return pass_c, int(np.argmin(fail)) + 1
+
+
+def reference_integer_c_search(g: Graph, *, spec_a, spec_l, spec_negdeg) -> BoundValue:
+    if g.edge_count < 1:
+        raise DomainError("integer search needs at least one edge")
+    n = g.n
+    a = g.adjacency()
+    zero = reference_zero_minima(spec_a)
+    best = int(zero.max())
+    best_m = int(zero.argmax()) + 1
+    if best < n:
+        d = np.diag(g.degrees().astype(np.float64))
+        best, best_m = reference_raise_best(d, a, spec_l.values, best, best_m)
+        if best < n:
+            np.negative(d, out=d)
+            best, best_m = reference_raise_best(d, a, spec_negdeg.values, best, best_m)
+        del d
+    return BoundValue(BoundId.INTEGER_C, float(best), best_m=best_m)
+
+
+def reference_display_map(values) -> dict[str, str]:
+    out = {}
+    for v in values:
+        if v.id is BoundId.INTEGER_C and v.valid:
+            out[v.id.value] = str(int(v.value))
+        else:
+            out[v.id.value] = round_display(v.value)
+    return out
+
+
+def reference_spectra(g: Graph) -> dict:
+    """The spectra of a report on a graph with an edge, each from its own validated eigh."""
+
+    kinds = [
+        GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN, GraphMatrixKind.SIGNLESS_LAPLACIAN
+    ]
+    if not g.has_isolated_vertex():
+        kinds.append(GraphMatrixKind.NORMALIZED_ADJACENCY)
+    return {kind: reference_eigenvalues_sym(build_matrix(g, kind)) for kind in kinds}
+
+
+def reference_full_report(g: Graph, spectra) -> tuple:
+    """(graph_id, graph_hash, n, edge_count, spectra, values, display) of one graph.
+
+    spectra is reference_spectra(g), or {} for an edgeless graph.
+    """
+
     g6 = emit_graph6(g)
     digest = hashlib.sha256(g6.encode("ascii")).hexdigest()[:16]
     if g.edge_count == 0:
         values = tuple(invalid_bound(bound_id) for bound_id in BoundId)
-        return BoundReport(g6, digest, g.n, 0, {}, values, _display_map(values))
-
-    def spectrum(kind):
-        return reference_eigenvalues_sym(build_matrix(g, kind))
-
-    spec_a = spectrum(GraphMatrixKind.ADJACENCY)
-    spec_l = spectrum(GraphMatrixKind.LAPLACIAN)
-    spec_q = spectrum(GraphMatrixKind.SIGNLESS_LAPLACIAN)
-    spectra = {
-        GraphMatrixKind.ADJACENCY: spec_a,
-        GraphMatrixKind.LAPLACIAN: spec_l,
-        GraphMatrixKind.SIGNLESS_LAPLACIAN: spec_q,
-    }
-    values = list(classical_bounds(spec_a, spec_l, spec_q))
-    values.append(loan_bound(g, spec_q))
-    values.extend(generalized_bounds(spec_a, spec_l, spec_q))
+        return g6, digest, g.n, 0, {}, values, reference_display_map(values)
+    spec_a = spectra[GraphMatrixKind.ADJACENCY]
+    spec_l = spectra[GraphMatrixKind.LAPLACIAN]
+    spec_q = spectra[GraphMatrixKind.SIGNLESS_LAPLACIAN]
+    values = list(reference_classical_bounds(spec_a, spec_l, spec_q))
+    values.append(reference_loan_bound(g, spec_q))
+    values.extend(reference_generalized_bounds(spec_a, spec_l, spec_q))
     if g.has_isolated_vertex():
         values.append(invalid_bound(BoundId.NORMALIZED_HOFFMAN))
         values.append(invalid_bound(BoundId.GEN_NORMALIZED_HOFFMAN))
     else:
-        spec_na = spectrum(GraphMatrixKind.NORMALIZED_ADJACENCY)
-        spectra[GraphMatrixKind.NORMALIZED_ADJACENCY] = spec_na
-        values.extend(normalized_bounds(spec_na))
-    values.extend(chain_bounds(spec_a, spec_l, spec_q, g.n))
+        values.extend(reference_normalized_bounds(spectra[GraphMatrixKind.NORMALIZED_ADJACENCY]))
+    values.extend(reference_chain_bounds(spec_a, spec_l, spec_q, g.n))
+    values.append(
+        reference_integer_c_search(
+            g, spec_a=spec_a, spec_l=spec_l, spec_negdeg=reference_negdeg_spectrum(g)
+        )
+    )
+    return g6, digest, g.n, g.edge_count, spectra, tuple(values), reference_display_map(values)
+
+
+def reference_negdeg_spectrum(g: Graph) -> Spectrum:
     # -D - A as -D in place, then minus A: -Q to the bit, signed zeros included
     d = np.diag(g.degrees().astype(np.float64))
     np.negative(d, out=d)
-    spec_negdeg = reference_eigenvalues_sym(d - g.adjacency())
-    values.append(
-        integer_c_search(g, spec_a=spec_a, spec_l=spec_l, spec_negdeg=spec_negdeg)
-    )
-    return BoundReport(
-        g6, digest, g.n, g.edge_count, spectra, tuple(values), _display_map(values)
-    )
+    return reference_eigenvalues_sym(d - g.adjacency())
 
 
 def reference_check_proper(a, col: Coloring) -> None:
@@ -239,10 +432,60 @@ def _bits(x):
     return np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64).tobytes()
 
 
+def _values_key(values) -> tuple:
+    return tuple((v.id, _bits(v.value), v.best_m, v.valid) for v in values)
+
+
+def _spectra_key(spectra) -> tuple:
+    return tuple((kind, _bits(spec.values)) for kind, spec in spectra.items())
+
+
+def _sweep_key(column) -> tuple:
+    return tuple(None if x is None else _bits(x) for x in column)
+
+
 def report_key(r: BoundReport) -> tuple:
-    spectra = tuple((kind, _bits(spec.values)) for kind, spec in r.spectra.items())
-    values = tuple((v.id, _bits(v.value), v.best_m, v.valid) for v in r.values)
-    return (r.graph_id, r.graph_hash, r.n, r.edge_count, spectra, values, r.rounded_display)
+    return (
+        r.graph_id, r.graph_hash, r.n, r.edge_count,
+        _spectra_key(r.spectra), _values_key(r.values), dict(r.rounded_display),
+    )
+
+
+def reference_report_key(g: Graph, spectra) -> tuple:
+    g6, digest, n, edge_count, spectra, values, display = reference_full_report(g, spectra)
+    return g6, digest, n, edge_count, _spectra_key(spectra), _values_key(values), display
+
+
+def assert_families_match_references(g: Graph, spectra) -> None:
+    """Each family function, a batch of one, equals its per-graph reference to the bit."""
+
+    if not g.edge_count:
+        return
+    a, l, q = (spectra[kind] for kind in (
+        GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN, GraphMatrixKind.SIGNLESS_LAPLACIAN
+    ))
+    negdeg = reference_negdeg_spectrum(g)
+    pairs = [
+        (classical_bounds(a, l, q), reference_classical_bounds(a, l, q)),
+        ([loan_bound(g, q)], [reference_loan_bound(g, q)]),
+        (generalized_bounds(a, l, q), reference_generalized_bounds(a, l, q)),
+        (chain_bounds(a, l, q, g.n), reference_chain_bounds(a, l, q, g.n)),
+        (
+            [integer_c_search(g, spec_a=a, spec_l=l, spec_negdeg=negdeg)],
+            [reference_integer_c_search(g, spec_a=a, spec_l=l, spec_negdeg=negdeg)],
+        ),
+    ]
+    na = spectra.get(GraphMatrixKind.NORMALIZED_ADJACENCY)
+    if na is not None:
+        pairs.append((normalized_bounds(na), reference_normalized_bounds(na)))
+        assert _sweep_key(normalized_sweep(na)) == _sweep_key(reference_normalized_sweep(na))
+    for got, expected in pairs:
+        assert _values_key(got) == _values_key(expected), emit_graph6(g)
+    sweeps = generalized_sweep(a, l, q)
+    expected = reference_generalized_sweep(a, l, q)
+    assert list(sweeps) == list(expected)
+    for bound_id, column in sweeps.items():
+        assert _sweep_key(column) == _sweep_key(expected[bound_id]), emit_graph6(g)
 
 
 def _fields(obj, names) -> tuple:
@@ -291,9 +534,11 @@ def assert_batches_match_references(graphs):
         reports = full_reports(batch)
         certs = certify_graphs(batch, cols)
         for g, col, report, cert in zip(batch, cols, reports, certs):
-            expected = report_key(reference_full_report(g))
+            spectra = reference_spectra(g) if g.edge_count else {}
+            expected = reference_report_key(g, spectra)
             assert report_key(report) == expected, emit_graph6(g)
             assert report_key(full_report(g)) == expected, emit_graph6(g)
+            assert_families_match_references(g, spectra)
             expected = certificate_key(reference_certify_graph(g, col))
             assert certificate_key(cert) == expected, emit_graph6(g)
             assert certificate_key(certify_graph(g, col)) == expected, emit_graph6(g)
@@ -310,6 +555,13 @@ class TestBatchesMatchReferences:
     def test_random_graphs(self):
         graphs = [random_gnp(n, 0.5, s) for n in range(12, 31) for s in (1, 2)]
         assert_batches_match_references(graphs)
+
+    def test_complete_graphs(self):
+        # IntegerC climbs to n here, through every bisection round
+        assert_batches_match_references([complete(n) for n in range(10, 21)])
+
+    def test_orthogonality_graphs(self):
+        assert_batches_match_references([orthogonality_graph(4), orthogonality_graph(8)])
 
 
 # --------------------------------------------------------------------------
@@ -410,6 +662,92 @@ class TestSpectraBatch:
             for stack in (x, x.real.copy()):
                 expected = [np.linalg.norm(m, "fro") for m in stack]
                 assert _bits(frobenius_norms(stack)) == _bits(expected)
+
+
+# --------------------------------------------------------------------------
+# the integer search's probe stacks
+
+
+class TestProbeStacks:
+    N = 12
+
+    def graphs(self, offset):
+        """offset edgeless graphs, then G(12, .5) graphs all below n after B = 0.
+
+        Every graph with an edge is then in the first probe stack, so its
+        matrix k is graph offset + k of the batch.
+        """
+
+        graphs = [random_gnp(self.N, 0.5, s) for s in range(6)]
+        zero = [int(reference_zero_minima(reference_spectra(g)[GraphMatrixKind.ADJACENCY]).max())
+                for g in graphs]
+        assert all(g.edge_count for g in graphs) and max(zero) < self.N
+        return [Graph(self.N)] * offset + graphs, zero
+
+    @pytest.mark.parametrize("offset", [0, 2])
+    @pytest.mark.parametrize("edit", ["perturb", "nan"])
+    def test_bad_probe_names_graph_and_c(self, monkeypatch, edit, offset):
+        graphs, zero = self.graphs(offset)
+        k = 3
+        solve = np.linalg.eigvalsh
+
+        def poisoned(a, *args, **kwargs):
+            w = solve(a, *args, **kwargs).copy()
+            if edit == "nan":
+                w[k, 0] = np.nan
+            else:
+                w[k, -1] += 1e-3
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
+        with pytest.raises(
+            NumericError, match=rf"^graph {offset + k}: eigensolve at c={zero[k]} disagrees"
+        ):
+            full_reports(graphs)
+
+    @pytest.mark.parametrize("extra_kind", ["random", "adjacency"])
+    def test_lockstep_bisection_matches_reference(self, extra_kind):
+        # candidates B through the stacked _raise_best from a running maximum
+        # of 2. With B = A every m < n fails below c = n, so each graph climbs
+        # to n and best_m is the lowest of several m failing at n - 1. Some
+        # random B have their lowest failing m at c = 2 pass before the
+        # bisection ends, so best_m must come from its last failing probe
+        n = 10
+        graphs = [random_gnp(n, 0.5, s) for s in range(40)]
+        a = np.stack([g.adjacency() for g in graphs])
+        if extra_kind == "random":
+            b = np.stack([random_hermitian(n, 7 * s + n) for s in range(len(graphs))])
+        else:
+            b = a.copy()
+        lhs = np.stack([reference_eigenvalues_sym(bk - ak).values for bk, ak in zip(b, a)])
+        best, best_m = np.full(len(graphs), 2), np.ones(len(graphs), dtype=np.int64)
+        got = bounds._raise_best(b, a, lhs, best, best_m, np.arange(len(graphs)))
+        expected = [reference_raise_best(bk, ak, lk, 2, 1) for bk, ak, lk in zip(b, a, lhs)]
+        assert list(zip(got[0].tolist(), got[1].tolist())) == expected
+        first_failing = [
+            int(np.argmin(reference_probe(bk, ak, np.cumsum(lk), 2))) + 1
+            for bk, ak, lk in zip(b, a, lhs)
+        ]
+        moved = [m != first for (_, m), first in zip(expected, first_failing)]
+        assert any(moved) == (extra_kind == "random")
+
+    @pytest.mark.parametrize("offset", [0, 2])
+    def test_zero_minima_slack_names_the_graph(self, monkeypatch, offset):
+        graphs, _ = self.graphs(offset)
+        k = 4
+        solve = bounds.spectra_batch
+        calls = []
+
+        def shifted(stack):
+            w = solve(stack)
+            if not calls:  # the adjacency stack: lift every eigenvalue of graph k
+                w[k] += 1.0
+            calls.append(stack.shape)
+            return w
+
+        monkeypatch.setattr(bounds, "spectra_batch", shifted)
+        with pytest.raises(NumericError, match=rf"^graph {offset + k}: adjacency spectrum"):
+            full_reports(graphs)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """All fifteen bound evaluations, sweeps, the integer search, and reports."""
 
 import inspect
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import orthogonality_graph
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from spectral_chroma.bounds import (
     chain_bounds,
     classical_bounds,
     full_report,
+    full_reports,
     generalized_bounds,
     generalized_sweep,
     integer_c_search,
@@ -100,6 +103,17 @@ class TestBoundValue:
     def test_integer_c_must_be_integer(self):
         with pytest.raises(DomainError):
             BoundValue(BoundId.INTEGER_C, 2.5)
+
+    def test_nan_valid_bound_rejected(self):
+        # NaN compares false both ways, so "below 1" must not be how it is asked
+        with pytest.raises(DomainError, match="at least 1, got nan"):
+            BoundValue(BoundId.HOFFMAN, math.nan)
+        assert not BoundValue(BoundId.HOFFMAN, math.nan, valid=False).valid
+
+    def test_non_finite_integer_c_is_domain_error(self):
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                BoundValue(BoundId.INTEGER_C, value)
 
     def test_invalid_bound_shape(self):
         v = invalid_bound(BoundId.LOAN)
@@ -307,6 +321,15 @@ def search(g):
     return integer_c_search(g, **search_spectra(g))
 
 
+def raise_best(b, a, lhs_values, best, best_m):
+    """_raise_best on a batch of one matrix pair, as (value, best_m)."""
+
+    best, best_m = _raise_best(
+        b[None], a[None], lhs_values[None], np.array([best]), np.array([best_m]), np.zeros(1, int)
+    )
+    return int(best[0]), int(best_m[0])
+
+
 class TestIntegerC:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_complete_exact(self, n):
@@ -336,7 +359,7 @@ class TestIntegerC:
         base = search(g)
         a = g.adjacency()
         running = (int(base.value), base.best_m)
-        assert _raise_best(np.zeros((5, 5)), a, eigenvalues_sym(-a).values, *running) == running
+        assert raise_best(np.zeros((5, 5)), a, eigenvalues_sym(-a).values, *running) == running
 
     def test_equals_full_report(self):
         for g in (petersen(), sun(8), random_gnp(30, 0.5, 4)):
@@ -452,20 +475,6 @@ def search_result(g):
     return int(v.value), v.best_m
 
 
-def orthogonality_graph(k):
-    """Omega_k: the +-1 vectors of length k up to sign, adjacent when orthogonal.
-
-    Vertex i is the vector with first entry +1 and entry j + 1 equal to
-    -1 exactly when bit j of i is set, so there are 2^(k-1) vertices.
-    """
-
-    bits = (np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1)) & 1
-    vectors = np.hstack([np.ones((bits.shape[0], 1)), 1 - 2 * bits])
-    gram = vectors @ vectors.T
-    rows, cols = np.nonzero(np.triu(gram == 0, 1))
-    return from_edges(vectors.shape[0], zip(rows.tolist(), cols.tolist()))
-
-
 class TestIntegerCSearchMatchesFullScan:
     """The monotone max-search returns the full-stack maximum and its m."""
 
@@ -501,7 +510,7 @@ class TestIntegerCSearchMatchesFullScan:
         a = g.adjacency()
         extra = random_hermitian(24, 6) if extra_kind == "random" else a
         lhs_values = eigenvalues_sym(extra - a).values
-        raised = _raise_best(extra, a, lhs_values, *search_result(g))
+        raised = raise_best(extra, a, lhs_values, *search_result(g))
         assert raised == full_scan_max(g, extra_b=extra)
 
     def test_memory_is_quadratic(self):
@@ -537,15 +546,36 @@ class TestIntegerCSearchMatchesFullScan:
         # per candidate after zero: one probe at the running maximum, then a
         # bisection of (best, n] in at most log2(n) probes
         per_candidate = 1 + math.ceil(math.log2(n))
-        assert shapes and all(shape == (n, n) for shape in shapes)
+        assert shapes and all(shape == (1, n, n) for shape in shapes)
         assert len(shapes) <= 2 * per_candidate
         # with B = A no m < n ever passes, so a further candidate climbs to
         # n, where a scan upward would solve about n matrices
         shapes.clear()
         a = g.adjacency()
-        assert _raise_best(a, a, np.zeros(n), int(v.value), v.best_m)[0] == n
-        assert shapes and all(shape == (n, n) for shape in shapes)
+        assert raise_best(a, a, np.zeros(n), int(v.value), v.best_m)[0] == n
+        assert shapes and all(shape == (1, n, n) for shape in shapes)
         assert len(shapes) <= per_candidate
+        # a corpus chunk makes one probe call per round for all its open
+        # graphs, not one or more per graph
+        n = 7
+        chunk = list(itertools.islice(all_graphs(n), 128))
+        assert len(chunk) == 128
+        shapes.clear()
+        reports = full_reports(chunk)
+        assert len(shapes) <= 2 * (1 + math.ceil(math.log2(n)))
+        # at most one matrix per graph still below n when the candidate starts
+        open_graphs = sum(
+            r.edge_count > 0 and max(full_scan_minima(g)["zero"]) < n
+            for g, r in zip(chunk, reports)
+        )
+        assert shapes and all(len(s) == 3 and s[1:] == (n, n) for s in shapes)
+        assert all(s[0] <= open_graphs for s in shapes)
+        # the probes cover many graphs each, so the batch found what one
+        # search per graph finds
+        assert max(s[0] for s in shapes) > 1
+        for g, r in zip(chunk, reports):
+            if g.edge_count:
+                assert r.value(BoundId.INTEGER_C) == search(g)
 
 
 class TestOrthogonalityGraphs:

@@ -1,10 +1,14 @@
 """Exit codes, output formats, and determinism of the command line."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+from spectral_chroma import cli
 from spectral_chroma.cli import main
 from spectral_chroma.graphs import emit_graph6, petersen
 
@@ -217,3 +221,40 @@ class TestTopLevel:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "corpus-check" in out
+
+    def test_parser_is_reused_without_leaks(self, capsys):
+        # one process, one parser: each call prints what a fresh parser prints,
+        # so no flag or default carries over from the call before
+        sequence = [
+            ("bounds", "--json", "gen:petersen"),
+            ("bounds", "gen:sun(8)"),
+            ("random-table", "--rows", "7:0.3", "--samples", "3", "--csv"),
+            ("random-table", "--rows", "7:0.3", "--samples", "3"),
+            ("compare", "gen:petersen", "--json"),
+            ("compare", "gen:cycle(5)"),
+            ("certify", "gen:petersen", "--colors", "4"),
+            ("certify", "gen:petersen"),
+            ("--help",),
+            ("bounds", "--colors", "3", "gen:petersen"),
+            ("bounds", "gen:complete(4)"),
+        ]
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in sequence]
+        assert reused == fresh
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0] * 8 + [0, 1, 0]
+
+    def test_parser_is_not_built_at_import(self):
+        code = (
+            "import spectral_chroma.cli as cli; "
+            "print(cli._build_parser.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "0"

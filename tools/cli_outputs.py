@@ -1,4 +1,4 @@
-"""Print the default-format output of a fixed list of CLI invocations.
+"""Print the output of a fixed list of CLI invocations.
 
 Run from the root of a checkout, with PYTHONPATH naming the source tree
 to exercise:
@@ -10,11 +10,12 @@ to exercise:
 For each invocation it prints the argv, the exit code and stdout, so two
 source trees that print the same text give byte-identical CLI output on
 these inputs. The G(n, p) inputs come from this script's own seeded
-stdlib RNG and graph6 writer, not from the program. JSON output is left
-out, so that keys added to it do not show as differences. The one CSV
-invocation has a fixed schema and prints the random-table averages at
-full precision (repr), so a change in the last bits of the spectra
-shows there.
+stdlib RNG and graph6 writer, not from the program. The default formats
+print one decimal, which hides drift in the last bits, so a few
+invocations print full precision: `bounds --json` on the named and
+G(n, p) inputs, `compare --json` on a mixed list, and one random-table
+CSV. A change that adds a JSON key shows here as a difference, and
+should say so.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ SWEEP_BOUNDS = (
 GNP_SIZES = (9, 14, 25, 40)  # graph6 of n = 1 would start with "@", a file reference
 GNP_P = 0.5
 GNP_SEED = 7
+# compare --json also covers the edge cases of a report: no edges (every
+# bound invalid), an isolated vertex (normalized bounds invalid), and K2
+MIXED_COMPARE = ("D??", "Dh?", "gen:complete(2)")
 
 
 def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
@@ -60,15 +64,18 @@ def invocations() -> list[list[str]]:
     out = []
     for spec in DEFAULT_NAMED:
         out.append(["bounds", spec])
+        out.append(["bounds", "--json", spec])
         out.append(["certify", spec])
         out.extend(["sweep", spec, "--bound", bound] for bound in SWEEP_BOUNDS)
     for g6 in gnp:
         out.append(["bounds", g6])
+        out.append(["bounds", "--json", g6])
         out.append(["certify", g6])
         out.append(["chromatic", g6])
     # an exact witness from colorable_with; this graph's chromatic number is 7
     out.append(["certify", gnp[GNP_SIZES.index(25)], "--colors", "7"])
     out.append(["compare", "--named", "default"])
+    out.append(["compare", "--named", "default", "--json", *MIXED_COMPARE])
     out.append(["corpus-check", "--max-n", "7"])
     out.append(["chromatic", "gen:petersen"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
