@@ -499,14 +499,33 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
     return out
 
 
+def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, n) spectra of A, L = D - A and Q = D + A from a (G, n, n) adjacency stack.
+
+    Each stack goes through spectra_batch. a is left unchanged; one more
+    stack holds L and then, in place, Q = |L|. Every entry equals the
+    one build_matrix gives, signed zeros included, so the spectra are
+    graph_spectrum's to the bit.
+    """
+
+    mu = spectra_batch(a)
+    m = np.subtract(0.0, a)  # +0.0, not -0.0, where A is 0
+    diag = np.arange(a.shape[1])
+    m[:, diag, diag] = a.sum(axis=2)
+    th = spectra_batch(m)
+    np.abs(m, out=m)
+    return mu, th, spectra_batch(m)
+
+
 def _edged_reports(
     graphs: Sequence[Graph], index: np.ndarray
 ) -> list[tuple[dict[GraphMatrixKind, Spectrum], tuple[BoundValue, ...]]]:
     """Spectra and bound values of graphs of one order, each with an edge.
 
     Each matrix role is one stack over the batch, solved and validated
-    by one spectra_batch call: A, L = D - A, Q = D + A, -Q = -D - A for
-    the integer search, and the normalized A of the graphs without an
+    by one spectra_batch call: A, L = D - A and Q = D + A through
+    unnormalized_spectra, as in random_table; -Q = -D - A for the
+    integer search; and the normalized A of the graphs without an
     isolated vertex. Each family then runs once on those (G, n) arrays.
     index[k] is graph k's position in the caller's batch, which errors name.
     """
@@ -514,13 +533,10 @@ def _edged_reports(
     n = graphs[0].n
     # one dense stack besides A alive at a time: D is rebuilt where needed
     a = _stack([g.adjacency() for g in graphs])
-    mu = spectra_batch(a)
-    th = spectra_batch(_degree_stack(graphs) - a)
+    mu, th, dl = unnormalized_spectra(a)
     q = _degree_stack(graphs)
     q += a
-    dl = spectra_batch(q)
-    np.negative(q, out=q)
-    negdeg = spectra_batch(q)
+    negdeg = spectra_batch(np.negative(q, out=q))
     del q
     edges = np.array([g.edge_count for g in graphs])
     normal = np.flatnonzero([not g.has_isolated_vertex() for g in graphs])

@@ -21,6 +21,7 @@ from .bounds import (
     generalized_sweep,
     normalized_sweep,
     round_display,
+    unnormalized_spectra,
 )
 from .certify import (
     Coloring,
@@ -47,7 +48,7 @@ from .experiments import (
     resolve_graph_input,
 )
 from .graphs import Graph, GraphMatrixKind
-from .linalg import graph_spectrum
+from .linalg import Spectrum, graph_spectrum
 from .oracle import all_graphs, chromatic_number, colorable_with
 
 _SOUNDNESS_SLACK = 1e-6
@@ -109,9 +110,9 @@ def _cmd_sweep(args) -> int:
     if bound_id is BoundId.GEN_NORMALIZED_HOFFMAN:
         column = normalized_sweep(graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY))
     else:
-        spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-        spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-        spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
+        # the A, L and Q solves of full_reports and random_table, on a batch of one
+        spectra = unnormalized_spectra(g.adjacency()[None])
+        spec_a, spec_l, spec_q = (Spectrum(rows[0]) for rows in spectra)
         column = generalized_sweep(spec_a, spec_l, spec_q)[bound_id]
     print("m,value")
     for m, value in enumerate(column, start=1):

@@ -5,6 +5,13 @@ tables for a fixed list of named generators, and averaged Hoffman /
 Kolotilina values over random G(n, p) samples next to the deterministic
 Bollobas estimate. Everything is seeded explicitly and reduces in a
 fixed order, so identical inputs give byte-identical output.
+
+The random table works on chunks of samples, as many as fit a fixed
+byte budget per (G, n, n) float64 stack (_STACK_BYTES, about 320 kB:
+16 samples at n = 50, one from n = 200 on). A chunk's G(n, p) draws
+become one adjacency stack with no Graph built; its A, L and Q stacks
+are solved and validated by one spectra_batch call each, and the
+classical bounds run once on the chunk's spectra.
 """
 
 from __future__ import annotations
@@ -15,16 +22,19 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import (
+    _CLASSICAL_IDS,
     BoundId,
     BoundReport,
-    classical_bounds,
+    _classical_values,
     full_report,
     round_display,
+    unnormalized_spectra,
 )
 from .errors import DomainError, SpectralChromaError
-from .graphs import Graph, GraphMatrixKind, generate_from_spec, parse_edge_list, parse_graph6, random_gnp
-from .linalg import graph_spectrum
+from .graphs import Graph, generate_from_spec, parse_edge_list, parse_graph6, random_gnp_adjacency
 from .oracle import chromatic_number
 
 _ORACLE_N_LIMIT = 24
@@ -66,21 +76,36 @@ class RandomTableRow:
 
 
 _REDRAW_CAP = 1000
+# the byte budget of one (G, n, n) float64 stack of random_table samples
+_STACK_BYTES = 320_000
+_HOFFMAN, _KOLO1, _KOLO2 = (
+    _CLASSICAL_IDS.index(b) for b in (BoundId.HOFFMAN, BoundId.KOLOTILINA_1, BoundId.KOLOTILINA_2)
+)
 
 
-def _sample_graph(n: int, p: float, seed_base: int, index: int, samples: int,
-                  aux_counter: list[int], regenerated: list[tuple[int, int]]) -> Graph:
-    g = random_gnp(n, p, seed_base + index)
-    while g.edge_count == 0:
-        if aux_counter[0] >= _REDRAW_CAP:
-            raise DomainError(
-                f"gave up after {_REDRAW_CAP} edgeless redraws at n={n}, p={p}"
-            )
-        aux_seed = seed_base + samples + aux_counter[0]
-        aux_counter[0] += 1
-        regenerated.append((index, aux_seed))
-        g = random_gnp(n, p, aux_seed)
-    return g
+def _edged_samples(
+    n: int, p: float, seed_base: int, samples: int, start: int, stop: int,
+    regenerated: list[tuple[int, int]],
+) -> np.ndarray:
+    """Adjacency stack of samples start..stop-1, each with at least one edge.
+
+    Sample i is drawn with seed seed_base + i. An edgeless draw is
+    replaced, in sample order, by the draw of the next auxiliary seed
+    seed_base + samples + len(regenerated), and the (sample, seed) pair
+    is appended to regenerated.
+    """
+
+    a = random_gnp_adjacency(n, p, range(seed_base + start, seed_base + stop))
+    for k in np.flatnonzero(~a.any(axis=(1, 2))).tolist():
+        while not a[k].any():
+            if len(regenerated) >= _REDRAW_CAP:
+                raise DomainError(
+                    f"gave up after {_REDRAW_CAP} edgeless redraws at n={n}, p={p}"
+                )
+            aux_seed = seed_base + samples + len(regenerated)
+            regenerated.append((start + k, aux_seed))
+            a[k] = random_gnp_adjacency(n, p, [aux_seed])[0]
+    return a
 
 
 def random_table(
@@ -91,8 +116,11 @@ def random_table(
     Sample index i uses seed seed_base + i. An edgeless draw (possible
     at tiny p) is replaced using auxiliary seeds seed_base + samples,
     seed_base + samples + 1, ... and the substitution is recorded on
-    the row. Averages use compensated summation so the reduction order
-    cannot shift results.
+    the row. Samples go in chunks sized by _STACK_BYTES (see the module
+    docstring), so memory does not grow with the sample count. Valid
+    values are kept in sample order and averaged with compensated
+    summation, so neither the chunk length nor the reduction order can
+    shift results.
     """
 
     if samples < 1:
@@ -103,26 +131,19 @@ def random_table(
             raise DomainError(f"table rows need n >= 2, got {n}")
         if not 0.0 < p <= 1.0:
             raise DomainError(f"table rows need 0 < p <= 1, got {p}")
+        chunk = max(1, _STACK_BYTES // (8 * n * n))
         hoffman: list[float] = []
         kolo1: list[float] = []
         kolo2: list[float] = []
-        aux_counter = [0]
         regenerated: list[tuple[int, int]] = []
-        for i in range(samples):
-            g = _sample_graph(n, p, seed_base, i, samples, aux_counter, regenerated)
-            spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-            spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-            spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
-            vals = classical_bounds(spec_a, spec_l, spec_q)
-            by_id = {v.id: v for v in vals}
-            for bucket, bound_id in (
-                (hoffman, BoundId.HOFFMAN),
-                (kolo1, BoundId.KOLOTILINA_1),
-                (kolo2, BoundId.KOLOTILINA_2),
-            ):
-                v = by_id[bound_id]
-                if v.valid:
-                    bucket.append(v.value)
+        for start in range(0, samples, chunk):
+            a = _edged_samples(
+                n, p, seed_base, samples, start, min(start + chunk, samples), regenerated
+            )
+            values = _classical_values(*unnormalized_spectra(a))
+            for bucket, column in ((hoffman, _HOFFMAN), (kolo1, _KOLO1), (kolo2, _KOLO2)):
+                v = values[:, column]
+                bucket.extend(v[v != -np.inf].tolist())
         out.append(
             RandomTableRow(
                 n=n,

@@ -4,7 +4,7 @@ A Graph is a vertex count plus a frozen set of 0-based endpoint pairs.
 This module owns the two text formats (graph6 and edge lists), the
 deterministic family generators used by the comparison tables, and a
 counter-based G(n, p) sampler that reproduces bit-identically across
-platforms.
+platforms, for one graph or as a stack of adjacency matrices.
 """
 
 from __future__ import annotations
@@ -596,7 +596,9 @@ def _arity(spec: str, got: list[int], want: int) -> list[int]:
 # seed + (counter + 1) * GAMMA. Integer arithmetic mod 2^64: the same
 # (n, p, seed) gives the same edge set on any platform. The pair is
 # included iff its draw is below floor(p * 2^64), computed exactly from
-# the binary expansion of p.
+# the binary expansion of p. random_gnp and random_gnp_adjacency share
+# one draw routine; the latter draws many seeds as one array and returns
+# dense adjacency stacks without building a Graph.
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -612,8 +614,14 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def random_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p) with counter-based, platform-independent seeding."""
+def _gnp_draws(
+    n: int, p: float, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, in lexicographic order, and a (G, C(n, 2)) keep mask.
+
+    Row k of the mask holds the pairs drawn for seeds[k]; the draws of
+    all seeds are one SplitMix64 evaluation on a (G, C(n, 2)) array.
+    """
 
     _require_positive("n", n)
     if not 0.0 <= p <= 1.0:
@@ -621,9 +629,31 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     threshold = int(Fraction(p) * (1 << 64))
     rows, cols = np.triu_indices(n, 1)  # counter k + 1 belongs to the k-th pair
     counters = np.arange(1, rows.size + 1, dtype=np.uint64)
-    draws = _splitmix64(np.uint64(seed & _MASK64) + counters * _GAMMA)
+    starts = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+    draws = _splitmix64(starts[:, None] + counters * _GAMMA)
     if threshold > _MASK64:  # p = 1: every 64-bit draw is below 2^64
         keep = np.ones(draws.shape, dtype=bool)
     else:
         keep = draws < np.uint64(threshold)
+    return rows, cols, keep
+
+
+def random_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p) with counter-based, platform-independent seeding."""
+
+    rows, cols, keep = _gnp_draws(n, p, [seed])
+    keep = keep[0]
     return Graph(n, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
+
+
+def random_gnp_adjacency(n: int, p: float, seeds: Sequence[int]) -> np.ndarray:
+    """(G, n, n) float64 stack of 0/1 adjacency matrices, matrix k of G(n, p) at seeds[k].
+
+    Matrix k equals random_gnp(n, p, seeds[k]).adjacency(); no Graph is built.
+    """
+
+    rows, cols, keep = _gnp_draws(n, p, seeds)
+    a = np.zeros((len(keep), n, n))
+    a[:, rows, cols] = keep
+    a[:, cols, rows] = keep
+    return a

@@ -2,13 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from spectral_chroma.bounds import BoundId, classical_bounds, full_report, round_display
 from spectral_chroma.errors import DomainError
 from spectral_chroma.experiments import (
+    _REDRAW_CAP,
     DEFAULT_NAMED,
+    RandomTableRow,
     bollobas_estimate,
     comparison_csv,
     comparison_json,
@@ -29,6 +32,62 @@ from spectral_chroma.graphs import (
     random_gnp,
 )
 from spectral_chroma.linalg import graph_spectrum
+
+# --------------------------------------------------------------------------
+# reference: the per-sample loop random_table replaced, one Graph, three
+# graph_spectrum solves and one classical_bounds call per sample
+
+
+def reference_random_table(rows, samples, seed_base):
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got {samples}")
+    out = []
+    for n, p in rows:
+        if n < 2:
+            raise DomainError(f"table rows need n >= 2, got {n}")
+        if not 0.0 < p <= 1.0:
+            raise DomainError(f"table rows need 0 < p <= 1, got {p}")
+        buckets = {BoundId.HOFFMAN: [], BoundId.KOLOTILINA_1: [], BoundId.KOLOTILINA_2: []}
+        regenerated = []
+        for i in range(samples):
+            g = random_gnp(n, p, seed_base + i)
+            while g.edge_count == 0:
+                if len(regenerated) >= _REDRAW_CAP:
+                    raise DomainError(
+                        f"gave up after {_REDRAW_CAP} edgeless redraws at n={n}, p={p}"
+                    )
+                aux_seed = seed_base + samples + len(regenerated)
+                regenerated.append((i, aux_seed))
+                g = random_gnp(n, p, aux_seed)
+            spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+            spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
+            spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
+            for v in classical_bounds(spec_a, spec_l, spec_q):
+                if v.id in buckets and v.valid:
+                    buckets[v.id].append(v.value)
+        hoffman, kolo1, kolo2 = buckets.values()
+        out.append(
+            RandomTableRow(
+                n=n,
+                p=p,
+                hoffman_avg=math.fsum(hoffman) / len(hoffman),
+                kolo1_avg=math.fsum(kolo1) / len(kolo1),
+                kolo2_avg=math.fsum(kolo2) / len(kolo2),
+                bollobas=bollobas_estimate(n, p) if p < 1.0 else None,
+                samples=samples,
+                seed_base=seed_base,
+                regenerated=tuple(regenerated),
+            )
+        )
+    return out
+
+
+def row_key(r: RandomTableRow) -> tuple:
+    """Every field of a row, floats as their exact hex form."""
+
+    floats = (r.p, r.hoffman_avg, r.kolo1_avg, r.kolo2_avg)
+    return (r.n, *(x.hex() for x in floats), r.bollobas and r.bollobas.hex(),
+            r.samples, r.seed_base, r.regenerated)
 
 
 class TestBollobasEstimate:
@@ -92,12 +151,50 @@ class TestRandomTable:
 
     def test_edgeless_redraw_recorded(self):
         # n=2, tiny p: the first draws are usually edgeless and must be
-        # replaced deterministically from the auxiliary seed sequence
+        # replaced deterministically from the auxiliary seed sequence:
+        # seeds 8, 9, ... in order, sample 0 first, then 1, then 2
         row = random_table([(2, 0.01)], samples=3, seed_base=5)[0]
         assert row.samples == 3
-        for index, aux_seed in row.regenerated:
-            assert 0 <= index < 3
-            assert aux_seed >= 5 + 3
+        indices = [0] * 189 + [1] * 99 + [2] * 177
+        assert row.regenerated == tuple((i, 8 + k) for k, i in enumerate(indices))
+
+    @pytest.mark.parametrize(
+        "rows,samples,seed_base",
+        [
+            ([(2, 0.01)], 3, 5),  # 465 redraws
+            ([(5, 1.0)], 4, 0),  # complete graphs, no estimate
+            ([(12, 0.5), (8, 0.7)], 20, 7),
+            ([(3, 0.2)], 300, 11),  # 348 redraws, spread over the samples
+            ([(50, 0.5)], 37, 1),  # chunks of 16, 16 and 5
+            ([(2, 0.3), (3, 0.2)], 37, -4),  # negative seed, 114 and 50 redraws
+            ([(63, 0.3), (200, 0.5)], 3, 2**64 + 3),  # chunks of 10 and of 1
+        ],
+    )
+    def test_rows_match_reference(self, rows, samples, seed_base):
+        got = random_table(rows, samples, seed_base)
+        want = reference_random_table(rows, samples, seed_base)
+        assert [row_key(r) for r in got] == [row_key(r) for r in want]
+
+    def test_redraw_cap_matches_reference(self):
+        # about 1 800 redraws would be needed at p = .05 for 300 samples
+        with pytest.raises(DomainError) as want:
+            reference_random_table([(3, 0.05)], 300, 11)
+        with pytest.raises(DomainError) as got:
+            random_table([(3, 0.05)], 300, 11)
+        assert str(got.value) == str(want.value) == (
+            f"gave up after {_REDRAW_CAP} edgeless redraws at n=3, p=0.05"
+        )
+
+    def test_memory_flat_in_samples(self):
+        # chunks are sized by bytes: at n = 200 one sample's A stack is
+        # 320 kB, while a chunk of 64 would hold 20 MB per stack
+        tracemalloc.start()
+        try:
+            random_table([(200, 0.5)], samples=64, seed_base=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_no_samples_rejected(self):
         with pytest.raises(DomainError):

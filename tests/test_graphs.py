@@ -29,6 +29,7 @@ from spectral_chroma.graphs import (
     parse_graph6,
     petersen,
     random_gnp,
+    random_gnp_adjacency,
     sun,
     windmill,
 )
@@ -306,6 +307,19 @@ class TestRandomGnp:
         assert g.edges == frozenset(
             {(0, 2), (0, 4), (1, 5), (2, 3), (2, 4), (3, 4), (3, 5)}
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_adjacency_stack_rows_are_the_graphs(self, n, p):
+        seeds = [0, 5, -1, -4, -(2**63), 2**63, 2**64 - 1, 2**64, 2**64 + 5, 3 * 2**64 + 11]
+        stack = random_gnp_adjacency(n, p, seeds)
+        assert stack.shape == (len(seeds), n, n) and stack.dtype == np.float64
+        for k, s in enumerate(seeds):
+            assert np.array_equal(stack[k], random_gnp(n, p, s).adjacency())
+
+    def test_adjacency_stack_bad_p(self):
+        with pytest.raises(DomainError):
+            random_gnp_adjacency(5, -0.1, [0])
 
     @seed(2)
     @given(st.integers(2, 40), st.integers(0, 2**63 - 1))

@@ -13,9 +13,10 @@ these inputs. The G(n, p) inputs come from this script's own seeded
 stdlib RNG and graph6 writer, not from the program. The default formats
 print one decimal, which hides drift in the last bits, so a few
 invocations print full precision: `bounds --json` on the named and
-G(n, p) inputs, `compare --json` on a mixed list, and one random-table
-CSV. A change that adds a JSON key shows here as a difference, and
-should say so.
+G(n, p) inputs, `compare --json` on a mixed list, one random-table CSV
+and one random-table JSON. The JSON rows redraw edgeless samples and
+list the (sample, seed) pairs they redrew. A change that adds a JSON
+key shows here as a difference, and should say so.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ def invocations() -> list[list[str]]:
     out.append(["chromatic", "gen:petersen"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0,50:0.5", "--samples", "50", "--csv"])
+    # a negative seed and edgeless redraws (114 and 50 regenerated pairs),
+    # at full precision; each row is one chunk shorter than its chunk length
+    out.append(
+        ["random-table", "--rows", "2:0.3,3:0.2", "--samples", "37", "--seed", "-4", "--json"]
+    )
     return out
 
 
