@@ -15,8 +15,14 @@ per-m sweep. The integer search probes all open graphs of a batch
 with one eigvalsh call per round and bisects them in lockstep.
 full_reports evaluates each family once per batch; full_report and the
 per-family functions (classical_bounds, generalized_bounds, ...) are the
-same code on a batch of one. A report's rounded display strings are
-computed on first read.
+same code on a batch of one.
+
+The checks run once per batch array too: the spectra rows a report keeps
+pass the checks of Spectrum once per (G, n) array (linalg.spectrum_rows),
+and the (G, 15) bound values pass the checks of BoundValue once per
+batch. A report keeps its row of values and its row of best m; its
+BoundValue tuple (values), its graph6 id and hash (graph_id, graph_hash)
+and its rounded display strings are computed on first read.
 
 Invalid bounds (nonpositive denominators, edgeless graphs, isolated
 vertices for the normalized family) are reported as value 1 with
@@ -41,7 +47,9 @@ from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     Spectrum,
+    matrices_named,
     spectra_batch,
+    spectrum_rows,
 )
 
 
@@ -78,6 +86,8 @@ _GENERALIZED_IDS = (
 )
 _NORMALIZED_IDS = BoundId.NORMALIZED_HOFFMAN, BoundId.GEN_NORMALIZED_HOFFMAN
 _CHAIN_IDS = BoundId.KOLOTILINA_CHAIN_317, BoundId.HANSEN_LUCAS, BoundId.CVETKOVIC
+_REPORT_IDS = tuple(BoundId)
+_INTEGER_C = _REPORT_IDS.index(BoundId.INTEGER_C)
 
 
 @dataclass(frozen=True)
@@ -110,8 +120,8 @@ def round_display(value: float) -> str:
 # --------------------------------------------------------------------------
 # the bound families on (G, n) spectra, one row per graph
 #
-# A value array holds -inf where a bound is invalid; _bound_values turns
-# each row into BoundValue objects.
+# A value array holds -inf where a bound is invalid; _row_values turns
+# a row into BoundValue objects.
 
 
 def _ratio_sweep(numerators, denominators: np.ndarray) -> np.ndarray:
@@ -135,6 +145,17 @@ def _first_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.max(axis=-1), values.argmax(axis=-1) + 1
 
 
+def _row_values(
+    ids: Sequence[BoundId], row: Sequence[float], best_m: Sequence[int]
+) -> list[BoundValue]:
+    """One BoundValue per entry of a value row and its best m."""
+
+    return [
+        invalid_bound(bound_id) if v == -np.inf else BoundValue(bound_id, v, best_m=m)
+        for bound_id, v, m in zip(ids, row, best_m)
+    ]
+
+
 def _bound_values(
     ids: Sequence[BoundId], values: np.ndarray, best_m: np.ndarray | None = None
 ) -> list[list[BoundValue]]:
@@ -142,13 +163,28 @@ def _bound_values(
 
     rows = values.tolist()
     best_ms = [[1] * len(ids)] * len(rows) if best_m is None else best_m.tolist()
-    return [
-        [
-            invalid_bound(bound_id) if v == -np.inf else BoundValue(bound_id, v, best_m=m)
-            for bound_id, v, m in zip(ids, row, ms)
-        ]
-        for row, ms in zip(rows, best_ms)
-    ]
+    return [_row_values(ids, row, ms) for row, ms in zip(rows, best_ms)]
+
+
+def _check_report_rows(values: np.ndarray) -> None:
+    """The checks of BoundValue on (G, 15) report values at once, with its errors.
+
+    Columns are in BoundId order, and -inf marks an invalid bound, which
+    is not checked. A valid bound must be at least 1 - 1e-12, a valid
+    IntegerC an integer of at least 2; NaN fails both. The first failing
+    entry in row-major order raises, as building the rows' BoundValues
+    in order would.
+    """
+
+    valid = values != -np.inf
+    bad = valid & ~(values >= 1.0 - 1e-12)
+    c = values[:, _INTEGER_C]
+    bad[:, _INTEGER_C] |= valid[:, _INTEGER_C] & ~((c >= 2) & np.isfinite(c) & (np.floor(c) == c))
+    if bad.any():
+        g, j = divmod(int(bad.argmax()), values.shape[1])
+        # the BoundValue of the failing entry raises its own error text
+        BoundValue(_REPORT_IDS[j], float(values[g, j]))
+        raise AssertionError(f"BoundValue accepted the refused {_REPORT_IDS[j].value} of row {g}")
 
 
 def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
@@ -464,14 +500,44 @@ def integer_c_search(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every bound for one graph, plus the spectra they came from."""
+    """Every bound for one graph, plus the spectra they came from.
 
-    graph_id: str
-    graph_hash: str
-    n: int
-    edge_count: int
+    value_row holds the bound values in BoundId order, -inf where a bound
+    is invalid, and best_m_row the m of each; both are checked read-only
+    rows of their batch's arrays. values, graph_id, graph_hash and
+    rounded_display are computed from them and the graph on first read.
+    """
+
+    graph: Graph
     spectra: Mapping[GraphMatrixKind, Spectrum]
-    values: tuple[BoundValue, ...]
+    value_row: np.ndarray
+    best_m_row: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def edge_count(self) -> int:
+        return self.graph.edge_count
+
+    @cached_property
+    def graph_id(self) -> str:
+        """The graph's graph6 text, computed on first read."""
+
+        return emit_graph6(self.graph)
+
+    @cached_property
+    def graph_hash(self) -> str:
+        """The first 16 hex digits of the SHA-256 of graph_id, computed on first read."""
+
+        return hashlib.sha256(self.graph_id.encode("ascii")).hexdigest()[:16]
+
+    @cached_property
+    def values(self) -> tuple[BoundValue, ...]:
+        """One BoundValue per bound in BoundId order, computed on first read."""
+
+        return tuple(_row_values(_REPORT_IDS, self.value_row.tolist(), self.best_m_row.tolist()))
 
     @cached_property
     def rounded_display(self) -> Mapping[str, str]:
@@ -519,32 +585,35 @@ def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _edged_reports(
     graphs: Sequence[Graph], index: np.ndarray
-) -> list[tuple[dict[GraphMatrixKind, Spectrum], tuple[BoundValue, ...]]]:
-    """Spectra and bound values of graphs of one order, each with an edge.
+) -> tuple[list[dict[GraphMatrixKind, Spectrum]], np.ndarray, np.ndarray]:
+    """Spectra, (G, 15) bound values and their best m for graphs of one order, each with an edge.
 
     Each matrix role is one stack over the batch, solved and validated
     by one spectra_batch call: A, L = D - A and Q = D + A through
     unnormalized_spectra, as in random_table; -Q = -D - A for the
     integer search; and the normalized A of the graphs without an
     isolated vertex. Each family then runs once on those (G, n) arrays.
-    index[k] is graph k's position in the caller's batch, which errors name.
+    index[k] is graph k's position in the caller's batch, which errors
+    name, those of the solves included.
     """
 
     n = graphs[0].n
     # one dense stack besides A alive at a time: D is rebuilt where needed
     a = _stack([g.adjacency() for g in graphs])
-    mu, th, dl = unnormalized_spectra(a)
-    q = _degree_stack(graphs)
-    q += a
-    negdeg = spectra_batch(np.negative(q, out=q))
-    del q
+    with matrices_named(lambda k: f"graph {index[k]}"):
+        mu, th, dl = unnormalized_spectra(a)
+        q = _degree_stack(graphs)
+        q += a
+        negdeg = spectra_batch(np.negative(q, out=q))
+        del q
     edges = np.array([g.edge_count for g in graphs])
     normal = np.flatnonzero([not g.has_isolated_vertex() for g in graphs])
     normalized = np.full((len(graphs), 2), -np.inf)
     normalized_m = np.ones(normalized.shape, dtype=np.int64)
     if normal.size:
         kind = GraphMatrixKind.NORMALIZED_ADJACENCY
-        na = spectra_batch(_stack([build_matrix(graphs[k], kind) for k in normal]))
+        with matrices_named(lambda k: f"graph {index[normal[k]]}"):
+            na = spectra_batch(_stack([build_matrix(graphs[k], kind) for k in normal]))
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     top, top_m = _first_max(_generalized_values(mu, th, dl))
     integer, integer_m = _integer_c(a, _degree_stack(graphs), mu, th, negdeg, index)
@@ -565,49 +634,43 @@ def _edged_reports(
     ])
     spectra: list[dict[GraphMatrixKind, Spectrum]] = [
         {
-            GraphMatrixKind.ADJACENCY: Spectrum(mu_row),
-            GraphMatrixKind.LAPLACIAN: Spectrum(th_row),
-            GraphMatrixKind.SIGNLESS_LAPLACIAN: Spectrum(dl_row),
+            GraphMatrixKind.ADJACENCY: spec_a,
+            GraphMatrixKind.LAPLACIAN: spec_l,
+            GraphMatrixKind.SIGNLESS_LAPLACIAN: spec_q,
         }
-        for mu_row, th_row, dl_row in zip(mu, th, dl)
+        for spec_a, spec_l, spec_q in zip(spectrum_rows(mu), spectrum_rows(th), spectrum_rows(dl))
     ]
     if normal.size:
-        for k, row in zip(normal, na):
-            spectra[k][GraphMatrixKind.NORMALIZED_ADJACENCY] = Spectrum(row)
-    return list(zip(spectra, map(tuple, _bound_values(tuple(BoundId), values, best_m))))
+        for k, spec in zip(normal.tolist(), spectrum_rows(na)):
+            spectra[k][GraphMatrixKind.NORMALIZED_ADJACENCY] = spec
+    return spectra, values, best_m
 
 
 def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
     """full_report for each of several graphs with the same vertex count.
 
     The graphs with an edge go through _edged_reports as one batch; an
-    edgeless graph gets no spectra and every bound invalid. A report
-    equals the one full_report gives for the graph alone, to the bit.
+    edgeless graph gets no spectra and every bound invalid. The batch's
+    (G, 15) values are checked once, and each report keeps its rows of
+    them. A report equals the one full_report gives for the graph alone,
+    to the bit.
     """
 
     graphs = list(graphs)
     common_order(graphs)
     edged = [k for k, g in enumerate(graphs) if g.edge_count]
-    invalid = tuple(invalid_bound(bound_id) for bound_id in BoundId)
-    found = [({}, invalid) for _ in graphs]
+    spectra: list[dict[GraphMatrixKind, Spectrum]] = [{} for _ in graphs]
+    values = np.full((len(graphs), len(_REPORT_IDS)), -np.inf)
+    best_m = np.ones(values.shape, dtype=np.int64)
     if edged:
-        batch = _edged_reports([graphs[k] for k in edged], np.array(edged))
-        for k, entry in zip(edged, batch):
-            found[k] = entry
-    reports = []
-    for g, (spectra, values) in zip(graphs, found):
-        g6 = emit_graph6(g)
-        reports.append(
-            BoundReport(
-                graph_id=g6,
-                graph_hash=hashlib.sha256(g6.encode("ascii")).hexdigest()[:16],
-                n=g.n,
-                edge_count=g.edge_count,
-                spectra=spectra,
-                values=values,
-            )
-        )
-    return reports
+        index = np.array(edged)
+        found, values[index], best_m[index] = _edged_reports([graphs[k] for k in edged], index)
+        for k, entry in zip(edged, found):
+            spectra[k] = entry
+    _check_report_rows(values)
+    values.setflags(write=False)
+    best_m.setflags(write=False)
+    return [BoundReport(*fields) for fields in zip(graphs, spectra, values, best_m)]
 
 
 def full_report(g: Graph) -> BoundReport:

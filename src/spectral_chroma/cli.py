@@ -10,8 +10,9 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
+
+import numpy as np
 
 from .bounds import (
     BoundId,
@@ -48,7 +49,7 @@ from .experiments import (
     resolve_graph_input,
 )
 from .graphs import Graph, GraphMatrixKind
-from .linalg import Spectrum, graph_spectrum
+from .linalg import graph_spectrum, spectrum_rows
 from .oracle import all_graphs, chromatic_number, colorable_with
 
 _SOUNDNESS_SLACK = 1e-6
@@ -112,7 +113,7 @@ def _cmd_sweep(args) -> int:
     else:
         # the A, L and Q solves of full_reports and random_table, on a batch of one
         spectra = unnormalized_spectra(g.adjacency()[None])
-        spec_a, spec_l, spec_q = (Spectrum(rows[0]) for rows in spectra)
+        spec_a, spec_l, spec_q = (spectrum_rows(rows)[0] for rows in spectra)
         column = generalized_sweep(spec_a, spec_l, spec_q)[bound_id]
     print("m,value")
     for m, value in enumerate(column, start=1):
@@ -208,11 +209,8 @@ def _cmd_compare(args) -> int:
 
 
 def _sound(report: BoundReport, chi: int) -> bool:
-    return all(
-        math.ceil(v.value - _SOUNDNESS_SLACK) <= chi
-        for v in report.values
-        if v.valid
-    )
+    # an invalid bound is -inf in the row, which any chi passes
+    return bool((np.ceil(report.value_row - _SOUNDNESS_SLACK) <= chi).all())
 
 
 def _certified(report: GraphCertificationReport) -> bool:

@@ -26,5 +26,14 @@ class NumericError(SpectralChromaError, RuntimeError):
     """A numeric routine failed its own convergence or consistency checks."""
 
 
+class MatrixError(NumericError):
+    """A NumericError about one matrix of a stack, matrix being its index there."""
+
+    def __init__(self, matrix: int, detail: str) -> None:
+        super().__init__(f"matrix {matrix}: {detail}")
+        self.matrix = matrix
+        self.detail = detail
+
+
 class VerificationError(SpectralChromaError, RuntimeError):
     """A certificate residual or soundness invariant was breached."""

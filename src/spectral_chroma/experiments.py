@@ -16,6 +16,7 @@ classical bounds run once on the chunk's spectra.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .bounds import (
 )
 from .errors import DomainError, SpectralChromaError
 from .graphs import Graph, generate_from_spec, parse_edge_list, parse_graph6, random_gnp_adjacency
+from .linalg import matrices_named
 from .oracle import chromatic_number
 
 _ORACLE_N_LIMIT = 24
@@ -108,6 +110,16 @@ def _edged_samples(
     return a
 
 
+def _sample_name(
+    start: int, seed_base: int, regenerated: list[tuple[int, int]], k: int
+) -> str:
+    """Sample start + k and the seed of its drawn graph, for an error message."""
+
+    sample = start + k
+    seed = next((s for i, s in reversed(regenerated) if i == sample), seed_base + sample)
+    return f"sample {sample} (seed {seed})"
+
+
 def random_table(
     rows: list[tuple[int, float]], samples: int, seed_base: int
 ) -> list[RandomTableRow]:
@@ -120,7 +132,8 @@ def random_table(
     docstring), so memory does not grow with the sample count. Valid
     values are kept in sample order and averaged with compensated
     summation, so neither the chunk length nor the reduction order can
-    shift results.
+    shift results. A failed solve names the sample and the seed it was
+    drawn with.
     """
 
     if samples < 1:
@@ -140,7 +153,8 @@ def random_table(
             a = _edged_samples(
                 n, p, seed_base, samples, start, min(start + chunk, samples), regenerated
             )
-            values = _classical_values(*unnormalized_spectra(a))
+            with matrices_named(functools.partial(_sample_name, start, seed_base, regenerated)):
+                values = _classical_values(*unnormalized_spectra(a))
             for bucket, column in ((hoffman, _HOFFMAN), (kolo1, _KOLO1), (kolo2, _KOLO2)):
                 v = values[:, column]
                 bucket.extend(v[v != -np.inf].tolist())

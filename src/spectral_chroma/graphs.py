@@ -44,12 +44,14 @@ NORMALIZED_KINDS = frozenset(
 )
 
 
-def _computed_once(method):
-    """Cache a zero-argument Graph method's result on the instance.
+def computed_once(method):
+    """Cache the result of a function of one Graph on the graph.
 
-    Graph is frozen, so its fields never change and neither can anything
-    derived from them; the value is stored under "_" + the method name
-    in the instance dict, which dataclass equality and hashing ignore.
+    It decorates zero-argument Graph methods, and module functions whose
+    only argument is a Graph. Graph is frozen, so its fields never change
+    and neither can anything derived from them; the value is stored under
+    "_" + the function name in the instance dict, which dataclass
+    equality and hashing ignore.
     """
 
     key = "_" + method.__name__
@@ -91,9 +93,9 @@ class Graph:
     Edges are stored as a frozenset of (min, max) pairs; loops and
     out-of-range endpoints are rejected at construction and duplicates
     collapse, so every Graph value in the system satisfies the
-    invariants by construction. Degrees, neighborhoods and the dense
-    adjacency are derived on first use, once per graph, and returned
-    read-only.
+    invariants by construction. Degrees, the degree order,
+    neighborhoods and the dense adjacency are derived on first use,
+    once per graph, and returned read-only.
     """
 
     n: int
@@ -124,14 +126,14 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @_computed_once
+    @computed_once
     def degrees(self) -> np.ndarray:
         """Vertex degrees as int64."""
 
         d = np.bincount(self._ends.ravel(), minlength=self.n)
         return _read_only(d.astype(np.int64, copy=False))
 
-    @_computed_once
+    @computed_once
     def adjacency(self) -> np.ndarray:
         """The dense 0/1 adjacency matrix as float64."""
 
@@ -141,7 +143,7 @@ class Graph:
         a[v, u] = 1.0
         return _read_only(a)
 
-    @_computed_once
+    @computed_once
     def neighbors(self) -> tuple[frozenset[int], ...]:
         """Neighborhood of each vertex."""
 
@@ -150,6 +152,13 @@ class Graph:
         cols = cols.tolist()
         stops = itertools.accumulate(deg)
         return tuple(frozenset(cols[stop - d:stop]) for stop, d in zip(stops, deg))
+
+    @computed_once
+    def degree_order(self) -> tuple[int, ...]:
+        """Vertices by degree, largest first, ties by index: the greedy and search order."""
+
+        deg = self.degrees().tolist()
+        return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
 
     def has_isolated_vertex(self) -> bool:
         return bool((self.degrees() == 0).any())

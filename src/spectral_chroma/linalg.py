@@ -9,11 +9,13 @@ complex Hermitian ones against the trace.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, MatrixError, NumericError
 from .graphs import Graph, GraphMatrixKind, build_matrix
 
 # Centralized tolerances; tests reference these by name.
@@ -24,7 +26,11 @@ PROPERTY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted non-increasing."""
+    """Eigenvalues sorted non-increasing.
+
+    Constructing one checks its values; spectrum_rows checks a whole
+    array of them once and wraps its rows without checking each again.
+    """
 
     values: np.ndarray
 
@@ -32,10 +38,7 @@ class Spectrum:
         v = np.asarray(self.values, dtype=np.float64).copy()
         if v.ndim != 1 or v.size < 1:
             raise DomainError("spectrum needs a nonempty 1-d value vector")
-        if not np.isfinite(v).all():
-            raise DomainError("spectrum contains non-finite values")
-        if (np.diff(v) > 0).any():
-            raise DomainError("spectrum values must be sorted non-increasing")
+        _check_spectra(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -45,6 +48,36 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _check_spectra(v: np.ndarray) -> None:
+    """The value checks of Spectrum, on a vector or on every row of a (G, n) array."""
+
+    if not np.isfinite(v).all():
+        raise DomainError("spectrum contains non-finite values")
+    if (np.diff(v, axis=-1) > 0).any():
+        raise DomainError("spectrum values must be sorted non-increasing")
+
+
+def spectrum_rows(w: np.ndarray) -> list[Spectrum]:
+    """One Spectrum per row of a (G, n) array of spectra, checked once for the array.
+
+    The rows pass the checks Spectrum(row) makes, and fail them with its
+    errors. Each Spectrum holds a read-only row of a read-only copy of w,
+    and is not checked again on its own.
+    """
+
+    w = np.array(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] < 1:
+        raise DomainError("spectrum needs a nonempty 1-d value vector")
+    _check_spectra(w)
+    w.setflags(write=False)
+    out = []
+    for row in w:
+        spec = object.__new__(Spectrum)
+        object.__setattr__(spec, "values", row)
+        out.append(spec)
+    return out
 
 
 def _first(mask: np.ndarray) -> int:
@@ -100,8 +133,9 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     matrix is validated on its own: every eigenpair satisfies
     ||M v - lambda v|| <= SPECTRUM_TOL * max(1, ||M||_F), and the
     eigenvalue sum matches the trace to SPECTRUM_TOL * max(1, |trace|).
-    A failing matrix, NaN results included, raises NumericError naming
-    its index in the stack; so does solver non-convergence.
+    A failing matrix, NaN results included, raises MatrixError naming
+    its index in the stack (see matrices_named); solver non-convergence
+    raises NumericError.
     """
 
     stack = _validate_symmetric_stack(stack)
@@ -117,14 +151,26 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     bad = ~(worst <= limit)  # NaN fails
     if bad.any():
         g = int(bad.argmax())
-        raise NumericError(
-            f"matrix {g}: eigenpair residual {worst[g]:.3e} exceeds {limit[g]:.3e}"
-        )
+        raise MatrixError(g, f"eigenpair residual {worst[g]:.3e} exceeds {limit[g]:.3e}")
     tr = np.trace(stack, axis1=1, axis2=2)
     bad = ~(np.abs(w.sum(axis=1) - tr) <= SPECTRUM_TOL * np.maximum(1.0, np.abs(tr)))
     if bad.any():
-        raise NumericError(f"matrix {int(bad.argmax())}: eigenvalue sum disagrees with the trace")
+        raise MatrixError(int(bad.argmax()), "eigenvalue sum disagrees with the trace")
     return np.ascontiguousarray(w[:, ::-1])
+
+
+@contextlib.contextmanager
+def matrices_named(name: Callable[[int], str]) -> Iterator[None]:
+    """Re-raise a MatrixError from the block as a NumericError naming name(k), not matrix k.
+
+    k is the failing matrix's index in its stack; a caller whose stack
+    holds a chunk or a subset of its inputs maps it back to the input.
+    """
+
+    try:
+        yield
+    except MatrixError as exc:
+        raise NumericError(f"{name(exc.matrix)}: {exc.detail}") from None
 
 
 def eigenvalues_sym(a: np.ndarray) -> Spectrum:
@@ -137,7 +183,7 @@ def eigenvalues_sym(a: np.ndarray) -> Spectrum:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return Spectrum(spectra_batch(a[None])[0])
+    return spectrum_rows(spectra_batch(a[None]))[0]
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> Spectrum:

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .certify import Coloring
 from .errors import DomainError
-from .graphs import Graph, from_edges, parse_graph6
+from .graphs import Graph, computed_once, from_edges, parse_graph6
 
 _BACKTRACK_CEILING = 64
 _ALL_PAIRS = {n: [(i, j) for j in range(n) for i in range(j)] for n in range(1, 7)}
@@ -41,18 +41,19 @@ class ChromaticResult:
     witness: Coloring
 
 
+@computed_once
 def greedy_coloring(g: Graph) -> Coloring:
     """Deterministic sequential coloring, largest degree first.
 
     May use more than chi colors; always proper. Ties in degree break
-    by vertex index, so equal graphs always get equal colorings.
+    by vertex index, so equal graphs always get equal colorings. It is
+    computed once per graph, like Graph.degrees(): chromatic_number and
+    the certificate coloring share it.
     """
 
-    deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
     adj = g.neighbors()
     colors = [-1] * g.n
-    for v in order:
+    for v in g.degree_order():
         taken = {colors[u] for u in adj[v] if colors[u] >= 0}
         color = 0
         while color in taken:
@@ -63,10 +64,8 @@ def greedy_coloring(g: Graph) -> Coloring:
 
 def _greedy_clique(g: Graph) -> list[int]:
     adj = g.neighbors()
-    deg = g.degrees()
-    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
     clique: list[int] = []
-    for v in order:
+    for v in g.degree_order():
         if all(v in adj[u] for u in clique):
             clique.append(v)
     return clique
@@ -94,8 +93,7 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     if k >= g.n:
         return Coloring(tuple(range(g.n)), k)
     n = g.n
-    deg = g.degrees()
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    order = g.degree_order()
     adj = g.neighbors()
     pos = [0] * n
     for i, v in enumerate(order):

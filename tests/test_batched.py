@@ -55,6 +55,7 @@ from spectral_chroma.graphs import (
     complete,
     cycle,
     emit_graph6,
+    from_edges,
     random_gnp,
 )
 from spectral_chroma.linalg import (
@@ -445,15 +446,18 @@ def _sweep_key(column) -> tuple:
 
 
 def report_key(r: BoundReport) -> tuple:
+    # the rows the soundness check reads, then the fields computed on first read
+    rows = tuple((_bits(x), m) for x, m in zip(r.value_row.tolist(), r.best_m_row.tolist()))
     return (
-        r.graph_id, r.graph_hash, r.n, r.edge_count,
+        rows, r.graph_id, r.graph_hash, r.n, r.edge_count,
         _spectra_key(r.spectra), _values_key(r.values), dict(r.rounded_display),
     )
 
 
 def reference_report_key(g: Graph, spectra) -> tuple:
     g6, digest, n, edge_count, spectra, values, display = reference_full_report(g, spectra)
-    return g6, digest, n, edge_count, _spectra_key(spectra), _values_key(values), display
+    rows = tuple((_bits(v.value if v.valid else -np.inf), v.best_m) for v in values)
+    return rows, g6, digest, n, edge_count, _spectra_key(spectra), _values_key(values), display
 
 
 def assert_families_match_references(g: Graph, spectra) -> None:
@@ -662,6 +666,53 @@ class TestSpectraBatch:
             for stack in (x, x.real.copy()):
                 expected = [np.linalg.norm(m, "fro") for m in stack]
                 assert _bits(frobenius_norms(stack)) == _bits(expected)
+
+
+class TestReportSolveErrors:
+    """A failed solve in full_reports names the graph's index in the caller's batch."""
+
+    N = 7
+
+    def graphs(self):
+        # edgeless graphs before and between graphs with edges; graph 2 has
+        # an isolated vertex, so the normalized stack holds graphs 3 and 5
+        g = random_gnp(self.N, 0.5, 3)
+        isolated = from_edges(self.N, [(0, 1), (1, 2), (2, 3)])
+        edgeless = Graph(self.N)
+        graphs = [edgeless, edgeless, isolated, g, edgeless, cycle(self.N)]
+        assert all(h.edge_count for h in graphs[2:4] + graphs[5:])
+        assert isolated.has_isolated_vertex() and not g.has_isolated_vertex()
+        return graphs
+
+    @staticmethod
+    def poison(monkeypatch, call, k):
+        solve = np.linalg.eigh
+        calls = []
+
+        def perturbed(a, *args, **kwargs):
+            w, v = solve(a, *args, **kwargs)
+            if len(calls) == call:
+                w = w.copy()
+                w[k, 0] += 1e-3
+            calls.append(a.shape[0])
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        return calls
+
+    # the stacks in solve order: A, L, Q and -D - A over graphs 2, 3 and 5,
+    # then the normalized A over graphs 3 and 5
+    @pytest.mark.parametrize("call,k,graph", [(0, 1, 3), (1, 2, 5), (3, 0, 2), (4, 1, 5)])
+    def test_residual_names_the_graph(self, monkeypatch, call, k, graph):
+        calls = self.poison(monkeypatch, call, k)
+        with pytest.raises(NumericError, match=rf"^graph {graph}: eigenpair residual"):
+            full_reports(self.graphs())
+        assert calls[call] == (2 if call == 4 else 3)
+
+    def test_trace_names_the_graph(self, monkeypatch):
+        TestSpectraBatch.patch_trace(monkeypatch, lambda t: t.__setitem__(1, t[1] + 1e-3))
+        with pytest.raises(NumericError, match=r"^graph 3: eigenvalue sum disagrees"):
+            full_reports(self.graphs())
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from conftest import orthogonality_graph
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spectral_chroma import bounds
 from spectral_chroma.bounds import (
     BoundId,
     BoundValue,
+    _check_report_rows,
     _raise_best,
     chain_bounds,
     classical_bounds,
@@ -118,6 +120,66 @@ class TestBoundValue:
     def test_invalid_bound_shape(self):
         v = invalid_bound(BoundId.LOAN)
         assert v.value == 1.0 and not v.valid and v.best_m == 1
+
+
+class TestReportRowCheck:
+    """_check_report_rows refuses what BoundValue refuses, with BoundValue's error text."""
+
+    @staticmethod
+    def error(build):
+        with pytest.raises(DomainError) as info:
+            build()
+        return str(info.value)
+
+    @staticmethod
+    def rows(edits):
+        values = np.full((3, len(BoundId)), 2.0)
+        values[0, :] = -np.inf  # an edgeless graph: every bound invalid
+        for (g, bound_id), value in edits.items():
+            values[g, list(BoundId).index(bound_id)] = value
+        return values
+
+    @pytest.mark.parametrize(
+        "bound_id,value",
+        [
+            (BoundId.HOFFMAN, 0.5),
+            (BoundId.LOAN, math.nan),
+            (BoundId.CVETKOVIC, 1.0 - 1e-11),
+            (BoundId.INTEGER_C, 2.5),
+            (BoundId.INTEGER_C, math.nan),
+            (BoundId.INTEGER_C, math.inf),
+            (BoundId.INTEGER_C, 1.0),
+            (BoundId.INTEGER_C, 0.5),
+        ],
+    )
+    def test_bad_value_raises_the_bound_value_error(self, bound_id, value):
+        values = self.rows({(1, bound_id): value})
+        expected = self.error(lambda: BoundValue(bound_id, value))
+        assert self.error(lambda: _check_report_rows(values)) == expected
+
+    def test_first_failure_in_row_order(self):
+        values = self.rows({(1, BoundId.INTEGER_C): 2.5, (2, BoundId.HOFFMAN): 0.5})
+        assert self.error(lambda: _check_report_rows(values)) == (
+            "IntegerC must be an integer >= 2, got 2.5"
+        )
+
+    def test_valid_rows_pass(self):
+        values = self.rows({(1, BoundId.HOFFMAN): 1.0 - 1e-13, (2, BoundId.LOAN): math.inf})
+        _check_report_rows(values)
+
+    def test_full_reports_check_the_batch(self, monkeypatch):
+        # a family that returns a value below 1 fails the report, as its
+        # BoundValue would have
+        loan_values = bounds._loan_values
+
+        def shrunk(edges, n, dl):
+            values = loan_values(edges, n, dl)
+            values[1] = 0.5
+            return values
+
+        monkeypatch.setattr(bounds, "_loan_values", shrunk)
+        with pytest.raises(DomainError, match=r"^LOAN: valid bound must be at least 1, got 0\.5$"):
+            full_reports([Graph(5), cycle(5), complete(5)])
 
 
 class TestRoundDisplay:
@@ -631,6 +693,25 @@ class TestFullReport:
         r = full_report(complete(3))
         assert r.graph_id == "Bw"
         assert len(r.graph_hash) == 16 and r.n == 3 and r.edge_count == 3
+
+    def test_identity_and_values_computed_on_first_read(self, monkeypatch):
+        emitted = []
+        emit = bounds.emit_graph6
+        monkeypatch.setattr(bounds, "emit_graph6", lambda g: emitted.append(g) or emit(g))
+        octahedron = circulant(6, [1, 2])
+        reports = full_reports([Graph(6), octahedron, cycle(6)])
+        assert emitted == [] and all("values" not in vars(r) for r in reports)
+        # the hash reads the id, so each report emits its graph6 once
+        assert reports[1].graph_hash == full_report(octahedron).graph_hash
+        assert emitted == [octahedron] * 2
+        assert reports[1].graph_id == emit(octahedron) and len(emitted) == 2
+        assert reports[1].values is reports[1].values
+
+    def test_rows_are_read_only(self):
+        r = full_report(cycle(5))
+        for row in (r.value_row, r.best_m_row):
+            with pytest.raises(ValueError):
+                row[0] = 3
 
 
 class TestDominanceInvariants:

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import itertools
 import json
 import os
 import re
@@ -8,9 +9,11 @@ import sys
 
 import pytest
 
-from spectral_chroma import cli
+from spectral_chroma import cli, oracle
+from spectral_chroma.certify import greedy_certificate_coloring
 from spectral_chroma.cli import main
-from spectral_chroma.graphs import emit_graph6, petersen
+from spectral_chroma.graphs import Graph, emit_graph6, petersen
+from spectral_chroma.oracle import all_graphs, chromatic_number
 
 RESIDUAL = re.compile(r"residual (\S+)")
 
@@ -199,6 +202,43 @@ class TestCorpusCheckCommand:
         lines = out.splitlines()
         assert lines[0] == "n=1 graphs=1 soundness_violations=0 certification_failures=0"
         assert lines[-1] == "checked 75 graphs: 0 soundness violations, 0 certification failures"
+
+    def test_greedy_coloring_computed_once_per_graph(self):
+        # counts the calls of the functions' own bodies, not of their caches
+        bodies = {
+            oracle.greedy_coloring.__wrapped__.__code__: 0,
+            Graph.degree_order.__wrapped__.__code__: 0,
+        }
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in bodies:
+                bodies[frame.f_code] += 1
+
+        chunk = list(itertools.islice(all_graphs(7), cli.CORPUS_CHUNK))
+        assert len(chunk) == 128 and sum(g.edge_count == 0 for g in chunk) == 1
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            assert cli._check_chunk(chunk) == (0, 0)
+        finally:
+            sys.setprofile(previous)
+        assert list(bodies.values()) == [len(chunk), len(chunk)]
+        # the shared coloring changes no witness: it is the sequential
+        # coloring in degree order, and fresh copies of the graphs, with
+        # nothing cached, color the same whichever caller comes first
+        for g in chunk:
+            deg = g.degrees()
+            colors = [-1] * g.n
+            for v in sorted(range(g.n), key=lambda v: (-deg[v], v)):
+                taken = {colors[u] for u in g.neighbors()[v]}
+                colors[v] = min(set(range(g.n + 1)) - taken)
+            assert greedy_certificate_coloring(g).colors == tuple(colors)
+            fresh = Graph(g.n, g.edges)
+            assert greedy_certificate_coloring(fresh) == greedy_certificate_coloring(g)
+            assert chromatic_number(fresh) == chromatic_number(g)
+            fresh = Graph(g.n, g.edges)
+            assert chromatic_number(fresh) == chromatic_number(g)
+            assert greedy_certificate_coloring(fresh) == greedy_certificate_coloring(g)
 
     def test_max_n_out_of_range(self, capsys):
         code, _, err = run(capsys, "corpus-check", "--max-n", "9")

@@ -4,10 +4,11 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from spectral_chroma.bounds import BoundId, classical_bounds, full_report, round_display
-from spectral_chroma.errors import DomainError
+from spectral_chroma.errors import DomainError, NumericError
 from spectral_chroma.experiments import (
     _REDRAW_CAP,
     DEFAULT_NAMED,
@@ -184,6 +185,42 @@ class TestRandomTable:
         assert str(got.value) == str(want.value) == (
             f"gave up after {_REDRAW_CAP} edgeless redraws at n=3, p=0.05"
         )
+
+    @staticmethod
+    def poison(monkeypatch, call, k):
+        """Shift one eigenvalue of matrix k in the given eigh call; returns the stack shapes."""
+
+        solve = np.linalg.eigh
+        shapes = []
+
+        def perturbed(a, *args, **kwargs):
+            w, v = solve(a, *args, **kwargs)
+            if len(shapes) == call:
+                w = w.copy()
+                w[k, 0] += 1e-3
+            shapes.append(a.shape)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        return shapes
+
+    def test_failed_solve_names_sample_and_seed(self, monkeypatch):
+        # chunks of 16 at n = 50: sample 19 is matrix 3 of the second
+        # chunk's A stack, the fourth eigh call
+        shapes = self.poison(monkeypatch, 3, 19 - 16)
+        with pytest.raises(NumericError, match=r"^sample 19 \(seed 20\): eigenpair residual"):
+            random_table([(50, 0.5)], 37, 1)
+        assert shapes[0][0] == shapes[3][0] == 16
+
+    def test_failed_solve_names_the_redrawn_seed(self, monkeypatch):
+        # n = 3, p = .2, one chunk: sample k was redrawn, so its graph comes
+        # from the last auxiliary seed recorded for it, not from seed_base + k
+        regenerated = random_table([(3, 0.2)], 37, -4)[0].regenerated
+        k, seed = regenerated[-1]
+        assert seed != -4 + k
+        self.poison(monkeypatch, 0, k)
+        with pytest.raises(NumericError, match=rf"^sample {k} \(seed {seed}\): eigenpair"):
+            random_table([(3, 0.2)], 37, -4)
 
     def test_memory_flat_in_samples(self):
         # chunks are sized by bytes: at n = 200 one sample's A stack is

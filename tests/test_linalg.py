@@ -25,6 +25,8 @@ from spectral_chroma.linalg import (
     hermitian_eigenvalues,
     ky_fan,
     random_hermitian,
+    spectra_batch,
+    spectrum_rows,
     symmetrize,
 )
 
@@ -54,6 +56,44 @@ class TestSpectrumType:
 
     def test_values_is_the_only_field(self):
         assert [f.name for f in fields(Spectrum)] == ["values"]
+
+
+class TestSpectrumRows:
+    """spectrum_rows checks a (G, n) array once, as Spectrum(row) checks each row."""
+
+    @staticmethod
+    def error(build):
+        with pytest.raises(DomainError) as info:
+            build()
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [[2.0, np.nan, 0.0], [np.inf, 1.0, 0.0], [1.0, 2.0, 0.0], [2.0, 0.0, -np.inf]],
+    )
+    def test_bad_row_raises_the_spectrum_error(self, bad_row):
+        w = np.array([[3.0, 1.0, 0.0], bad_row, [1.0, 1.0, 1.0]])
+        assert self.error(lambda: spectrum_rows(w)) == self.error(lambda: Spectrum(w[1]))
+
+    def test_non_finite_reported_before_order(self):
+        # Spectrum checks finiteness first; a later unsorted row must not win
+        w = np.array([[1.0, 2.0], [np.nan, 0.0]])
+        assert self.error(lambda: spectrum_rows(w)) == "spectrum contains non-finite values"
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 2, 2)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(DomainError, match="nonempty 1-d"):
+            spectrum_rows(np.zeros(shape))
+
+    def test_rows_are_read_only_copies(self):
+        w = spectra_batch(np.stack([random_hermitian(5, s) for s in range(3)]))
+        specs = spectrum_rows(w)
+        assert w.flags.writeable
+        for row, spec in zip(w, specs):
+            assert spec.values.tobytes() == row.tobytes() == Spectrum(row).values.tobytes()
+            assert spec.n == 5 and not spec.values.flags.writeable
+            with pytest.raises(ValueError):
+                spec.values[0] = 0.0
 
 
 class TestEigenvaluesSym:

@@ -16,7 +16,11 @@ invocations print full precision: `bounds --json` on the named and
 G(n, p) inputs, `compare --json` on a mixed list, one random-table CSV
 and one random-table JSON. The JSON rows redraw edgeless samples and
 list the (sample, seed) pairs they redrew. A change that adds a JSON
-key shows here as a difference, and should say so.
+key shows here as a difference, and should say so. The edge cases of
+the greedy coloring that chromatic and certify share are covered too:
+certify and chromatic on an edgeless graph (the palette widened to two
+colors, the loan identity skipped) and certify on a graph with an
+isolated vertex.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ def invocations() -> list[list[str]]:
     out.append(["compare", "--named", "default", "--json", *MIXED_COMPARE])
     out.append(["corpus-check", "--max-n", "7"])
     out.append(["chromatic", "gen:petersen"])
+    # no edges: one greedy color widened to two, "loan skipped"; then an isolated vertex
+    out.append(["certify", "D??"])
+    out.append(["chromatic", "D??"])
+    out.append(["certify", "Dh?"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0,50:0.5", "--samples", "50", "--csv"])
     # a negative seed and edgeless redraws (114 and 50 regenerated pairs),
