@@ -15,7 +15,9 @@ per-m sweep. The integer search probes all open graphs of a batch
 with one eigvalsh call per round and bisects them in lockstep.
 full_reports evaluates each family once per batch; full_report and the
 per-family functions (classical_bounds, generalized_bounds, ...) are the
-same code on a batch of one.
+same code on a batch of one. The A, L, Q and -D - A spectra come from
+report_spectra, which solves each graph once and keeps them on the
+graph, where certify_graphs reads them too.
 
 The checks run once per batch array too: the spectra rows a report keeps
 pass the checks of Spectrum once per (G, n) array (linalg.spectrum_rows),
@@ -33,11 +35,12 @@ going.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -450,7 +453,7 @@ def _integer_c(
     return best, best_m
 
 
-def _degree_stack(graphs: Sequence[Graph]) -> np.ndarray:
+def degree_stack(graphs: Sequence[Graph]) -> np.ndarray:
     """(G, n, n) stack of the diagonal degree matrices."""
 
     n = graphs[0].n
@@ -486,7 +489,7 @@ def integer_c_search(
         raise DomainError("integer search needs at least one edge")
     best, best_m = _integer_c(
         _stack([g.adjacency()]),
-        _degree_stack([g]),
+        degree_stack([g]),
         spec_a.values[None],
         spec_l.values[None],
         spec_negdeg.values[None],
@@ -565,47 +568,79 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
     return out
 
 
-def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, n) spectra of A, L = D - A and Q = D + A from a (G, n, n) adjacency stack.
+def _signed_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
+    """A, then L = D - A, Q = |L| and -Q = -D - A in one more stack, in turn.
 
-    Each stack goes through spectra_batch. a is left unchanged; one more
-    stack holds L and then, in place, Q = |L|. Every entry equals the
-    one build_matrix gives, signed zeros included, so the spectra are
+    a is a (G, n, n) adjacency stack and is left unchanged. Each stack is
+    yielded before the next overwrites it in place, so a caller solves
+    it first. Every entry equals the one build_matrix gives (for -Q, the
+    negation of its Q), signed zeros included, so the spectra are
     graph_spectrum's to the bit.
     """
 
-    mu = spectra_batch(a)
+    yield a
     m = np.subtract(0.0, a)  # +0.0, not -0.0, where A is 0
     diag = np.arange(a.shape[1])
     m[:, diag, diag] = a.sum(axis=2)
-    th = spectra_batch(m)
-    np.abs(m, out=m)
-    return mu, th, spectra_batch(m)
+    yield m
+    yield np.abs(m, out=m)
+    yield np.negative(m, out=m)
+
+
+def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, n) spectra of A, L = D - A and Q = D + A from a (G, n, n) adjacency stack.
+
+    The first three stacks of _signed_stacks, each through spectra_batch;
+    -Q is neither built nor solved.
+    """
+
+    mu, th, dl = (spectra_batch(m) for m in itertools.islice(_signed_stacks(a), 3))
+    return mu, th, dl
+
+
+# the key under which a graph keeps its rows of report_spectra, in its
+# instance dict, which dataclass equality and hashing ignore (see
+# graphs.computed_once)
+_REPORT_SPECTRA = "_report_spectra"
+
+
+def report_spectra(graphs: Sequence[Graph]) -> np.ndarray:
+    """(4, G, n) spectra of A, L, Q and -Q = -D - A for graphs of one order, solved once per graph.
+
+    The graphs that no earlier call solved go through _signed_stacks as
+    one batch, one spectra_batch call per stack, and each keeps its
+    (4, n) rows, read-only. So full_reports and certify_graphs on the
+    same graphs share one solve: the bounds read all four, the
+    certificates L, -Q and Q, the left sides of the majorization steps
+    for B = D and B = -D and the loan identity's delta_n. A failed solve
+    names the graph's index in graphs.
+    """
+
+    missing = [k for k, g in enumerate(graphs) if _REPORT_SPECTRA not in vars(g)]
+    if missing:
+        a = _stack([graphs[k].adjacency() for k in missing])
+        with matrices_named(lambda j: f"graph {missing[j]}"):
+            solved = np.stack([spectra_batch(m) for m in _signed_stacks(a)], axis=1)
+        solved.setflags(write=False)
+        for k, rows in zip(missing, solved):
+            vars(graphs[k])[_REPORT_SPECTRA] = rows
+    return np.stack([vars(g)[_REPORT_SPECTRA] for g in graphs], axis=1)
 
 
 def _edged_reports(
-    graphs: Sequence[Graph], index: np.ndarray
+    graphs: Sequence[Graph], spectra: np.ndarray, index: np.ndarray
 ) -> tuple[list[dict[GraphMatrixKind, Spectrum]], np.ndarray, np.ndarray]:
     """Spectra, (G, 15) bound values and their best m for graphs of one order, each with an edge.
 
-    Each matrix role is one stack over the batch, solved and validated
-    by one spectra_batch call: A, L = D - A and Q = D + A through
-    unnormalized_spectra, as in random_table; -Q = -D - A for the
-    integer search; and the normalized A of the graphs without an
-    isolated vertex. Each family then runs once on those (G, n) arrays.
-    index[k] is graph k's position in the caller's batch, which errors
-    name, those of the solves included.
+    spectra holds the graphs' report_spectra. The normalized A of the
+    graphs without an isolated vertex is one more spectra_batch call;
+    each family then runs once on those (G, n) arrays. index[k] is graph
+    k's position in the caller's batch, which errors name, those of the
+    solves included.
     """
 
     n = graphs[0].n
-    # one dense stack besides A alive at a time: D is rebuilt where needed
-    a = _stack([g.adjacency() for g in graphs])
-    with matrices_named(lambda k: f"graph {index[k]}"):
-        mu, th, dl = unnormalized_spectra(a)
-        q = _degree_stack(graphs)
-        q += a
-        negdeg = spectra_batch(np.negative(q, out=q))
-        del q
+    mu, th, dl, negdeg = spectra
     edges = np.array([g.edge_count for g in graphs])
     normal = np.flatnonzero([not g.has_isolated_vertex() for g in graphs])
     normalized = np.full((len(graphs), 2), -np.inf)
@@ -616,7 +651,9 @@ def _edged_reports(
             na = spectra_batch(_stack([build_matrix(graphs[k], kind) for k in normal]))
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     top, top_m = _first_max(_generalized_values(mu, th, dl))
-    integer, integer_m = _integer_c(a, _degree_stack(graphs), mu, th, negdeg, index)
+    # one dense stack besides A alive at a time: D
+    a = _stack([g.adjacency() for g in graphs])
+    integer, integer_m = _integer_c(a, degree_stack(graphs), mu, th, negdeg, index)
     values = np.column_stack([
         _classical_values(mu, th, dl),
         _loan_values(edges, n, dl),
@@ -649,22 +686,26 @@ def _edged_reports(
 def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
     """full_report for each of several graphs with the same vertex count.
 
-    The graphs with an edge go through _edged_reports as one batch; an
-    edgeless graph gets no spectra and every bound invalid. The batch's
-    (G, 15) values are checked once, and each report keeps its rows of
-    them. A report equals the one full_report gives for the graph alone,
-    to the bit.
+    report_spectra solves every graph of the batch; the graphs with an
+    edge then go through _edged_reports as one batch, and an edgeless
+    graph gets no spectra in its report and every bound invalid. The
+    batch's (G, 15) values are checked once, and each report keeps its
+    rows of them. A report equals the one full_report gives for the
+    graph alone, to the bit.
     """
 
     graphs = list(graphs)
     common_order(graphs)
+    solved = report_spectra(graphs)
     edged = [k for k, g in enumerate(graphs) if g.edge_count]
     spectra: list[dict[GraphMatrixKind, Spectrum]] = [{} for _ in graphs]
     values = np.full((len(graphs), len(_REPORT_IDS)), -np.inf)
     best_m = np.ones(values.shape, dtype=np.int64)
     if edged:
         index = np.array(edged)
-        found, values[index], best_m[index] = _edged_reports([graphs[k] for k in edged], index)
+        found, values[index], best_m[index] = _edged_reports(
+            [graphs[k] for k in edged], solved[:, index], index
+        )
         for k, entry in zip(edged, found):
             spectra[k] = entry
     _check_report_rows(values)

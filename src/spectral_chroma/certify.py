@@ -6,15 +6,31 @@ checks the related matrix identities behind the eigenvalue bounds, runs
 the pinching-as-unitary-mixture equivalence, and validates unit-modulus
 orthogonal representations. Everything here is checked numerically
 against explicit tolerances; nothing is taken on faith.
+
+certify_graphs certifies a batch of graphs of one order as array code:
+the unitaries of all colorings are one (G, C, n) array, each check is
+one comparison over the batch that NaN fails, and its verdicts are the
+arrays of the CertifiedBatch it returns. The spectra it shares with the
+bounds are the graphs' bounds.report_spectra, which full_reports on the
+same graphs has already solved: L and -D - A for the majorization steps
+with B = D and B = -D, and Q for the loan identity. Only -A and the
+three B + A/(c-1) stacks are solved here. The per-graph reports
+(ColoringCertificate, MajorizationStepReport, LoanIdentityReport) are
+built from rows of those arrays on first read. build_conversion,
+verify_majorization_step, verify_loan_identity and certify_graph are
+the same code on a batch of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .bounds import degree_stack, report_spectra
 from .errors import DomainError, VerificationError
 from .graphs import Graph, common_order
 from .linalg import (
@@ -111,44 +127,57 @@ def check_proper(a, col: Coloring) -> None:
     _check_proper_stack(_as_adjacency(a)[None], [col])
 
 
+def _palettes(cols: Sequence[Coloring]) -> np.ndarray:
+    return np.array([col.c for col in cols])
+
+
+def _unitary_stack(cols: Sequence[Coloring]) -> np.ndarray:
+    """(G, C, n) diagonals of each coloring's U_s, row s-1 for U_s, zero past its palette.
+
+    C is the largest palette. Each entry is the expression
+    conversion_unitaries evaluates for one coloring, in one array
+    operation for all of them.
+    """
+
+    c = _palettes(cols)
+    s = np.arange(1, c.max() + 1)
+    colors = np.array([col.colors for col in cols])
+    u = np.exp(2j * np.pi * s[None, :, None] * colors[:, None, :] / c[:, None, None])
+    u[s[None, :] > c[:, None]] = 0.0
+    return u
+
+
 def conversion_unitaries(col: Coloring) -> np.ndarray:
     """Diagonals of U_s = diag(omega^(s*colors[k])), s = 1..c; row s-1 is U_s.
 
     The last row (s = c) is the identity since omega^c = 1.
     """
 
-    s = np.arange(1, col.c + 1)[:, None]
-    k = np.asarray(col.colors)[None, :]
-    return np.exp(2j * np.pi * s * k / col.c)
+    return _unitary_stack([col])[0]
 
 
-def _conjugations(
-    x: np.ndarray, diags: Sequence[np.ndarray], counts: Sequence[int]
-) -> Iterator[np.ndarray]:
+def _conjugations(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
     """U_s^dag X_g U_s over a (G, n, n) stack, for s = 1, 2, ... in turn.
 
-    diags[g] holds graph g's unitary diagonals, row s-1 for U_s, and
-    graph g takes the first counts[g] of them. Past its count a graph's
-    term is zero, which leaves a running sum unchanged up to the sign of
-    an exact zero, so no norm of it moves. Every term is written into
-    the same buffer, so a caller reads it before asking for the next.
+    u[g] holds graph g's unitary diagonals, row s-1 for U_s, and graph g
+    takes the first counts[g] of them. Past its count a graph's term is
+    zero, which leaves a running sum unchanged up to the sign of an
+    exact zero, so no norm of it moves. Every term is written into the
+    same buffer, so a caller reads it before asking for the next.
     """
 
-    u = np.zeros((len(diags), max(counts), x.shape[1]), dtype=np.complex128)
-    for g, (rows, count) in enumerate(zip(diags, counts)):
-        u[g, :count] = rows[:count]
+    live = np.arange(u.shape[1])[None, :, None] < counts[:, None, None]
+    u = np.where(live, u, 0.0)
     term = np.empty(x.shape, dtype=np.complex128)
-    for s in range(u.shape[1]):
+    for s in range(int(counts.max())):
         np.multiply(np.conj(u[:, s])[:, :, None], x, out=term)
         term *= u[:, s, None, :]
         yield term
 
 
-def _conjugation_sum(
-    x: np.ndarray, diags: Sequence[np.ndarray], counts: Sequence[int]
-) -> np.ndarray:
+def _conjugation_sum(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = np.zeros(x.shape, dtype=np.complex128)
-    for term in _conjugations(x, diags, counts):
+    for term in _conjugations(x, u, counts):
         total += term
     return total
 
@@ -165,7 +194,7 @@ def conversion_residual(a, col: Coloring) -> float:
     a = _as_adjacency(a)
     if a.shape[0] != col.n:
         raise DomainError(f"coloring covers {col.n} vertices, graph has {a.shape[0]}")
-    total = _conjugation_sum(a[None], [conversion_unitaries(col)], [col.c])
+    total = _conjugation_sum(a[None], _unitary_stack([col]), _palettes([col]))
     return float(frobenius_norms(total)[0])
 
 
@@ -186,22 +215,44 @@ class ColoringCertificate:
         object.__setattr__(self, "unitaries", u)
 
 
-def _conversions(
-    a: np.ndarray, cols: Sequence[Coloring], diags: Sequence[np.ndarray]
-) -> list[ColoringCertificate]:
+@dataclass(frozen=True)
+class _Conversions:
+    """Conversion certificates of a batch: the colorings, the (G, C, n) unitaries, (G,) norms."""
+
+    cols: Sequence[Coloring]
+    unitaries: np.ndarray
+    residual: np.ndarray
+    tolerance: np.ndarray
+
+    def certificate(self, k: int) -> ColoringCertificate:
+        col = self.cols[k]
+        return ColoringCertificate(
+            col, self.unitaries[k, :col.c], float(self.residual[k]), float(self.tolerance[k])
+        )
+
+
+def _conversions(a: np.ndarray, cols: Sequence[Coloring]) -> _Conversions:
     """Conversion certificates for a (G, n, n) adjacency stack with checked colorings.
 
     The first graph whose residual exceeds its tolerance, or is NaN,
-    raises VerificationError.
+    raises VerificationError; so does then the first whose final
+    unitary is not the identity, with ColoringCertificate's error.
     """
 
-    c = np.array([col.c for col in cols])
-    residual = frobenius_norms(_conjugation_sum(a, diags, c)).tolist()
-    tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(a))).tolist()
-    for r, t in zip(residual, tol):
-        if not r <= t:  # NaN fails
-            raise VerificationError(f"conversion residual {r:.3e} exceeds tolerance {t:.3e}")
-    return [ColoringCertificate(*cert) for cert in zip(cols, diags, residual, tol)]
+    u = _unitary_stack(cols)
+    c = _palettes(cols)
+    residual = frobenius_norms(_conjugation_sum(a, u, c))
+    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(a))
+    bad = ~(residual <= tol)  # NaN fails
+    if bad.any():
+        k = int(bad.argmax())
+        raise VerificationError(
+            f"conversion residual {residual[k]:.3e} exceeds tolerance {tol[k]:.3e}"
+        )
+    last = u[np.arange(len(cols)), c - 1]
+    if not (np.abs(last - 1.0).max(axis=1) <= UNITARY_TOL).all():  # NaN fails
+        raise VerificationError("final conversion unitary is not the identity")
+    return _Conversions(cols, u, residual, tol)
 
 
 def build_conversion(a, col: Coloring) -> ColoringCertificate:
@@ -210,7 +261,7 @@ def build_conversion(a, col: Coloring) -> ColoringCertificate:
     a = _as_adjacency(a)
     _require_two_colors([col], "conversion")
     _check_proper_stack(a[None], [col])
-    return _conversions(a[None], [col], [conversion_unitaries(col)])[0]
+    return _conversions(a[None], [col]).certificate(0)
 
 
 # --------------------------------------------------------------------------
@@ -229,37 +280,57 @@ class MajorizationStepReport:
         return self.identity_ok and self.spectral_ok
 
 
+@dataclass(frozen=True)
+class _MajorizationSteps:
+    """One majorization step over a batch: MajorizationStepReport's fields, one row per graph."""
+
+    identity_residual: np.ndarray
+    identity_tolerance: np.ndarray
+    identity_ok: np.ndarray
+    spectral_margins: np.ndarray  # (G, n)
+    spectral_ok: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.identity_ok & self.spectral_ok
+
+    def report(self, k: int) -> MajorizationStepReport:
+        return MajorizationStepReport(
+            identity_residual=float(self.identity_residual[k]),
+            identity_tolerance=float(self.identity_tolerance[k]),
+            identity_ok=bool(self.identity_ok[k]),
+            spectral_margins=self.spectral_margins[k],
+            spectral_ok=bool(self.spectral_ok[k]),
+        )
+
+
 def _majorization_steps(
-    a: np.ndarray, b: np.ndarray, cols: Sequence[Coloring], diags: Sequence[np.ndarray]
-) -> list[MajorizationStepReport]:
+    a: np.ndarray, b: np.ndarray, lhs: np.ndarray, u: np.ndarray, c: np.ndarray
+) -> _MajorizationSteps:
     """verify_majorization_step for (G, n, n) stacks of A and diagonal B.
 
-    The colorings must already be checked. Each side's spectra are one
-    spectra_batch call.
+    lhs holds the (G, n) spectra of B - A; u and c are the checked
+    colorings' unitary stack and palettes. The right side's spectra are
+    one spectra_batch call. Every comparison fails on NaN.
     """
 
-    c = np.array([col.c for col in cols])
     x = b - a
-    total = _conjugation_sum(x, diags, c - 1)
-    residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a)).tolist()
-    tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))).tolist()
-    lhs = spectra_batch(x)
+    total = _conjugation_sum(x, u, c - 1)
+    residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a))
+    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
     rhs = spectra_batch(b + a / (c - 1)[:, None, None])
     # one sum per m, as ky_fan takes it: a cumulative sum can differ from
     # it in the last bit from m = 8 on, and certify prints these margins
     margins = np.empty(lhs.shape)
     for m in range(1, lhs.shape[1] + 1):
         margins[:, m - 1] = lhs[:, :m].sum(axis=1) - rhs[:, :m].sum(axis=1)
-    return [
-        MajorizationStepReport(
-            identity_residual=r,
-            identity_tolerance=t,
-            identity_ok=r <= t,
-            spectral_margins=row,
-            spectral_ok=bool((row >= -PROPERTY_TOL).all()),
-        )
-        for r, t, row in zip(residual, tol, margins)
-    ]
+    return _MajorizationSteps(
+        identity_residual=residual,
+        identity_tolerance=tol,
+        identity_ok=residual <= tol,
+        spectral_margins=margins,
+        spectral_ok=(margins >= -PROPERTY_TOL).all(axis=1),
+    )
 
 
 def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationStepReport:
@@ -278,7 +349,9 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
         raise DomainError("B must be diagonal")
     _check_proper_stack(a[None], [col])
     _require_two_colors([col], "identity")
-    return _majorization_steps(a[None], b[None], [col], [conversion_unitaries(col)])[0]
+    lhs = spectra_batch((b - a)[None])
+    steps = _majorization_steps(a[None], b[None], lhs, _unitary_stack([col]), _palettes([col]))
+    return steps.report(0)
 
 
 # --------------------------------------------------------------------------
@@ -300,52 +373,91 @@ class LoanIdentityReport:
         return self.identity_ok and self.rayleigh_ok and self.minima_ok and self.inequality_ok
 
 
+@dataclass(frozen=True)
+class _LoanIdentities:
+    """The loan identity over a batch: LoanIdentityReport's fields, one row per graph.
+
+    Row g of conjugate_minima holds graph g's c - 1 values, then NaN.
+    """
+
+    identity_residual: np.ndarray
+    identity_tolerance: np.ndarray
+    identity_ok: np.ndarray
+    rayleigh_value: np.ndarray
+    rayleigh_ok: np.ndarray
+    conjugate_minima: np.ndarray  # (G, C - 1)
+    minima_ok: np.ndarray
+    inequality_ok: np.ndarray
+    counts: np.ndarray  # c - 1 per graph
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.identity_ok & self.rayleigh_ok & self.minima_ok & self.inequality_ok
+
+    def report(self, k: int) -> LoanIdentityReport:
+        return LoanIdentityReport(
+            identity_residual=float(self.identity_residual[k]),
+            identity_tolerance=float(self.identity_tolerance[k]),
+            identity_ok=bool(self.identity_ok[k]),
+            rayleigh_value=float(self.rayleigh_value[k]),
+            rayleigh_ok=bool(self.rayleigh_ok[k]),
+            conjugate_minima=self.conjugate_minima[k, :self.counts[k]],
+            minima_ok=bool(self.minima_ok[k]),
+            inequality_ok=bool(self.inequality_ok[k]),
+        )
+
+
+def _quadratic_forms(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(G,) real parts of v @ X_g @ v over a (G, n, n) stack.
+
+    Each is the vector-matrix product, then the dot product, that
+    v @ X_g @ v computes for one matrix, so it equals that to the bit.
+    """
+
+    return np.real(np.matmul((v @ x)[:, None, :], v[:, None]))[:, 0, 0]
+
+
 def _loan_identities(
-    graphs: Sequence[Graph],
     a: np.ndarray,
     d: np.ndarray,
-    cols: Sequence[Coloring],
-    diags: Sequence[np.ndarray],
-) -> list[LoanIdentityReport]:
+    delta: np.ndarray,
+    edges: np.ndarray,
+    u: np.ndarray,
+    c: np.ndarray,
+) -> _LoanIdentities:
     """verify_loan_identity for graphs with an edge and checked colorings.
 
-    a and d are the (G, n, n) adjacency and diagonal degree stacks; the
-    Q spectra are one spectra_batch call.
+    a and d are the (G, n, n) adjacency and diagonal degree stacks, delta
+    the smallest Q eigenvalue of each graph, edges the edge counts, and u
+    and c the colorings' unitary stack and palettes. Every comparison
+    fails on NaN.
     """
 
     n = a.shape[1]
-    c = np.array([col.c for col in cols])
     q = d + a
     v = np.full(n, 1.0 / np.sqrt(n))
     # U_s Q U_s^dag is the conjugation by U_s^dag, whose diagonal is conj(u)
     total = np.zeros(a.shape, dtype=np.complex128)
-    conj_values: list[list[float]] = [[] for _ in cols]
-    for s, term in enumerate(_conjugations(q, [np.conj(u) for u in diags], c - 1)):
+    minima = np.full((len(a), u.shape[1] - 1), np.nan)
+    for s, term in enumerate(_conjugations(q, np.conj(u), c - 1)):
         total += term
-        for k in np.flatnonzero(c - 1 > s):
-            conj_values[k].append(float(np.real(v @ term[k] @ v)))
-    residual = frobenius_norms(((c - 1)[:, None, None] * d - total) - a).tolist()
-    tol = (CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(q))).tolist()
-    delta = spectra_batch(q)[:, -1].tolist()
-    reports = []
-    for k, g in enumerate(graphs):
-        avg = 2.0 * g.edge_count / n
-        rayleigh = float(np.real(v @ a[k] @ v))
-        minima = np.array(conj_values[k])
-        ck, delta_n = int(c[k]), delta[k]
-        reports.append(
-            LoanIdentityReport(
-                identity_residual=residual[k],
-                identity_tolerance=tol[k],
-                identity_ok=residual[k] <= tol[k],
-                rayleigh_value=rayleigh,
-                rayleigh_ok=abs(rayleigh - avg) <= SPECTRUM_TOL * max(1.0, avg),
-                conjugate_minima=minima,
-                minima_ok=bool((minima >= delta_n - PROPERTY_TOL).all()),
-                inequality_ok=avg <= (ck - 1) * (avg - delta_n) + PROPERTY_TOL,
-            )
-        )
-    return reports
+        minima[:, s] = _quadratic_forms(v, term)
+    residual = frobenius_norms(((c - 1)[:, None, None] * d - total) - a)
+    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(q))
+    avg = 2.0 * edges / n
+    rayleigh = _quadratic_forms(v, a)
+    live = np.arange(minima.shape[1]) < (c - 1)[:, None]
+    return _LoanIdentities(
+        identity_residual=residual,
+        identity_tolerance=tol,
+        identity_ok=residual <= tol,
+        rayleigh_value=rayleigh,
+        rayleigh_ok=np.abs(rayleigh - avg) <= SPECTRUM_TOL * np.maximum(1.0, avg),
+        conjugate_minima=minima,
+        minima_ok=((minima >= (delta - PROPERTY_TOL)[:, None]) | ~live).all(axis=1),
+        inequality_ok=avg <= (c - 1) * (avg - delta) + PROPERTY_TOL,
+        counts=c - 1,
+    )
 
 
 def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
@@ -353,26 +465,90 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
 
     if g.edge_count < 1:
         raise DomainError("identity needs at least one edge")
-    a = g.adjacency()
-    _check_proper_stack(a[None], [col])
+    a = g.adjacency()[None]
+    _check_proper_stack(a, [col])
     _require_two_colors([col], "identity")
-    d = np.diag(g.degrees().astype(np.float64))
-    return _loan_identities([g], a[None], d[None], [col], [conversion_unitaries(col)])[0]
+    d = degree_stack([g])
+    delta = spectra_batch(d + a)[:, -1]
+    edges = np.array([g.edge_count])
+    return _loan_identities(a, d, delta, edges, _unitary_stack([col]), _palettes([col])).report(0)
 
 
 # --------------------------------------------------------------------------
-# the whole certification sequence for one graph
+# the whole certification sequence for a batch of graphs
 
-@dataclass(frozen=True)
 class GraphCertificationReport:
-    conversion: ColoringCertificate
-    steps: dict[str, MajorizationStepReport]  # keyed by B: "zero", "deg", "negdeg"
-    loan: LoanIdentityReport | None             # None for an edgeless graph
+    """Conversion certificate, majorization step for B in {0, D, -D}, loan identity.
 
-    @property
+    conversion is a ColoringCertificate; steps maps "zero", "deg" and
+    "negdeg" to MajorizationStepReports; loan is a LoanIdentityReport, or
+    None for an edgeless graph. Built from those objects, a report holds
+    them. A report of certify_graphs keeps its row of the batch's arrays
+    instead, builds each object on first read, and reads ok from the
+    batch's verdicts.
+    """
+
+    def __init__(
+        self,
+        conversion: ColoringCertificate,
+        steps: dict[str, MajorizationStepReport],
+        loan: LoanIdentityReport | None,
+    ) -> None:
+        vars(self).update(conversion=conversion, steps=steps, loan=loan)
+
+    @classmethod
+    def _row(cls, batch: "CertifiedBatch", k: int) -> "GraphCertificationReport":
+        report = object.__new__(cls)
+        vars(report).update(_batch=batch, _k=k, ok=bool(batch.ok[k]))
+        return report
+
+    @cached_property
+    def conversion(self) -> ColoringCertificate:
+        return self._batch.conversions.certificate(self._k)
+
+    @cached_property
+    def steps(self) -> dict[str, MajorizationStepReport]:
+        return {label: step.report(self._k) for label, step in self._batch.steps.items()}
+
+    @cached_property
+    def loan(self) -> LoanIdentityReport | None:
+        row = int(self._batch.loan_rows[self._k])
+        return None if row < 0 else self._batch.loans.report(row)
+
+    @cached_property
     def ok(self) -> bool:
         steps_ok = all(step.ok for step in self.steps.values())
         return steps_ok and (self.loan is None or self.loan.ok)
+
+
+@dataclass(frozen=True, eq=False)
+class CertifiedBatch(SequenceABC):
+    """certify_graphs' result: one GraphCertificationReport per graph, and the batch's arrays.
+
+    ok holds each graph's verdict and residual its conversion residual,
+    so a caller that counts verdicts builds no per-graph object. A
+    report, and each object in it, is built on first read.
+    """
+
+    conversions: _Conversions
+    steps: Mapping[str, _MajorizationSteps]
+    loans: _LoanIdentities | None  # over the graphs with an edge
+    loan_rows: np.ndarray  # graph g's row of loans, -1 without an edge
+    ok: np.ndarray
+
+    @property
+    def residual(self) -> np.ndarray:
+        return self.conversions.residual
+
+    def __len__(self) -> int:
+        return len(self.ok)
+
+    def __getitem__(self, k):
+        return self._reports[k]
+
+    @cached_property
+    def _reports(self) -> list[GraphCertificationReport]:
+        return [GraphCertificationReport._row(self, k) for k in range(len(self))]
 
 
 def greedy_certificate_coloring(g: Graph) -> Coloring:
@@ -388,16 +564,20 @@ def greedy_certificate_coloring(g: Graph) -> Coloring:
     return col.with_palette(2) if col.c < 2 else col
 
 
-def certify_graphs(
-    graphs: Sequence[Graph], cols: Sequence[Coloring]
-) -> list[GraphCertificationReport]:
+def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> CertifiedBatch:
     """certify_graph for each of several graphs with the same vertex count.
 
-    Each coloring is checked once and its unitaries are built once. The
-    spectra of each matrix role (B - A and B + A/(c-1) for each B, and Q
-    for the loan identity) are one spectra_batch call over the batch, so
-    a report equals the one certify_graph gives for the graph alone. The
-    first graph that fails a check raises, as certify_graph would for it.
+    Each coloring is checked once, and the unitaries of all of them are
+    one array. The certificates read the graphs' report_spectra, which
+    full_reports on the same graphs has already solved (or else this
+    call solves): L = D - A and -Q = -D - A are the left sides of the
+    steps for B = D and B = -D, and Q gives the loan identity's delta_n.
+    Four stacks are solved here: -A, the left side for B = 0, and
+    B + A/(c-1) for each B. Every check is array code over the batch,
+    and its verdicts are the arrays of the result; the per-graph report
+    objects are built on first read. A report equals the one
+    certify_graph gives for the graph alone. The first graph whose
+    conversion check fails raises, as certify_graph would for it.
     """
 
     graphs = list(graphs)
@@ -408,30 +588,31 @@ def certify_graphs(
     a = np.stack([g.adjacency() for g in graphs])
     _require_two_colors(cols, "conversion")
     _check_proper_stack(a, cols)
-    diags = [conversion_unitaries(col) for col in cols]
-    conversions = _conversions(a, cols, diags)
-    deg = np.stack([np.diag(g.degrees().astype(np.float64)) for g in graphs])
+    conversions = _conversions(a, cols)
+    u, c = conversions.unitaries, _palettes(cols)
+    _, lap, signless, negdeg = report_spectra(graphs)
+    deg = degree_stack(graphs)
+    zero = np.zeros_like(a)
     steps = {
-        label: _majorization_steps(a, b, cols, diags)
-        for label, b in (("zero", np.zeros_like(a)), ("deg", deg), ("negdeg", -deg))
+        label: _majorization_steps(a, b, lhs, u, c)
+        for label, b, lhs in (
+            ("zero", zero, spectra_batch(zero - a)),
+            ("deg", deg, lap),
+            ("negdeg", -deg, negdeg),
+        )
     }
-    edged = [k for k, g in enumerate(graphs) if g.edge_count >= 1]
-    loans = {}
-    if edged:
-        reports = _loan_identities(
-            [graphs[k] for k in edged],
-            a[edged],
-            deg[edged],
-            [cols[k] for k in edged],
-            [diags[k] for k in edged],
+    ok = np.logical_and.reduce([step.ok for step in steps.values()])
+    edged = np.flatnonzero([g.edge_count >= 1 for g in graphs])
+    loan_rows = np.full(len(graphs), -1)
+    loans = None
+    if edged.size:
+        edges = np.array([graphs[k].edge_count for k in edged])
+        loans = _loan_identities(
+            a[edged], deg[edged], signless[edged, -1], edges, u[edged], c[edged]
         )
-        loans = dict(zip(edged, reports))
-    return [
-        GraphCertificationReport(
-            conversions[k], {label: step[k] for label, step in steps.items()}, loans.get(k)
-        )
-        for k in range(len(graphs))
-    ]
+        loan_rows[edged] = np.arange(edged.size)
+        ok[edged] &= loans.ok
+    return CertifiedBatch(conversions, steps, loans, loan_rows, ok)
 
 
 def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:

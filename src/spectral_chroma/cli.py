@@ -25,8 +25,8 @@ from .bounds import (
     unnormalized_spectra,
 )
 from .certify import (
+    CertifiedBatch,
     Coloring,
-    GraphCertificationReport,
     certify_graph,
     certify_graphs,
     greedy_certificate_coloring,
@@ -208,18 +208,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _sound(report: BoundReport, chi: int) -> bool:
-    # an invalid bound is -inf in the row, which any chi passes
-    return bool((np.ceil(report.value_row - _SOUNDNESS_SLACK) <= chi).all())
-
-
-def _certified(report: GraphCertificationReport) -> bool:
-    return report.ok and report.conversion.residual < _CERT_RESIDUAL_LIMIT
+def _certified(batch: CertifiedBatch) -> np.ndarray:
+    return batch.ok & (batch.residual < _CERT_RESIDUAL_LIMIT)
 
 
 def _certified_alone(g: Graph, col: Coloring) -> bool:
     try:
-        return _certified(certify_graph(g, col))
+        return bool(_certified(certify_graphs([g], [col]))[0])
     except VerificationError:
         return False
 
@@ -227,19 +222,22 @@ def _certified_alone(g: Graph, col: Coloring) -> bool:
 def _check_chunk(graphs: list[Graph]) -> tuple[int, int]:
     """Soundness violations and certification failures among graphs of one order."""
 
-    # each batch of reports is dropped once counted, so one is alive at a time
-    unsound = sum(
-        not _sound(report, chromatic_number(g).chi)
-        for g, report in zip(graphs, full_reports(graphs))
-    )
+    # each batch of reports is dropped once its values are read, so one is
+    # alive at a time; the spectra it solved stay with the graphs, for
+    # certify_graphs
+    values = np.array([report.value_row for report in full_reports(graphs)])
+    chi = np.array([chromatic_number(g).chi for g in graphs])
+    # an invalid bound is -inf, which any chi passes
+    sound = (np.ceil(values - _SOUNDNESS_SLACK) <= chi[:, None]).all(axis=1)
     cols = [greedy_certificate_coloring(g) for g in graphs]
     try:
-        certified = [_certified(cert) for cert in certify_graphs(graphs, cols)]
+        certified = _certified(certify_graphs(graphs, cols))
     except VerificationError:
         # a conversion breach stops the batch; certify one at a time to
         # count every graph that breaches
         certified = [_certified_alone(g, col) for g, col in zip(graphs, cols)]
-    return unsound, len(graphs) - sum(certified)
+    total = len(graphs)
+    return total - int(np.count_nonzero(sound)), total - int(np.count_nonzero(certified))
 
 
 def _cmd_corpus_check(args) -> int:

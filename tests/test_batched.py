@@ -9,13 +9,15 @@ loop of ky_fan calls. The batched results, and the family functions as
 batches of one, must equal them bit for bit.
 """
 
+import collections
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from conftest import orthogonality_graph
 
-from spectral_chroma import bounds, cli
+from spectral_chroma import bounds, certify, cli
 from spectral_chroma.bounds import (
     BoundId,
     BoundReport,
@@ -700,19 +702,32 @@ class TestReportSolveErrors:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         return calls
 
-    # the stacks in solve order: A, L, Q and -D - A over graphs 2, 3 and 5,
-    # then the normalized A over graphs 3 and 5
-    @pytest.mark.parametrize("call,k,graph", [(0, 1, 3), (1, 2, 5), (3, 0, 2), (4, 1, 5)])
+    # the stacks in solve order: A, L, Q and -D - A of report_spectra over
+    # all six graphs, the edgeless ones too, then the normalized A over
+    # graphs 3 and 5
+    @pytest.mark.parametrize(
+        "call,k,graph", [(0, 3, 3), (1, 5, 5), (2, 0, 0), (3, 2, 2), (4, 1, 5)]
+    )
     def test_residual_names_the_graph(self, monkeypatch, call, k, graph):
         calls = self.poison(monkeypatch, call, k)
         with pytest.raises(NumericError, match=rf"^graph {graph}: eigenpair residual"):
             full_reports(self.graphs())
-        assert calls[call] == (2 if call == 4 else 3)
+        assert calls[call] == (2 if call == 4 else 6)
 
     def test_trace_names_the_graph(self, monkeypatch):
-        TestSpectraBatch.patch_trace(monkeypatch, lambda t: t.__setitem__(1, t[1] + 1e-3))
-        with pytest.raises(NumericError, match=r"^graph 3: eigenvalue sum disagrees"):
+        TestSpectraBatch.patch_trace(monkeypatch, lambda t: t.__setitem__(4, t[4] + 1e-3))
+        with pytest.raises(NumericError, match=r"^graph 4: eigenvalue sum disagrees"):
             full_reports(self.graphs())
+
+    def test_only_unsolved_graphs_are_solved(self, monkeypatch):
+        # a graph keeps the spectra report_spectra solved for it, so a later
+        # batch solves only its other graphs and names them in its own order
+        graphs = self.graphs()
+        full_reports([graphs[3], graphs[5]])
+        calls = self.poison(monkeypatch, 0, 3)
+        with pytest.raises(NumericError, match=r"^graph 4: eigenpair residual"):
+            full_reports(graphs)
+        assert calls == [4]
 
 
 # --------------------------------------------------------------------------
@@ -791,8 +806,8 @@ class TestProbeStacks:
 
         def shifted(stack):
             w = solve(stack)
-            if not calls:  # the adjacency stack: lift every eigenvalue of graph k
-                w[k] += 1.0
+            if not calls:  # the adjacency stack of the whole batch: lift graph offset + k's
+                w[offset + k] += 1.0
             calls.append(stack.shape)
             return w
 
@@ -836,6 +851,93 @@ class TestBatchInputs:
         certs = certify_graphs(graphs, [greedy_certificate_coloring(g) for g in graphs])
         assert [c.loan is None for c in certs] == [True, False, True]
         assert all(c.ok for c in certs)
+
+
+class TestCertifiedBatch:
+    """certify_graphs on a corpus chunk: verdict arrays first, report objects on first read."""
+
+    @staticmethod
+    def chunk():
+        chunk = list(itertools.islice(all_graphs(7), cli.CORPUS_CHUNK))
+        return chunk, [greedy_certificate_coloring(g) for g in chunk]
+
+    def test_reports_built_on_first_read(self, monkeypatch):
+        built = collections.Counter()
+        for cls in (ColoringCertificate, MajorizationStepReport, LoanIdentityReport):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        chunk, cols = self.chunk()
+        assert cli._check_chunk(chunk) == (0, 0)
+        full_reports(chunk)
+        batch = certify_graphs(chunk, cols)
+        assert len(batch) == len(chunk) and [r.ok for r in batch] == batch.ok.tolist()
+        assert batch.ok.all() and not built
+        k = 5
+        batch[k].conversion
+        assert built == {"ColoringCertificate": 1}
+        batch[k].steps
+        assert built == {"ColoringCertificate": 1, "MajorizationStepReport": 3}
+        batch[k].loan
+        batch[k].conversion
+        expected = {"ColoringCertificate": 1, "MajorizationStepReport": 3, "LoanIdentityReport": 1}
+        assert built == expected and batch[k] is batch[k]
+        for g, col, cert in zip(chunk, cols, batch):
+            assert certificate_key(cert) == certificate_key(reference_certify_graph(g, col))
+
+    @pytest.mark.parametrize("where", ["right side", "conjugation term"])
+    def test_nan_fails_only_its_graph(self, monkeypatch, where):
+        chunk, cols = self.chunk()
+        edged = [k for k, g in enumerate(chunk) if g.edge_count]
+        j = 40
+        calls = []
+        if where == "right side":
+            # the spectra_batch calls of certify_graphs: -A, then B + A/(c-1)
+            # for B = 0, D and -D; the last eigenvalue of one graph's B = 0
+            # right side is NaN
+            solve = certify.spectra_batch
+
+            def poisoned(stack):
+                w = solve(stack)
+                calls.append(len(stack))
+                if len(calls) % 4 == 2:
+                    w[j, -1] = np.nan
+                return w
+
+            monkeypatch.setattr(certify, "spectra_batch", poisoned)
+            bad = j
+        else:
+            # the conjugation sums of certify_graphs: the conversion, the three
+            # steps, then the loan identity over the graphs with an edge, whose
+            # first term is NaN in one entry of one graph
+            conjugations = certify._conjugations
+
+            def poisoned(x, u, counts):
+                calls.append(len(x))
+                for s, term in enumerate(conjugations(x, u, counts)):
+                    if len(calls) % 5 == 0 and s == 0:
+                        term[j, 0, 1] = np.nan
+                    yield term
+
+            monkeypatch.setattr(certify, "_conjugations", poisoned)
+            bad = edged[j]
+        batch = certify_graphs(chunk, cols)
+        assert np.flatnonzero(~batch.ok).tolist() == [bad]
+        report = batch[bad]
+        if where == "right side":
+            step = report.steps["zero"]
+            assert not step.ok and not step.spectral_ok and np.isnan(step.spectral_margins[-1])
+            assert report.loan.ok
+        else:
+            assert not report.loan.identity_ok and not report.loan.minima_ok
+            assert report.loan.rayleigh_ok and report.loan.inequality_ok
+            assert all(step.ok for step in report.steps.values())
+        assert not report.ok and all(batch[k].ok for k in range(len(chunk)) if k != bad)
+        assert cli._check_chunk(chunk) == (0, 1)
 
 
 class TestCorpusCheckBreaches:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spectral_chroma import cli, oracle
@@ -202,6 +203,25 @@ class TestCorpusCheckCommand:
         lines = out.splitlines()
         assert lines[0] == "n=1 graphs=1 soundness_violations=0 certification_failures=0"
         assert lines[-1] == "checked 75 graphs: 0 soundness violations, 0 certification failures"
+
+    def test_chunk_solves_each_stack_once(self, monkeypatch):
+        # the reports solve A, L, Q, -D - A and the normalized A; the
+        # certificates read L, -D - A and Q from them and solve only -A and
+        # the three B + A/(c-1) stacks, where solving each role anew would
+        # make 12 calls
+        chunk = list(itertools.islice(all_graphs(7), cli.CORPUS_CHUNK))
+        assert len(chunk) == 128 and sum(g.edge_count == 0 for g in chunk) == 1
+        shapes = []
+        solve = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert cli._check_chunk(chunk) == (0, 0)
+        assert len(shapes) <= 9
+        assert all(len(s) == 3 and s[1:] == (7, 7) for s in shapes)
 
     def test_greedy_coloring_computed_once_per_graph(self):
         # counts the calls of the functions' own bodies, not of their caches

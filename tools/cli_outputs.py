@@ -20,7 +20,10 @@ key shows here as a difference, and should say so. The edge cases of
 the greedy coloring that chromatic and certify share are covered too:
 certify and chromatic on an edgeless graph (the palette widened to two
 colors, the loan identity skipped) and certify on a graph with an
-isolated vertex.
+isolated vertex. certify also runs on K_8 (the palette as large as n), on
+K_{3,3,3} and on the Petersen graph with --colors 5 (a palette wider
+than the greedy one); their min_margin lines print values near 1e-15,
+so drift in the last bits of a margin shows here.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ def invocations() -> list[list[str]]:
     out.append(["certify", "D??"])
     out.append(["chromatic", "D??"])
     out.append(["certify", "Dh?"])
+    out.append(["certify", "gen:complete(8)"])
+    out.append(["certify", "gen:complete_multipartite(3,3,3)"])
+    out.append(["certify", "gen:petersen", "--colors", "5"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0,50:0.5", "--samples", "50", "--csv"])
     # a negative seed and edgeless redraws (114 and 50 regenerated pairs),
