@@ -45,7 +45,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .graphs import Graph, GraphMatrixKind, build_matrix, common_order, emit_graph6
+from .graphs import Graph, GraphMatrixKind, common_order, emit_graph6
 from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
@@ -633,7 +633,9 @@ def _edged_reports(
     """Spectra, (G, 15) bound values and their best m for graphs of one order, each with an edge.
 
     spectra holds the graphs' report_spectra. The normalized A of the
-    graphs without an isolated vertex is one more spectra_batch call;
+    graphs without an isolated vertex is one more spectra_batch call, on
+    a stack built from the A stack and the degree rows with
+    build_matrix's entries, a_ij * (x_i * x_j) for x = 1 / sqrt(deg);
     each family then runs once on those (G, n) arrays. index[k] is graph
     k's position in the caller's batch, which errors name, those of the
     solves included.
@@ -642,17 +644,18 @@ def _edged_reports(
     n = graphs[0].n
     mu, th, dl, negdeg = spectra
     edges = np.array([g.edge_count for g in graphs])
-    normal = np.flatnonzero([not g.has_isolated_vertex() for g in graphs])
+    a = _stack([g.adjacency() for g in graphs])
+    deg = a.sum(axis=2)  # sums of 0s and 1s: exact
+    normal = np.flatnonzero((deg > 0).all(axis=1))
     normalized = np.full((len(graphs), 2), -np.inf)
     normalized_m = np.ones(normalized.shape, dtype=np.int64)
     if normal.size:
-        kind = GraphMatrixKind.NORMALIZED_ADJACENCY
+        x = 1.0 / np.sqrt(deg[normal])
         with matrices_named(lambda k: f"graph {index[normal[k]]}"):
-            na = spectra_batch(_stack([build_matrix(graphs[k], kind) for k in normal]))
+            na = spectra_batch(a[normal] * (x[:, :, None] * x[:, None, :]))
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     top, top_m = _first_max(_generalized_values(mu, th, dl))
     # one dense stack besides A alive at a time: D
-    a = _stack([g.adjacency() for g in graphs])
     integer, integer_m = _integer_c(a, degree_stack(graphs), mu, th, negdeg, index)
     values = np.column_stack([
         _classical_values(mu, th, dl),

@@ -4,18 +4,27 @@ Backtracking chromatic numbers, exhaustive labeled enumeration for tiny
 n, the bundled deduplicated corpora for 6 and 7 vertices, and the
 deterministic greedy coloring that feeds the certificate machinery.
 
-The backtracking keeps, for each vertex, an int bitmask of the colors
-its colored neighbors hold, and checks forward: giving a vertex a
-color marks it in every later neighbor's mask, and a neighbor left
-with all k colors taken ends the branch. Such a branch holds no
-coloring, so the search meets the colorings in the same order as
-plain backtracking would, and returns the same witnesses.
+The backtracking keeps one int bitmask per color over the search
+positions: bit j of forbidden[c] says that position j already has a
+colored neighbor of color c. Giving a position a color ORs its later
+neighbors into that color's mask, and undoing it restores the one int.
+The branch ends when the AND of the k masks has a bit among those later
+neighbors: a neighbor with every color taken. No uncolored position
+had every color before the assignment (that branch would have ended),
+so these are exactly the neighbors the assignment completed, the ones
+a check of each later neighbor in turn finds: the cuts, and so the
+nodes visited, are those of the per-neighbor forward check. A cut
+branch holds no coloring, so the search meets the colorings in the same
+order as plain backtracking would, and returns the same witnesses. The
+neighborhoods, in vertex order and in search order, are int bitmasks
+built once per graph and shared by every search on it, the greedy
+coloring and the greedy clique.
 
-Reach, on a 2-vCPU VM with Python 3.11: G(50, .5) takes about 1-2 s
-(0.1-5.7 s over ten seeds), and G(64, .5) is not guaranteed to finish,
-as there is no node budget yet. The solver refuses rather than
-guessing: any input past its 64-vertex ceiling raises instead of
-returning an estimate.
+Reach, on a 2-vCPU VM with Python 3.11: random_gnp(50, .5, s) takes
+about 0.6 s in the median (0.06-3.7 s over seeds 0-9), and G(64, .5) is
+not guaranteed to finish, as there is no node budget yet. The solver
+refuses rather than guessing: any input past its 64-vertex ceiling
+raises instead of returning an estimate.
 """
 
 from __future__ import annotations
@@ -42,32 +51,71 @@ class ChromaticResult:
 
 
 @computed_once
+def _neighbor_masks(g: Graph) -> tuple[int, ...]:
+    """Neighborhood of each vertex as an int bitmask: bit u of entry v marks the edge uv."""
+
+    masks = [0] * g.n
+    for u, v in g._ends.tolist():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+@computed_once
+def _later_masks(g: Graph) -> tuple[int, ...]:
+    """Bit j of entry i: search positions i < j hold adjacent vertices.
+
+    Positions index Graph.degree_order(), the order colorable_with
+    colors in; so entry i holds the neighbors that are colored after
+    position i.
+    """
+
+    pos = [0] * g.n
+    for i, v in enumerate(g.degree_order()):
+        pos[v] = i
+    later = [0] * g.n
+    for u, v in g._ends.tolist():
+        i, j = pos[u], pos[v]
+        if i < j:
+            later[i] |= 1 << j
+        else:
+            later[j] |= 1 << i
+    return tuple(later)
+
+
+@computed_once
 def greedy_coloring(g: Graph) -> Coloring:
     """Deterministic sequential coloring, largest degree first.
 
     May use more than chi colors; always proper. Ties in degree break
-    by vertex index, so equal graphs always get equal colorings. It is
+    by vertex index, so equal graphs always get equal colorings. Each
+    vertex takes the first color class it has no neighbor in. It is
     computed once per graph, like Graph.degrees(): chromatic_number and
     the certificate coloring share it.
     """
 
-    adj = g.neighbors()
-    colors = [-1] * g.n
+    adj = _neighbor_masks(g)
+    colors = [0] * g.n
+    classes: list[int] = []  # bit v of entry c: vertex v has color c
     for v in g.degree_order():
-        taken = {colors[u] for u in adj[v] if colors[u] >= 0}
         color = 0
-        while color in taken:
+        while color < len(classes) and classes[color] & adj[v]:
             color += 1
+        if color == len(classes):
+            classes.append(0)
+        classes[color] |= 1 << v
         colors[v] = color
-    return Coloring(tuple(colors), max(colors) + 1)
+    return Coloring(tuple(colors), len(classes))
 
 
 def _greedy_clique(g: Graph) -> list[int]:
-    adj = g.neighbors()
+    adj = _neighbor_masks(g)
     clique: list[int] = []
+    members = 0
     for v in g.degree_order():
-        if all(v in adj[u] for u in clique):
+        if adj[v] & members == members:
             clique.append(v)
+            members |= 1 << v
     return clique
 
 
@@ -77,13 +125,17 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     Backtracking over vertices in degree-descending order (ties by
     index), colors tried in index order, with new color indices
     introduced only in order (the first vertex always takes color 0).
-    Each search position holds a bitmask of the colors its earlier
-    neighbors took. A color given to a vertex is set in the masks of
-    its later neighbors, and the branch is cut as soon as one of them
-    has all k bits set. Only branches without a complete coloring are
-    cut, so the first coloring found, the witness, is the one plain
-    backtracking in the same order finds. k = 0 is decidable too: no
-    nonempty graph is 0-colorable.
+    The state is one bitmask per color over the search positions: bit j
+    of forbidden[c] is set once an earlier neighbor of position j took
+    color c. Coloring position i with c ORs its later neighbors into
+    forbidden[c], and the branch is cut when the AND of all k masks has
+    a bit among those neighbors: a later neighbor with every color
+    taken. No uncolored position has every color before the
+    assignment, so these are the neighbors it completed, and the cuts
+    are those of checking each later neighbor in turn. Only branches
+    without a complete coloring are cut: the first coloring found, the
+    witness, is the one plain backtracking in the same order finds.
+    k = 0 is decidable too: no nonempty graph is 0-colorable.
     """
 
     if k < 0:
@@ -93,49 +145,39 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     if k >= g.n:
         return Coloring(tuple(range(g.n)), k)
     n = g.n
-    order = g.degree_order()
-    adj = g.neighbors()
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # everything below is indexed by search position, not by vertex; later
-    # neighbors are lists because freed small tuples stay in the interpreter's
-    # free lists: they raised the peak RSS of 250 G(30, .5) calls by 1 MB
-    later = [[pos[u] for u in adj[v] if pos[u] > i] for i, v in enumerate(order)]
-    taken = [0] * n  # bit c set: a colored neighbor holds color c
-    full = (1 << k) - 1
-    assigned = [0] * n
+    later = _later_masks(g)
+    forbidden = [0] * k
+    assigned = [0] * n  # by search position
 
     def backtrack(i: int, used: int) -> bool:
         if i == n:
             return True
-        forbidden = taken[i]
-        for color in range(min(k, used + 1)):
-            bit = 1 << color
-            if forbidden & bit:
+        bit = 1 << i
+        ahead = later[i]
+        for color in range(used + 1 if used < k else k):
+            mask = forbidden[color]
+            if mask & bit:
                 continue
-            marked = []
-            alive = True
-            for j in later[i]:
-                mask = taken[j]
-                if not mask & bit:
-                    mask |= bit
-                    taken[j] = mask
-                    marked.append(j)
-                    if mask == full:
-                        alive = False
-                        break
-            if alive:
+            forbidden[color] = mask | ahead
+            full = ahead
+            for other in forbidden:
+                full &= other
+                if not full:
+                    break
+            if not full:
                 assigned[i] = color
-                if backtrack(i + 1, max(used, color + 1)):
+                # color <= used: only color == used opens a new one
+                if backtrack(i + 1, used + (color == used)):
                     return True
-            for j in marked:
-                taken[j] ^= bit
+            forbidden[color] = mask
         return False
 
     if not backtrack(0, 0):
         return None
-    return Coloring(tuple(assigned[p] for p in pos), k)
+    colors = [0] * n
+    for i, v in enumerate(g.degree_order()):
+        colors[v] = assigned[i]
+    return Coloring(tuple(colors), k)
 
 
 def chromatic_number(g: Graph) -> ChromaticResult:

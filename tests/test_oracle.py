@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import sys
 import weakref
 
 import pytest
@@ -76,13 +77,41 @@ def reference_colorable_with(g: Graph, k: int) -> Coloring | None:
     return Coloring(tuple(assigned), k)
 
 
-# graphs on which colorable_with and chromatic_number must match the reference
+def reference_greedy_coloring(g: Graph) -> Coloring:
+    """The set-based sequential coloring that greedy_coloring must equal."""
+
+    adj = g.neighbors()
+    colors = [-1] * g.n
+    for v in g.degree_order():
+        taken = {colors[u] for u in adj[v] if colors[u] >= 0}
+        color = 0
+        while color in taken:
+            color += 1
+        colors[v] = color
+    return Coloring(tuple(colors), max(colors) + 1)
+
+
+def reference_greedy_clique(g: Graph) -> list[int]:
+    """The frozenset-based greedy clique that oracle._greedy_clique must equal."""
+
+    adj = g.neighbors()
+    clique: list[int] = []
+    for v in g.degree_order():
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
+# graphs on which the oracle must match the references; G(n, .2) and
+# G(n, .8) take colorable_with's per-color masks from k = 2 to k = 14
 AGREEMENT_FAMILIES = {
     "exhaustive": lambda: itertools.chain.from_iterable(all_graphs(n) for n in range(1, 8)),
     "named": lambda: (resolve_graph_input(spec) for spec in DEFAULT_NAMED),
     "complete": lambda: (complete(n) for n in range(3, 11)),
     "cycle": lambda: (cycle(n) for n in range(3, 13)),
-    "gnp": lambda: (random_gnp(n, 0.5, s) for n in range(8, 31) for s in (1, 2)),
+    "gnp": lambda: (
+        random_gnp(n, p, s) for p in (0.5, 0.2, 0.8) for n in range(8, 31) for s in (1, 2)
+    ),
 }
 
 
@@ -183,6 +212,43 @@ class TestAgreesWithReference:
         monkeypatch.setattr(oracle, "colorable_with", reference_colorable_with)
         expected = [chromatic_number(g) for g in AGREEMENT_FAMILIES[family]()]
         assert results == expected
+
+
+class TestGreedyMatchesReference:
+    """The mask-based greedy coloring and clique take the same vertices in
+    the same degree order as the set-based references."""
+
+    @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
+    def test_greedy_coloring_and_clique(self, family):
+        for index, g in enumerate(AGREEMENT_FAMILIES[family]()):
+            assert greedy_coloring(g) == reference_greedy_coloring(g), (family, index)
+            assert oracle._greedy_clique(g) == reference_greedy_clique(g), (family, index)
+
+
+class TestMasksBuiltOnce:
+    def test_one_build_across_the_deepening(self):
+        # counts the calls of the functions' own bodies, not of their caches
+        bodies = {
+            oracle._neighbor_masks.__wrapped__.__code__: 0,
+            oracle._later_masks.__wrapped__.__code__: 0,
+            oracle.colorable_with.__code__: 0,
+        }
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in bodies:
+                bodies[frame.f_code] += 1
+
+        # triangle-free with chi 5: the greedy clique gives 2 and greedy
+        # coloring 5, so 2, 3 and 4 colors are each searched and refuted
+        g = mycielskian(mycielskian(cycle(5)))
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            res = chromatic_number(g)
+        finally:
+            sys.setprofile(previous)
+        assert res.chi == 5
+        assert list(bodies.values()) == [1, 1, 3]
 
 
 class TestGreedyColoring:

@@ -23,7 +23,12 @@ colors, the loan identity skipped) and certify on a graph with an
 isolated vertex. certify also runs on K_8 (the palette as large as n), on
 K_{3,3,3} and on the Petersen graph with --colors 5 (a palette wider
 than the greedy one); their min_margin lines print values near 1e-15,
-so drift in the last bits of a margin shows here.
+so drift in the last bits of a margin shows here. chromatic runs on
+three more G(n, p) inputs, two G(30, .5) and one G(24, .8), and on the
+triangle-free Mycielskian of the Grötzsch graph (chromatic number 5):
+each deepens through one or more searches that fail before the one that
+finds the witness, so a change to the exact search that changes a
+witness, or the coloring taken when every search fails, shows here.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ SWEEP_BOUNDS = (
 GNP_SIZES = (9, 14, 25, 40)  # graph6 of n = 1 would start with "@", a file reference
 GNP_P = 0.5
 GNP_SEED = 7
+# chromatic inputs drawn after the GNP_SIZES ones, whose deepening runs
+# failing searches before the witness: two G(30, .5) and one G(24, .8)
+DEEP_GNP = ((30, 0.5), (30, 0.5), (24, 0.8))
 # compare --json also covers the edge cases of a report: no edges (every
 # bound invalid), an isolated vertex (normalized bounds invalid), and K2
 MIXED_COMPARE = ("D??", "Dh?", "gen:complete(2)")
@@ -69,6 +77,7 @@ def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
 def invocations() -> list[list[str]]:
     rng = random.Random(GNP_SEED)
     gnp = [gnp_graph6(n, GNP_P, rng) for n in GNP_SIZES]
+    deep = [gnp_graph6(n, p, rng) for n, p in DEEP_GNP]
     out = []
     for spec in DEFAULT_NAMED:
         out.append(["bounds", spec])
@@ -86,6 +95,10 @@ def invocations() -> list[list[str]]:
     out.append(["compare", "--named", "default", "--json", *MIXED_COMPARE])
     out.append(["corpus-check", "--max-n", "7"])
     out.append(["chromatic", "gen:petersen"])
+    out.extend(["chromatic", g6] for g6 in deep)
+    # triangle-free with chromatic number 5: the greedy clique gives 2, so
+    # the searches for 2, 3 and 4 colors all fail before greedy's 5 is taken
+    out.append(["chromatic", "gen:mycielskian(mycielskian(cycle(5)))"])
     # no edges: one greedy color widened to two, "loan skipped"; then an isolated vertex
     out.append(["certify", "D??"])
     out.append(["chromatic", "D??"])
