@@ -1,10 +1,11 @@
 """Simple undirected graphs: representation, formats, and generators.
 
-A Graph is a vertex count plus a frozen set of 0-based endpoint pairs.
-This module owns the two text formats (graph6 and edge lists), the
-deterministic family generators used by the comparison tables, and a
-counter-based G(n, p) sampler that reproduces bit-identically across
-platforms, for one graph or as a stack of adjacency matrices.
+A Graph is a vertex count plus one read-only array of 0-based endpoint
+pairs, a row per edge in graph6 bit order. This module owns the two text
+formats (graph6 and edge lists), the deterministic family generators
+used by the comparison tables, and a counter-based G(n, p) sampler that
+reproduces bit-identically across platforms, for one graph or as a stack
+of adjacency matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,8 +51,8 @@ def computed_once(method):
     It decorates zero-argument Graph methods, and module functions whose
     only argument is a Graph. Graph is frozen, so its fields never change
     and neither can anything derived from them; the value is stored under
-    "_" + the function name in the instance dict, which dataclass
-    equality and hashing ignore.
+    "_" + the function name in the instance dict, which equality and
+    hashing ignore.
     """
 
     key = "_" + method.__name__
@@ -72,65 +73,79 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _endpoint_array(edges: Iterable[Sequence[int]]) -> np.ndarray:
+def _endpoint_array(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Endpoint pairs as an (m, 2) int64 array, in iteration order."""
 
     try:
-        if set(map(len, edges)) - {2}:
-            raise ValueError("not a pair")
-        flat = np.fromiter(
-            itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
-        )
+        a = np.asarray(pairs if isinstance(pairs, np.ndarray) else tuple(pairs), dtype=np.int64)
+        if a.size and (a.ndim != 2 or a.shape[1] != 2):
+            raise ValueError("not pairs")
     except (TypeError, ValueError, OverflowError):
         raise DomainError("edges must be pairs of integer vertex indices") from None
-    return flat.reshape(-1, 2)
+    return a.reshape(-1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as a frozenset of (min, max) pairs; loops and
-    out-of-range endpoints are rejected at construction and duplicates
-    collapse, so every Graph value in the system satisfies the
-    invariants by construction. Degrees, the degree order,
-    neighborhoods and the dense adjacency are derived on first use,
-    once per graph, and returned read-only.
+    The edges are stored once, as `ends`: a read-only (m, 2) int64 array,
+    one row (i, j), i < j, per edge, ordered by j and then i (graph6 bit
+    order). Any iterable of pairs or (m, 2) array is accepted; the first
+    loop or out-of-range endpoint in iteration order is rejected and
+    duplicates collapse, so every Graph satisfies the invariants by
+    construction. The edge set, degrees, degree order, neighborhoods and
+    dense adjacency are derived on first use, once, and read-only.
     """
 
     n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    ends: np.ndarray = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"vertex count must be a positive integer, got {self.n!r}")
-        edges = self.edges if isinstance(self.edges, frozenset) else tuple(self.edges)
-        ends = _endpoint_array(edges)
-        u, v = ends.T
+        u, v = _endpoint_array(self.ends).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         bad = (lo == hi) | (lo < 0) | (hi >= self.n)
-        if bad.any():
+        if np.count_nonzero(bad):
             first = bad.argmax()  # the first bad edge in iteration order
             u, v = int(u[first]), int(v[first])
             if u == v:
                 raise DomainError(f"loop edge ({u}, {v}) not allowed")
             raise DomainError(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
-        if not isinstance(edges, frozenset) or (u > v).any():
-            edges = frozenset(zip(lo.tolist(), hi.tolist()))
-            ends = _endpoint_array(edges)
-        object.__setattr__(self, "edges", edges)
-        # the validated endpoints, one (i, j) row per edge with i < j
-        object.__setattr__(self, "_ends", _read_only(ends))
+        order = np.lexsort((lo, hi))  # by column j, then row i: duplicates are adjacent
+        lo, hi = lo[order], hi[order]
+        repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])  # row k + 1 repeats row k
+        if np.count_nonzero(repeats):
+            keep = np.append(True, ~repeats)
+            lo, hi = lo[keep], hi[keep]
+        object.__setattr__(self, "ends", _read_only(np.array((lo, hi)).T))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and self.ends.tobytes() == other.ends.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ends.tobytes()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    @property
+    @computed_once
+    def edges(self) -> frozenset[Edge]:
+        """The edge set as (i, j) pairs, i < j, built on first read."""
+
+        i, j = self.ends.T.tolist()
+        return frozenset(zip(i, j))
 
     @computed_once
     def degrees(self) -> np.ndarray:
         """Vertex degrees as int64."""
 
-        d = np.bincount(self._ends.ravel(), minlength=self.n)
+        d = np.bincount(self.ends.ravel(), minlength=self.n)
         return _read_only(d.astype(np.int64, copy=False))
 
     @computed_once
@@ -138,7 +153,7 @@ class Graph:
         """The dense 0/1 adjacency matrix as float64."""
 
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        u, v = self._ends.T
+        u, v = self.ends.T
         a[u, v] = 1.0
         a[v, u] = 1.0
         return _read_only(a)
@@ -160,9 +175,6 @@ class Graph:
         deg = self.degrees().tolist()
         return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
 
-    def has_isolated_vertex(self) -> bool:
-        return bool((self.degrees() == 0).any())
-
 
 def common_order(graphs: Sequence[Graph]) -> int:
     """The vertex count shared by a nonempty batch of graphs."""
@@ -179,7 +191,7 @@ def common_order(graphs: Sequence[Graph]) -> int:
 def from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph from any iterable of endpoint pairs."""
 
-    return Graph(n, frozenset((int(u), int(v)) for u, v in edges))
+    return Graph(n, [(int(u), int(v)) for u, v in edges])
 
 
 # --------------------------------------------------------------------------
@@ -244,18 +256,18 @@ def parse_graph6(text: str) -> Graph:
     body = np.frombuffer(data, dtype=np.uint8)[offset:]
     chunks = body - np.uint8(63)  # bytes outside 63..126 wrap to values above 63
     bad = chunks > 63
-    if bad.any():
+    if np.count_nonzero(bad):
         k = int(bad.argmax())
         raise ParseError(f"out-of-range graph6 byte {int(body[k])} at offset {offset + k}")
     # each byte holds 6 bits, most significant first
     bits = np.unpackbits(chunks[:, None], axis=1)[:, 2:].ravel()
-    if bits[nbits:].any():
+    if np.count_nonzero(bits[nbits:]):
         raise ParseError("nonzero graph6 padding bits; encoding is not canonical")
-    k = np.flatnonzero(bits[:nbits])
+    (k,) = bits[:nbits].nonzero()
     starts = _g6_column_starts(n)
     j = np.searchsorted(starts, k, side="right") - 1
     i = k - starts[j]
-    return Graph(n, frozenset(zip(i.tolist(), j.tolist())))
+    return Graph(n, np.array((i, j)).T)
 
 
 def _g6_column_starts(n: int) -> np.ndarray:
@@ -277,7 +289,7 @@ def emit_graph6(g: Graph) -> str:
         header = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     nbytes = (n * (n - 1) // 2 + 5) // 6
     bits = np.zeros(6 * nbytes, dtype=np.uint8)
-    i, j = g._ends.T  # i < j
+    i, j = g.ends.T  # i < j
     bits[_g6_column_starts(n)[j] + i] = 1
     # six bits per byte, most significant first, then the offset 63
     body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
@@ -332,7 +344,7 @@ def parse_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_seen + 1
     if max_seen >= n:
         raise ParseError(f"edge endpoint {max_seen} exceeds declared vertex count {n}")
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 # --------------------------------------------------------------------------
@@ -390,7 +402,7 @@ def complete(n: int) -> Graph:
     """K_n on vertices 0..n-1."""
 
     _require_positive("n", n)
-    return Graph(n, frozenset((i, j) for j in range(n) for i in range(j)))
+    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
@@ -401,15 +413,10 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise DomainError("complete_multipartite needs at least one part")
     for p in parts:
         _require_positive("part size", p)
-    bounds = np.cumsum([0] + parts)
-    n = int(bounds[-1])
-    edges = set()
-    for k in range(len(parts)):
-        for l in range(k + 1, len(parts)):
-            for u in range(bounds[k], bounds[k + 1]):
-                for v in range(bounds[l], bounds[l + 1]):
-                    edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    part = np.repeat(np.arange(len(parts)), parts)  # the part of each vertex
+    i, j = np.triu_indices(part.size, 1)
+    across = part[i] != part[j]
+    return Graph(part.size, np.array((i[across], j[across])).T)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -424,7 +431,7 @@ def cycle(n: int) -> Graph:
     _require_positive("n", n)
     if n < 3:
         raise DomainError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def circulant(n: int, connection_set: Sequence[int]) -> Graph:
@@ -435,40 +442,25 @@ def circulant(n: int, connection_set: Sequence[int]) -> Graph:
     for s in offsets:
         if s < 1 or s > n // 2:
             raise DomainError(f"circulant offset {s} outside [1, {n // 2}] for n={n}")
-    edges = set()
-    for i in range(n):
-        for s in offsets:
-            edges.add((min(i, (i + s) % n), max(i, (i + s) % n)))
-    return Graph(n, frozenset(edges))
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in offsets])
 
 
 def barbell(k: int) -> Graph:
     """Two disjoint K_k (vertices 0..k-1 and k..2k-1) joined by the bridge (k-1, k)."""
 
     _require_positive("k", k)
-    edges = set()
-    for j in range(k):
-        for i in range(j):
-            edges.add((i, j))
-            edges.add((k + i, k + j))
-    edges.add((k - 1, k))
-    return Graph(2 * k, frozenset(edges))
+    clique = list(itertools.combinations(range(k), 2))
+    return Graph(2 * k, clique + [(k + i, k + j) for i, j in clique] + [(k - 1, k)])
 
 
 def sun(k: int) -> Graph:
     """K_k hub (0..k-1) plus outer vertices k..2k-1; outer i joins hubs i and i+1 mod k."""
 
     _require_positive("k", k)
-    edges = set()
-    for j in range(k):
-        for i in range(j):
-            edges.add((i, j))
+    edges = list(itertools.combinations(range(k), 2))
     for i in range(k):
-        edges.add((min(i, k + i), max(i, k + i)))
-        succ = (i + 1) % k
-        if succ != k + i:
-            edges.add((min(succ, k + i), max(succ, k + i)))
-    return Graph(2 * k, frozenset(edges))
+        edges += [(i, k + i), ((i + 1) % k, k + i)]
+    return Graph(2 * k, edges)
 
 
 def windmill(copies: int, clique_size: int) -> Graph:
@@ -488,7 +480,7 @@ def windmill(copies: int, clique_size: int) -> Graph:
         for b in range(len(block)):
             for a in range(b):
                 edges.add((block[a], block[b]))
-    return Graph(copies * (clique_size - 1) + 1, frozenset(edges))
+    return Graph(copies * (clique_size - 1) + 1, edges)
 
 
 def mycielskian(g: Graph) -> Graph:
@@ -500,24 +492,21 @@ def mycielskian(g: Graph) -> Graph:
     """
 
     n = g.n
-    edges = set(g.edges)
-    for u, v in g.edges:
-        edges.add((min(u, n + v), max(u, n + v)))
-        edges.add((min(v, n + u), max(v, n + u)))
-    for i in range(n):
-        edges.add((n + i, 2 * n))
-    return Graph(2 * n + 1, frozenset(edges))
+    i, j = g.ends.T
+    twins = np.arange(n, 2 * n)
+    # the edges of g; the twin of j joins i and the twin of i joins j; every twin joins the apex
+    u = np.concatenate((i, i, j, twins))
+    v = np.concatenate((j, n + j, n + i, np.full(n, 2 * n)))
+    return Graph(2 * n + 1, np.array((u, v)).T)
 
 
 def petersen() -> Graph:
     """Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- 5+i."""
 
-    edges = set()
+    edges = []
     for i in range(5):
-        edges.add((min(i, (i + 1) % 5), max(i, (i + 1) % 5)))
-        edges.add((min(5 + i, 5 + (i + 2) % 5), max(5 + i, 5 + (i + 2) % 5)))
-        edges.add((i, 5 + i))
-    return Graph(10, frozenset(edges))
+        edges += [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)]
+    return Graph(10, edges)
 
 
 _GENERATOR_SPEC = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)
@@ -652,7 +641,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
     rows, cols, keep = _gnp_draws(n, p, [seed])
     keep = keep[0]
-    return Graph(n, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
+    return Graph(n, np.array((rows[keep], cols[keep])).T)
 
 
 def random_gnp_adjacency(n: int, p: float, seeds: Sequence[int]) -> np.ndarray:

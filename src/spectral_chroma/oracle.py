@@ -34,12 +34,13 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator
 
+import numpy as np
+
 from .certify import Coloring
 from .errors import DomainError
-from .graphs import Graph, computed_once, from_edges, parse_graph6
+from .graphs import Graph, computed_once, parse_graph6
 
 _BACKTRACK_CEILING = 64
-_ALL_PAIRS = {n: [(i, j) for j in range(n) for i in range(j)] for n in range(1, 7)}
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def _neighbor_masks(g: Graph) -> tuple[int, ...]:
     """Neighborhood of each vertex as an int bitmask: bit u of entry v marks the edge uv."""
 
     masks = [0] * g.n
-    for u, v in g._ends.tolist():
+    for u, v in g.ends.tolist():
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return tuple(masks)
@@ -74,7 +75,7 @@ def _later_masks(g: Graph) -> tuple[int, ...]:
     for i, v in enumerate(g.degree_order()):
         pos[v] = i
     later = [0] * g.n
-    for u, v in g._ends.tolist():
+    for u, v in g.ends.tolist():
         i, j = pos[u], pos[v]
         if i < j:
             later[i] |= 1 << j
@@ -206,10 +207,11 @@ def labeled_graphs(n: int) -> Iterator[Graph]:
 
     if not 1 <= n <= 6:
         raise DomainError(f"labeled enumeration supports 1 <= n <= 6, got {n}")
-    pairs = _ALL_PAIRS[n]
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1]
-        yield from_edges(n, edges)
+    j, i = np.tril_indices(n, -1)
+    pairs = np.array((i, j)).T  # bit b of a mask is pair b: (0, 1), (0, 2), (1, 2), (0, 3), ...
+    bit = np.arange(len(pairs))
+    for keep in (np.arange(1 << len(pairs))[:, None] >> bit) & 1 == 1:
+        yield Graph(n, pairs[keep])
 
 
 @lru_cache(maxsize=None)

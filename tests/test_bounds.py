@@ -325,7 +325,7 @@ class TestNormalizedBounds:
         vals = normalized_bounds(sna)
         assert normalized_sweep(sna)[0] == vals[0].value
         for g in [petersen()] + graphs_with_edge(6):
-            if g.has_isolated_vertex():
+            if (g.degrees() == 0).any():
                 continue
             sna = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
             assert_max_is_first_sweep_max(normalized_bounds(sna)[1], normalized_sweep(sna))

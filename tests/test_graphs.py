@@ -1,5 +1,7 @@
 """Graph representation, codecs, generators, and the G(n, p) sampler."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spectral_chroma.bounds import full_report
 from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.graphs import (
     _G6_MAX_N,
@@ -33,7 +36,7 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
-from spectral_chroma.oracle import all_graphs
+from spectral_chroma.oracle import all_graphs, greedy_coloring
 
 
 class TestGraphInvariants:
@@ -359,6 +362,12 @@ def reference_gnp_edges(n: int, p: float, seed_value: int) -> frozenset:
 
 
 def reference_parse_graph6(text: str) -> Graph:
+    return Graph(*reference_graph6_edges(text))
+
+
+def reference_graph6_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edges (i, j), i < j, of a graph6 string, in bit order."""
+
     line = text.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
@@ -396,7 +405,7 @@ def reference_parse_graph6(text: str) -> Graph:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return Graph(n, frozenset(edges))
+    return n, edges
 
 
 def reference_emit_graph6(g: Graph) -> str:
@@ -460,9 +469,18 @@ def _bits(a: np.ndarray) -> tuple:
 
 @pytest.fixture(scope="module")
 def equivalence_graphs() -> list[Graph]:
-    """Every graph of all_graphs(n <= 7), then G(n, p) across the graph6 header switch."""
+    """Every graph of all_graphs(n <= 7), the families, then G(n, p) across the graph6 header."""
 
     graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += [
+        petersen(),
+        mycielskian(mycielskian(cycle(5))),
+        circulant(16, [1, 7, 8]),
+        complete_multipartite([3, 1, 4]),
+        windmill(3, 6),
+        barbell(5),
+        sun(4),
+    ]
     for n in (62, 63, 64, 300):
         for p, seed_value in ((0.5, 1), (0.1, 2), (0.9, 3)):
             graphs.append(random_gnp(n, p, seed_value))
@@ -527,6 +545,53 @@ class TestScalarReferenceEquivalence:
         expected = _raised(reference_parse_graph6, text)
         assert expected is not None and expected[0] is ParseError
         assert _raised(parse_graph6, text) == expected
+
+
+class TestCanonicalEndpoints:
+    def test_one_stored_form_whatever_the_input(self, equivalence_graphs):
+        rng = random.Random(15)
+        for g in equivalence_graphs:
+            n, bit_order = reference_graph6_edges(emit_graph6(g))
+            assert n == g.n and list(map(tuple, g.ends.tolist())) == bit_order
+            assert g.ends.dtype == np.int64 and not g.ends.flags.writeable
+            assert g.edges == frozenset(bit_order) and g.edge_count == len(bit_order)
+            shuffled = rng.sample(bit_order, len(bit_order))
+            reversed_ = [(v, u) for u, v in shuffled]
+            versions = [
+                Graph(n, shuffled),
+                Graph(n, reversed_),
+                Graph(n, shuffled + reversed_[: len(reversed_) // 2]),
+                Graph(n, np.array(reversed_, dtype=np.int64).reshape(-1, 2)),
+                from_edges(n, iter(reversed_ + shuffled)),
+            ]
+            for h in versions:
+                assert h == g and hash(h) == hash(g)
+            assert Graph(n + 1, g.ends) != g
+            if bit_order:
+                assert Graph(n, bit_order[1:]) != g
+            pairs = ((i, j) for j in range(n) for i in range(j))
+            missing = next((e for e in pairs if e not in g.edges), None)
+            if missing is not None:
+                assert Graph(n, bit_order + [missing]) != g
+
+    def test_report_builds_no_edge_set(self):
+        g = random_gnp(60, 0.5, 1)
+        full_report(g)
+        greedy_coloring(g)
+        assert "_edges" not in vars(g)
+        assert g.edges is vars(g)["_edges"]  # the cache this test looks for
+
+    def test_parse_graph6_holds_only_the_endpoint_array(self):
+        text = emit_graph6(random_gnp(1000, 0.5, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = parse_graph6(text)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the endpoint array is traced, so the bound is not met by an untraced store
+        assert g.ends.nbytes <= live < 8 * 2**20
 
 
 class TestGraphCaches:

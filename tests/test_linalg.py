@@ -309,7 +309,7 @@ class TestGraphSpectraRelations:
     @settings(max_examples=60, deadline=None)
     def test_normalized_shift_identities(self, n, s):
         g = random_gnp(n, 0.7, s)
-        if g.has_isolated_vertex():
+        if (g.degrees() == 0).any():
             return
         mu = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY).values
         th = graph_spectrum(g, GraphMatrixKind.NORMALIZED_LAPLACIAN).values

@@ -7,28 +7,37 @@ to exercise:
     PYTHONPATH=../base/src python tools/cli_outputs.py > base.txt
     diff base.txt head.txt
 
-For each invocation it prints the argv, the exit code and stdout, so two
-source trees that print the same text give byte-identical CLI output on
-these inputs. The G(n, p) inputs come from this script's own seeded
-stdlib RNG and graph6 writer, not from the program. The default formats
-print one decimal, which hides drift in the last bits, so a few
-invocations print full precision: `bounds --json` on the named and
-G(n, p) inputs, `compare --json` on a mixed list, one random-table CSV
-and one random-table JSON. The JSON rows redraw edgeless samples and
-list the (sample, seed) pairs they redrew. A change that adds a JSON
-key shows here as a difference, and should say so. The edge cases of
-the greedy coloring that chromatic and certify share are covered too:
-certify and chromatic on an edgeless graph (the palette widened to two
-colors, the loan identity skipped) and certify on a graph with an
-isolated vertex. certify also runs on K_8 (the palette as large as n), on
-K_{3,3,3} and on the Petersen graph with --colors 5 (a palette wider
-than the greedy one); their min_margin lines print values near 1e-15,
-so drift in the last bits of a margin shows here. chromatic runs on
-three more G(n, p) inputs, two G(30, .5) and one G(24, .8), and on the
-triangle-free Mycielskian of the Grötzsch graph (chromatic number 5):
-each deepens through one or more searches that fail before the one that
-finds the witness, so a change to the exact search that changes a
-witness, or the coloring taken when every search fails, shows here.
+For each invocation it prints the argv, the exit code, stdout and, if
+there is any, stderr, so two source trees that print the same text give
+byte-identical CLI output and error text on these inputs. The G(n, p)
+inputs come from this script's own seeded stdlib RNG and graph6 writer,
+not from the program. The default formats print one decimal, which hides
+drift in the last bits, so a few invocations print full precision:
+`bounds --json` on the named and G(n, p) inputs, `compare --json` on a
+mixed list, one random-table CSV and one random-table JSON. The JSON
+rows redraw edgeless samples and list the (sample, seed) pairs they
+redrew. A change that adds a JSON key shows here as a difference, and
+should say so. The edge cases of the greedy coloring that chromatic and
+certify share are covered too: certify and chromatic on an edgeless
+graph (the palette widened to two colors, the loan identity skipped) and
+certify on a graph with an isolated vertex. certify also runs on K_8
+(the palette as large as n), on K_{3,3,3} and on the Petersen graph with
+--colors 5 (a palette wider than the greedy one); their min_margin lines
+print values near 1e-15, so drift in the last bits of a margin shows
+here. chromatic runs on three more G(n, p) inputs, two G(30, .5) and one
+G(24, .8), and on the triangle-free Mycielskian of the Grötzsch graph
+(chromatic number 5): each deepens through one or more searches that
+fail before the one that finds the witness, so a change to the exact
+search that changes a witness, or the coloring taken when every search
+fails, shows here.
+
+Two inputs are @file references to files the script writes into a
+temporary directory, printed as $TMP in the argv lines. One is an edge
+list with an "n" line, reversed and repeated pairs, and two trailing
+isolated vertices; bounds --json, certify, chromatic and sweep --bound
+GenNormalizedHoffman run on it, and the sweep exits 2 on the isolated
+vertex. The other is the graph6 text of a G(70, .5), whose vertex
+count takes the four-byte header, run through bounds --json.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import tempfile
+from pathlib import Path
 
 from spectral_chroma.cli import main
 from spectral_chroma.experiments import DEFAULT_NAMED
@@ -56,16 +67,21 @@ DEEP_GNP = ((30, 0.5), (30, 0.5), (24, 0.8))
 # compare --json also covers the edge cases of a report: no edges (every
 # bound invalid), an isolated vertex (normalized bounds invalid), and K2
 MIXED_COMPARE = ("D??", "Dh?", "gen:complete(2)")
+# an edge list on 9 vertices: a 5-cycle with a chord and a pendant path,
+# every pair given in both orders, vertices 7 and 8 isolated
+EDGE_LIST = "n 9\n1 0\n0 1\n2 1\n2 3\n3 4\n4 0\n0 2\n3 2\n4 5\n5 6\n6 5\n1 2\n4 3\n"
+# drawn after DEEP_GNP: a vertex count past 62 needs the four-byte graph6 header
+LONG_HEADER_N = 70
 
 
 def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
-    """graph6 text of G(n, p): header byte, then the upper triangle column by column."""
+    """graph6 text of G(n, p): header, then the upper triangle column by column."""
 
-    if not 2 <= n <= 62:
-        raise ValueError(f"one-byte graph6 headers cover 2 <= n <= 62, got {n}")
+    if not 2 <= n <= 258047:
+        raise ValueError(f"graph6 headers here cover 2 <= n <= 258047, got {n}")
     bits = [rng.random() < p for j in range(1, n) for i in range(j)]
     bits += [False] * (-len(bits) % 6)
-    out = [n + 63]
+    out = [n + 63] if n <= 62 else [126] + [(n >> shift & 63) + 63 for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         chunk = 0
         for bit in bits[k:k + 6]:
@@ -74,10 +90,16 @@ def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
     return bytes(out).decode("ascii")
 
 
-def invocations() -> list[list[str]]:
+def invocations(tmp: Path) -> list[list[str]]:
+    """The argv lists; the @file inputs are written into the directory tmp."""
+
     rng = random.Random(GNP_SEED)
     gnp = [gnp_graph6(n, GNP_P, rng) for n in GNP_SIZES]
     deep = [gnp_graph6(n, p, rng) for n, p in DEEP_GNP]
+    edge_file = tmp / "edges.txt"
+    edge_file.write_text(EDGE_LIST, encoding="ascii")
+    g6_file = tmp / "long_header.g6"
+    g6_file.write_text(gnp_graph6(LONG_HEADER_N, GNP_P, rng) + "\n", encoding="ascii")
     out = []
     for spec in DEFAULT_NAMED:
         out.append(["bounds", spec])
@@ -113,16 +135,28 @@ def invocations() -> list[list[str]]:
     out.append(
         ["random-table", "--rows", "2:0.3,3:0.2", "--samples", "37", "--seed", "-4", "--json"]
     )
+    edges = f"@{edge_file}"
+    out.append(["bounds", "--json", edges])
+    out.append(["certify", edges])
+    out.append(["chromatic", edges])
+    out.append(["sweep", edges, "--bound", "GenNormalizedHoffman"])  # exit 2: isolated vertex
+    out.append(["bounds", "--json", f"@{g6_file}"])
     return out
 
 
-def run(argv: list[str]) -> str:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str], tmp: Path) -> str:
+    """One invocation's argv, exit code, stdout and stderr, with tmp shown as $TMP."""
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return f"$ spectral-chroma {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}"
+    text = f"$ spectral-chroma {' '.join(argv)}\nexit {code}\n{stdout.getvalue()}"
+    if stderr.getvalue():
+        text += f"stderr:\n{stderr.getvalue()}"
+    return text.replace(str(tmp), "$TMP")
 
 
 if __name__ == "__main__":
-    for argv in invocations():
-        print(run(argv), end="", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in invocations(Path(tmp)):
+            print(run(argv, Path(tmp)), end="", flush=True)
