@@ -191,7 +191,14 @@ def _check_report_rows(values: np.ndarray) -> None:
 
 
 def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """(4, G, n) per-m values of the generalized bounds from the A, L and Q spectra."""
+    """(4, G, n) per-m values of the generalized bounds from the A, L and Q spectra.
+
+    At m = n the numerator is tr A = 0, and so are the denominators of
+    GenHoffman, GenKolotilina1 and GenKolotilina2 (tr L = tr Q): their
+    m = n entry is 0/0 and rounding alone would decide it, so it is
+    masked. GenNikiforov's m = n denominator is tr L - tr A = 2E, and
+    its entry stays.
+    """
 
     def bottom(x):
         return np.cumsum(x[:, ::-1], axis=1)
@@ -203,7 +210,9 @@ def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.nd
         np.cumsum(mu - dl + th, axis=1),
         top_mu - bottom(dl) + bottom(th),
     ])
-    return _ratio_sweep(top_mu, denominators)
+    values = _ratio_sweep(top_mu, denominators)
+    values[[0, 2, 3], :, -1] = -np.inf
+    return values
 
 
 def _classical_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
@@ -236,9 +245,11 @@ def _loan_values(edges: np.ndarray, n: int, dl: np.ndarray) -> np.ndarray:
 
 
 def _normalized_values(na: np.ndarray) -> np.ndarray:
-    """(G, n) per-m values of the generalized normalized bound."""
+    """(G, n) per-m values of the generalized normalized bound; the m = n entry, 0/0, is masked."""
 
-    return _ratio_sweep(np.cumsum(na, axis=1), -np.cumsum(na[:, ::-1], axis=1))
+    values = _ratio_sweep(np.cumsum(na, axis=1), -np.cumsum(na[:, ::-1], axis=1))
+    values[:, -1] = -np.inf
+    return values
 
 
 def _normalized_columns(na: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +337,11 @@ def chain_bounds(
 #
 # For a symmetric candidate B, c passes at m when the top-m eigenvalue sum
 # of B - A is at least that of B + A/(c-1), minus PROPERTY_TOL; an m's
-# minimum is its first passing c in 2..n, or n if none. The bound is the
+# minimum is its first passing c in 2..n, or n if none. Only m < n is
+# tested: at m = n both sums are tr B, so m = n passes in exact
+# arithmetic, and a comparison there would let rounding alone decide
+# (at n = 4000 the sums are about 8e6, and their difference exceeds
+# PROPERTY_TOL). The bound is the
 # largest minimum over candidates and m. Passing is monotone in c: the
 # Ky Fan sum of B + tA is convex in t and equals the left-hand side at
 # t = -1, so the passing t = 1/(c-1) >= 0 form an interval from 0, or
@@ -346,31 +361,34 @@ def _take(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _zero_minima(mu: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(G, n) per-m minima of the candidate B = 0, in closed form from the A spectra.
+    """(G, n - 1) minima of the candidate B = 0 for m < n, in closed form from the A spectra.
 
     With T_m and B_m the top-m and bottom-m sums of an A spectrum, c
     passes at m when PROPERTY_TOL - B_m >= T_m/(c-1), that is from
     c = 1 + T_m/(PROPERTY_TOL - B_m) on. That divisor is positive: B_m is
     at most m/n of the trace, which is 0 up to the trace check of the
-    validated spectrum, far below PROPERTY_TOL.
+    validated spectrum, far below PROPERTY_TOL. At m = n, T_n = B_n is
+    the trace itself, so neither the check nor the minimum reads it.
     """
 
-    slack = PROPERTY_TOL - np.cumsum(mu[:, ::-1], axis=1)
+    slack = PROPERTY_TOL - np.cumsum(mu[:, :0:-1], axis=1)
     bad = ~(slack > 0).all(axis=1)  # NaN fails
     if bad.any():
         k = int(bad.argmax())
         raise NumericError(
             f"graph {index[k]}: adjacency spectrum has a bottom partial sum above PROPERTY_TOL"
         )
-    return np.clip(np.ceil(1.0 + np.cumsum(mu, axis=1) / slack), 2, mu.shape[1]).astype(np.int64)
+    top = np.cumsum(mu[:, :-1], axis=1)
+    return np.clip(np.ceil(1.0 + top / slack), 2, mu.shape[1]).astype(np.int64)
 
 
 def _probe(
     b: np.ndarray, a: np.ndarray, lhs: np.ndarray, c: np.ndarray, index: np.ndarray
 ) -> np.ndarray:
-    """(G, n) per-m pass test of c[k] for graph k: one eigvalsh call on the B + A/(c-1) stack.
+    """(G, n - 1) pass test of c[k] for graph k at each m < n: one eigvalsh call on B + A/(c-1).
 
-    Each matrix's eigenvalue sum must match its trace; a NaN fails.
+    lhs holds the (G, n) top-m sums of the B - A spectra. Each matrix's
+    eigenvalue sum must match its trace; a NaN fails.
     """
 
     stack = a / (c - 1)[:, None, None]
@@ -383,7 +401,7 @@ def _probe(
         raise NumericError(
             f"graph {index[k]}: eigensolve at c={c[k]} disagrees with the matrix trace"
         )
-    return lhs >= np.cumsum(eigs, axis=1) - PROPERTY_TOL
+    return lhs[:, :-1] >= np.cumsum(eigs[:, :-1], axis=1) - PROPERTY_TOL
 
 
 def _raise_best(

@@ -272,7 +272,7 @@ class MajorizationStepReport:
     identity_residual: float
     identity_tolerance: float
     identity_ok: bool
-    spectral_margins: np.ndarray  # per m: lhs - rhs, must be >= -PROPERTY_TOL
+    spectral_margins: np.ndarray  # per m: lhs - rhs, must be >= -PROPERTY_TOL for m < n
     spectral_ok: bool
 
     @property
@@ -311,7 +311,9 @@ def _majorization_steps(
 
     lhs holds the (G, n) spectra of B - A; u and c are the checked
     colorings' unitary stack and palettes. The right side's spectra are
-    one spectra_batch call. Every comparison fails on NaN.
+    one spectra_batch call. The margins cover every m, but spectral_ok
+    reads m < n only: at m = n both sums are tr B, so that margin is
+    rounding and has no content. Every comparison fails on NaN.
     """
 
     x = b - a
@@ -329,7 +331,7 @@ def _majorization_steps(
         identity_tolerance=tol,
         identity_ok=residual <= tol,
         spectral_margins=margins,
-        spectral_ok=(margins >= -PROPERTY_TOL).all(axis=1),
+        spectral_ok=(margins[:, :-1] >= -PROPERTY_TOL).all(axis=1),
     )
 
 
@@ -337,8 +339,9 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
     """Check sum_{s<c} U_s^dag (B-A) U_s = (c-1)B + A and its spectral consequence.
 
     B must be diagonal (it then commutes with every U_s). The spectral
-    consequence compared for every m is
-    sum_{i<=m} eig_i(B-A) >= sum_{i<=m} eig_i(B + A/(c-1)).
+    consequence compared for every m < n is
+    sum_{i<=m} eig_i(B-A) >= sum_{i<=m} eig_i(B + A/(c-1));
+    at m = n both sides are tr B.
     """
 
     a = _as_adjacency(a)

@@ -167,9 +167,14 @@ def reference_generalized_values(spec_a, spec_l, spec_q) -> dict:
         BoundId.GEN_KOLOTILINA_1: np.cumsum(mu - dl + th),
         BoundId.GEN_KOLOTILINA_2: top_mu - bottom_dl + bottom_th,
     }
-    return {
+    values = {
         bound_id: reference_ratio_sweep(top_mu, denom) for bound_id, denom in denominators.items()
     }
+    # m = n is 0/0 except for GenNikiforov, whose denominator there is 2E
+    for bound_id, column in values.items():
+        if bound_id is not BoundId.GEN_NIKIFOROV:
+            column[-1] = -np.inf
+    return values
 
 
 def reference_generalized_bounds(spec_a, spec_l, spec_q) -> list[BoundValue]:
@@ -184,7 +189,9 @@ def reference_generalized_sweep(spec_a, spec_l, spec_q) -> dict:
 
 def reference_normalized_values(spec_na):
     mu = spec_na.values
-    return reference_ratio_sweep(np.cumsum(mu), -np.cumsum(mu[::-1]))
+    values = reference_ratio_sweep(np.cumsum(mu), -np.cumsum(mu[::-1]))
+    values[-1] = -np.inf  # 0/0 at m = n
+    return values
 
 
 def reference_normalized_bounds(spec_na) -> list[BoundValue]:
@@ -216,10 +223,11 @@ def reference_chain_bounds(spec_a, spec_l, spec_q, n: int) -> list[BoundValue]:
 
 def reference_zero_minima(spec_a):
     mu = spec_a.values
-    slack = PROPERTY_TOL - np.cumsum(mu[::-1])
+    # m < n only: at m = n both partial sums are the trace
+    slack = PROPERTY_TOL - np.cumsum(mu[::-1])[:-1]
     if (slack <= 0).any():
         raise NumericError("adjacency spectrum has a bottom partial sum above PROPERTY_TOL")
-    return np.clip(np.ceil(1.0 + np.cumsum(mu) / slack), 2, mu.size).astype(np.int64)
+    return np.clip(np.ceil(1.0 + np.cumsum(mu)[:-1] / slack), 2, mu.size).astype(np.int64)
 
 
 def reference_probe(b, a, lhs, c: int):
@@ -228,7 +236,7 @@ def reference_probe(b, a, lhs, c: int):
     tr = float(np.trace(matrix))
     if not abs(float(eigs.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
         raise NumericError(f"eigensolve at c={c} disagrees with the matrix trace")
-    return lhs >= np.cumsum(eigs) - PROPERTY_TOL
+    return (lhs >= np.cumsum(eigs) - PROPERTY_TOL)[:-1]
 
 
 def reference_raise_best(b, a, lhs_values, best: int, best_m: int) -> tuple[int, int]:
@@ -375,7 +383,7 @@ def reference_majorization_step(a, b, col: Coloring) -> MajorizationStepReport:
         identity_tolerance=tol,
         identity_ok=residual <= tol,
         spectral_margins=margins,
-        spectral_ok=bool((margins >= -PROPERTY_TOL).all()),
+        spectral_ok=bool((margins[:-1] >= -PROPERTY_TOL).all()),
     )
 
 
@@ -897,15 +905,15 @@ class TestCertifiedBatch:
         calls = []
         if where == "right side":
             # the spectra_batch calls of certify_graphs: -A, then B + A/(c-1)
-            # for B = 0, D and -D; the last eigenvalue of one graph's B = 0
-            # right side is NaN
+            # for B = 0, D and -D; the largest eigenvalue of one graph's
+            # B = 0 right side is NaN, so every margin is
             solve = certify.spectra_batch
 
             def poisoned(stack):
                 w = solve(stack)
                 calls.append(len(stack))
                 if len(calls) % 4 == 2:
-                    w[j, -1] = np.nan
+                    w[j, 0] = np.nan
                 return w
 
             monkeypatch.setattr(certify, "spectra_batch", poisoned)
@@ -930,7 +938,7 @@ class TestCertifiedBatch:
         report = batch[bad]
         if where == "right side":
             step = report.steps["zero"]
-            assert not step.ok and not step.spectral_ok and np.isnan(step.spectral_margins[-1])
+            assert not step.ok and not step.spectral_ok and np.isnan(step.spectral_margins).all()
             assert report.loan.ok
         else:
             assert not report.loan.identity_ok and not report.loan.minima_ok

@@ -439,6 +439,24 @@ class TestIntegerC:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         assert integer_c_search(g, **spectra) == expected
 
+    def test_m_equal_n_is_not_tested(self, monkeypatch):
+        # at m = n both sums of the pass test are tr B, so rounding alone
+        # decides a comparison there; at n = 4000 it failed every c and
+        # printed IntegerC = n. Raising each probe's smallest eigenvalue by
+        # 2e-8 moves only the m = n sum, by more than PROPERTY_TOL and less
+        # than the probe's trace check allows (3e-8 for tr D = 30)
+        solve = np.linalg.eigvalsh
+
+        def lifted(a, *args, **kwargs):
+            w = solve(a, *args, **kwargs).copy()
+            w[..., 0] += 2e-8
+            return w
+
+        monkeypatch.setattr(bounds.np.linalg, "eigvalsh", lifted)
+        g = petersen()
+        for v in (search(g), full_report(g).value(BoundId.INTEGER_C)):
+            assert (v.value, v.best_m) == (3, 1)
+
     def test_nan_probe_raises(self, monkeypatch):
         # NaN fails the probe's trace check instead of passing every m
         g = random_gnp(40, 0.5, 3)
@@ -510,7 +528,7 @@ def full_scan_minima(g, extra_b=None):
         rhs = np.cumsum(np.linalg.eigvalsh(stack)[:, ::-1], axis=1)
         satisfied = lhs[None, :] >= rhs - PROPERTY_TOL
         minima = []
-        for m_idx in range(n):
+        for m_idx in range(n - 1):  # m < n: at m = n both sums are tr B
             hits = np.nonzero(satisfied[:, m_idx])[0]
             minima.append(int(cs[hits[0]]) if hits.size else n)
         out[name] = minima
