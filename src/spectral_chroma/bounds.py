@@ -15,9 +15,13 @@ per-m sweep. The integer search probes all open graphs of a batch
 with one eigvalsh call per round and bisects them in lockstep.
 full_reports evaluates each family once per batch; full_report and the
 per-family functions (classical_bounds, generalized_bounds, ...) are the
-same code on a batch of one. The A, L, Q and -D - A spectra come from
+same code on a batch of one. The A, L and Q spectra come from
 report_spectra, which solves each graph once and keeps them on the
-graph, where certify_graphs reads them too.
+graph, where certify_graphs reads them too. They are the only
+unnormalized spectra solved: the integer search's B = -D candidate reads
+the spectrum of -Q = -D - A as negated_spectra of Q, whose eigenpairs,
+residuals and trace error are those of Q, so it passes the validation a
+solve of its own would have had to pass.
 
 The checks run once per batch array too: the spectra rows a report keeps
 pass the checks of Spectrum once per (G, n) array (linalg.spectrum_rows),
@@ -35,7 +39,6 @@ going.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -51,6 +54,7 @@ from .linalg import (
     SPECTRUM_TOL,
     Spectrum,
     matrices_named,
+    negated_spectra,
     spectra_batch,
     spectrum_rows,
 )
@@ -499,7 +503,8 @@ def integer_c_search(
     The zero candidate comes in closed form from spec_a, the A spectrum;
     each later one goes through _raise_best with the spectrum of B - A:
     spec_l, the Laplacian spectrum, for B = D, and spec_negdeg, the
-    spectrum of -D - A, for B = -D. No spectrum is solved here, only the
+    spectrum of -D - A, for B = -D (full_reports derives it from the Q
+    spectrum with negated_spectra). No spectrum is solved here, only the
     probes.
     """
 
@@ -587,13 +592,16 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
 
 
 def _signed_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
-    """A, then L = D - A, Q = |L| and -Q = -D - A in one more stack, in turn.
+    """A, then L = D - A and Q = |L| in one more stack, in turn.
 
-    a is a (G, n, n) adjacency stack and is left unchanged. Each stack is
-    yielded before the next overwrites it in place, so a caller solves
-    it first. Every entry equals the one build_matrix gives (for -Q, the
-    negation of its Q), signed zeros included, so the spectra are
-    graph_spectrum's to the bit.
+    These are the only unnormalized graph matrices that are solved: the
+    spectra of -A and -Q that a bound or a certificate reads are
+    negated_spectra of A and Q, and that of A/(c-1) is A's divided by
+    c - 1. a is a (G, n, n) adjacency stack and is left unchanged. Each
+    stack is yielded before the next overwrites it in place, so a caller
+    solves it first. Every entry equals the one build_matrix gives,
+    signed zeros included, so the spectra are graph_spectrum's to the
+    bit.
     """
 
     yield a
@@ -602,17 +610,16 @@ def _signed_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
     m[:, diag, diag] = a.sum(axis=2)
     yield m
     yield np.abs(m, out=m)
-    yield np.negative(m, out=m)
 
 
 def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(G, n) spectra of A, L = D - A and Q = D + A from a (G, n, n) adjacency stack.
 
-    The first three stacks of _signed_stacks, each through spectra_batch;
-    -Q is neither built nor solved.
+    The three stacks of _signed_stacks, each through spectra_batch: the
+    one solve routine of random_table, the reports and the certificates.
     """
 
-    mu, th, dl = (spectra_batch(m) for m in itertools.islice(_signed_stacks(a), 3))
+    mu, th, dl = (spectra_batch(m) for m in _signed_stacks(a))
     return mu, th, dl
 
 
@@ -623,14 +630,17 @@ _REPORT_SPECTRA = "_report_spectra"
 
 
 def report_spectra(graphs: Sequence[Graph]) -> np.ndarray:
-    """(4, G, n) spectra of A, L, Q and -Q = -D - A for graphs of one order, solved once per graph.
+    """(3, G, n) spectra of A, L and Q for graphs of one order, solved once per graph.
 
-    The graphs that no earlier call solved go through _signed_stacks as
-    one batch, one spectra_batch call per stack, and each keeps its
-    (4, n) rows, read-only. So full_reports and certify_graphs on the
-    same graphs share one solve: the bounds read all four, the
-    certificates L, -Q and Q, the left sides of the majorization steps
-    for B = D and B = -D and the loan identity's delta_n. A failed solve
+    The graphs that no earlier call solved go through
+    unnormalized_spectra as one batch, one spectra_batch call per stack,
+    and each keeps its (3, n) rows, read-only. So full_reports and
+    certify_graphs on the same graphs share one solve. Nothing else of
+    A, L or Q is solved: the spectra of -A and -Q = -D - A are
+    negated_spectra of A and Q, the same eigenpairs with the same
+    residuals and trace error, and the certificates' A/(c-1) is the A
+    spectrum divided by c - 1 (see certify_graphs). The bounds read A, L,
+    Q and -Q, the certificates all three and -A and -Q. A failed solve
     names the graph's index in graphs.
     """
 
@@ -638,7 +648,7 @@ def report_spectra(graphs: Sequence[Graph]) -> np.ndarray:
     if missing:
         a = _stack([graphs[k].adjacency() for k in missing])
         with matrices_named(lambda j: f"graph {missing[j]}"):
-            solved = np.stack([spectra_batch(m) for m in _signed_stacks(a)], axis=1)
+            solved = np.stack(unnormalized_spectra(a), axis=1)
         solved.setflags(write=False)
         for k, rows in zip(missing, solved):
             vars(graphs[k])[_REPORT_SPECTRA] = rows
@@ -660,7 +670,7 @@ def _edged_reports(
     """
 
     n = graphs[0].n
-    mu, th, dl, negdeg = spectra
+    mu, th, dl = spectra
     edges = np.array([g.edge_count for g in graphs])
     a = _stack([g.adjacency() for g in graphs])
     deg = a.sum(axis=2)  # sums of 0s and 1s: exact
@@ -674,7 +684,7 @@ def _edged_reports(
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     top, top_m = _first_max(_generalized_values(mu, th, dl))
     # one dense stack besides A alive at a time: D
-    integer, integer_m = _integer_c(a, degree_stack(graphs), mu, th, negdeg, index)
+    integer, integer_m = _integer_c(a, degree_stack(graphs), mu, th, negated_spectra(dl), index)
     values = np.column_stack([
         _classical_values(mu, th, dl),
         _loan_values(edges, n, dl),

@@ -11,14 +11,19 @@ certify_graphs certifies a batch of graphs of one order as array code:
 the unitaries of all colorings are one (G, C, n) array, each check is
 one comparison over the batch that NaN fails, and its verdicts are the
 arrays of the CertifiedBatch it returns. The spectra it shares with the
-bounds are the graphs' bounds.report_spectra, which full_reports on the
-same graphs has already solved: L and -D - A for the majorization steps
-with B = D and B = -D, and Q for the loan identity. Only -A and the
-three B + A/(c-1) stacks are solved here. The per-graph reports
-(ColoringCertificate, MajorizationStepReport, LoanIdentityReport) are
-built from rows of those arrays on first read. build_conversion,
-verify_majorization_step, verify_loan_identity and certify_graph are
-the same code on a batch of one.
+bounds are the graphs' bounds.report_spectra, the A, L and Q spectra,
+which full_reports on the same graphs has already solved. The
+majorization steps' left sides are -A (negated_spectra of A), L and
+-D - A (negated_spectra of Q), the right side for B = 0 is the A
+spectrum divided by c - 1, and Q gives the loan identity's delta_n.
+Only the right sides B + A/(c-1) for B = D and B = -D are solved here.
+A derived spectrum passes the validation its own solve would have had
+to pass (see certify_graphs). The per-graph reports (ColoringCertificate,
+MajorizationStepReport, LoanIdentityReport) are built from rows of those
+arrays on first read. build_conversion, verify_loan_identity and
+certify_graph are the same code on a batch of one;
+verify_majorization_step takes any diagonal B and solves both of its
+sides.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .linalg import (
     frobenius_norms,
     hermitian_eigenvalues,
     ky_fan,
+    negated_spectra,
     spectra_batch,
 )
 
@@ -305,22 +311,26 @@ class _MajorizationSteps:
 
 
 def _majorization_steps(
-    a: np.ndarray, b: np.ndarray, lhs: np.ndarray, u: np.ndarray, c: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    u: np.ndarray,
+    c: np.ndarray,
 ) -> _MajorizationSteps:
     """verify_majorization_step for (G, n, n) stacks of A and diagonal B.
 
-    lhs holds the (G, n) spectra of B - A; u and c are the checked
-    colorings' unitary stack and palettes. The right side's spectra are
-    one spectra_batch call. The margins cover every m, but spectral_ok
-    reads m < n only: at m = n both sums are tr B, so that margin is
-    rounding and has no content. Every comparison fails on NaN.
+    lhs and rhs hold the (G, n) spectra of B - A and B + A/(c-1); u and
+    c are the checked colorings' unitary stack and palettes. The margins
+    cover every m, but spectral_ok reads m < n only: at m = n both sums
+    are tr B, so that margin is rounding and has no content. Every
+    comparison fails on NaN.
     """
 
     x = b - a
     total = _conjugation_sum(x, u, c - 1)
     residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a))
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
-    rhs = spectra_batch(b + a / (c - 1)[:, None, None])
     # one sum per m, as ky_fan takes it: a cumulative sum can differ from
     # it in the last bit from m = 8 on, and certify prints these margins
     margins = np.empty(lhs.shape)
@@ -352,9 +362,10 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
         raise DomainError("B must be diagonal")
     _check_proper_stack(a[None], [col])
     _require_two_colors([col], "identity")
+    c = _palettes([col])
     lhs = spectra_batch((b - a)[None])
-    steps = _majorization_steps(a[None], b[None], lhs, _unitary_stack([col]), _palettes([col]))
-    return steps.report(0)
+    rhs = spectra_batch((b + a / (c[0] - 1))[None])
+    return _majorization_steps(a[None], b[None], lhs, rhs, _unitary_stack([col]), c).report(0)
 
 
 # --------------------------------------------------------------------------
@@ -571,16 +582,25 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     """certify_graph for each of several graphs with the same vertex count.
 
     Each coloring is checked once, and the unitaries of all of them are
-    one array. The certificates read the graphs' report_spectra, which
-    full_reports on the same graphs has already solved (or else this
-    call solves): L = D - A and -Q = -D - A are the left sides of the
-    steps for B = D and B = -D, and Q gives the loan identity's delta_n.
-    Four stacks are solved here: -A, the left side for B = 0, and
-    B + A/(c-1) for each B. Every check is array code over the batch,
-    and its verdicts are the arrays of the result; the per-graph report
-    objects are built on first read. A report equals the one
-    certify_graph gives for the graph alone. The first graph whose
-    conversion check fails raises, as certify_graph would for it.
+    one array. The certificates read the graphs' report_spectra, the A,
+    L and Q spectra, which full_reports on the same graphs has already
+    solved (or else this call solves). The left sides of the steps for
+    B = 0, D and -D are the spectra of -A, L and -Q = -D - A, the first
+    and last negated_spectra of A and Q; the right side for B = 0 is the
+    A spectrum divided by c - 1; Q gives the loan identity's delta_n. Two
+    stacks are solved here, B + A/(c-1) for B = D and B = -D.
+
+    No derived spectrum escapes the validation of spectra_batch: -M has
+    the eigenvectors of M, so its residuals and trace error are those of
+    M against the same limits. A/(c-1), c >= 2, has the eigenvectors of
+    A, so its residuals are those of A divided by c - 1, at most
+    SPECTRUM_TOL * max(1, ||A||_F) / (c - 1), which is at most the limit
+    SPECTRUM_TOL * max(1, ||A||_F / (c - 1)) of its own solve; its trace
+    error scales alike. Every check is array code over the batch, and its
+    verdicts are the arrays of the result; the per-graph report objects
+    are built on first read. A report equals the one certify_graph gives
+    for the graph alone. The first graph whose conversion check fails
+    raises, as certify_graph would for it.
     """
 
     graphs = list(graphs)
@@ -593,15 +613,15 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     _check_proper_stack(a, cols)
     conversions = _conversions(a, cols)
     u, c = conversions.unitaries, _palettes(cols)
-    _, lap, signless, negdeg = report_spectra(graphs)
+    mu, lap, signless = report_spectra(graphs)
     deg = degree_stack(graphs)
-    zero = np.zeros_like(a)
+    scaled = a / (c - 1)[:, None, None]
     steps = {
-        label: _majorization_steps(a, b, lhs, u, c)
-        for label, b, lhs in (
-            ("zero", zero, spectra_batch(zero - a)),
-            ("deg", deg, lap),
-            ("negdeg", -deg, negdeg),
+        label: _majorization_steps(a, b, lhs, rhs, u, c)
+        for label, b, lhs, rhs in (
+            ("zero", np.zeros_like(a), negated_spectra(mu), mu / (c - 1)[:, None]),
+            ("deg", deg, lap, spectra_batch(deg + scaled)),
+            ("negdeg", -deg, negated_spectra(signless), spectra_batch(scaled - deg)),
         )
     }
     ok = np.logical_and.reduce([step.ok for step in steps.values()])

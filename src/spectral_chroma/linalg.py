@@ -159,6 +159,18 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w[:, ::-1])
 
 
+def negated_spectra(w: np.ndarray) -> np.ndarray:
+    """Spectra of -M from the (..., n) spectra of M: each row negated and reversed.
+
+    The rows stay sorted non-increasing. No solve is needed, and none of
+    the validation of spectra_batch is lost: -M has the eigenvectors of
+    M, so its eigenpair residuals and its trace error are those of M,
+    against the same limits (||-M||_F = ||M||_F, |tr -M| = |tr M|).
+    """
+
+    return -w[..., ::-1]
+
+
 @contextlib.contextmanager
 def matrices_named(name: Callable[[int], str]) -> Iterator[None]:
     """Re-raise a MatrixError from the block as a NumericError naming name(k), not matrix k.

@@ -5,8 +5,12 @@ and the per-graph report, bound-family and certification bodies the
 batched code replaced: one validated eigh per matrix, scalar ratio
 bounds and 1-d sweeps per graph, one eigvalsh per integer-search probe,
 properness checked by every step, and the majorization margins as a
-loop of ky_fan calls. The batched results, and the family functions as
-batches of one, must equal them bit for bit.
+loop of ky_fan calls. Like the batched code, they derive the spectra of
+-A, -Q = -D - A and A/(c-1) from their own validated eigh of A and Q
+instead of solving them. The batched results, and the family functions
+as batches of one, must equal them bit for bit. TestDerivedSpectraAgree
+solves those three test-side and checks that every bound, best m and
+certification verdict on the corpus stays the same.
 """
 
 import collections
@@ -33,6 +37,7 @@ from spectral_chroma.bounds import (
     loan_bound,
     normalized_bounds,
     normalized_sweep,
+    report_spectra,
     round_display,
 )
 from spectral_chroma.certify import (
@@ -58,6 +63,7 @@ from spectral_chroma.graphs import (
     cycle,
     emit_graph6,
     from_edges,
+    petersen,
     random_gnp,
 )
 from spectral_chroma.linalg import (
@@ -325,11 +331,17 @@ def reference_full_report(g: Graph, spectra) -> tuple:
     return g6, digest, g.n, g.edge_count, spectra, tuple(values), reference_display_map(values)
 
 
+def reference_negated(spec: Spectrum) -> Spectrum:
+    """The spectrum of -M from that of M."""
+
+    return Spectrum(-spec.values[::-1])
+
+
 def reference_negdeg_spectrum(g: Graph) -> Spectrum:
-    # -D - A as -D in place, then minus A: -Q to the bit, signed zeros included
-    d = np.diag(g.degrees().astype(np.float64))
-    np.negative(d, out=d)
-    return reference_eigenvalues_sym(d - g.adjacency())
+    """-Q = -D - A, derived from the validated Q spectrum."""
+
+    q = build_matrix(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
+    return reference_negated(reference_eigenvalues_sym(q))
 
 
 def reference_check_proper(a, col: Coloring) -> None:
@@ -362,7 +374,9 @@ def reference_build_conversion(a, col: Coloring) -> ColoringCertificate:
     return ColoringCertificate(col, diags, residual, tol)
 
 
-def reference_majorization_step(a, b, col: Coloring) -> MajorizationStepReport:
+def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationStepReport:
+    """The step for B with lhs and rhs the spectra of B - A and B + A/(c-1)."""
+
     reference_check_proper(a, col)
     c = col.c
     diags = conversion_unitaries(col)
@@ -375,8 +389,6 @@ def reference_majorization_step(a, b, col: Coloring) -> MajorizationStepReport:
     residual = float(np.linalg.norm(total - target, "fro"))
     tol = CONVERSION_TOL * c * max(1.0, float(np.linalg.norm(x, "fro")))
     n = a.shape[0]
-    lhs = reference_eigenvalues_sym(x)
-    rhs = reference_eigenvalues_sym(b + a / (c - 1))
     margins = np.array([ky_fan(lhs, m) - ky_fan(rhs, m) for m in range(1, n + 1)])
     return MajorizationStepReport(
         identity_residual=residual,
@@ -424,12 +436,25 @@ def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
 
 
 def reference_certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
+    """The left sides -A and -Q and the B = 0 right side A/(c-1) come from the A and Q spectra."""
+
     a = g.adjacency()
     conversion = reference_build_conversion(a, col)
     deg = np.diag(g.degrees().astype(np.float64))
+    spec_a = reference_eigenvalues_sym(a)
+    spec_q = reference_eigenvalues_sym(deg + a)
+    scaled = a / (col.c - 1)
     steps = {
-        label: reference_majorization_step(a, b, col)
-        for label, b in (("zero", np.zeros_like(a)), ("deg", deg), ("negdeg", -deg))
+        "zero": reference_majorization_step(
+            a, np.zeros_like(a), col,
+            reference_negated(spec_a), Spectrum(spec_a.values / (col.c - 1)),
+        ),
+        "deg": reference_majorization_step(
+            a, deg, col, reference_eigenvalues_sym(deg - a), reference_eigenvalues_sym(deg + scaled)
+        ),
+        "negdeg": reference_majorization_step(
+            a, -deg, col, reference_negated(spec_q), reference_eigenvalues_sym(-deg + scaled)
+        ),
     }
     loan = reference_loan_identity(g, col) if g.edge_count >= 1 else None
     return GraphCertificationReport(conversion, steps, loan)
@@ -578,6 +603,102 @@ class TestBatchesMatchReferences:
         assert_batches_match_references([orthogonality_graph(4), orthogonality_graph(8)])
 
 
+class TestDerivedSpectraAgree:
+    """Deriving -A, -Q and A/(c-1) from the A and Q spectra changes no bound and no verdict.
+
+    The derived spectra can differ from solved ones in the last bits, so
+    this compares, on the corpus and the named graphs, the (G, 15) bound
+    values, their best m and the certification verdicts against the same
+    code with those spectra solved test-side through spectra_batch.
+    """
+
+    @staticmethod
+    def solve_instead(monkeypatch):
+        # -Q for the integer search's B = -D candidate; both sides of every
+        # majorization step, -A, -Q and A/(c-1) among them
+        integer_c = bounds._integer_c
+        steps = certify._majorization_steps
+
+        def integer_c_solved(a, d, mu, th, negdeg, index):
+            return integer_c(a, d, mu, th, spectra_batch(-(d + a)), index)
+
+        def steps_solved(a, b, lhs, rhs, u, c):
+            lhs = spectra_batch(b - a)
+            rhs = spectra_batch(b + a / (c - 1)[:, None, None])
+            return steps(a, b, lhs, rhs, u, c)
+
+        monkeypatch.setattr(bounds, "_integer_c", integer_c_solved)
+        monkeypatch.setattr(certify, "_majorization_steps", steps_solved)
+
+    def margins_differ(self, monkeypatch, graphs) -> int:
+        """Assert agreement batch by batch; the number of graphs whose margins moved."""
+
+        moved = 0
+        for batch in _batches(graphs):
+            cols = [greedy_certificate_coloring(g) for g in batch]
+            runs = []
+            for solved in (False, True):
+                with monkeypatch.context() as patch:
+                    if solved:
+                        self.solve_instead(patch)
+                    reports = full_reports(batch)
+                    certs = certify_graphs(batch, cols)
+                values = np.stack([r.value_row for r in reports])
+                best_m = np.stack([r.best_m_row for r in reports])
+                margins = np.stack([step.spectral_margins for step in certs.steps.values()], axis=1)
+                runs.append((values, best_m, certs.ok, margins))
+            (values, best_m, ok, margins), (values_s, best_m_s, ok_s, margins_s) = runs
+            assert _bits(values) == _bits(values_s)
+            assert best_m.tolist() == best_m_s.tolist()
+            assert ok.tolist() == ok_s.tolist() and ok.all()
+            moved += int((margins != margins_s).any(axis=(1, 2)).sum())
+        return moved
+
+    def test_corpus(self, monkeypatch):
+        graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+        # the solved and derived margins differ in the last bits somewhere,
+        # so the two runs really take different paths
+        assert self.margins_differ(monkeypatch, graphs) > 0
+
+    def test_default_named(self, monkeypatch):
+        self.margins_differ(monkeypatch, [resolve_graph_input(s) for s in DEFAULT_NAMED])
+
+
+class TestSolveCounts:
+    """Validated eigh calls: A, L and Q once per graph, two right sides per certification."""
+
+    @staticmethod
+    def count(monkeypatch) -> list:
+        solve = np.linalg.eigh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_corpus_chunk(self, monkeypatch):
+        # six solves a chunk: A, L and Q, the normalized A, then B + A/(c-1)
+        # for B = D and -D; -A, -Q and A/(c-1) are derived
+        chunk, cols = TestCertifiedBatch.chunk()
+        calls = self.count(monkeypatch)
+        report_spectra(chunk)
+        assert len(calls) == 3
+        full_reports(chunk)
+        assert len(calls) == 4
+        certify_graphs(chunk, cols)
+        assert len(calls) == 6 and all(shape[0] == len(chunk) for shape in calls[4:])
+
+    def test_certify_graph_alone(self, monkeypatch):
+        g = petersen()
+        col = greedy_certificate_coloring(g)
+        calls = self.count(monkeypatch)
+        certify_graph(g, col)
+        assert calls == [(1, 10, 10)] * 5
+
+
 # --------------------------------------------------------------------------
 # the batched solver
 
@@ -710,17 +831,17 @@ class TestReportSolveErrors:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         return calls
 
-    # the stacks in solve order: A, L, Q and -D - A of report_spectra over
-    # all six graphs, the edgeless ones too, then the normalized A over
-    # graphs 3 and 5
+    # the stacks in solve order: A, L and Q of report_spectra over all six
+    # graphs, the edgeless ones too, then the normalized A over graphs 3
+    # and 5; -D - A is derived from Q, not solved
     @pytest.mark.parametrize(
-        "call,k,graph", [(0, 3, 3), (1, 5, 5), (2, 0, 0), (3, 2, 2), (4, 1, 5)]
+        "call,k,graph", [(0, 3, 3), (1, 5, 5), (2, 0, 0), (2, 2, 2), (3, 1, 5)]
     )
     def test_residual_names_the_graph(self, monkeypatch, call, k, graph):
         calls = self.poison(monkeypatch, call, k)
         with pytest.raises(NumericError, match=rf"^graph {graph}: eigenpair residual"):
             full_reports(self.graphs())
-        assert calls[call] == (2 if call == 4 else 6)
+        assert calls[call] == (2 if call == 3 else 6)
 
     def test_trace_names_the_graph(self, monkeypatch):
         TestSpectraBatch.patch_trace(monkeypatch, lambda t: t.__setitem__(4, t[4] + 1e-3))
@@ -904,15 +1025,15 @@ class TestCertifiedBatch:
         j = 40
         calls = []
         if where == "right side":
-            # the spectra_batch calls of certify_graphs: -A, then B + A/(c-1)
-            # for B = 0, D and -D; the largest eigenvalue of one graph's
-            # B = 0 right side is NaN, so every margin is
+            # the spectra_batch calls of certify_graphs: B + A/(c-1) for
+            # B = D and -D; the largest eigenvalue of one graph's B = D
+            # right side is NaN, so every margin is
             solve = certify.spectra_batch
 
             def poisoned(stack):
                 w = solve(stack)
                 calls.append(len(stack))
-                if len(calls) % 4 == 2:
+                if len(calls) % 2 == 1:
                     w[j, 0] = np.nan
                 return w
 
@@ -937,7 +1058,7 @@ class TestCertifiedBatch:
         assert np.flatnonzero(~batch.ok).tolist() == [bad]
         report = batch[bad]
         if where == "right side":
-            step = report.steps["zero"]
+            step = report.steps["deg"]
             assert not step.ok and not step.spectral_ok and np.isnan(step.spectral_margins).all()
             assert report.loan.ok
         else:

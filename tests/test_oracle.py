@@ -295,6 +295,14 @@ class TestEnumeration:
         assert sum(1 for _ in all_graphs(6)) == 156
         assert sum(1 for _ in all_graphs(7)) == 1044
 
+    def test_corpus_data_is_a_regular_package(self):
+        # zipimport cannot import a namespace package, whose __file__ is None
+        import spectral_chroma.data
+
+        assert spectral_chroma.data.__file__
+        lines = oracle._corpus_lines(6)
+        assert len(lines) == 156 and all(len(line) == 4 for line in lines)  # header + 15 bits
+
     def test_corpus_vertex_counts(self):
         assert all(g.n == 7 for g in all_graphs(7))
 
