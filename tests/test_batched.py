@@ -630,8 +630,8 @@ class TestDerivedSpectraAgree:
         monkeypatch.setattr(bounds, "_integer_c", integer_c_solved)
         monkeypatch.setattr(certify, "_majorization_steps", steps_solved)
 
-    def margins_differ(self, monkeypatch, graphs) -> int:
-        """Assert agreement batch by batch; the number of graphs whose margins moved."""
+    def assert_agree(self, monkeypatch, graphs) -> int:
+        """Assert agreement batch by batch; return how many graphs' margins moved."""
 
         moved = 0
         for batch in _batches(graphs):
@@ -658,10 +658,10 @@ class TestDerivedSpectraAgree:
         graphs = [g for n in range(1, 8) for g in all_graphs(n)]
         # the solved and derived margins differ in the last bits somewhere,
         # so the two runs really take different paths
-        assert self.margins_differ(monkeypatch, graphs) > 0
+        assert self.assert_agree(monkeypatch, graphs) > 0
 
     def test_default_named(self, monkeypatch):
-        self.margins_differ(monkeypatch, [resolve_graph_input(s) for s in DEFAULT_NAMED])
+        self.assert_agree(monkeypatch, [resolve_graph_input(s) for s in DEFAULT_NAMED])
 
 
 class TestSolveCounts:

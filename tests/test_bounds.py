@@ -51,8 +51,10 @@ from spectral_chroma.graphs import (
 )
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
+    Spectrum,
     eigenvalues_sym,
     graph_spectrum,
+    negated_spectra,
     random_hermitian,
 )
 from spectral_chroma.oracle import all_graphs, chromatic_number
@@ -370,12 +372,13 @@ class TestChainBounds:
 
 
 def search_spectra(g):
-    """The three spectra integer_c_search reads, solved as full_reports solves them."""
+    """The three spectra integer_c_search reads, as full_reports gets them: -Q derived from Q."""
 
+    spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
     return {
         "spec_a": graph_spectrum(g, GraphMatrixKind.ADJACENCY),
         "spec_l": graph_spectrum(g, GraphMatrixKind.LAPLACIAN),
-        "spec_negdeg": eigenvalues_sym(-build_matrix(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)),
+        "spec_negdeg": Spectrum(negated_spectra(spec_q.values)),
     }
 
 

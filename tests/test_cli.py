@@ -205,10 +205,9 @@ class TestCorpusCheckCommand:
         assert lines[-1] == "checked 75 graphs: 0 soundness violations, 0 certification failures"
 
     def test_chunk_solves_each_stack_once(self, monkeypatch):
-        # the reports solve A, L, Q, -D - A and the normalized A; the
-        # certificates read L, -D - A and Q from them and solve only -A and
-        # the three B + A/(c-1) stacks, where solving each role anew would
-        # make 12 calls
+        # the reports solve A, L, Q and the normalized A; the certificates
+        # read A, L and Q from them, derive -A, -D - A and A/(c-1), and
+        # solve only B + A/(c-1) for B = D and -D
         chunk = list(itertools.islice(all_graphs(7), cli.CORPUS_CHUNK))
         assert len(chunk) == 128 and sum(g.edge_count == 0 for g in chunk) == 1
         shapes = []
@@ -220,7 +219,7 @@ class TestCorpusCheckCommand:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         assert cli._check_chunk(chunk) == (0, 0)
-        assert len(shapes) <= 9
+        assert len(shapes) == 6
         assert all(len(s) == 3 and s[1:] == (7, 7) for s in shapes)
 
     def test_greedy_coloring_computed_once_per_graph(self):
