@@ -1,5 +1,6 @@
 """Graph representation, codecs, generators, and the G(n, p) sampler."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +37,8 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
-from spectral_chroma.oracle import all_graphs, greedy_coloring
+from spectral_chroma import oracle
+from spectral_chroma.oracle import all_graphs, greedy_coloring, labeled_graphs
 
 
 class TestGraphInvariants:
@@ -545,6 +547,50 @@ class TestScalarReferenceEquivalence:
         expected = _raised(reference_parse_graph6, text)
         assert expected is not None and expected[0] is ParseError
         assert _raised(parse_graph6, text) == expected
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    """The same stored graph: ends bytes, dtype, shape and flag, equality and hash."""
+
+    assert got.n == want.n
+    assert got.ends.dtype == want.ends.dtype == np.int64
+    assert got.ends.shape == want.ends.shape == (want.edge_count, 2)
+    assert got.ends.tobytes() == want.ends.tobytes()
+    assert not got.ends.flags.writeable and not want.ends.flags.writeable
+    assert got == want and hash(got) == hash(want)
+
+
+def reference_labeled_graphs(n: int):
+    """labeled_graphs(n) as a loop: bit b of graph k's number is the b-th pair in graph6 order."""
+
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for k in range(1 << len(pairs)):
+        yield Graph(n, [pair for b, pair in enumerate(pairs) if k >> b & 1])
+
+
+class TestDecodedGraphsMatchValidated:
+    """Graphs decoded from graph6 bits equal those the validating constructor builds."""
+
+    def test_enumerations(self):
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                assert_same_graph(g, Graph(g.n, g.ends.tolist()))
+        for g, want in itertools.zip_longest(labeled_graphs(6), reference_labeled_graphs(6)):
+            assert_same_graph(g, Graph(g.n, g.ends.tolist()))
+            assert_same_graph(g, want)
+
+    def test_corpus_matches_scalar_reference(self):
+        for n in (6, 7):
+            decoded = list(all_graphs(n))
+            assert len(decoded) == len(oracle._corpus_lines(n))
+            for g, line in zip(decoded, oracle._corpus_lines(n)):
+                assert_same_graph(g, reference_parse_graph6(line))
+
+    def test_parse_graph6(self, equivalence_graphs):
+        for g in equivalence_graphs:
+            got = parse_graph6(emit_graph6(g))
+            assert_same_graph(got, Graph(g.n, g.ends.tolist()))
+            assert_same_graph(got, g)
 
 
 class TestCanonicalEndpoints:
