@@ -6,17 +6,26 @@ formats (graph6 and edge lists), the deterministic family generators
 used by the comparison tables, and a counter-based G(n, p) sampler that
 reproduces bit-identically across platforms, for one graph or as a stack
 of adjacency matrices.
+
+Graphs are made two ways. Graph(n, pairs) validates each graph: edge
+lists, the family generators and random_gnp use it. graphs_from_bits
+validates once per array: a (G, C(n, 2)) 0/1 array in graph6 bit order
+becomes G graphs whose ends are rows of one pair table, correct by
+construction. It decodes the bundled corpora (graph6_rows checks a
+whole file of lines as one array), the labeled enumeration, and each
+parse_graph6 line as a batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,8 +103,10 @@ class Graph:
     order). Any iterable of pairs or (m, 2) array is accepted; the first
     loop or out-of-range endpoint in iteration order is rejected and
     duplicates collapse, so every Graph satisfies the invariants by
-    construction. The edge set, degrees, degree order, neighborhoods and
-    dense adjacency are derived on first use, once, and read-only.
+    construction. graphs_from_bits makes Graphs without these per-graph
+    checks, from pairs that hold the invariants by construction. The
+    edge set, degrees, degree order, neighborhoods and dense adjacency
+    are derived on first use, once, and read-only.
     """
 
     n: int
@@ -105,20 +116,18 @@ class Graph:
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"vertex count must be a positive integer, got {self.n!r}")
         u, v = _endpoint_array(self.ends).T
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
-        if np.count_nonzero(bad):
-            first = bad.argmax()  # the first bad edge in iteration order
-            u, v = int(u[first]), int(v[first])
-            if u == v:
-                raise DomainError(f"loop edge ({u}, {v}) not allowed")
-            raise DomainError(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
-        order = np.lexsort((lo, hi))  # by column j, then row i: duplicates are adjacent
-        lo, hi = lo[order], hi[order]
-        repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])  # row k + 1 repeats row k
-        if np.count_nonzero(repeats):
-            keep = np.append(True, ~repeats)
-            lo, hi = lo[keep], hi[keep]
+        _check_endpoints(u, v, self.n)
+        if (u < v).all() and ((v[1:] > v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] > u[:-1]))).all():
+            # already in graph6 order without repeats: one copy, no sort (random_gnp's pairs)
+            lo, hi = u, v
+        else:
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            order = np.lexsort((lo, hi))  # by column j, then row i: duplicates are adjacent
+            lo, hi = lo[order], hi[order]
+            repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])  # row k + 1 repeats row k
+            if np.count_nonzero(repeats):
+                keep = np.append(True, ~repeats)
+                lo, hi = lo[keep], hi[keep]
         object.__setattr__(self, "ends", _read_only(np.array((lo, hi)).T))
 
     def __eq__(self, other: object) -> bool:
@@ -176,6 +185,18 @@ class Graph:
         return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
 
 
+def _check_endpoints(u: np.ndarray, v: np.ndarray, n: int) -> None:
+    """Reject the first loop or out-of-range edge (u[k], v[k]) in iteration order."""
+
+    bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
+    if np.count_nonzero(bad):
+        first = bad.argmax()
+        a, b = int(u[first]), int(v[first])
+        if a == b:
+            raise DomainError(f"loop edge ({a}, {b}) not allowed")
+        raise DomainError(f"edge ({a}, {b}) outside vertex range [0, {n})")
+
+
 def common_order(graphs: Sequence[Graph]) -> int:
     """The vertex count shared by a nonempty batch of graphs."""
 
@@ -229,7 +250,8 @@ def parse_graph6(text: str) -> Graph:
 
     The optional ">>graph6<<" prefix is accepted and stripped. Only
     canonical encodings round-trip, so nonzero padding bits are rejected
-    rather than ignored.
+    rather than ignored. The line is checked once, and its bits become
+    the Graph as a batch of one (graphs_from_bits).
     """
 
     line = text.strip()
@@ -253,28 +275,97 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - offset > nbytes:
         raise ParseError(f"unexpected trailing graph6 bytes at offset {offset + nbytes}")
-    body = np.frombuffer(data, dtype=np.uint8)[offset:]
-    chunks = body - np.uint8(63)  # bytes outside 63..126 wrap to values above 63
-    bad = chunks > 63
+    body = np.frombuffer(data, dtype=np.uint8)[None, offset:]
+    bits, bad = _g6_unpack(body)
     if np.count_nonzero(bad):
         k = int(bad.argmax())
-        raise ParseError(f"out-of-range graph6 byte {int(body[k])} at offset {offset + k}")
-    # each byte holds 6 bits, most significant first
-    bits = np.unpackbits(chunks[:, None], axis=1)[:, 2:].ravel()
-    if np.count_nonzero(bits[nbits:]):
+        raise ParseError(f"out-of-range graph6 byte {int(body[0, k])} at offset {offset + k}")
+    if np.count_nonzero(bits[:, nbits:]):
         raise ParseError("nonzero graph6 padding bits; encoding is not canonical")
-    (k,) = bits[:nbits].nonzero()
-    starts = _g6_column_starts(n)
-    j = np.searchsorted(starts, k, side="right") - 1
-    i = k - starts[j]
-    return Graph(n, np.array((i, j)).T)
+    (g,) = graphs_from_bits(n, bits[:, :nbits])
+    return g
 
 
-def _g6_column_starts(n: int) -> np.ndarray:
-    """Bit index of pair (0, j) for j = 0..n-1: column j holds j pairs (i, j), i < j."""
+def graph6_rows(n: int, lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Decode graph6 lines of n-vertex graphs as one array, checked once.
 
-    j = np.arange(n, dtype=np.int64)
-    return j * (j - 1) // 2
+    Returns the (G, C(n, 2)) bits of the lines, for graphs_from_bits, and
+    a (G,) mask of the lines that are not the plain graph6 text of an
+    n-vertex graph: a line of another length, another header, a byte
+    outside 63..126 or nonzero padding. Flagged rows hold no graph; the
+    caller raises for the first (parse_graph6 of it gives its error).
+    Lines carry no prefix and no surrounding whitespace, and n <= 62, so
+    the header is the one byte n + 63.
+    """
+
+    nbits = n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    # each line cut or padded (with code 0, out of range) to the width of an n-vertex line
+    codes = np.array(lines, dtype=f"<U{width}").view(np.uint32).reshape(len(lines), width)
+    bits, bad_bytes = _g6_unpack(codes[:, 1:])
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    bad = (lengths != width) | (codes[:, 0] != 63 + n) | bad_bytes.any(axis=1)
+    return bits[:, :nbits], bad | bits[:, nbits:].any(axis=1)
+
+
+def _g6_unpack(body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of (G, nbytes) graph6 data codes, and the mask of codes outside 63..126.
+
+    Each code holds 6 bits, most significant first; the (G, 6 * nbytes)
+    bits include the padding.
+    """
+
+    chunks = body - body.dtype.type(63)  # codes below 63 wrap to values above 63
+    bits = np.unpackbits(chunks.astype(np.uint8)[..., None], axis=-1)[..., 2:]
+    return bits.reshape(body.shape[0], 6 * body.shape[1]), chunks > 63
+
+
+def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
+    """One Graph per row of a (G, C(n, 2)) 0/1 array in graph6 bit order, made lazily.
+
+    The array is checked once; its graphs are not validated one by one.
+    Graph k's ends are the rows of one pair table (_g6_pairs) that row k
+    sets: in range, loop-free, in graph6 order and without repeats by
+    construction, so they are the ends Graph(n, pairs) would store.
+    """
+
+    _require_positive("n", n)
+    bits = np.asarray(bits, dtype=bool)
+    if bits.ndim != 2 or bits.shape[1] != n * (n - 1) // 2:
+        raise DomainError(f"graph bits for n={n} need shape (G, {n * (n - 1) // 2}), got {bits.shape}")
+    pairs = _g6_pairs(0, bits.shape[1])
+    for keep in bits:
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "ends", _read_only(pairs[keep]))
+        yield g
+
+
+def _g6_pairs(start: int, stop: int) -> np.ndarray:
+    """The pairs (i, j), i < j, at graph6 bit indices start..stop-1, as a (stop - start, 2) int64 table.
+
+    Column j holds the j pairs (i, j), i < j, from bit j(j - 1)/2 on, so
+    the table does not depend on the vertex count. Within the pairs of
+    64 vertices it is a read-only slice of one table built at import.
+    """
+
+    if stop <= len(_SHARED_PAIRS):
+        return _SHARED_PAIRS[start:stop]
+    return _pair_range(start, stop)
+
+
+def _pair_range(start: int, stop: int) -> np.ndarray:
+    """_g6_pairs(start, stop), built for the call; needs stop >= 1."""
+
+    first, last = ((1 + math.isqrt(1 + 8 * k)) // 2 for k in (start, stop - 1))  # their columns
+    j = np.arange(first, last + 1, dtype=np.int64)
+    col_start = j * (j - 1) // 2
+    counts = np.minimum(col_start + j, stop) - np.maximum(col_start, start)
+    j = np.repeat(j, counts)
+    return np.stack((np.arange(start, stop) - j * (j - 1) // 2, j), axis=1)
+
+
+_SHARED_PAIRS = _read_only(_pair_range(0, 64 * 63 // 2))  # 32 KB
 
 
 def emit_graph6(g: Graph) -> str:
@@ -290,7 +381,7 @@ def emit_graph6(g: Graph) -> str:
     nbytes = (n * (n - 1) // 2 + 5) // 6
     bits = np.zeros(6 * nbytes, dtype=np.uint8)
     i, j = g.ends.T  # i < j
-    bits[_g6_column_starts(n)[j] + i] = 1
+    bits[j * (j - 1) // 2 + i] = 1  # pair (i, j) is bit j(j - 1)/2 + i
     # six bits per byte, most significant first, then the offset 63
     body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
     return (bytes(header) + body.tobytes()).decode("ascii")
@@ -595,13 +686,15 @@ def _arity(spec: str, got: list[int], want: int) -> list[int]:
 # (n, p, seed) gives the same edge set on any platform. The pair is
 # included iff its draw is below floor(p * 2^64), computed exactly from
 # the binary expansion of p. random_gnp and random_gnp_adjacency share
-# one draw routine; the latter draws many seeds as one array and returns
-# dense adjacency stacks without building a Graph.
+# one draw routine, which walks the pairs in graph6 order in blocks of
+# at most _GNP_BLOCK draws; the latter draws many seeds at once and
+# returns dense adjacency stacks without building a Graph.
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_GNP_BLOCK = 1 << 15  # draws per block
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -614,34 +707,45 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 def _gnp_draws(
     n: int, p: float, seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs (i, j), i < j, in lexicographic order, and a (G, C(n, 2)) keep mask.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The draws of G(n, p) at each seed, in blocks of pairs in graph6 order.
 
-    Row k of the mask holds the pairs drawn for seeds[k]; the draws of
-    all seeds are one SplitMix64 evaluation on a (G, C(n, 2)) array.
+    Yields (i, j, keep) per block: the block's pairs (i, j), i < j, and a
+    (G, block) keep mask, row k for seeds[k]. Pair (i, j) draws at its
+    lexicographic counter, so its draw is the one a single evaluation
+    over all C(n, 2) pairs gives; a block holds at most _GNP_BLOCK draws
+    (at least one pair), which bounds the working arrays at any n.
+    Bad arguments raise here, before any block.
     """
 
     _require_positive("n", n)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must lie in [0, 1], got {p}")
     threshold = int(Fraction(p) * (1 << 64))
-    rows, cols = np.triu_indices(n, 1)  # counter k + 1 belongs to the k-th pair
-    counters = np.arange(1, rows.size + 1, dtype=np.uint64)
-    starts = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
-    draws = _splitmix64(starts[:, None] + counters * _GAMMA)
-    if threshold > _MASK64:  # p = 1: every 64-bit draw is below 2^64
-        keep = np.ones(draws.shape, dtype=bool)
-    else:
-        keep = draws < np.uint64(threshold)
-    return rows, cols, keep
+    starts = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)[:, None]
+    total = n * (n - 1) // 2
+    step = max(1, _GNP_BLOCK // max(1, len(starts)))
+
+    def blocks():
+        for first in range(0, total, step):
+            i, j = _g6_pairs(first, min(first + step, total)).T
+            # counter k + 1 belongs to the k-th pair in lexicographic order
+            counters = (i * (2 * n - i - 1) // 2 + j - i).astype(np.uint64)
+            draws = _splitmix64(starts + counters * _GAMMA)
+            if threshold > _MASK64:  # p = 1: every 64-bit draw is below 2^64
+                yield i, j, np.ones(draws.shape, dtype=bool)
+            else:
+                yield i, j, draws < np.uint64(threshold)
+
+    return blocks()
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with counter-based, platform-independent seeding."""
 
-    rows, cols, keep = _gnp_draws(n, p, [seed])
-    keep = keep[0]
-    return Graph(n, np.array((rows[keep], cols[keep])).T)
+    kept = (np.stack((i[keep], j[keep]), axis=1) for i, j, (keep,) in _gnp_draws(n, p, [seed]))
+    # the blocks are freed before Graph copies their concatenation
+    return Graph(n, np.concatenate([np.empty((0, 2), dtype=np.int64), *kept]))
 
 
 def random_gnp_adjacency(n: int, p: float, seeds: Sequence[int]) -> np.ndarray:
@@ -650,8 +754,9 @@ def random_gnp_adjacency(n: int, p: float, seeds: Sequence[int]) -> np.ndarray:
     Matrix k equals random_gnp(n, p, seeds[k]).adjacency(); no Graph is built.
     """
 
-    rows, cols, keep = _gnp_draws(n, p, seeds)
-    a = np.zeros((len(keep), n, n))
-    a[:, rows, cols] = keep
-    a[:, cols, rows] = keep
+    blocks = _gnp_draws(n, p, seeds)
+    a = np.zeros((len(seeds), n, n))
+    for i, j, keep in blocks:
+        a[:, i, j] = keep
+        a[:, j, i] = keep
     return a

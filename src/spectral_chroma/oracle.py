@@ -3,6 +3,9 @@
 Backtracking chromatic numbers, exhaustive labeled enumeration for tiny
 n, the bundled deduplicated corpora for 6 and 7 vertices, and the
 deterministic greedy coloring that feeds the certificate machinery.
+The enumerations validate once per array, not per graph: a corpus file
+is decoded and checked as one array of lines, and the labeled graphs
+come from one table of bit masks, both through graphs.graphs_from_bits.
 
 The backtracking keeps one int bitmask per color over the search
 positions: bit j of forbidden[c] says that position j already has a
@@ -37,8 +40,8 @@ from typing import Iterator
 import numpy as np
 
 from .certify import Coloring
-from .errors import DomainError
-from .graphs import Graph, computed_once, parse_graph6
+from .errors import DomainError, ParseError
+from .graphs import Graph, computed_once, graph6_rows, graphs_from_bits, parse_graph6
 
 _BACKTRACK_CEILING = 64
 
@@ -203,28 +206,34 @@ def chromatic_number(g: Graph) -> ChromaticResult:
 
 
 def labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on 0..n-1; supported for n <= 6."""
+    """All 2^C(n,2) labeled graphs on 0..n-1; supported for n <= 6.
+
+    Graph k has the pairs of the set bits of k, bit b the b-th pair in
+    graph6 order: (0, 1), (0, 2), (1, 2), (0, 3), ...
+    """
 
     if not 1 <= n <= 6:
         raise DomainError(f"labeled enumeration supports 1 <= n <= 6, got {n}")
-    j, i = np.tril_indices(n, -1)
-    pairs = np.array((i, j)).T  # bit b of a mask is pair b: (0, 1), (0, 2), (1, 2), (0, 3), ...
-    bit = np.arange(len(pairs))
-    for keep in (np.arange(1 << len(pairs))[:, None] >> bit) & 1 == 1:
-        yield Graph(n, pairs[keep])
+    bit = np.arange(n * (n - 1) // 2)
+    yield from graphs_from_bits(n, (np.arange(1 << bit.size)[:, None] >> bit) & 1 == 1)
 
 
 @lru_cache(maxsize=None)
 def _corpus_lines(n: int) -> tuple[str, ...]:
-    """The graph6 lines of the bundled n-vertex corpus; graphs are parsed per use."""
+    """The graph6 lines of the bundled n-vertex corpus, stripped; graphs are decoded per use."""
 
     path = resources.files("spectral_chroma.data") / f"graphs{n}.g6"
-    lines = path.read_text(encoding="ascii").splitlines()
-    return tuple(line for line in lines if line.strip())
+    return tuple(filter(None, map(str.strip, path.read_text(encoding="ascii").splitlines())))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Every graph on n vertices: labeled for n <= 5, corpus classes for 6 and 7."""
+    """Every graph on n vertices: labeled for n <= 5, corpus classes for 6 and 7.
+
+    A corpus file is decoded as one array and checked once, before its
+    first graph is yielded: a line that is not the graph6 text of an
+    n-vertex graph raises parse_graph6's error for the first such line,
+    or names the vertex count of a graph of another order.
+    """
 
     if n < 1:
         raise DomainError(f"vertex count must be positive, got {n}")
@@ -233,8 +242,12 @@ def all_graphs(n: int) -> Iterator[Graph]:
     if n <= 5:
         yield from labeled_graphs(n)
         return
-    for line in _corpus_lines(n):
-        g = parse_graph6(line)
-        if g.n != n:
-            raise DomainError(f"corpus graphs{n}.g6 contains a graph on {g.n} vertices")
-        yield g
+    lines = _corpus_lines(n)
+    bits, bad = graph6_rows(n, lines)
+    if np.count_nonzero(bad):
+        line = lines[int(bad.argmax())]
+        k = parse_graph6(line).n  # raises the error of a malformed line
+        if k != n:
+            raise DomainError(f"corpus graphs{n}.g6 contains a graph on {k} vertices")
+        raise ParseError(f"corpus graphs{n}.g6 line {line!r} is not plain graph6 of {n} vertices")
+    yield from graphs_from_bits(n, bits)

@@ -37,7 +37,7 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
-from spectral_chroma import oracle
+from spectral_chroma import graphs, oracle
 from spectral_chroma.oracle import all_graphs, greedy_coloring, labeled_graphs
 
 
@@ -326,6 +326,32 @@ class TestRandomGnp:
         with pytest.raises(DomainError):
             random_gnp_adjacency(5, -0.1, [0])
 
+    @pytest.mark.parametrize("p, seed_value", [(0.5, 1), (0.1, 2), (1.0, 3)])
+    def test_blocks_match_the_one_shot_draw(self, p, seed_value):
+        n = 1000
+        assert n * (n - 1) // 2 > 10 * graphs._GNP_BLOCK  # many blocks, most cut mid-column
+        rows, cols, (keep,) = reference_gnp_one_shot(n, p, [seed_value])
+        assert_same_graph(random_gnp(n, p, seed_value), Graph(n, np.array((rows[keep], cols[keep])).T))
+
+    def test_adjacency_blocks_match_the_one_shot_draw(self):
+        n, seeds = 300, [0, 7, -3]
+        rows, cols, keep = reference_gnp_one_shot(n, 0.5, seeds)
+        want = np.zeros((len(seeds), n, n))
+        want[:, rows, cols] = keep
+        want[:, cols, rows] = keep
+        assert np.array_equal(random_gnp_adjacency(n, 0.5, seeds), want)
+
+    def test_sampler_memory_peak(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = random_gnp(1000, 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the draws are made in blocks; the edge array and one copy of it set the peak
+        assert g.ends.nbytes < 4 * 2**20 and peak < 8 * 2**20
+
     @seed(2)
     @given(st.integers(2, 40), st.integers(0, 2**63 - 1))
     @settings(max_examples=40, deadline=None)
@@ -361,6 +387,26 @@ def reference_gnp_edges(n: int, p: float, seed_value: int) -> frozenset:
             if _ref_splitmix64(base + counter * _REF_GAMMA) < threshold:
                 edges.append((i, j))
     return frozenset(edges)
+
+
+def reference_gnp_one_shot(n: int, p: float, seeds: list[int]):
+    """The sampler's draw over all C(n, 2) pairs at once.
+
+    Returns the pairs (i, j), i < j, in lexicographic order and the
+    (G, C(n, 2)) keep mask, row k for seeds[k].
+    """
+
+    threshold = int(Fraction(p) * (1 << 64))
+    rows, cols = np.triu_indices(n, 1)  # counter k + 1 belongs to the k-th pair
+    counters = np.arange(1, rows.size + 1, dtype=np.uint64)
+    starts = np.array([s & _REF_MASK64 for s in seeds], dtype=np.uint64)
+    z = starts[:, None] + counters * np.uint64(_REF_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    draws = z ^ (z >> np.uint64(31))
+    if threshold > _REF_MASK64:
+        return rows, cols, np.ones(draws.shape, dtype=bool)
+    return rows, cols, draws < np.uint64(threshold)
 
 
 def reference_parse_graph6(text: str) -> Graph:

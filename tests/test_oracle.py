@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import sys
 import weakref
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from spectral_chroma import oracle
 from spectral_chroma.certify import Coloring
-from spectral_chroma.errors import DomainError
+from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.experiments import DEFAULT_NAMED, resolve_graph_input
 from spectral_chroma.graphs import (
     Graph,
@@ -323,3 +324,31 @@ class TestEnumeration:
         del first
         gc.collect()
         assert ref() is None
+
+
+class TestCorpusDecodeErrors:
+    """A corpus file is checked as one array, before its first graph is yielded."""
+
+    @pytest.mark.parametrize(
+        "bad, error, text",
+        [
+            ("F" + chr(20) + "???", ParseError, "out-of-range graph6 byte 20 at offset 1"),
+            ("F???@", ParseError, "nonzero graph6 padding bits; encoding is not canonical"),
+            (
+                "F??",
+                ParseError,
+                "truncated graph6 bit field at byte offset 3: need 4 data bytes for n=7, got 2",
+            ),
+            ("E??W", DomainError, "corpus graphs7.g6 contains a graph on 6 vertices"),
+            ("~??F????", ParseError, "corpus graphs7.g6 line '~??F????' is not plain graph6 of 7 vertices"),
+        ],
+    )
+    def test_first_bad_line_raises_before_any_graph(self, monkeypatch, bad, error, text):
+        lines = oracle._corpus_lines(7)
+        # a second bad line later in the file: only the first is reported
+        patched = lines[:5] + (bad,) + lines[5:20] + ("F" + chr(127) + "???",) + lines[20:]
+        monkeypatch.setattr(oracle, "_corpus_lines", lambda n: patched)
+        graphs = all_graphs(7)
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            next(graphs)
+
