@@ -38,6 +38,11 @@ isolated vertices; bounds --json, certify, chromatic and sweep --bound
 GenNormalizedHoffman run on it, and the sweep exits 2 on the isolated
 vertex. The other is the graph6 text of a G(70, .5), whose vertex
 count takes the four-byte header, run through bounds --json.
+
+The last four invocations cover the graph6 decoder's refusals and its
+prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
+bit field) and on "B@" (nonzero padding bits), each exit 2 with its
+error line, and chromatic on ">>graph6<<D?{" (the prefix is stripped).
 """
 
 from __future__ import annotations
@@ -141,6 +146,11 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["chromatic", edges])
     out.append(["sweep", edges, "--bound", "GenNormalizedHoffman"])  # exit 2: isolated vertex
     out.append(["bounds", "--json", f"@{g6_file}"])
+    # graph6 text that parse_graph6 refuses (exit 2), and one with the optional prefix
+    out.append(["bounds", "C~~"])  # a trailing byte
+    out.append(["chromatic", "D"])  # truncated bit field
+    out.append(["chromatic", "B@"])  # nonzero padding bits
+    out.append(["chromatic", ">>graph6<<D?{"])
     return out
 
 
