@@ -282,8 +282,7 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"out-of-range graph6 byte {int(body[0, k])} at offset {offset + k}")
     if np.count_nonzero(bits[:, nbits:]):
         raise ParseError("nonzero graph6 padding bits; encoding is not canonical")
-    (g,) = graphs_from_bits(n, bits[:, :nbits])
-    return g
+    return next(graphs_from_bits(n, bits[:, :nbits]))
 
 
 def graph6_rows(n: int, lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
