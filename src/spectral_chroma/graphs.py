@@ -323,7 +323,7 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
     """One Graph per row of a (G, C(n, 2)) 0/1 array in graph6 bit order, made lazily.
 
     The array is checked once; its graphs are not validated one by one.
-    Graph k's ends are the rows of one pair table (_g6_pairs) that row k
+    Graph k's ends are the rows of the pair table (_g6_pairs) that row k
     sets: in range, loop-free, in graph6 order and without repeats by
     construction, so they are the ends Graph(n, pairs) would store.
     """
@@ -331,17 +331,33 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
     _require_positive("n", n)
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim != 2 or bits.shape[1] != n * (n - 1) // 2:
-        raise DomainError(f"graph bits for n={n} need shape (G, {n * (n - 1) // 2}), got {bits.shape}")
-    pairs = _g6_pairs(0, bits.shape[1])
+        raise DomainError(
+            f"graph bits for n={n} need shape (G, {n * (n - 1) // 2}), got {bits.shape}"
+        )
     for keep in bits:
         g = object.__new__(Graph)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "ends", _read_only(pairs[keep]))
+        object.__setattr__(g, "ends", _read_only(_kept_pairs(keep)))
         yield g
 
 
+def _kept_pairs(keep: np.ndarray) -> np.ndarray:
+    """The pairs of the set entries of a boolean vector in graph6 bit order, as (m, 2) int64.
+
+    The pair table is built _PAIR_BLOCK bits at a time, so a long vector
+    with few set bits costs one block's table, not 16 bytes per pair.
+    """
+
+    if keep.size <= _PAIR_BLOCK:
+        return _g6_pairs(0, keep.size)[keep]
+    blocks = range(0, keep.size, _PAIR_BLOCK)
+    return np.concatenate(
+        [_g6_pairs(s, min(s + _PAIR_BLOCK, keep.size))[keep[s:s + _PAIR_BLOCK]] for s in blocks]
+    )
+
+
 def _g6_pairs(start: int, stop: int) -> np.ndarray:
-    """The pairs (i, j), i < j, at graph6 bit indices start..stop-1, as a (stop - start, 2) int64 table.
+    """The pairs (i, j), i < j, at graph6 bit indices start..stop-1, as (stop - start, 2) int64.
 
     Column j holds the j pairs (i, j), i < j, from bit j(j - 1)/2 on, so
     the table does not depend on the vertex count. Within the pairs of
@@ -365,6 +381,7 @@ def _pair_range(start: int, stop: int) -> np.ndarray:
 
 
 _SHARED_PAIRS = _read_only(_pair_range(0, 64 * 63 // 2))  # 32 KB
+_PAIR_BLOCK = 1 << 15  # graph6 bits decoded, or G(n, p) draws made, per block
 
 
 def emit_graph6(g: Graph) -> str:
@@ -686,14 +703,13 @@ def _arity(spec: str, got: list[int], want: int) -> list[int]:
 # included iff its draw is below floor(p * 2^64), computed exactly from
 # the binary expansion of p. random_gnp and random_gnp_adjacency share
 # one draw routine, which walks the pairs in graph6 order in blocks of
-# at most _GNP_BLOCK draws; the latter draws many seeds at once and
+# at most _PAIR_BLOCK draws; the latter draws many seeds at once and
 # returns dense adjacency stacks without building a Graph.
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_GNP_BLOCK = 1 << 15  # draws per block
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -712,7 +728,7 @@ def _gnp_draws(
     Yields (i, j, keep) per block: the block's pairs (i, j), i < j, and a
     (G, block) keep mask, row k for seeds[k]. Pair (i, j) draws at its
     lexicographic counter, so its draw is the one a single evaluation
-    over all C(n, 2) pairs gives; a block holds at most _GNP_BLOCK draws
+    over all C(n, 2) pairs gives; a block holds at most _PAIR_BLOCK draws
     (at least one pair), which bounds the working arrays at any n.
     Bad arguments raise here, before any block.
     """
@@ -723,7 +739,7 @@ def _gnp_draws(
     threshold = int(Fraction(p) * (1 << 64))
     starts = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)[:, None]
     total = n * (n - 1) // 2
-    step = max(1, _GNP_BLOCK // max(1, len(starts)))
+    step = max(1, _PAIR_BLOCK // max(1, len(starts)))
 
     def blocks():
         for first in range(0, total, step):

@@ -329,9 +329,10 @@ class TestRandomGnp:
     @pytest.mark.parametrize("p, seed_value", [(0.5, 1), (0.1, 2), (1.0, 3)])
     def test_blocks_match_the_one_shot_draw(self, p, seed_value):
         n = 1000
-        assert n * (n - 1) // 2 > 10 * graphs._GNP_BLOCK  # many blocks, most cut mid-column
+        assert n * (n - 1) // 2 > 10 * graphs._PAIR_BLOCK  # many blocks, most cut mid-column
         rows, cols, (keep,) = reference_gnp_one_shot(n, p, [seed_value])
-        assert_same_graph(random_gnp(n, p, seed_value), Graph(n, np.array((rows[keep], cols[keep])).T))
+        want = Graph(n, np.array((rows[keep], cols[keep])).T)
+        assert_same_graph(random_gnp(n, p, seed_value), want)
 
     def test_adjacency_blocks_match_the_one_shot_draw(self):
         n, seeds = 300, [0, 7, -3]
@@ -684,6 +685,18 @@ class TestCanonicalEndpoints:
             tracemalloc.stop()
         # the endpoint array is traced, so the bound is not met by an untraced store
         assert g.ends.nbytes <= live < 8 * 2**20
+
+    def test_parse_graph6_of_a_sparse_graph_builds_no_full_pair_table(self):
+        text = emit_graph6(random_gnp(2000, 0.001, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a table of all C(2000, 2) pairs alone would take 30.5 MB
+        assert g.edge_count < 2500 and peak < 8 * 2**20
 
 
 class TestGraphCaches:

@@ -340,7 +340,11 @@ class TestCorpusDecodeErrors:
                 "truncated graph6 bit field at byte offset 3: need 4 data bytes for n=7, got 2",
             ),
             ("E??W", DomainError, "corpus graphs7.g6 contains a graph on 6 vertices"),
-            ("~??F????", ParseError, "corpus graphs7.g6 line '~??F????' is not plain graph6 of 7 vertices"),
+            (
+                "~??F????",
+                ParseError,
+                "corpus graphs7.g6 line '~??F????' is not plain graph6 of 7 vertices",
+            ),
         ],
     )
     def test_first_bad_line_raises_before_any_graph(self, monkeypatch, bad, error, text):
