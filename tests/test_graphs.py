@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from spectral_chroma import graphs, oracle
 from spectral_chroma.bounds import full_report
 from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.graphs import (
@@ -37,7 +38,6 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
-from spectral_chroma import graphs, oracle
 from spectral_chroma.oracle import all_graphs, greedy_coloring, labeled_graphs
 
 

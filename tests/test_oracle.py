@@ -355,4 +355,3 @@ class TestCorpusDecodeErrors:
         graphs = all_graphs(7)
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
             next(graphs)
-
