@@ -186,7 +186,10 @@ class Graph:
 
 
 def _check_endpoints(u: np.ndarray, v: np.ndarray, n: int) -> None:
-    """Reject the first loop or out-of-range edge (u[k], v[k]) in iteration order."""
+    """Reject the first loop or out-of-range edge (u[k], v[k]) in iteration order.
+
+    A function of its own, so its masks are freed before Graph copies the pairs.
+    """
 
     bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
     if np.count_nonzero(bad):
@@ -769,7 +772,7 @@ def random_gnp_adjacency(n: int, p: float, seeds: Sequence[int]) -> np.ndarray:
     Matrix k equals random_gnp(n, p, seeds[k]).adjacency(); no Graph is built.
     """
 
-    blocks = _gnp_draws(n, p, seeds)
+    blocks = _gnp_draws(n, p, seeds)  # checks n and p before the stack is allocated
     a = np.zeros((len(seeds), n, n))
     for i, j, keep in blocks:
         a[:, i, j] = keep
