@@ -8,19 +8,19 @@ reproduces bit-identically across platforms, for one graph or as a stack
 of adjacency matrices.
 
 Graphs are made two ways. Graph(n, pairs) validates each graph: edge
-lists, the family generators and random_gnp use it. graphs_from_bits
-validates once per array: a (G, C(n, 2)) 0/1 array in graph6 bit order
-becomes G graphs whose ends are rows of one pair table, correct by
+lists and the family generators use it. graphs_from_bits validates once
+per array: a (G, C(n, 2)) 0/1 array in graph6 bit order becomes G
+graphs whose ends are the pairs of their set bits, correct by
 construction. It decodes the bundled corpora (graph6_rows checks a
 whole file of lines as one array), the labeled enumeration, and each
-parse_graph6 line as a batch of one.
+parse_graph6 line as a batch of one. random_gnp draws its pairs in
+graph6 order and builds its Graph the same unchecked way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -103,10 +103,10 @@ class Graph:
     order). Any iterable of pairs or (m, 2) array is accepted; the first
     loop or out-of-range endpoint in iteration order is rejected and
     duplicates collapse, so every Graph satisfies the invariants by
-    construction. graphs_from_bits makes Graphs without these per-graph
-    checks, from pairs that hold the invariants by construction. The
-    edge set, degrees, degree order, neighborhoods and dense adjacency
-    are derived on first use, once, and read-only.
+    construction. graphs_from_bits and random_gnp make Graphs without
+    these per-graph checks, from pairs that hold the invariants by
+    construction. The edge set, degrees, degree order, neighborhoods and
+    dense adjacency are derived on first use, once, and read-only.
     """
 
     n: int
@@ -116,18 +116,20 @@ class Graph:
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"vertex count must be a positive integer, got {self.n!r}")
         u, v = _endpoint_array(self.ends).T
-        _check_endpoints(u, v, self.n)
-        if (u < v).all() and ((v[1:] > v[:-1]) | ((v[1:] == v[:-1]) & (u[1:] > u[:-1]))).all():
-            # already in graph6 order without repeats: one copy, no sort (random_gnp's pairs)
-            lo, hi = u, v
-        else:
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            order = np.lexsort((lo, hi))  # by column j, then row i: duplicates are adjacent
-            lo, hi = lo[order], hi[order]
-            repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])  # row k + 1 repeats row k
-            if np.count_nonzero(repeats):
-                keep = np.append(True, ~repeats)
-                lo, hi = lo[keep], hi[keep]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
+        if np.count_nonzero(bad):
+            first = bad.argmax()  # the first bad edge in iteration order
+            u, v = int(u[first]), int(v[first])
+            if u == v:
+                raise DomainError(f"loop edge ({u}, {v}) not allowed")
+            raise DomainError(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
+        order = np.lexsort((lo, hi))  # by column j, then row i: duplicates are adjacent
+        lo, hi = lo[order], hi[order]
+        repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])  # row k + 1 repeats row k
+        if np.count_nonzero(repeats):
+            keep = np.append(True, ~repeats)
+            lo, hi = lo[keep], hi[keep]
         object.__setattr__(self, "ends", _read_only(np.array((lo, hi)).T))
 
     def __eq__(self, other: object) -> bool:
@@ -183,21 +185,6 @@ class Graph:
 
         deg = self.degrees().tolist()
         return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
-
-
-def _check_endpoints(u: np.ndarray, v: np.ndarray, n: int) -> None:
-    """Reject the first loop or out-of-range edge (u[k], v[k]) in iteration order.
-
-    A function of its own, so its masks are freed before Graph copies the pairs.
-    """
-
-    bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
-    if np.count_nonzero(bad):
-        first = bad.argmax()
-        a, b = int(u[first]), int(v[first])
-        if a == b:
-            raise DomainError(f"loop edge ({a}, {b}) not allowed")
-        raise DomainError(f"edge ({a}, {b}) outside vertex range [0, {n})")
 
 
 def common_order(graphs: Sequence[Graph]) -> int:
@@ -326,9 +313,10 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
     """One Graph per row of a (G, C(n, 2)) 0/1 array in graph6 bit order, made lazily.
 
     The array is checked once; its graphs are not validated one by one.
-    Graph k's ends are the rows of the pair table (_g6_pairs) that row k
-    sets: in range, loop-free, in graph6 order and without repeats by
-    construction, so they are the ends Graph(n, pairs) would store.
+    The pairs of all set bits are found in one pass (_pairs_at), and
+    graph k's ends are the read-only slice of them that row k sets: in
+    range, loop-free, in graph6 order and without repeats by construction,
+    so they are the ends Graph(n, pairs) would store.
     """
 
     _require_positive("n", n)
@@ -337,54 +325,36 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
         raise DomainError(
             f"graph bits for n={n} need shape (G, {n * (n - 1) // 2}), got {bits.shape}"
         )
-    for keep in bits:
-        g = object.__new__(Graph)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "ends", _read_only(_kept_pairs(keep)))
-        yield g
+    rows, k = bits.nonzero()
+    ends = _read_only(_pairs_at(n, k))
+    cuts = rows.searchsorted(np.arange(len(bits) + 1)).tolist()  # row r's pairs: cuts[r]..
+    for start, stop in zip(cuts, cuts[1:]):
+        yield _graph(n, ends[start:stop])
 
 
-def _kept_pairs(keep: np.ndarray) -> np.ndarray:
-    """The pairs of the set entries of a boolean vector in graph6 bit order, as (m, 2) int64.
+def _graph(n: int, ends: np.ndarray) -> Graph:
+    """A Graph on read-only (m, 2) int64 ends that hold its invariants; nothing is checked."""
 
-    The pair table is built _PAIR_BLOCK bits at a time, so a long vector
-    with few set bits costs one block's table, not 16 bytes per pair.
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "ends", ends)
+    return g
+
+
+def _pairs_at(n: int, k: np.ndarray) -> np.ndarray:
+    """The pairs (i, j), i < j, at graph6 bit indices k of an n-vertex graph, as (len(k), 2) int64.
+
+    Column j holds the j pairs (i, j), i < j, from bit j(j - 1)/2 on.
     """
 
-    if keep.size <= _PAIR_BLOCK:
-        return _g6_pairs(0, keep.size)[keep]
-    blocks = range(0, keep.size, _PAIR_BLOCK)
-    return np.concatenate(
-        [_g6_pairs(s, min(s + _PAIR_BLOCK, keep.size))[keep[s:s + _PAIR_BLOCK]] for s in blocks]
-    )
-
-
-def _g6_pairs(start: int, stop: int) -> np.ndarray:
-    """The pairs (i, j), i < j, at graph6 bit indices start..stop-1, as (stop - start, 2) int64.
-
-    Column j holds the j pairs (i, j), i < j, from bit j(j - 1)/2 on, so
-    the table does not depend on the vertex count. Within the pairs of
-    64 vertices it is a read-only slice of one table built at import.
-    """
-
-    if stop <= len(_SHARED_PAIRS):
-        return _SHARED_PAIRS[start:stop]
-    return _pair_range(start, stop)
-
-
-def _pair_range(start: int, stop: int) -> np.ndarray:
-    """_g6_pairs(start, stop), built for the call; needs stop >= 1."""
-
-    first, last = ((1 + math.isqrt(1 + 8 * k)) // 2 for k in (start, stop - 1))  # their columns
-    j = np.arange(first, last + 1, dtype=np.int64)
-    col_start = j * (j - 1) // 2
-    counts = np.minimum(col_start + j, stop) - np.maximum(col_start, start)
-    j = np.repeat(j, counts)
-    return np.stack((np.arange(start, stop) - j * (j - 1) // 2, j), axis=1)
-
-
-_SHARED_PAIRS = _read_only(_pair_range(0, 64 * 63 // 2))  # 32 KB
-_PAIR_BLOCK = 1 << 15  # graph6 bits decoded, or G(n, p) draws made, per block
+    col = np.arange(n, dtype=np.int64)
+    starts = col * (col - 1) // 2
+    j = starts.searchsorted(k, side="right")
+    j -= 1  # in place, like the subtraction below: no temporary of 8 bytes per pair
+    pairs = np.empty((len(k), 2), dtype=np.int64)
+    pairs[:, 1] = j
+    np.subtract(k, starts[j], out=pairs[:, 0])
+    return pairs
 
 
 def emit_graph6(g: Graph) -> str:
@@ -713,6 +683,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_PAIR_BLOCK = 1 << 15  # draws made per block
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -746,7 +717,7 @@ def _gnp_draws(
 
     def blocks():
         for first in range(0, total, step):
-            i, j = _g6_pairs(first, min(first + step, total)).T
+            i, j = _pairs_at(n, np.arange(first, min(first + step, total))).T
             # counter k + 1 belongs to the k-th pair in lexicographic order
             counters = (i * (2 * n - i - 1) // 2 + j - i).astype(np.uint64)
             draws = _splitmix64(starts + counters * _GAMMA)
@@ -762,8 +733,8 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with counter-based, platform-independent seeding."""
 
     kept = (np.stack((i[keep], j[keep]), axis=1) for i, j, (keep,) in _gnp_draws(n, p, [seed]))
-    # the blocks are freed before Graph copies their concatenation
-    return Graph(n, np.concatenate([np.empty((0, 2), dtype=np.int64), *kept]))
+    # the blocks' pairs are in graph6 order, without repeats
+    return _graph(n, _read_only(np.concatenate([np.empty((0, 2), dtype=np.int64), *kept])))
 
 
 def random_gnp_adjacency(n: int, p: float, seeds: Sequence[int]) -> np.ndarray:
