@@ -313,10 +313,11 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
     """One Graph per row of a (G, C(n, 2)) 0/1 array in graph6 bit order, made lazily.
 
     The array is checked once; its graphs are not validated one by one.
-    The pairs of all set bits are found in one pass (_pairs_at), and
-    graph k's ends are the read-only slice of them that row k sets: in
-    range, loop-free, in graph6 order and without repeats by construction,
-    so they are the ends Graph(n, pairs) would store.
+    The pairs of the set bits of _DECODE_ROWS rows at a time are found in
+    one pass (_pairs_at), and graph k's ends are the read-only slice of
+    them that row k sets: in range, loop-free, in graph6 order and
+    without repeats by construction, so they are the ends Graph(n, pairs)
+    would store.
     """
 
     _require_positive("n", n)
@@ -325,11 +326,16 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
         raise DomainError(
             f"graph bits for n={n} need shape (G, {n * (n - 1) // 2}), got {bits.shape}"
         )
-    rows, k = bits.nonzero()
-    ends = _read_only(_pairs_at(n, k))
-    cuts = rows.searchsorted(np.arange(len(bits) + 1)).tolist()  # row r's pairs: cuts[r]..
-    for start, stop in zip(cuts, cuts[1:]):
-        yield _graph(n, ends[start:stop])
+    for first in range(0, len(bits), _DECODE_ROWS):
+        chunk = bits[first:first + _DECODE_ROWS]
+        rows, k = chunk.nonzero()
+        ends = _read_only(_pairs_at(n, k))
+        cuts = rows.searchsorted(np.arange(len(chunk) + 1)).tolist()  # row r: cuts[r]..cuts[r + 1]
+        for start, stop in zip(cuts, cuts[1:]):
+            yield _graph(n, ends[start:stop])
+
+
+_DECODE_ROWS = 128  # graphs per decoding pass: its arrays stay small, and a graph keeps only its pass's pairs
 
 
 def _graph(n: int, ends: np.ndarray) -> Graph:
