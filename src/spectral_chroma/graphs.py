@@ -326,16 +326,18 @@ def graphs_from_bits(n: int, bits: np.ndarray) -> Iterator[Graph]:
         raise DomainError(
             f"graph bits for n={n} need shape (G, {n * (n - 1) // 2}), got {bits.shape}"
         )
+    width = max(bits.shape[1], 1)  # n = 1 has no bits to index
     for first in range(0, len(bits), _DECODE_ROWS):
         chunk = bits[first:first + _DECODE_ROWS]
-        rows, k = chunk.nonzero()
+        k = np.flatnonzero(chunk)  # bit b of row r is r * width + b
+        cuts = k.searchsorted(np.arange(len(chunk) + 1) * width).tolist()  # row r: cuts[r]..
+        k %= width  # in place: index arrays are the decode's largest temporaries
         ends = _read_only(_pairs_at(n, k))
-        cuts = rows.searchsorted(np.arange(len(chunk) + 1)).tolist()  # row r: cuts[r]..cuts[r + 1]
         for start, stop in zip(cuts, cuts[1:]):
             yield _graph(n, ends[start:stop])
 
 
-_DECODE_ROWS = 128  # graphs per decoding pass: its arrays stay small, and a graph keeps only its pass's pairs
+_DECODE_ROWS = 128  # graphs per decoding pass: small arrays; a graph keeps only its pass's pairs
 
 
 def _graph(n: int, ends: np.ndarray) -> Graph:
