@@ -1,8 +1,8 @@
 """Spectral lower bounds on the chromatic number, with certificates.
 
 Everything routes through eigenvalues of the standard graph matrices:
-adjacency, Laplacian, signless Laplacian, and their degree-normalized
-forms. The bounds module evaluates fifteen lower bounds on chi, the
+adjacency, Laplacian, signless Laplacian, and degree-normalized
+adjacency. The bounds module evaluates fifteen lower bounds on chi, the
 certify module proves the matrix identities behind them constructively,
 and the oracle module supplies exact chromatic numbers at desk scale so
 every bound can be checked for soundness.

@@ -285,13 +285,6 @@ def classical_bounds(
     return _bound_values(_CLASSICAL_IDS, values)[0]
 
 
-def loan_bound(g: Graph, spec_q: Spectrum) -> BoundValue:
-    """Average-degree bound 1 + 2E/(2E - n*delta_n)."""
-
-    values = _loan_values(np.array([g.edge_count]), g.n, spec_q.values[None])[:, None]
-    return _bound_values((BoundId.LOAN,), values)[0][0]
-
-
 def generalized_bounds(
     spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
 ) -> list[BoundValue]:

@@ -1,11 +1,12 @@
 """Constructive certificates for coloring-based matrix identities.
 
 A proper c-coloring yields c diagonal root-of-unity unitaries that sum
-adjacency conjugates to zero. This module builds those certificates,
-checks the related matrix identities behind the eigenvalue bounds, runs
-the pinching-as-unitary-mixture equivalence, and validates unit-modulus
-orthogonal representations. Everything here is checked numerically
-against explicit tolerances; nothing is taken on faith.
+adjacency conjugates to zero. This module builds those certificates and
+checks the related matrix identities behind the eigenvalue bounds.
+Everything here is checked numerically against explicit tolerances;
+nothing is taken on faith. The paper's pinching lemma and its
+unit-modulus orthogonal representations are proof devices the tool
+never runs; the tests check them (tests/paper_lemmas.py).
 
 certify_graphs certifies a batch of graphs of one order as array code:
 the unitaries of all colorings are one (G, C, n) array, each check is
@@ -43,46 +44,12 @@ from .linalg import (
     SPECTRUM_TOL,
     UNITARY_TOL,
     frobenius_norms,
-    hermitian_eigenvalues,
-    ky_fan,
     negated_spectra,
     spectra_batch,
 )
+from .oracle import Coloring, greedy_coloring
 
 CONVERSION_TOL = 1e-9
-PROJECTOR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Vertex color assignment with an explicit palette size.
-
-    Color classes may be empty; properness is relative to a graph and
-    checked where a graph is in hand.
-    """
-
-    colors: tuple[int, ...]
-    c: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 1:
-            raise DomainError(f"palette size must be a positive integer, got {self.c!r}")
-        colors = tuple(int(x) for x in self.colors)
-        if not colors:
-            raise DomainError("coloring needs at least one vertex")
-        for k, x in enumerate(colors):
-            if not 0 <= x < self.c:
-                raise DomainError(f"vertex {k} has color {x} outside [0, {self.c})")
-        object.__setattr__(self, "colors", colors)
-
-    @property
-    def n(self) -> int:
-        return len(self.colors)
-
-    def with_palette(self, c: int) -> "Coloring":
-        """Same assignment over a (weakly) larger palette."""
-
-        return Coloring(self.colors, c)
 
 
 def _as_adjacency(a) -> np.ndarray:
@@ -99,9 +66,8 @@ def _as_adjacency(a) -> np.ndarray:
 def _check_proper_stack(a: np.ndarray, cols: Sequence[Coloring]) -> None:
     """Raise unless cols[g] is proper for the graph of adjacency a[g], for each g.
 
-    The first failing graph raises, with the message check_proper gives
-    for it alone: an improper coloring names its first monochromatic
-    edge in row-major order.
+    The first failing graph raises: an improper coloring names its first
+    monochromatic edge in row-major order.
     """
 
     n = a.shape[1]
@@ -127,12 +93,6 @@ def _require_two_colors(cols: Sequence[Coloring], what: str) -> None:
             raise DomainError(f"{what} needs at least 2 colors, got c={col.c}")
 
 
-def check_proper(a, col: Coloring) -> None:
-    """Raise unless col is proper for the graph of adjacency a."""
-
-    _check_proper_stack(_as_adjacency(a)[None], [col])
-
-
 def _palettes(cols: Sequence[Coloring]) -> np.ndarray:
     return np.array([col.c for col in cols])
 
@@ -140,9 +100,9 @@ def _palettes(cols: Sequence[Coloring]) -> np.ndarray:
 def _unitary_stack(cols: Sequence[Coloring]) -> np.ndarray:
     """(G, C, n) diagonals of each coloring's U_s, row s-1 for U_s, zero past its palette.
 
-    C is the largest palette. Each entry is the expression
-    conversion_unitaries evaluates for one coloring, in one array
-    operation for all of them.
+    C is the largest palette. Row s-1 of a coloring's block is the
+    diagonal of U_s = diag(omega^(s*colors[k])), s = 1..c, omega its
+    c-th root of unity; the row for s = c is the identity.
     """
 
     c = _palettes(cols)
@@ -151,15 +111,6 @@ def _unitary_stack(cols: Sequence[Coloring]) -> np.ndarray:
     u = np.exp(2j * np.pi * s[None, :, None] * colors[:, None, :] / c[:, None, None])
     u[s[None, :] > c[:, None]] = 0.0
     return u
-
-
-def conversion_unitaries(col: Coloring) -> np.ndarray:
-    """Diagonals of U_s = diag(omega^(s*colors[k])), s = 1..c; row s-1 is U_s.
-
-    The last row (s = c) is the identity since omega^c = 1.
-    """
-
-    return _unitary_stack([col])[0]
 
 
 def _conjugations(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
@@ -186,22 +137,6 @@ def _conjugation_sum(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> np.nda
     for term in _conjugations(x, u, counts):
         total += term
     return total
-
-
-def conversion_residual(a, col: Coloring) -> float:
-    """Frobenius norm of sum_s U_s^dag A U_s, with no properness gate.
-
-    Entry (k, l) of the sum is a_kl times the geometric sum of
-    omega^(s*(colors[l] - colors[k])) over s = 1..c: zero when the colors
-    differ, c when they agree. Improper colorings therefore leave a
-    residual of at least c per violating edge.
-    """
-
-    a = _as_adjacency(a)
-    if a.shape[0] != col.n:
-        raise DomainError(f"coloring covers {col.n} vertices, graph has {a.shape[0]}")
-    total = _conjugation_sum(a[None], _unitary_stack([col]), _palettes([col]))
-    return float(frobenius_norms(total)[0])
 
 
 @dataclass(frozen=True)
@@ -331,8 +266,8 @@ def _majorization_steps(
     total = _conjugation_sum(x, u, c - 1)
     residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a))
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
-    # one sum per m, as ky_fan takes it: a cumulative sum can differ from
-    # it in the last bit from m = 8 on, and certify prints these margins
+    # a sum of its own per m: a cumulative sum can differ from it in the
+    # last bit from m = 8 on, and certify prints these margins
     margins = np.empty(lhs.shape)
     for m in range(1, lhs.shape[1] + 1):
         margins[:, m - 1] = lhs[:, :m].sum(axis=1) - rhs[:, :m].sum(axis=1)
@@ -572,8 +507,6 @@ def greedy_certificate_coloring(g: Graph) -> Coloring:
     an edgeless graph colors greedily with one.
     """
 
-    from .oracle import greedy_coloring  # oracle imports Coloring from here
-
     col = greedy_coloring(g)
     return col.with_palette(2) if col.c < 2 else col
 
@@ -648,182 +581,3 @@ def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
     """
 
     return certify_graphs([g], [col])[0]
-
-
-# --------------------------------------------------------------------------
-# unit-modulus orthogonal representations
-
-@dataclass(frozen=True)
-class OrthoRepresentation:
-    """n vectors of dimension d with every entry of modulus one."""
-
-    vectors: np.ndarray  # shape (n, d)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vectors, dtype=np.complex128)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise DomainError(f"representation needs shape (n, d), got {v.shape}")
-        off = float(np.abs(np.abs(v) - 1.0).max())
-        if not off <= UNITARY_TOL:  # NaN fails
-            raise DomainError(
-                f"representation entries deviate from unit modulus by {off:.3e}"
-            )
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def n(self) -> int:
-        return int(self.vectors.shape[0])
-
-    @property
-    def d(self) -> int:
-        return int(self.vectors.shape[1])
-
-
-@dataclass(frozen=True)
-class OrthoCheckResult:
-    valid: bool
-    max_edge_inner: float       # max |<Psi_k, Psi_l>| over edges
-    identity_residual: float    # || sum_s U_s^dag U_s - d I ||_max
-    conversion_max_entry: float  # max entry of | sum_s U_s A U_s^dag |
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def check_ortho_representation(a, rep: OrthoRepresentation) -> OrthoCheckResult:
-    """Decide whether rep is orthogonal across every edge of adjacency a.
-
-    Two independent routes must agree: the direct inner-product test
-    |<Psi_k, Psi_l>| <= 1e-9 d per edge, and the unitary route building
-    U_s from s-th coordinates and requiring sum_s U_s^dag U_s = d I with
-    sum_s U_s A U_s^dag = 0. Disagreement raises, since it would mean
-    the certification machinery itself is broken.
-    """
-
-    a = _as_adjacency(a)
-    if a.shape[0] != rep.n:
-        raise DomainError(f"representation covers {rep.n} vertices, graph has {a.shape[0]}")
-    n, d = rep.n, rep.d
-    v = rep.vectors
-    gram = np.conj(v) @ v.T  # gram[k, l] = <Psi_k, Psi_l>
-    edge_mask = np.triu(a, 1) != 0
-    max_edge = float(np.abs(gram[edge_mask]).max()) if edge_mask.any() else 0.0
-    edge_ok = max_edge <= 1e-9 * d
-
-    identity_sum = np.zeros((n, n), dtype=np.complex128)
-    conversion_sum = np.zeros((n, n), dtype=np.complex128)
-    for s in range(d):
-        u = v[:, s]
-        identity_sum += np.diag(np.conj(u) * u)
-        conversion_sum += u[:, None] * a * np.conj(u)[None, :]
-    identity_residual = float(np.abs(identity_sum - d * np.eye(n)).max())
-    conversion_max = float(np.abs(conversion_sum).max())
-    unitary_ok = identity_residual <= 1e-10 * d and conversion_max <= 1e-9 * d
-
-    if edge_ok != unitary_ok:
-        raise VerificationError(
-            "inner-product and unitary-identity tests disagree: "
-            f"edge max {max_edge:.3e}, conversion max {conversion_max:.3e}"
-        )
-    return OrthoCheckResult(
-        valid=edge_ok,
-        max_edge_inner=max_edge,
-        identity_residual=identity_residual,
-        conversion_max_entry=conversion_max,
-    )
-
-
-def coloring_representation(col: Coloring) -> OrthoRepresentation:
-    """Psi_k = (omega^(colors[k] * 1), ..., omega^(colors[k] * c)): d = c."""
-
-    s = np.arange(1, col.c + 1)[None, :]
-    k = np.asarray(col.colors)[:, None]
-    return OrthoRepresentation(np.exp(2j * np.pi * k * s / col.c))
-
-
-# --------------------------------------------------------------------------
-# pinching
-
-@dataclass(frozen=True)
-class PinchingInstance:
-    """Orthogonal projectors resolving the identity, plus a test matrix."""
-
-    projectors: tuple[np.ndarray, ...]
-    test_matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        projs = tuple(np.asarray(p, dtype=np.complex128) for p in self.projectors)
-        if not projs:
-            raise DomainError("pinching needs at least one projector")
-        n = projs[0].shape[0]
-        total = np.zeros((n, n), dtype=np.complex128)
-        # each deviation is compared as `not dev <= tol`, so a NaN fails
-        for idx, p in enumerate(projs):
-            if p.shape != (n, n):
-                raise DomainError(f"projector {idx} has shape {p.shape}, expected {(n, n)}")
-            if not float(np.abs(p - p.conj().T).max()) <= PROJECTOR_TOL:
-                raise DomainError(f"projector {idx} is not Hermitian")
-            if not float(np.abs(p @ p - p).max()) <= PROJECTOR_TOL:
-                raise DomainError(f"projector {idx} is not idempotent")
-            total += p
-        if not float(np.abs(total - np.eye(n)).max()) <= PROJECTOR_TOL:
-            raise DomainError("projectors do not sum to the identity")
-        x = np.asarray(self.test_matrix)
-        if x.shape != (n, n):
-            raise DomainError(f"test matrix has shape {x.shape}, expected {(n, n)}")
-        object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "test_matrix", x)
-
-    @property
-    def c(self) -> int:
-        return len(self.projectors)
-
-    @property
-    def n(self) -> int:
-        return int(self.projectors[0].shape[0])
-
-
-def pinch(inst: PinchingInstance) -> np.ndarray:
-    """C(X) = sum_a P_a X P_a."""
-
-    x = inst.test_matrix
-    out = np.zeros(x.shape, dtype=np.complex128)
-    for p in inst.projectors:
-        out += p @ x @ p
-    return out
-
-
-def pinch_via_unitaries(inst: PinchingInstance) -> np.ndarray:
-    """(1/c) sum_{s=1}^c U_s X U_s^dag with U_s = sum_a omega^(a s) P_a."""
-
-    c = inst.c
-    x = inst.test_matrix
-    out = np.zeros(x.shape, dtype=np.complex128)
-    for s in range(1, c + 1):
-        u = np.zeros(x.shape, dtype=np.complex128)
-        for a_idx, p in enumerate(inst.projectors):
-            u += np.exp(2j * np.pi * a_idx * s / c) * p
-        out += u @ x @ u.conj().T
-    return out / c
-
-
-def pinching_corollary_check(inst: PinchingInstance, m: int) -> bool:
-    """Top-m sums: eig(X) majorizes eig((c/(c-1)) C(X) - X/(c-1)) at index m."""
-
-    if inst.c < 2:
-        raise DomainError("corollary needs at least 2 projectors (division by c-1)")
-    x = inst.test_matrix
-    c = inst.c
-    spec_x = hermitian_eigenvalues(x)
-    mixed = (c / (c - 1)) * pinch(inst) - x / (c - 1)
-    spec_mixed = hermitian_eigenvalues(mixed)
-    return ky_fan(spec_x, m) >= ky_fan(spec_mixed, m) - PROPERTY_TOL
-
-
-def coloring_projectors(col: Coloring) -> tuple[np.ndarray, ...]:
-    """Coordinate projectors of the color classes; empty classes give zero blocks."""
-
-    colors = np.asarray(col.colors)
-    return tuple(
-        np.diag((colors == a).astype(np.complex128)) for a in range(col.c)
-    )

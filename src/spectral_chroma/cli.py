@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .certify import (
     CertifiedBatch,
-    Coloring,
     certify_graph,
     certify_graphs,
     greedy_certificate_coloring,
@@ -50,7 +49,7 @@ from .experiments import (
 )
 from .graphs import Graph, GraphMatrixKind
 from .linalg import graph_spectrum, spectrum_rows
-from .oracle import all_graphs, chromatic_number, colorable_with
+from .oracle import Coloring, all_graphs, chromatic_number, colorable_with
 
 _SOUNDNESS_SLACK = 1e-6
 _CERT_RESIDUAL_LIMIT = 1e-10

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,6 +237,8 @@ def resolve_graph_input(text: str) -> Graph:
     if text.startswith("gen:"):
         return generate_from_spec(text[len("gen:"):])
     if text.startswith("@"):
+        if text == "@":
+            raise DomainError("empty graph file name after '@'")
         path = Path(text[1:])
         try:
             content = path.read_text(encoding="ascii")
@@ -333,23 +334,3 @@ def comparison_json(rows: list[ComparisonRow]) -> str:
             entry["name"] = row.name
             payload.append(entry)
     return json.dumps(payload, indent=2)
-
-
-# --------------------------------------------------------------------------
-# the optional externally-supplied 16-vertex graph
-
-_EXTERNAL_GRAPH_ENV = "SPECTRAL_CHROMA_NPM_FILE"
-
-
-def load_no_perfect_matching() -> Graph | None:
-    """The 16-vertex matching-free comparison graph, if a file provides it.
-
-    Its construction is not specified anywhere in scope, so it can only
-    be loaded, from the path in SPECTRAL_CHROMA_NPM_FILE. Returns None
-    when that variable is unset or empty.
-    """
-
-    env_path = os.environ.get(_EXTERNAL_GRAPH_ENV)
-    if not env_path:
-        return None
-    return parse_graph_file(Path(env_path).read_text(encoding="ascii"))

@@ -35,23 +35,12 @@ Edge = tuple[int, int]
 
 
 class GraphMatrixKind(Enum):
-    """The six derived matrices a graph spectrum can be taken from."""
+    """The four derived matrices a graph spectrum can be taken from."""
 
     ADJACENCY = "Adjacency"
     LAPLACIAN = "Laplacian"
     SIGNLESS_LAPLACIAN = "SignlessLaplacian"
     NORMALIZED_ADJACENCY = "NormalizedAdjacency"
-    NORMALIZED_LAPLACIAN = "NormalizedLaplacian"
-    NORMALIZED_SIGNLESS_LAPLACIAN = "NormalizedSignlessLaplacian"
-
-
-NORMALIZED_KINDS = frozenset(
-    {
-        GraphMatrixKind.NORMALIZED_ADJACENCY,
-        GraphMatrixKind.NORMALIZED_LAPLACIAN,
-        GraphMatrixKind.NORMALIZED_SIGNLESS_LAPLACIAN,
-    }
-)
 
 
 def computed_once(method):
@@ -197,12 +186,6 @@ def common_order(graphs: Sequence[Graph]) -> int:
         if g.n != n:
             raise DomainError(f"a batch needs graphs of one order: graph {k} has n={g.n}, not {n}")
     return n
-
-
-def from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a Graph from any iterable of endpoint pairs."""
-
-    return Graph(n, [(int(u), int(v)) for u, v in edges])
 
 
 # --------------------------------------------------------------------------
@@ -439,38 +422,31 @@ def parse_edge_list(text: str) -> Graph:
 # derived matrices
 
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    """Build one of the six derived matrices as a new array, exactly symmetric.
+    """Build one of the four derived matrices as a new array, exactly symmetric.
 
     Every kind is an array expression in the graph's cached adjacency
-    and degrees; a normalized entry is the product of its endpoints'
-    inverse square-root degrees, which is the same in either order, so
-    symmetry holds to the last bit. Normalized kinds require every
-    vertex to have positive degree.
+    and degrees; a normalized adjacency entry is the product of its
+    endpoints' inverse square-root degrees, which is the same in either
+    order, so symmetry holds to the last bit. The normalized adjacency
+    requires every vertex to have positive degree.
     """
 
-    n = g.n
     deg = g.degrees()
     a = g.adjacency()
-    if kind in NORMALIZED_KINDS:
+    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         isolated = np.nonzero(deg == 0)[0]
         if isolated.size:
             raise DomainError(
                 f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
             )
         inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
-        a = a * np.outer(inv_sqrt, inv_sqrt)
+        return a * np.outer(inv_sqrt, inv_sqrt)
     if kind is GraphMatrixKind.ADJACENCY:
         return a.copy()
-    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return a
     if kind is GraphMatrixKind.LAPLACIAN:
         return np.diag(deg.astype(np.float64)) - a
     if kind is GraphMatrixKind.SIGNLESS_LAPLACIAN:
         return np.diag(deg.astype(np.float64)) + a
-    if kind is GraphMatrixKind.NORMALIZED_LAPLACIAN:
-        return np.eye(n) - a
-    if kind is GraphMatrixKind.NORMALIZED_SIGNLESS_LAPLACIAN:
-        return np.eye(n) + a
     raise DomainError(f"unknown matrix kind {kind!r}")
 
 

@@ -1,10 +1,8 @@
-"""Symmetric and Hermitian eigensolving, and Ky Fan sums.
+"""Validated eigensolving of real symmetric matrices.
 
-All graph-matrix spectra go through the real symmetric path; complex
-arithmetic appears only where coloring unitaries demand it. Every
-eigenvalue vector returned here is validated rather than trusted
-blindly: real symmetric spectra against residual and trace guarantees,
-complex Hermitian ones against the trace.
+Every graph-matrix spectrum goes through spectra_batch, one solve per
+(G, n, n) stack. Every eigenvalue vector returned here is validated
+rather than trusted blindly, against residual and trace guarantees.
 """
 
 from __future__ import annotations
@@ -97,20 +95,8 @@ def _validate_symmetric_stack(stack: np.ndarray) -> np.ndarray:
         raise DomainError(f"matrix {_first(~finite)} contains non-finite entries")
     asymmetric = stack != stack.transpose(0, 2, 1)
     if asymmetric.any():
-        raise DomainError(
-            f"matrix {_first(asymmetric)} is not exactly symmetric; use symmetrize() first"
-        )
+        raise DomainError(f"matrix {_first(asymmetric)} is not exactly symmetric")
     return stack
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Mirror the mean of a and its transpose so symmetry holds to the last bit."""
-
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    s = 0.5 * (a + a.T)
-    return 0.5 * (s + s.T)
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -198,63 +184,7 @@ def eigenvalues_sym(a: np.ndarray) -> Spectrum:
     return spectrum_rows(spectra_batch(a[None]))[0]
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> Spectrum:
-    """Spectrum of a (possibly complex) Hermitian matrix, sorted non-increasing.
-
-    Accepts numerically Hermitian input: the anti-Hermitian part must be
-    below SPECTRUM_TOL * max(1, ||A||_F) and is projected away before
-    solving. Real input goes through eigenvalues_sym; complex input has
-    its eigenvalue sum checked against the trace to the same tolerance.
-    """
-
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix contains non-finite entries")
-    if not np.iscomplexobj(a):
-        return eigenvalues_sym(symmetrize(a))
-    scale = max(1.0, float(np.linalg.norm(a, "fro")))
-    skew = float(np.abs(a - a.conj().T).max())
-    if skew > SPECTRUM_TOL * scale:
-        raise DomainError(f"matrix is not Hermitian: max asymmetry {skew:.3e}")
-    h = 0.5 * (a + a.conj().T)
-    try:
-        w = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver failed to converge: {exc}") from None
-    tr = float(np.trace(h).real)
-    if not abs(float(w.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
-        raise NumericError("Hermitian eigenvalue sum disagrees with the trace")
-    return Spectrum(w[::-1])
-
-
 def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
     """Spectrum of one of a graph's derived matrices."""
 
     return eigenvalues_sym(build_matrix(g, kind))
-
-
-def _check_m(m: int, n: int) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise DomainError(f"m must be an integer, got {m!r}")
-    if not 1 <= m <= n:
-        raise DomainError(f"m={m} outside the valid range 1..{n}")
-    return int(m)
-
-
-def ky_fan(spec: Spectrum, m: int) -> float:
-    """Sum of the m largest eigenvalues (1-based m)."""
-
-    m = _check_m(m, spec.n)
-    return float(spec.values[:m].sum())
-
-
-def random_hermitian(n: int, seed: int) -> np.ndarray:
-    """Random real symmetric matrix: iid uniform [-1, 1] entries, symmetrized."""
-
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"dimension must be a positive integer, got {n!r}")
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-1.0, 1.0, size=(n, n))
-    return symmetrize(raw)

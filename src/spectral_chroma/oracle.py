@@ -1,6 +1,7 @@
 """Exact ground truth at desk scale.
 
-Backtracking chromatic numbers, exhaustive labeled enumeration for tiny
+Colorings and the exact chromatic number: the Coloring type,
+backtracking chromatic numbers, exhaustive labeled enumeration for tiny
 n, the bundled deduplicated corpora for 6 and 7 vertices, and the
 deterministic greedy coloring that feeds the certificate machinery.
 The enumerations validate once per array, not per graph: a corpus file
@@ -39,11 +40,42 @@ from typing import Iterator
 
 import numpy as np
 
-from .certify import Coloring
 from .errors import DomainError, ParseError
 from .graphs import Graph, computed_once, graph6_rows, graphs_from_bits, parse_graph6
 
 _BACKTRACK_CEILING = 64
+
+
+@dataclass(frozen=True)
+class Coloring:
+    """Vertex color assignment with an explicit palette size.
+
+    Color classes may be empty; properness is relative to a graph and
+    checked where a graph is in hand.
+    """
+
+    colors: tuple[int, ...]
+    c: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.c, int) or self.c < 1:
+            raise DomainError(f"palette size must be a positive integer, got {self.c!r}")
+        colors = tuple(int(x) for x in self.colors)
+        if not colors:
+            raise DomainError("coloring needs at least one vertex")
+        for k, x in enumerate(colors):
+            if not 0 <= x < self.c:
+                raise DomainError(f"vertex {k} has color {x} outside [0, {self.c})")
+        object.__setattr__(self, "colors", colors)
+
+    @property
+    def n(self) -> int:
+        return len(self.colors)
+
+    def with_palette(self, c: int) -> "Coloring":
+        """Same assignment over a (weakly) larger palette."""
+
+        return Coloring(self.colors, c)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,13 @@ Verdicts are echoed after the run summary so they stay visible even
 though pytest captures stdout of passing tests.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 
-from spectral_chroma.graphs import from_edges
+from spectral_chroma.experiments import parse_graph_file
+from spectral_chroma.graphs import Graph
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -34,3 +38,23 @@ def orthogonality_graph(k):
     gram = vectors @ vectors.T
     rows, cols = np.nonzero(np.triu(gram == 0, 1))
     return from_edges(vectors.shape[0], zip(rows.tolist(), cols.tolist()))
+
+
+def from_edges(n, edges):
+    """Build a Graph from any iterable of endpoint pairs."""
+
+    return Graph(n, [(int(u), int(v)) for u, v in edges])
+
+
+def load_no_perfect_matching():
+    """The 16-vertex matching-free comparison graph, if a file provides it.
+
+    Its construction is not specified anywhere in scope, so it can only
+    be loaded, from the path in SPECTRAL_CHROMA_NPM_FILE. Returns None
+    when that variable is unset or empty.
+    """
+
+    env_path = os.environ.get("SPECTRAL_CHROMA_NPM_FILE")
+    if not env_path:
+        return None
+    return parse_graph_file(Path(env_path).read_text(encoding="ascii"))

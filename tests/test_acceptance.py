@@ -17,7 +17,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_verdict
+from conftest import from_edges, load_no_perfect_matching, record_verdict
+from paper_lemmas import (
+    PinchingInstance,
+    ky_fan,
+    pinch,
+    pinch_via_unitaries,
+    pinching_corollary_check,
+    random_hermitian,
+)
 from spectral_chroma.bounds import (
     BoundId,
     classical_bounds,
@@ -28,18 +36,13 @@ from spectral_chroma.bounds import (
     round_display,
 )
 from spectral_chroma.certify import (
-    PinchingInstance,
     build_conversion,
-    pinch,
-    pinch_via_unitaries,
-    pinching_corollary_check,
     verify_loan_identity,
     verify_majorization_step,
 )
 from spectral_chroma.errors import VerificationError
 from spectral_chroma.experiments import (
     bollobas_estimate,
-    load_no_perfect_matching,
     random_table,
 )
 from spectral_chroma.graphs import (
@@ -50,15 +53,12 @@ from spectral_chroma.graphs import (
     circulant,
     complete,
     emit_graph6,
-    from_edges,
     sun,
     windmill,
 )
 from spectral_chroma.linalg import (
     eigenvalues_sym,
     graph_spectrum,
-    ky_fan,
-    random_hermitian,
 )
 from spectral_chroma.oracle import (
     all_graphs,

@@ -1,8 +1,9 @@
 """Batched spectra, reports and certificates against per-matrix references.
 
-The reference_* functions are test-only copies of the per-matrix solver
-and the per-graph report, bound-family and certification bodies the
-batched code replaced: one validated eigh per matrix, scalar ratio
+The reference_* functions, with the per-graph check_proper,
+conversion_unitaries and conversion_residual of paper_lemmas, are
+test-only copies of the per-matrix solver and the per-graph report,
+bound-family and certification bodies the batched code replaced: one validated eigh per matrix, scalar ratio
 bounds and 1-d sweeps per graph, one eigvalsh per integer-search probe,
 properness checked by every step, and the majorization margins as a
 loop of ky_fan calls. Like the batched code, they derive the spectra of
@@ -19,7 +20,14 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import orthogonality_graph
+from conftest import from_edges, orthogonality_graph
+from paper_lemmas import (
+    check_proper,
+    conversion_residual,
+    conversion_unitaries,
+    ky_fan,
+    random_hermitian,
+)
 
 from spectral_chroma import bounds, certify, cli
 from spectral_chroma.bounds import (
@@ -34,7 +42,6 @@ from spectral_chroma.bounds import (
     generalized_sweep,
     integer_c_search,
     invalid_bound,
-    loan_bound,
     normalized_bounds,
     normalized_sweep,
     report_spectra,
@@ -42,15 +49,12 @@ from spectral_chroma.bounds import (
 )
 from spectral_chroma.certify import (
     CONVERSION_TOL,
-    Coloring,
     ColoringCertificate,
     GraphCertificationReport,
     LoanIdentityReport,
     MajorizationStepReport,
     certify_graph,
     certify_graphs,
-    conversion_residual,
-    conversion_unitaries,
     greedy_certificate_coloring,
 )
 from spectral_chroma.errors import DomainError, NumericError, VerificationError
@@ -62,7 +66,6 @@ from spectral_chroma.graphs import (
     complete,
     cycle,
     emit_graph6,
-    from_edges,
     petersen,
     random_gnp,
 )
@@ -71,11 +74,9 @@ from spectral_chroma.linalg import (
     SPECTRUM_TOL,
     Spectrum,
     frobenius_norms,
-    ky_fan,
-    random_hermitian,
     spectra_batch,
 )
-from spectral_chroma.oracle import all_graphs
+from spectral_chroma.oracle import Coloring, all_graphs
 
 # --------------------------------------------------------------------------
 # references
@@ -344,40 +345,21 @@ def reference_negdeg_spectrum(g: Graph) -> Spectrum:
     return reference_negated(reference_eigenvalues_sym(q))
 
 
-def reference_check_proper(a, col: Coloring) -> None:
-    if a.shape[0] != col.n:
-        raise DomainError(f"coloring covers {col.n} vertices, graph has {a.shape[0]}")
-    rows, cols = np.nonzero(np.triu(a, 1))
-    colors = np.asarray(col.colors)
-    clash = colors[rows] == colors[cols]
-    if clash.any():
-        first = clash.argmax()
-        k, l = int(rows[first]), int(cols[first])
-        raise DomainError(
-            f"improper coloring: edge ({k}, {l}) has both endpoints colored {col.colors[k]}"
-        )
-
-
 def reference_build_conversion(a, col: Coloring) -> ColoringCertificate:
     if col.c < 2:
         raise DomainError(f"conversion needs at least 2 colors, got c={col.c}")
-    reference_check_proper(a, col)
-    diags = conversion_unitaries(col)
-    total = np.zeros(a.shape, dtype=np.complex128)
-    for s in range(col.c):
-        u = diags[s]
-        total += np.conj(u)[:, None] * a * u[None, :]
-    residual = float(np.linalg.norm(total, "fro"))
+    check_proper(a, col)
+    residual = conversion_residual(a, col)
     tol = CONVERSION_TOL * col.c * max(1.0, float(np.linalg.norm(a, "fro")))
     if residual > tol:
         raise VerificationError(f"conversion residual {residual:.3e} exceeds {tol:.3e}")
-    return ColoringCertificate(col, diags, residual, tol)
+    return ColoringCertificate(col, conversion_unitaries(col), residual, tol)
 
 
 def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationStepReport:
     """The step for B with lhs and rhs the spectra of B - A and B + A/(c-1)."""
 
-    reference_check_proper(a, col)
+    check_proper(a, col)
     c = col.c
     diags = conversion_unitaries(col)
     x = b - a
@@ -401,7 +383,7 @@ def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationSt
 
 def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
     a = g.adjacency()
-    reference_check_proper(a, col)
+    check_proper(a, col)
     c = col.c
     n = g.n
     d = np.diag(g.degrees().astype(np.float64))
@@ -506,7 +488,7 @@ def assert_families_match_references(g: Graph, spectra) -> None:
     negdeg = reference_negdeg_spectrum(g)
     pairs = [
         (classical_bounds(a, l, q), reference_classical_bounds(a, l, q)),
-        ([loan_bound(g, q)], [reference_loan_bound(g, q)]),
+        ([full_report(g).value(BoundId.LOAN)], [reference_loan_bound(g, q)]),
         (generalized_bounds(a, l, q), reference_generalized_bounds(a, l, q)),
         (chain_bounds(a, l, q, g.n), reference_chain_bounds(a, l, q, g.n)),
         (

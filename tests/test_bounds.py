@@ -7,9 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import orthogonality_graph
+from conftest import from_edges, orthogonality_graph
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from paper_lemmas import random_hermitian
 
 from spectral_chroma import bounds
 from spectral_chroma.bounds import (
@@ -25,7 +26,6 @@ from spectral_chroma.bounds import (
     generalized_sweep,
     integer_c_search,
     invalid_bound,
-    loan_bound,
     normalized_bounds,
     normalized_sweep,
     round_display,
@@ -42,7 +42,6 @@ from spectral_chroma.graphs import (
     complete_multipartite,
     cycle,
     emit_graph6,
-    from_edges,
     mycielskian,
     petersen,
     random_gnp,
@@ -55,7 +54,6 @@ from spectral_chroma.linalg import (
     eigenvalues_sym,
     graph_spectrum,
     negated_spectra,
-    random_hermitian,
 )
 from spectral_chroma.oracle import all_graphs, chromatic_number
 
@@ -230,19 +228,16 @@ class TestClassicalBounds:
 
 class TestLoanBound:
     def test_bipartite_gives_two(self):
-        g = complete_bipartite(3, 5)
-        v = loan_bound(g, graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN))
+        v = full_report(complete_bipartite(3, 5)).value(BoundId.LOAN)
         assert abs(v.value - 2.0) <= PROPERTY_TOL
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_complete_equals_n(self, n):
-        g = complete(n)
-        v = loan_bound(g, graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN))
+        v = full_report(complete(n)).value(BoundId.LOAN)
         assert abs(v.value - n) <= PROPERTY_TOL
 
     def test_edgeless_invalid(self):
-        g = Graph(3)
-        v = loan_bound(g, graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN))
+        v = full_report(Graph(3)).value(BoundId.LOAN)
         assert not v.valid
 
 
@@ -796,7 +791,7 @@ class TestDominanceInvariants:
         mu1 = float(sa.values[0])
         delta_n = float(sq.values[-1])
         avg = 2.0 * g.edge_count / g.n
-        loan = loan_bound(g, sq)
+        loan = full_report(g).value(BoundId.LOAN)
         if loan.valid and mu1 - delta_n > PROPERTY_TOL:
             relaxed = 1.0 + mu1 / (mu1 - delta_n)
             assert loan.value >= relaxed - PROPERTY_TOL

@@ -1,28 +1,34 @@
-"""Conversion certificates, identity checks, representations, and pinching."""
+"""Conversion certificates, identity checks, representations, and pinching.
+
+The representations and the pinching lemma are the paper's, checked
+with the test-side code of paper_lemmas.
+"""
 
 import numpy as np
 import pytest
+from conftest import from_edges
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-
-from spectral_chroma import certify
-from spectral_chroma.certify import (
-    Coloring,
-    ColoringCertificate,
+from paper_lemmas import (
     OrthoRepresentation,
     PinchingInstance,
-    build_conversion,
-    certify_graph,
     check_ortho_representation,
-    check_proper,
     coloring_projectors,
     coloring_representation,
     conversion_residual,
-    conversion_unitaries,
-    greedy_certificate_coloring,
+    ky_fan,
     pinch,
     pinch_via_unitaries,
     pinching_corollary_check,
+    random_hermitian,
+)
+
+from spectral_chroma import certify
+from spectral_chroma.certify import (
+    ColoringCertificate,
+    build_conversion,
+    certify_graph,
+    greedy_certificate_coloring,
     verify_loan_identity,
     verify_majorization_step,
 )
@@ -34,12 +40,11 @@ from spectral_chroma.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    from_edges,
     petersen,
     random_gnp,
 )
-from spectral_chroma.linalg import ky_fan, eigenvalues_sym, random_hermitian
-from spectral_chroma.oracle import chromatic_number, greedy_coloring
+from spectral_chroma.linalg import eigenvalues_sym
+from spectral_chroma.oracle import Coloring, chromatic_number, greedy_coloring
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -61,16 +66,16 @@ class TestColoring:
         with pytest.raises(DomainError):
             Coloring((), 1)
 
-    def test_check_proper_names_edge(self):
+    def test_improper_coloring_names_edge(self):
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            check_proper(adjacency(complete(3)), Coloring((0, 0, 1), 2))
+            build_conversion(adjacency(complete(3)), Coloring((0, 0, 1), 2))
 
-    def test_check_proper_names_first_bad_edge_in_row_major_order(self):
+    def test_improper_coloring_names_first_bad_edge_in_row_major_order(self):
         # both (0, 3) and (1, 2) are monochromatic; row-major order meets (0, 3) first
         g = from_edges(4, [(1, 2), (0, 3), (0, 1)])
         for a in (g, adjacency(g)):
             with pytest.raises(DomainError) as info:
-                check_proper(a, Coloring((0, 1, 1, 0), 2))
+                build_conversion(a, Coloring((0, 1, 1, 0), 2))
             assert str(info.value) == (
                 "improper coloring: edge (0, 3) has both endpoints colored 0"
             )
@@ -87,12 +92,12 @@ class TestConversion:
 
     def test_last_unitary_is_identity(self):
         col = Coloring((0, 1, 2, 0), 3)
-        diags = conversion_unitaries(col)
+        diags = build_conversion(np.zeros((4, 4)), col).unitaries
         assert np.allclose(diags[-1], 1.0, atol=1e-12)
 
     def test_nan_final_unitary_rejected(self):
         col = Coloring((0, 1), 2)
-        u = conversion_unitaries(col).copy()
+        u = build_conversion(np.zeros((2, 2)), col).unitaries.copy()
         u[-1, 0] = np.nan
         with pytest.raises(VerificationError, match="identity"):
             ColoringCertificate(col, u, 0.0, 1.0)

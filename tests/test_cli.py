@@ -60,6 +60,13 @@ class TestBoundsCommand:
         assert code == 2
         assert err
 
+    def test_empty_file_name_is_domain_error(self, capsys):
+        # Path("") is the working directory, which must not be read as a file
+        for text in ("@", " @ "):
+            code, out, err = run(capsys, "bounds", text)
+            assert code == 2 and out == ""
+            assert err == "error: empty graph file name after '@'\n"
+
     def test_non_ascii_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
         path.write_bytes(b"B\xff\n")

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import load_no_perfect_matching
 
 from spectral_chroma.bounds import BoundId, classical_bounds, full_report, round_display
 from spectral_chroma.errors import DomainError, NumericError
@@ -16,7 +17,6 @@ from spectral_chroma.experiments import (
     bollobas_estimate,
     comparison_csv,
     comparison_json,
-    load_no_perfect_matching,
     named_comparison,
     parse_graph_file,
     random_table,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import from_edges
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from spectral_chroma.bounds import full_report
 from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.graphs import (
     _G6_MAX_N,
-    NORMALIZED_KINDS,
     Graph,
     GraphMatrixKind,
     _g6_vertex_count,
@@ -27,7 +27,6 @@ from spectral_chroma.graphs import (
     complete_multipartite,
     cycle,
     emit_graph6,
-    from_edges,
     generate_from_spec,
     mycielskian,
     parse_edge_list,
@@ -181,14 +180,6 @@ class TestMatrices:
         for kind in GraphMatrixKind:
             m = build_matrix(g, kind)
             assert np.array_equal(m, m.T)
-
-    def test_normalized_identities(self):
-        g = petersen()
-        na = build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
-        nl = build_matrix(g, GraphMatrixKind.NORMALIZED_LAPLACIAN)
-        nq = build_matrix(g, GraphMatrixKind.NORMALIZED_SIGNLESS_LAPLACIAN)
-        assert np.array_equal(nl, np.eye(10) - na)
-        assert np.array_equal(nq, np.eye(10) + na)
 
     def test_normalized_rejects_isolated_vertex(self):
         g = from_edges(3, [(0, 1)])
@@ -484,14 +475,14 @@ def reference_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     for u, v in g.edges:
         deg[u] += 1
         deg[v] += 1
-    if kind in NORMALIZED_KINDS:
+    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         isolated = np.nonzero(deg == 0)[0]
         if isolated.size:
             raise DomainError(
                 f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
             )
     a = np.zeros((n, n), dtype=np.float64)
-    if kind in NORMALIZED_KINDS:
+    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
         for u, v in g.edges:
             w = inv_sqrt[u] * inv_sqrt[v]
@@ -505,11 +496,7 @@ def reference_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
         return a
     if kind is GraphMatrixKind.LAPLACIAN:
         return np.diag(deg.astype(np.float64)) - a
-    if kind is GraphMatrixKind.SIGNLESS_LAPLACIAN:
-        return np.diag(deg.astype(np.float64)) + a
-    if kind is GraphMatrixKind.NORMALIZED_LAPLACIAN:
-        return np.eye(n) - a
-    return np.eye(n) + a
+    return np.diag(deg.astype(np.float64)) + a
 
 
 def _bits(a: np.ndarray) -> tuple:

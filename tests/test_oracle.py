@@ -2,7 +2,9 @@
 
 import gc
 import itertools
+import os
 import re
+import subprocess
 import sys
 import weakref
 
@@ -11,7 +13,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from spectral_chroma import oracle
-from spectral_chroma.certify import Coloring
 from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.experiments import DEFAULT_NAMED, resolve_graph_input
 from spectral_chroma.graphs import (
@@ -25,6 +26,7 @@ from spectral_chroma.graphs import (
     random_gnp,
 )
 from spectral_chroma.oracle import (
+    Coloring,
     all_graphs,
     chromatic_number,
     colorable_with,
@@ -355,3 +357,18 @@ class TestCorpusDecodeErrors:
         graphs = all_graphs(7)
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
             next(graphs)
+
+
+class TestImports:
+    def test_oracle_does_not_import_certify(self):
+        # the oracle makes colorings; the certificate machinery, with the
+        # bounds and the solver behind it, is not needed to make one
+        code = (
+            "import sys, spectral_chroma.oracle; "
+            "print('spectral_chroma.certify' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "False"
