@@ -266,8 +266,8 @@ def _majorization_steps(
     total = _conjugation_sum(x, u, c - 1)
     residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a))
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
-    # a sum of its own per m: a cumulative sum can differ from it in the
-    # last bit from m = 8 on, and certify prints these margins
+    # one sum per m, not a cumulative sum: the two can differ in the last
+    # bit from m = 8 on, and certify prints these margins
     margins = np.empty(lhs.shape)
     for m in range(1, lhs.shape[1] + 1):
         margins[:, m - 1] = lhs[:, :m].sum(axis=1) - rhs[:, :m].sum(axis=1)
