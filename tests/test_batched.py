@@ -3,15 +3,16 @@
 The reference_* functions, with the per-graph check_proper,
 conversion_unitaries and conversion_residual of paper_lemmas, are
 test-only copies of the per-matrix solver and the per-graph report,
-bound-family and certification bodies the batched code replaced: one validated eigh per matrix, scalar ratio
-bounds and 1-d sweeps per graph, one eigvalsh per integer-search probe,
-properness checked by every step, and the majorization margins as a
-loop of ky_fan calls. Like the batched code, they derive the spectra of
--A, -Q = -D - A and A/(c-1) from their own validated eigh of A and Q
-instead of solving them. The batched results, and the family functions
-as batches of one, must equal them bit for bit. TestDerivedSpectraAgree
-solves those three test-side and checks that every bound, best m and
-certification verdict on the corpus stays the same.
+bound-family and certification bodies the batched code replaced: one
+validated eigh per matrix, scalar ratio bounds and 1-d sweeps per
+graph, one eigvalsh per integer-search probe, properness checked by
+every step, and the majorization margins as a loop of ky_fan calls.
+Like the batched code, they derive the spectra of -A, -Q = -D - A and
+A/(c-1) from their own validated eigh of A and Q instead of solving
+them. The batched results, and the family functions as batches of one,
+must equal them bit for bit. TestDerivedSpectraAgree solves those three
+test-side and checks that every bound, best m and certification verdict
+on the corpus stays the same.
 """
 
 import collections
