@@ -6,21 +6,37 @@ Kolotilina values over random G(n, p) samples next to the deterministic
 Bollobas estimate. Everything is seeded explicitly and reduces in a
 fixed order, so identical inputs give byte-identical output.
 
-The random table works on chunks of samples, as many as fit a fixed
-byte budget per (G, n, n) float64 stack (_STACK_BYTES, about 320 kB:
-16 samples at n = 50, one from n = 200 on). A chunk's G(n, p) draws
+The random table works on chunks of samples. A chunk's G(n, p) draws
 become one adjacency stack with no Graph built; its A, L and Q stacks
 are solved and validated by one spectra_batch call each, and the
-classical bounds run once on the chunk's spectra.
+classical bounds run once on the chunk's spectra. The main thread draws
+the chunks in sample order, so the redraws and their seeds do not
+depend on how the chunks are solved. Up to `workers` chunks are solved
+at once on as many threads (LAPACK's eigh releases the GIL), and their
+values are taken in chunk order. The worker count is the process's
+CPUs divided by BLAS's own thread count, read as OpenBLAS reads it: the
+first positive integer among OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS, or every CPU when none is set. So default BLAS settings
+solve serially, as two eigh callers that each start BLAS threads on
+every CPU run slower than one; OPENBLAS_NUM_THREADS=1 gives one worker
+per CPU. The chunks in flight share one byte budget per (G, n, n)
+float64 stack (_STACK_BYTES, about 320 kB): a chunk holds
+_STACK_BYTES // (workers * 8 n^2) samples, 16 at n = 50 with one worker
+and 8 with two. The worker count is capped so that each chunk holds a
+sample: from n = 142 on a row has one worker and chunks of one sample.
+With one worker no thread starts.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -109,14 +125,102 @@ def _edged_samples(
     return a
 
 
-def _sample_name(
-    start: int, seed_base: int, regenerated: list[tuple[int, int]], k: int
-) -> str:
-    """Sample start + k and the seed of its drawn graph, for an error message."""
+def _sample_name(start: int, seed_base: int, redrawn: list[tuple[int, int]], k: int) -> str:
+    """Sample start + k and the seed of its drawn graph, for an error message.
+
+    redrawn holds the (sample, seed) redraws of the sample's chunk.
+    """
 
     sample = start + k
-    seed = next((s for i, s in reversed(regenerated) if i == sample), seed_base + sample)
+    seed = next((s for i, s in reversed(redrawn) if i == sample), seed_base + sample)
     return f"sample {sample} (seed {seed})"
+
+
+def _blas_free_cpus() -> int:
+    """The process's CPUs over BLAS's thread count: how many solves can run side by side.
+
+    BLAS's thread count is read as OpenBLAS reads it, the first positive
+    integer among OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS; with none set, BLAS takes every CPU and this is 1.
+    """
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+def _table_workers(n: int) -> int:
+    """How many chunks of a random_table row at n are solved at once.
+
+    The CPUs BLAS leaves free, capped so that the chunks in flight each
+    hold at least one sample within _STACK_BYTES.
+    """
+
+    return max(1, min(_blas_free_cpus(), _STACK_BYTES // (8 * n * n)))
+
+
+def _chunk_values(a: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """(G, 4) classical values of an adjacency stack; a failed solve names name(k)."""
+
+    with matrices_named(name):
+        return _classical_values(*unnormalized_spectra(a))
+
+
+def _sample_values(
+    n: int, p: float, seed_base: int, samples: int, regenerated: list[tuple[int, int]]
+) -> np.ndarray:
+    """(samples, 4) classical values of one random_table row, in sample order.
+
+    The chunks are drawn here in sample order. With one worker, or one
+    chunk, each is solved where it is drawn and no thread starts.
+    Otherwise at most _table_workers(n) chunks are in flight, plus the
+    one being drawn, and their values are taken in chunk order. The
+    error raised is the one a serial run raises: an earlier chunk's
+    failed solve before a later chunk's failed draw. Pending solves are
+    cancelled on any error.
+    """
+
+    workers = _table_workers(n)
+    chunk = max(1, _STACK_BYTES // (workers * 8 * n * n))
+
+    def drawn(start: int) -> tuple[np.ndarray, Callable[[int], str]]:
+        mark = len(regenerated)
+        stop = min(start + chunk, samples)
+        a = _edged_samples(n, p, seed_base, samples, start, stop, regenerated)
+        return a, functools.partial(_sample_name, start, seed_base, regenerated[mark:])
+
+    starts = range(0, samples, chunk)
+    if len(starts) == 1 or workers == 1:
+        return np.concatenate([_chunk_values(*drawn(start)) for start in starts])
+    from concurrent.futures import ThreadPoolExecutor
+
+    out: list[np.ndarray] = []
+    pending: collections.deque = collections.deque()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for start in starts:
+            try:
+                job = drawn(start)
+            except Exception:
+                for future in pending:
+                    future.result()
+                raise
+            if len(pending) == workers:
+                out.append(pending.popleft().result())
+            pending.append(pool.submit(_chunk_values, *job))
+        out.extend(future.result() for future in pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return np.concatenate(out)
 
 
 def random_table(
@@ -127,12 +231,12 @@ def random_table(
     Sample index i uses seed seed_base + i. An edgeless draw (possible
     at tiny p) is replaced using auxiliary seeds seed_base + samples,
     seed_base + samples + 1, ... and the substitution is recorded on
-    the row. Samples go in chunks sized by _STACK_BYTES (see the module
-    docstring), so memory does not grow with the sample count. Valid
-    values are kept in sample order and averaged with compensated
-    summation, so neither the chunk length nor the reduction order can
-    shift results. A failed solve names the sample and the seed it was
-    drawn with.
+    the row. Samples go in chunks sized by _STACK_BYTES and solved on
+    the CPUs BLAS leaves free (see the module docstring), so memory
+    does not grow with the sample count. Valid values are kept in
+    sample order and averaged with compensated summation, so neither
+    the chunk length nor the worker count can shift results. A failed
+    solve names the sample and the seed it was drawn with.
     """
 
     if samples < 1:
@@ -143,27 +247,21 @@ def random_table(
             raise DomainError(f"table rows need n >= 2, got {n}")
         if not 0.0 < p <= 1.0:
             raise DomainError(f"table rows need 0 < p <= 1, got {p}")
-        chunk = max(1, _STACK_BYTES // (8 * n * n))
-        hoffman: list[float] = []
-        kolo1: list[float] = []
-        kolo2: list[float] = []
         regenerated: list[tuple[int, int]] = []
-        for start in range(0, samples, chunk):
-            a = _edged_samples(
-                n, p, seed_base, samples, start, min(start + chunk, samples), regenerated
-            )
-            with matrices_named(functools.partial(_sample_name, start, seed_base, regenerated)):
-                values = _classical_values(*unnormalized_spectra(a))
-            for bucket, column in ((hoffman, _HOFFMAN), (kolo1, _KOLO1), (kolo2, _KOLO2)):
-                v = values[:, column]
-                bucket.extend(v[v != -np.inf].tolist())
+        values = _sample_values(n, p, seed_base, samples, regenerated)
+        averages = []
+        for column in (_HOFFMAN, _KOLO1, _KOLO2):
+            v = values[:, column]
+            v = v[v != -np.inf].tolist()
+            averages.append(math.fsum(v) / len(v))
+        hoffman_avg, kolo1_avg, kolo2_avg = averages
         out.append(
             RandomTableRow(
                 n=n,
                 p=p,
-                hoffman_avg=math.fsum(hoffman) / len(hoffman),
-                kolo1_avg=math.fsum(kolo1) / len(kolo1),
-                kolo2_avg=math.fsum(kolo2) / len(kolo2),
+                hoffman_avg=hoffman_avg,
+                kolo1_avg=kolo1_avg,
+                kolo2_avg=kolo2_avg,
                 bollobas=bollobas_estimate(n, p) if p < 1.0 else None,
                 samples=samples,
                 seed_base=seed_base,

@@ -2,16 +2,21 @@
 
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import load_no_perfect_matching
 
+from spectral_chroma import experiments
 from spectral_chroma.bounds import BoundId, classical_bounds, full_report, round_display
 from spectral_chroma.errors import DomainError, NumericError
 from spectral_chroma.experiments import (
     _REDRAW_CAP,
+    _sample_values,
+    _table_workers,
     DEFAULT_NAMED,
     RandomTableRow,
     bollobas_estimate,
@@ -39,6 +44,26 @@ from spectral_chroma.linalg import graph_spectrum
 # graph_spectrum solves and one classical_bounds call per sample
 
 
+def reference_samples(n, p, samples, seed_base):
+    """Each sample's classical bounds, in sample order, and the row's redraws."""
+
+    per_sample = []
+    regenerated = []
+    for i in range(samples):
+        g = random_gnp(n, p, seed_base + i)
+        while g.edge_count == 0:
+            if len(regenerated) >= _REDRAW_CAP:
+                raise DomainError(f"gave up after {_REDRAW_CAP} edgeless redraws at n={n}, p={p}")
+            aux_seed = seed_base + samples + len(regenerated)
+            regenerated.append((i, aux_seed))
+            g = random_gnp(n, p, aux_seed)
+        spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+        spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
+        spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
+        per_sample.append(classical_bounds(spec_a, spec_l, spec_q))
+    return per_sample, regenerated
+
+
 def reference_random_table(rows, samples, seed_base):
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
@@ -49,21 +74,9 @@ def reference_random_table(rows, samples, seed_base):
         if not 0.0 < p <= 1.0:
             raise DomainError(f"table rows need 0 < p <= 1, got {p}")
         buckets = {BoundId.HOFFMAN: [], BoundId.KOLOTILINA_1: [], BoundId.KOLOTILINA_2: []}
-        regenerated = []
-        for i in range(samples):
-            g = random_gnp(n, p, seed_base + i)
-            while g.edge_count == 0:
-                if len(regenerated) >= _REDRAW_CAP:
-                    raise DomainError(
-                        f"gave up after {_REDRAW_CAP} edgeless redraws at n={n}, p={p}"
-                    )
-                aux_seed = seed_base + samples + len(regenerated)
-                regenerated.append((i, aux_seed))
-                g = random_gnp(n, p, aux_seed)
-            spec_a = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
-            spec_l = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-            spec_q = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
-            for v in classical_bounds(spec_a, spec_l, spec_q):
+        per_sample, regenerated = reference_samples(n, p, samples, seed_base)
+        for bounds in per_sample:
+            for v in bounds:
                 if v.id in buckets and v.valid:
                     buckets[v.id].append(v.value)
         hoffman, kolo1, kolo2 = buckets.values()
@@ -89,6 +102,12 @@ def row_key(r: RandomTableRow) -> tuple:
     floats = (r.p, r.hoffman_avg, r.kolo1_avg, r.kolo2_avg)
     return (r.n, *(x.hex() for x in floats), r.bollobas and r.bollobas.hex(),
             r.samples, r.seed_base, r.regenerated)
+
+
+def force_free_cpus(monkeypatch, count):
+    """Have random_table see count CPUs left free by BLAS: count workers up to its byte cap."""
+
+    monkeypatch.setattr(experiments, "_blas_free_cpus", lambda: count)
 
 
 class TestBollobasEstimate:
@@ -159,6 +178,7 @@ class TestRandomTable:
         indices = [0] * 189 + [1] * 99 + [2] * 177
         assert row.regenerated == tuple((i, 8 + k) for k, i in enumerate(indices))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "rows,samples,seed_base",
         [
@@ -166,15 +186,42 @@ class TestRandomTable:
             ([(5, 1.0)], 4, 0),  # complete graphs, no estimate
             ([(12, 0.5), (8, 0.7)], 20, 7),
             ([(3, 0.2)], 300, 11),  # 348 redraws, spread over the samples
-            ([(50, 0.5)], 37, 1),  # chunks of 16, 16 and 5
+            ([(50, 0.5)], 37, 1),  # chunks of 16, 16 and 5 on one worker
             ([(2, 0.3), (3, 0.2)], 37, -4),  # negative seed, 114 and 50 redraws
-            ([(63, 0.3), (200, 0.5)], 3, 2**64 + 3),  # chunks of 10 and of 1
+            ([(63, 0.3), (200, 0.5)], 3, 2**64 + 3),  # chunks of 10 and of 1 on one worker
+            ([(60, 0.0005)], 40, 3),  # 36 redraws over 8 chunks on two workers
         ],
     )
-    def test_rows_match_reference(self, rows, samples, seed_base):
+    def test_rows_match_reference(self, monkeypatch, rows, samples, seed_base, workers):
+        force_free_cpus(monkeypatch, workers)
         got = random_table(rows, samples, seed_base)
         want = reference_random_table(rows, samples, seed_base)
         assert [row_key(r) for r in got] == [row_key(r) for r in want]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n,p,samples,seed_base", [(50, 0.5, 37, 1), (60, 0.0005, 40, 3)])
+    def test_values_in_sample_order(self, monkeypatch, n, p, samples, seed_base, workers):
+        # the averages are exactly rounded sums, which no order of the
+        # samples changes; the per-sample values must be in sample order too
+        force_free_cpus(monkeypatch, workers)
+        per_sample, regenerated = reference_samples(n, p, samples, seed_base)
+        got_regenerated = []
+        got = _sample_values(n, p, seed_base, samples, got_regenerated)
+        assert got.tolist() == [[v.value if v.valid else -math.inf for v in s] for s in per_sample]
+        assert got_regenerated == regenerated
+
+    def test_chunks_solved_on_worker_threads(self, monkeypatch):
+        force_free_cpus(monkeypatch, 2)
+        solve = np.linalg.eigh
+        callers = set()
+
+        def recorded(a, *args, **kwargs):
+            callers.add(threading.current_thread() is threading.main_thread())
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        random_table([(50, 0.5)], 37, 1)
+        assert callers == {False}
 
     def test_redraw_cap_matches_reference(self):
         # about 1 800 redraws would be needed at p = .05 for 300 samples
@@ -187,44 +234,74 @@ class TestRandomTable:
         )
 
     @staticmethod
-    def poison(monkeypatch, call, k):
-        """Shift one eigenvalue of matrix k in the given eigh call; returns the stack shapes."""
+    def poison(monkeypatch, adjacency):
+        """Shift one eigenvalue of each matrix equal to adjacency, in any eigh call on any thread."""
 
         solve = np.linalg.eigh
-        shapes = []
 
         def perturbed(a, *args, **kwargs):
             w, v = solve(a, *args, **kwargs)
-            if len(shapes) == call:
-                w = w.copy()
-                w[k, 0] += 1e-3
-            shapes.append(a.shape)
+            if a.shape[1:] == adjacency.shape:
+                hit = (a == adjacency).all(axis=(1, 2))
+                if hit.any():
+                    w = w.copy()
+                    w[hit, 0] += 1e-3
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
-        return shapes
 
-    def test_failed_solve_names_sample_and_seed(self, monkeypatch):
-        # chunks of 16 at n = 50: sample 19 is matrix 3 of the second
-        # chunk's A stack, the fourth eigh call
-        shapes = self.poison(monkeypatch, 3, 19 - 16)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_solve_names_sample_and_seed(self, monkeypatch, workers):
+        # the A stack holding sample 19's adjacency fails, whichever chunk it is in
+        force_free_cpus(monkeypatch, workers)
+        self.poison(monkeypatch, random_gnp(50, 0.5, 20).adjacency())
         with pytest.raises(NumericError, match=r"^sample 19 \(seed 20\): eigenpair residual"):
             random_table([(50, 0.5)], 37, 1)
-        assert shapes[0][0] == shapes[3][0] == 16
 
-    def test_failed_solve_names_the_redrawn_seed(self, monkeypatch):
-        # n = 3, p = .2, one chunk: sample k was redrawn, so its graph comes
-        # from the last auxiliary seed recorded for it, not from seed_base + k
-        regenerated = random_table([(3, 0.2)], 37, -4)[0].regenerated
-        k, seed = regenerated[-1]
-        assert seed != -4 + k
-        self.poison(monkeypatch, 0, k)
-        with pytest.raises(NumericError, match=rf"^sample {k} \(seed {seed}\): eigenpair"):
-            random_table([(3, 0.2)], 37, -4)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_solve_names_the_redrawn_seed(self, monkeypatch, workers):
+        # n = 60, p = .0005: sample 39 was redrawn, so its graph comes from the
+        # last auxiliary seed recorded for it, not from seed_base + 39; that
+        # graph is drawn for no other sample
+        force_free_cpus(monkeypatch, workers)
+        assert random_table([(60, 0.0005)], 40, 3)[0].regenerated[-1] == (39, 78)
+        self.poison(monkeypatch, random_gnp(60, 0.0005, 78).adjacency())
+        with pytest.raises(NumericError, match=r"^sample 39 \(seed 78\): eigenpair"):
+            random_table([(60, 0.0005)], 40, 3)
 
-    def test_memory_flat_in_samples(self):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failed_solve_before_redraw_cap(self, monkeypatch, workers):
+        # n = 60, p = .0005, seed 3: with a cap of 12 the 13th redraw, sample
+        # 14's, gives up. Serially sample 3 (seed 6) fails its solve first,
+        # in the first chunk of 11; on more workers that chunk is still in
+        # flight, or queued, when the draw gives up, and its error must win
+        monkeypatch.setattr(experiments, "_REDRAW_CAP", 12)
+        threads = threading.active_count()
+        force_free_cpus(monkeypatch, workers)
+        with pytest.raises(DomainError, match="^gave up after 12 edgeless redraws at n=60"):
+            random_table([(60, 0.0005)], 40, 3)
+        assert threading.active_count() == threads
+        self.poison(monkeypatch, random_gnp(60, 0.0005, 6).adjacency())
+        force_free_cpus(monkeypatch, 1)
+        with pytest.raises(NumericError) as serial:
+            random_table([(60, 0.0005)], 40, 3)
+        force_free_cpus(monkeypatch, workers)
+        with pytest.raises(NumericError) as threaded:
+            random_table([(60, 0.0005)], 40, 3)
+        assert str(threaded.value) == str(serial.value)
+        assert str(serial.value).startswith("sample 3 (seed 6): eigenpair residual")
+        assert threading.active_count() == threads
+
+    def test_memory_flat_in_samples(self, monkeypatch):
         # chunks are sized by bytes: at n = 200 one sample's A stack is
-        # 320 kB, while a chunk of 64 would hold 20 MB per stack
+        # 320 kB, while a chunk of 64 would hold 20 MB per stack; two free
+        # CPUs still give one worker, as one sample fills the budget
+        force_free_cpus(monkeypatch, 2)
+
+        def refused(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
         tracemalloc.start()
         try:
             random_table([(200, 0.5)], samples=64, seed_base=1)
@@ -253,6 +330,56 @@ class TestRandomTable:
         rows = random_table([(6, 0.5)], samples=4, seed_base=3)
         payload = json.loads(random_table_json(rows))
         assert payload[0]["display"]["hoffman_avg"] == round_display(rows[0].hoffman_avg)
+
+
+class TestTableWorkers:
+    BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.fixture
+    def machine(self, monkeypatch):
+        """machine(cpus, **env): the process's CPUs and the BLAS variables that are set."""
+
+        def configure(cpus, **env):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            for name in self.BLAS_VARIABLES:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+
+        return configure
+
+    @pytest.mark.parametrize(
+        "cpus,env,workers",
+        [
+            (2, {}, 1),  # BLAS threads on every CPU
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+            (2, {"OMP_NUM_THREADS": "1"}, 2),
+            (2, {"GOTO_NUM_THREADS": "1"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "abc"}, 1),  # not an integer: unset
+            (2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),  # the first one wins
+            (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            (8, {"OPENBLAS_NUM_THREADS": "2"}, 4),
+        ],
+    )
+    def test_cpus_over_blas_threads(self, machine, cpus, env, workers):
+        machine(cpus, **env)
+        assert _table_workers(50) == workers
+
+    def test_cpu_count_without_affinity(self, machine, monkeypatch):
+        machine(1, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _table_workers(50) == 3
+
+    @pytest.mark.parametrize("n,workers", [(50, 8), (100, 4), (141, 2), (142, 1), (200, 1)])
+    def test_a_sample_per_worker_within_budget(self, machine, n, workers):
+        # 320 kB holds two 141 x 141 float64 matrices, but not two of 142
+        machine(8, OPENBLAS_NUM_THREADS="1")
+        assert _table_workers(n) == workers
 
 
 class TestResolveGraphInput:

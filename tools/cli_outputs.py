@@ -14,10 +14,14 @@ inputs come from this script's own seeded stdlib RNG and graph6 writer,
 not from the program. The default formats print one decimal, which hides
 drift in the last bits, so a few invocations print full precision:
 `bounds --json` on the named and G(n, p) inputs, `compare --json` on a
-mixed list, one random-table CSV and one random-table JSON. The JSON
+mixed list, one random-table CSV and two random-table JSON. The JSON
 rows redraw edgeless samples and list the (sample, seed) pairs they
-redrew. A change that adds a JSON key shows here as a difference, and
-should say so. The edge cases of the greedy coloring that chromatic and
+redrew. The second JSON table has several chunks per row, which
+random-table solves on worker threads when BLAS leaves CPUs free: run
+with OPENBLAS_NUM_THREADS=1 on two or more CPUs, as CI does, a source
+tree with worker threads is compared with one without, and the first
+row's 36 redraws cross chunk boundaries. A change that adds a JSON key
+shows here as a difference, and should say so. The edge cases of the greedy coloring that chromatic and
 certify share are covered too: certify and chromatic on an edgeless
 graph (the palette widened to two colors, the loan identity skipped) and
 certify on a graph with an isolated vertex. certify also runs on K_8
@@ -139,6 +143,12 @@ def invocations(tmp: Path) -> list[list[str]]:
     # at full precision; each row is one chunk shorter than its chunk length
     out.append(
         ["random-table", "--rows", "2:0.3,3:0.2", "--samples", "37", "--seed", "-4", "--json"]
+    )
+    # several chunks per row: with OPENBLAS_NUM_THREADS=1 on two or more
+    # CPUs they are solved on worker threads, and the 36 redraws of the
+    # first row cross the chunk boundaries
+    out.append(
+        ["random-table", "--rows", "60:0.0005,50:0.5", "--samples", "40", "--seed", "3", "--json"]
     )
     edges = f"@{edge_file}"
     out.append(["bounds", "--json", edges])
