@@ -210,7 +210,7 @@ def _sample_values(
         for start in starts:
             try:
                 job = drawn(start)
-            except Exception:
+            except DomainError:  # the redraw cap, after any earlier chunk's failed solve
                 for future in pending:
                     future.result()
                 raise
