@@ -223,6 +223,13 @@ def _sample_values(
     return np.concatenate(out)
 
 
+def _valid_mean(values: np.ndarray) -> float:
+    """Compensated mean of the valid (not -inf) values, in their order."""
+
+    valid = values[values != -np.inf].tolist()
+    return math.fsum(valid) / len(valid)
+
+
 def random_table(
     rows: list[tuple[int, float]], samples: int, seed_base: int
 ) -> list[RandomTableRow]:
@@ -249,19 +256,13 @@ def random_table(
             raise DomainError(f"table rows need 0 < p <= 1, got {p}")
         regenerated: list[tuple[int, int]] = []
         values = _sample_values(n, p, seed_base, samples, regenerated)
-        averages = []
-        for column in (_HOFFMAN, _KOLO1, _KOLO2):
-            v = values[:, column]
-            v = v[v != -np.inf].tolist()
-            averages.append(math.fsum(v) / len(v))
-        hoffman_avg, kolo1_avg, kolo2_avg = averages
         out.append(
             RandomTableRow(
                 n=n,
                 p=p,
-                hoffman_avg=hoffman_avg,
-                kolo1_avg=kolo1_avg,
-                kolo2_avg=kolo2_avg,
+                hoffman_avg=_valid_mean(values[:, _HOFFMAN]),
+                kolo1_avg=_valid_mean(values[:, _KOLO1]),
+                kolo2_avg=_valid_mean(values[:, _KOLO2]),
                 bollobas=bollobas_estimate(n, p) if p < 1.0 else None,
                 samples=samples,
                 seed_base=seed_base,
