@@ -10,21 +10,18 @@ The random table works on chunks of samples. A chunk's G(n, p) draws
 become one adjacency stack with no Graph built; its A, L and Q stacks
 are solved and validated by one spectra_batch call each, and the
 classical bounds run once on the chunk's spectra. The main thread draws
-the chunks in sample order, so the redraws and their seeds do not
-depend on how the chunks are solved. Up to `workers` chunks are solved
-at once on as many threads (LAPACK's eigh releases the GIL), and their
-values are taken in chunk order. The worker count is the process's
-CPUs divided by BLAS's own thread count, read as OpenBLAS reads it: the
-first positive integer among OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-OMP_NUM_THREADS, or every CPU when none is set. So default BLAS settings
-solve serially, as two eigh callers that each start BLAS threads on
-every CPU run slower than one; OPENBLAS_NUM_THREADS=1 gives one worker
-per CPU. The chunks in flight share one byte budget per (G, n, n)
-float64 stack (_STACK_BYTES, about 320 kB): a chunk holds
-_STACK_BYTES // (workers * 8 n^2) samples, 16 at n = 50 with one worker
-and 8 with two. The worker count is capped so that each chunk holds a
-sample: from n = 142 on a row has one worker and chunks of one sample.
-With one worker no thread starts.
+the chunks in sample order; up to `workers` of them are solved at once
+on as many threads (eigh releases the GIL), and their values are taken
+in chunk order. `workers` is the process's CPUs over BLAS's own thread
+count, the first positive integer among OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS and OMP_NUM_THREADS, or every CPU when none is set.
+So default BLAS settings stay serial (two eigh callers that each have
+BLAS threads on every CPU are slower than one), and
+OPENBLAS_NUM_THREADS=1 gives one worker per CPU. The chunks in flight
+share one byte budget per (G, n, n) float64 stack (_STACK_BYTES, about
+320 kB): at n = 50 a chunk is 16 samples on one worker, 8 on two. From
+n = 142 on a sample fills half the budget, so a row runs on one worker,
+and one worker starts no thread.
 """
 
 from __future__ import annotations
