@@ -15,20 +15,22 @@ per-m sweep. The integer search probes all open graphs of a batch
 with one eigvalsh call per round and bisects them in lockstep.
 full_reports evaluates each family once per batch; full_report and the
 per-family functions (classical_bounds, generalized_bounds, ...) are the
-same code on a batch of one. The A, L and Q spectra come from
-report_spectra, which solves each graph once and keeps them on the
-graph, where certify_graphs reads them too. They are the only
-unnormalized spectra solved: the integer search's B = -D candidate reads
-the spectrum of -Q = -D - A as negated_spectra of Q, whose eigenpairs,
-residuals and trace error are those of Q, so it passes the validation a
-solve of its own would have had to pass.
+same code on a batch of one. Every spectrum comes from one per-graph
+cache: each graph keeps the A, L and Q spectra (report_spectra) and,
+once a report or a sweep asks for it, the normalized A spectrum, each
+solved once from the matrix builders of graphs. full_reports, the sweep
+(graph_spectra) and certify_graphs read them there. The integer
+search's B = -D candidate reads the spectrum of -Q = -D - A as
+negated_spectra of Q, whose eigenpairs, residuals and trace error are
+those of Q, so it passes the validation a solve of its own would have
+had to pass.
 
-The checks run once per batch array too: the spectra rows a report keeps
-pass the checks of Spectrum once per (G, n) array (linalg.spectrum_rows),
-and the (G, 15) bound values pass the checks of BoundValue once per
-batch. A report keeps its row of values and its row of best m; its
-BoundValue tuple (values), its graph6 id and hash (graph_id, graph_hash)
-and its rounded display strings are computed on first read.
+The checks run once per batch array too: each solved array of spectra
+passes the checks of Spectrum once (linalg.check_spectra), and the
+(G, 15) bound values pass the checks of BoundValue once per batch. A
+report keeps its row of values and its row of best m; its BoundValue
+tuple (values), its graph6 id and hash (graph_id, graph_hash), its
+rounded display strings and its spectra are computed on first read.
 
 Invalid bounds (nonpositive denominators, edgeless graphs, isolated
 vertices for the normalized family) are reported as value 1 with
@@ -43,20 +45,28 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .graphs import Graph, GraphMatrixKind, common_order, emit_graph6
+from .graphs import (
+    UNNORMALIZED_KINDS,
+    Graph,
+    GraphMatrixKind,
+    common_order,
+    emit_graph6,
+    normalized_adjacency_stack,
+    unnormalized_stacks,
+)
 from .linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     Spectrum,
+    check_spectra,
     matrices_named,
     negated_spectra,
     spectra_batch,
-    spectrum_rows,
 )
 
 
@@ -524,13 +534,23 @@ class BoundReport:
     value_row holds the bound values in BoundId order, -inf where a bound
     is invalid, and best_m_row the m of each; both are checked read-only
     rows of their batch's arrays. values, graph_id, graph_hash and
-    rounded_display are computed from them and the graph on first read.
+    rounded_display are computed from them and the graph on first read,
+    and spectra from the graph's cache.
     """
 
     graph: Graph
-    spectra: Mapping[GraphMatrixKind, Spectrum]
     value_row: np.ndarray
     best_m_row: np.ndarray
+
+    @cached_property
+    def spectra(self) -> Mapping[GraphMatrixKind, Spectrum]:
+        """The bounds' spectra: {} without an edge, no normalized A with an isolated vertex."""
+
+        g = self.graph
+        if not g.edge_count:
+            return {}
+        normal = (GraphMatrixKind.NORMALIZED_ADJACENCY,) if g.degrees().all() else ()
+        return graph_spectra(g, UNNORMALIZED_KINDS + normal)
 
     @property
     def n(self) -> int:
@@ -584,99 +604,100 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
     return out
 
 
-def _signed_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
-    """A, then L = D - A and Q = |L| in one more stack, in turn.
-
-    These are the only unnormalized graph matrices that are solved: the
-    spectra of -A and -Q that a bound or a certificate reads are
-    negated_spectra of A and Q, and that of A/(c-1) is A's divided by
-    c - 1. a is a (G, n, n) adjacency stack and is left unchanged. Each
-    stack is yielded before the next overwrites it in place, so a caller
-    solves it first. Every entry equals the one build_matrix gives,
-    signed zeros included, so the spectra are graph_spectrum's to the
-    bit.
-    """
-
-    yield a
-    m = np.subtract(0.0, a)  # +0.0, not -0.0, where A is 0
-    diag = np.arange(a.shape[1])
-    m[:, diag, diag] = a.sum(axis=2)
-    yield m
-    yield np.abs(m, out=m)
-
-
 def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(G, n) spectra of A, L = D - A and Q = D + A from a (G, n, n) adjacency stack.
 
-    The three stacks of _signed_stacks, each through spectra_batch: the
-    one solve routine of random_table, the reports and the certificates.
+    One spectra_batch call per stack of graphs.unnormalized_stacks: the one
+    solve routine of random_table, the reports and the certificates.
     """
 
-    mu, th, dl = (spectra_batch(m) for m in _signed_stacks(a))
+    mu, th, dl = (spectra_batch(m) for m in unnormalized_stacks(a))
     return mu, th, dl
 
 
-# the key under which a graph keeps its rows of report_spectra, in its
-# instance dict, which dataclass equality and hashing ignore (see
-# graphs.computed_once)
-_REPORT_SPECTRA = "_report_spectra"
+def _report_spectra(a: np.ndarray) -> np.ndarray:
+    return np.stack(unnormalized_spectra(a), axis=1)
+
+
+def _normalized_spectra(a: np.ndarray) -> np.ndarray:
+    return spectra_batch(normalized_adjacency_stack(a))
+
+
+def _spectra_rows(graphs: Sequence[Graph], solve, index=None) -> list[np.ndarray]:
+    """Each graph's read-only rows of solve, solving only the graphs that lack them.
+
+    A graph keeps them in its instance dict under solve's name, which
+    equality and hashing ignore (see graphs.computed_once). The graphs
+    that lack them go through solve as one adjacency stack, whose result
+    passes check_spectra once. A failed solve names index[k], k by
+    default, for graph k.
+    """
+
+    key = solve.__name__
+    missing = [k for k, g in enumerate(graphs) if key not in vars(g)]
+    if missing:
+        index = range(len(graphs)) if index is None else index
+        with matrices_named(lambda j: f"graph {index[missing[j]]}"):
+            solved = solve(_stack([graphs[k].adjacency() for k in missing]))
+        check_spectra(solved.reshape(-1, solved.shape[-1]))
+        solved.setflags(write=False)
+        for k, rows in zip(missing, solved):
+            vars(graphs[k])[key] = rows
+    return [vars(g)[key] for g in graphs]
 
 
 def report_spectra(graphs: Sequence[Graph]) -> np.ndarray:
     """(3, G, n) spectra of A, L and Q for graphs of one order, solved once per graph.
 
     The graphs that no earlier call solved go through
-    unnormalized_spectra as one batch, one spectra_batch call per stack,
-    and each keeps its (3, n) rows, read-only. So full_reports and
-    certify_graphs on the same graphs share one solve. Nothing else of
-    A, L or Q is solved: the spectra of -A and -Q = -D - A are
-    negated_spectra of A and Q, the same eigenpairs with the same
-    residuals and trace error, and the certificates' A/(c-1) is the A
-    spectrum divided by c - 1 (see certify_graphs). The bounds read A, L,
-    Q and -Q, the certificates all three and -A and -Q. A failed solve
-    names the graph's index in graphs.
+    unnormalized_spectra as one batch, and each keeps its (3, n) rows,
+    for full_reports, sweep and certify_graphs. The spectra of -A and
+    -Q = -D - A are negated_spectra of A and Q, with the same eigenpairs,
+    residuals and trace error. A failed solve names the graph's index.
     """
 
-    missing = [k for k, g in enumerate(graphs) if _REPORT_SPECTRA not in vars(g)]
-    if missing:
-        a = _stack([graphs[k].adjacency() for k in missing])
-        with matrices_named(lambda j: f"graph {missing[j]}"):
-            solved = np.stack(unnormalized_spectra(a), axis=1)
-        solved.setflags(write=False)
-        for k, rows in zip(missing, solved):
-            vars(graphs[k])[_REPORT_SPECTRA] = rows
-    return np.stack([vars(g)[_REPORT_SPECTRA] for g in graphs], axis=1)
+    return np.stack(_spectra_rows(graphs, _report_spectra), axis=1)
+
+
+def graph_spectra(g: Graph, kinds: Sequence[GraphMatrixKind]) -> dict[GraphMatrixKind, Spectrum]:
+    """g's spectra of the given kinds, each solved on first demand as a batch of one and kept on g.
+
+    Each Spectrum holds a row checked when it was solved, unchecked again.
+    """
+
+    rows = {}
+    if GraphMatrixKind.NORMALIZED_ADJACENCY in kinds:
+        rows[GraphMatrixKind.NORMALIZED_ADJACENCY] = _spectra_rows([g], _normalized_spectra)[0]
+    if any(kind in UNNORMALIZED_KINDS for kind in kinds):
+        rows.update(zip(UNNORMALIZED_KINDS, _spectra_rows([g], _report_spectra)[0]))
+    return {kind: Spectrum.checked_row(rows[kind]) for kind in kinds}
 
 
 def _edged_reports(
     graphs: Sequence[Graph], spectra: np.ndarray, index: np.ndarray
-) -> tuple[list[dict[GraphMatrixKind, Spectrum]], np.ndarray, np.ndarray]:
-    """Spectra, (G, 15) bound values and their best m for graphs of one order, each with an edge.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 15) bound values and their best m for graphs of one order, each with an edge.
 
-    spectra holds the graphs' report_spectra. The normalized A of the
-    graphs without an isolated vertex is one more spectra_batch call, on
-    a stack built from the A stack and the degree rows with
-    build_matrix's entries, a_ij * (x_i * x_j) for x = 1 / sqrt(deg);
-    each family then runs once on those (G, n) arrays. index[k] is graph
-    k's position in the caller's batch, which errors name, those of the
-    solves included.
+    spectra holds the graphs' report_spectra; the graphs without an
+    isolated vertex read their normalized A spectra too, solved here on
+    first demand and kept. Each family then runs once on those (G, n)
+    arrays. index[k] is graph k's position in the caller's batch, which
+    errors name, those of the solves included.
     """
 
     n = graphs[0].n
     mu, th, dl = spectra
     edges = np.array([g.edge_count for g in graphs])
-    a = _stack([g.adjacency() for g in graphs])
-    deg = a.sum(axis=2)  # sums of 0s and 1s: exact
-    normal = np.flatnonzero((deg > 0).all(axis=1))
+    normal = np.flatnonzero([g.degrees().all() for g in graphs])
     normalized = np.full((len(graphs), 2), -np.inf)
     normalized_m = np.ones(normalized.shape, dtype=np.int64)
     if normal.size:
-        x = 1.0 / np.sqrt(deg[normal])
-        with matrices_named(lambda k: f"graph {index[normal[k]]}"):
-            na = spectra_batch(a[normal] * (x[:, :, None] * x[:, None, :]))
+        normal_graphs = [graphs[k] for k in normal]
+        na = np.stack(_spectra_rows(normal_graphs, _normalized_spectra, index[normal]))
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     top, top_m = _first_max(_generalized_values(mu, th, dl))
     # one dense stack besides A alive at a time: D
+    a = _stack([g.adjacency() for g in graphs])
     integer, integer_m = _integer_c(a, degree_stack(graphs), mu, th, negated_spectra(dl), index)
     values = np.column_stack([
         _classical_values(mu, th, dl),
@@ -693,18 +714,7 @@ def _edged_reports(
         np.ones((len(graphs), len(_CHAIN_IDS)), dtype=np.int64),
         integer_m,
     ])
-    spectra: list[dict[GraphMatrixKind, Spectrum]] = [
-        {
-            GraphMatrixKind.ADJACENCY: spec_a,
-            GraphMatrixKind.LAPLACIAN: spec_l,
-            GraphMatrixKind.SIGNLESS_LAPLACIAN: spec_q,
-        }
-        for spec_a, spec_l, spec_q in zip(spectrum_rows(mu), spectrum_rows(th), spectrum_rows(dl))
-    ]
-    if normal.size:
-        for k, spec in zip(normal.tolist(), spectrum_rows(na)):
-            spectra[k][GraphMatrixKind.NORMALIZED_ADJACENCY] = spec
-    return spectra, values, best_m
+    return values, best_m
 
 
 def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
@@ -712,30 +722,26 @@ def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
 
     report_spectra solves every graph of the batch; the graphs with an
     edge then go through _edged_reports as one batch, and an edgeless
-    graph gets no spectra in its report and every bound invalid. The
-    batch's (G, 15) values are checked once, and each report keeps its
-    rows of them. A report equals the one full_report gives for the
-    graph alone, to the bit.
+    graph gets every bound invalid. The batch's (G, 15) values are
+    checked once, and each report keeps its rows of them. A report
+    equals the one full_report gives for the graph alone, to the bit.
     """
 
     graphs = list(graphs)
     common_order(graphs)
     solved = report_spectra(graphs)
     edged = [k for k, g in enumerate(graphs) if g.edge_count]
-    spectra: list[dict[GraphMatrixKind, Spectrum]] = [{} for _ in graphs]
     values = np.full((len(graphs), len(_REPORT_IDS)), -np.inf)
     best_m = np.ones(values.shape, dtype=np.int64)
     if edged:
         index = np.array(edged)
-        found, values[index], best_m[index] = _edged_reports(
+        values[index], best_m[index] = _edged_reports(
             [graphs[k] for k in edged], solved[:, index], index
         )
-        for k, entry in zip(edged, found):
-            spectra[k] = entry
     _check_report_rows(values)
     values.setflags(write=False)
     best_m.setflags(write=False)
-    return [BoundReport(*fields) for fields in zip(graphs, spectra, values, best_m)]
+    return [BoundReport(*fields) for fields in zip(graphs, values, best_m)]
 
 
 def full_report(g: Graph) -> BoundReport:

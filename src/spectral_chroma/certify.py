@@ -12,15 +12,16 @@ certify_graphs certifies a batch of graphs of one order as array code:
 the unitaries of all colorings are one (G, C, n) array, each check is
 one comparison over the batch that NaN fails, and its verdicts are the
 arrays of the CertifiedBatch it returns. The spectra it shares with the
-bounds are the graphs' bounds.report_spectra, the A, L and Q spectra,
-which full_reports on the same graphs has already solved. The
+bounds are the graphs' bounds.report_spectra, the A, L and Q spectra
+each graph keeps once full_reports on it has solved them. The
 majorization steps' left sides are -A (negated_spectra of A), L and
 -D - A (negated_spectra of Q), the right side for B = 0 is the A
 spectrum divided by c - 1, and Q gives the loan identity's delta_n.
 Only the right sides B + A/(c-1) for B = D and B = -D are solved here.
 A derived spectrum passes the validation its own solve would have had
-to pass (see certify_graphs). The per-graph reports (ColoringCertificate,
-MajorizationStepReport, LoanIdentityReport) are built from rows of those
+to pass (see certify_graphs). A GraphCertificationReport is a row of
+the CertifiedBatch, and the objects in it (ColoringCertificate,
+MajorizationStepReport, LoanIdentityReport) are built from rows of its
 arrays on first read. build_conversion, verify_loan_identity and
 certify_graph are the same code on a batch of one;
 verify_majorization_step takes any diagonal B and solves both of its
@@ -429,27 +430,17 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
 class GraphCertificationReport:
     """Conversion certificate, majorization step for B in {0, D, -D}, loan identity.
 
-    conversion is a ColoringCertificate; steps maps "zero", "deg" and
-    "negdeg" to MajorizationStepReports; loan is a LoanIdentityReport, or
-    None for an edgeless graph. Built from those objects, a report holds
-    them. A report of certify_graphs keeps its row of the batch's arrays
-    instead, builds each object on first read, and reads ok from the
-    batch's verdicts.
+    A report is row k of a CertifiedBatch. conversion is a
+    ColoringCertificate; steps maps "zero", "deg" and "negdeg" to
+    MajorizationStepReports; loan is a LoanIdentityReport, or None for an
+    edgeless graph. Each is built from the batch's arrays on first read,
+    and ok is the batch's verdict.
     """
 
-    def __init__(
-        self,
-        conversion: ColoringCertificate,
-        steps: dict[str, MajorizationStepReport],
-        loan: LoanIdentityReport | None,
-    ) -> None:
-        vars(self).update(conversion=conversion, steps=steps, loan=loan)
-
-    @classmethod
-    def _row(cls, batch: "CertifiedBatch", k: int) -> "GraphCertificationReport":
-        report = object.__new__(cls)
-        vars(report).update(_batch=batch, _k=k, ok=bool(batch.ok[k]))
-        return report
+    def __init__(self, batch: "CertifiedBatch", k: int) -> None:
+        self._batch = batch
+        self._k = k
+        self.ok = bool(batch.ok[k])
 
     @cached_property
     def conversion(self) -> ColoringCertificate:
@@ -463,11 +454,6 @@ class GraphCertificationReport:
     def loan(self) -> LoanIdentityReport | None:
         row = int(self._batch.loan_rows[self._k])
         return None if row < 0 else self._batch.loans.report(row)
-
-    @cached_property
-    def ok(self) -> bool:
-        steps_ok = all(step.ok for step in self.steps.values())
-        return steps_ok and (self.loan is None or self.loan.ok)
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,7 +483,7 @@ class CertifiedBatch(SequenceABC):
 
     @cached_property
     def _reports(self) -> list[GraphCertificationReport]:
-        return [GraphCertificationReport._row(self, k) for k in range(len(self))]
+        return [GraphCertificationReport(self, k) for k in range(len(self))]
 
 
 def greedy_certificate_coloring(g: Graph) -> Coloring:

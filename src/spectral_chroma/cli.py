@@ -20,9 +20,9 @@ from .bounds import (
     full_report,
     full_reports,
     generalized_sweep,
+    graph_spectra,
     normalized_sweep,
     round_display,
-    unnormalized_spectra,
 )
 from .certify import (
     CertifiedBatch,
@@ -47,8 +47,7 @@ from .experiments import (
     report_json_payload,
     resolve_graph_input,
 )
-from .graphs import Graph, GraphMatrixKind
-from .linalg import graph_spectrum, spectrum_rows
+from .graphs import UNNORMALIZED_KINDS, Graph, GraphMatrixKind
 from .oracle import Coloring, all_graphs, chromatic_number, colorable_with
 
 _SOUNDNESS_SLACK = 1e-6
@@ -107,13 +106,13 @@ def _cmd_bounds(args) -> int:
 def _cmd_sweep(args) -> int:
     g = resolve_graph_input(args.input)
     bound_id = BoundId(args.bound)
+    # the graph's cached spectra, as full_reports reads them: the
+    # normalized A alone, or A, L and Q
     if bound_id is BoundId.GEN_NORMALIZED_HOFFMAN:
-        column = normalized_sweep(graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY))
+        (spec_na,) = graph_spectra(g, [GraphMatrixKind.NORMALIZED_ADJACENCY]).values()
+        column = normalized_sweep(spec_na)
     else:
-        # the A, L and Q solves of full_reports and random_table, on a batch of one
-        spectra = unnormalized_spectra(g.adjacency()[None])
-        spec_a, spec_l, spec_q = (spectrum_rows(rows)[0] for rows in spectra)
-        column = generalized_sweep(spec_a, spec_l, spec_q)[bound_id]
+        column = generalized_sweep(*graph_spectra(g, UNNORMALIZED_KINDS).values())[bound_id]
     print("m,value")
     for m, value in enumerate(column, start=1):
         print(f"{m}," if value is None else f"{m},{value!r}")

@@ -2,7 +2,8 @@
 
 A Graph is a vertex count plus one read-only array of 0-based endpoint
 pairs, a row per edge in graph6 bit order. This module owns the two text
-formats (graph6 and edge lists), the deterministic family generators
+formats (graph6 and edge lists), the builder of each derived matrix kind
+on a stack of adjacency matrices, the deterministic family generators
 used by the comparison tables, and a counter-based G(n, p) sampler that
 reproduces bit-identically across platforms, for one graph or as a stack
 of adjacency matrices.
@@ -419,35 +420,53 @@ def parse_edge_list(text: str) -> Graph:
 
 
 # --------------------------------------------------------------------------
-# derived matrices
+# derived matrices: one builder per kind, on a (G, n, n) adjacency stack
 
-def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    """Build one of the four derived matrices as a new array, exactly symmetric.
+def unnormalized_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
+    """A itself, then L = D - A and Q = |L| in one more stack, Q overwriting L.
 
-    Every kind is an array expression in the graph's cached adjacency
-    and degrees; a normalized adjacency entry is the product of its
-    endpoints' inverse square-root degrees, which is the same in either
-    order, so symmetry holds to the last bit. The normalized adjacency
-    requires every vertex to have positive degree.
+    A caller uses each stack before it asks for the next.
     """
 
-    deg = g.degrees()
-    a = g.adjacency()
+    yield a
+    m = np.subtract(0.0, a)  # +0.0, not -0.0, where A is 0
+    diag = np.arange(a.shape[1])
+    m[:, diag, diag] = a.sum(axis=2)  # sums of 0s and 1s: exact
+    yield m
+    yield np.abs(m, out=m)
+
+
+def normalized_adjacency_stack(a: np.ndarray) -> np.ndarray:
+    """The normalized adjacency a_ij * (x_i * x_j), x = 1 / sqrt(deg), of each matrix of a stack.
+
+    An entry is the product of its endpoints' inverse square-root
+    degrees, the same in either order, so symmetry holds to the last
+    bit. Every vertex needs positive degree: the first isolated one, in
+    the first matrix that has one, raises DomainError naming it.
+    """
+
+    deg = a.sum(axis=2)
+    isolated = deg == 0
+    if isolated.any():
+        k = int(isolated.any(axis=1).argmax())
+        raise DomainError(
+            f"normalized matrix undefined: vertex {int(isolated[k].argmax())} is isolated"
+        )
+    x = 1.0 / np.sqrt(deg)
+    return a * (x[:, :, None] * x[:, None, :])
+
+
+UNNORMALIZED_KINDS = tuple(GraphMatrixKind)[:3]  # A, L and Q, as unnormalized_stacks builds them
+
+
+def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
+    """One of the four derived matrices of g as a new array: a builder on a stack of one."""
+
+    a = g.adjacency()[None]
     if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
-        isolated = np.nonzero(deg == 0)[0]
-        if isolated.size:
-            raise DomainError(
-                f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
-            )
-        inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
-        return a * np.outer(inv_sqrt, inv_sqrt)
-    if kind is GraphMatrixKind.ADJACENCY:
-        return a.copy()
-    if kind is GraphMatrixKind.LAPLACIAN:
-        return np.diag(deg.astype(np.float64)) - a
-    if kind is GraphMatrixKind.SIGNLESS_LAPLACIAN:
-        return np.diag(deg.astype(np.float64)) + a
-    raise DomainError(f"unknown matrix kind {kind!r}")
+        return normalized_adjacency_stack(a)[0]
+    stacks = unnormalized_stacks(a)
+    return next(itertools.islice(stacks, UNNORMALIZED_KINDS.index(kind), None))[0].copy()
 
 
 # --------------------------------------------------------------------------

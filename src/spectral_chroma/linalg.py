@@ -1,8 +1,9 @@
 """Validated eigensolving of real symmetric matrices.
 
 Every graph-matrix spectrum goes through spectra_batch, one solve per
-(G, n, n) stack. Every eigenvalue vector returned here is validated
-rather than trusted blindly, against residual and trace guarantees.
+(G, n, n) stack, or is derived from a solved one by negated_spectra.
+Every eigenvalue vector returned here is validated rather than trusted
+blindly, against residual and trace guarantees.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError, MatrixError, NumericError
-from .graphs import Graph, GraphMatrixKind, build_matrix
 
 # Centralized tolerances; tests reference these by name.
 SPECTRUM_TOL = 1e-9
@@ -26,19 +26,28 @@ PROPERTY_TOL = 1e-8
 class Spectrum:
     """Eigenvalues sorted non-increasing.
 
-    Constructing one checks its values; spectrum_rows checks a whole
-    array of them once and wraps its rows without checking each again.
+    Constructing one checks its values. check_spectra checks a whole
+    array of them once, and checked_row wraps a row of such an array
+    without checking it again.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64).copy()
-        if v.ndim != 1 or v.size < 1:
+        if v.ndim != 1:
             raise DomainError("spectrum needs a nonempty 1-d value vector")
-        _check_spectra(v)
+        check_spectra(v[None])
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def checked_row(cls, row: np.ndarray) -> Spectrum:
+        """A Spectrum holding row itself: a read-only row of an array that passed check_spectra."""
+
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "values", row)
+        return spec
 
     @property
     def n(self) -> int:
@@ -48,34 +57,15 @@ class Spectrum:
         return self.n
 
 
-def _check_spectra(v: np.ndarray) -> None:
-    """The value checks of Spectrum, on a vector or on every row of a (G, n) array."""
+def check_spectra(w: np.ndarray) -> None:
+    """The checks of Spectrum on every row of a (G, n) array at once, with its errors."""
 
-    if not np.isfinite(v).all():
-        raise DomainError("spectrum contains non-finite values")
-    if (np.diff(v, axis=-1) > 0).any():
-        raise DomainError("spectrum values must be sorted non-increasing")
-
-
-def spectrum_rows(w: np.ndarray) -> list[Spectrum]:
-    """One Spectrum per row of a (G, n) array of spectra, checked once for the array.
-
-    The rows pass the checks Spectrum(row) makes, and fail them with its
-    errors. Each Spectrum holds a read-only row of a read-only copy of w,
-    and is not checked again on its own.
-    """
-
-    w = np.array(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 1:
         raise DomainError("spectrum needs a nonempty 1-d value vector")
-    _check_spectra(w)
-    w.setflags(write=False)
-    out = []
-    for row in w:
-        spec = object.__new__(Spectrum)
-        object.__setattr__(spec, "values", row)
-        out.append(spec)
-    return out
+    if not np.isfinite(w).all():
+        raise DomainError("spectrum contains non-finite values")
+    if (np.diff(w, axis=1) > 0).any():
+        raise DomainError("spectrum values must be sorted non-increasing")
 
 
 def _first(mask: np.ndarray) -> int:
@@ -181,10 +171,4 @@ def eigenvalues_sym(a: np.ndarray) -> Spectrum:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return spectrum_rows(spectra_batch(a[None]))[0]
-
-
-def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
-    """Spectrum of one of a graph's derived matrices."""
-
-    return eigenvalues_sym(build_matrix(g, kind))
+    return Spectrum(spectra_batch(a[None])[0])

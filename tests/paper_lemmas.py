@@ -7,6 +7,8 @@ tests check them on random instances, and the command line needs
 neither. Their spectra come from hermitian_eigenvalues, which accepts
 complex Hermitian input, and ky_fan sums them.
 
+scalar_build_matrix and graph_spectrum build and solve one graph's
+matrix at a time, where the tool builds and solves stacks of them.
 conversion_unitaries, conversion_residual and check_proper are the
 per-graph forms of what certify computes for a batch, written out one
 coloring at a time for the tests to compare against.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spectral_chroma.errors import DomainError, NumericError, VerificationError
-from spectral_chroma.graphs import Graph
+from spectral_chroma.graphs import Graph, GraphMatrixKind
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
@@ -104,6 +106,43 @@ def ky_fan(spec: Spectrum, m: int) -> float:
 
     m = _check_m(m, spec.n)
     return float(spec.values[:m].sum())
+
+
+# --------------------------------------------------------------------------
+# per-graph matrices and their spectra
+
+
+def scalar_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
+    """One of the four derived matrices of one graph, from its adjacency and degrees.
+
+    The per-graph form of the stack builders of graphs (build_matrix is
+    one of them on a stack of one), written out for the tests to compare
+    against: the same entries, signed zeros included.
+    """
+
+    deg = g.degrees()
+    a = g.adjacency()
+    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
+        isolated = np.nonzero(deg == 0)[0]
+        if isolated.size:
+            raise DomainError(
+                f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
+            )
+        inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
+        return a * np.outer(inv_sqrt, inv_sqrt)
+    if kind is GraphMatrixKind.ADJACENCY:
+        return a.copy()
+    if kind is GraphMatrixKind.LAPLACIAN:
+        return np.diag(deg.astype(np.float64)) - a
+    if kind is GraphMatrixKind.SIGNLESS_LAPLACIAN:
+        return np.diag(deg.astype(np.float64)) + a
+    raise DomainError(f"unknown matrix kind {kind!r}")
+
+
+def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
+    """Spectrum of one of a graph's derived matrices, solved on its own."""
+
+    return eigenvalues_sym(scalar_build_matrix(g, kind))
 
 
 # --------------------------------------------------------------------------

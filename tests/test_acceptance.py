@@ -20,6 +20,7 @@ import pytest
 from conftest import from_edges, load_no_perfect_matching, record_verdict
 from paper_lemmas import (
     PinchingInstance,
+    graph_spectrum,
     ky_fan,
     pinch,
     pinch_via_unitaries,
@@ -56,10 +57,7 @@ from spectral_chroma.graphs import (
     sun,
     windmill,
 )
-from spectral_chroma.linalg import (
-    eigenvalues_sym,
-    graph_spectrum,
-)
+from spectral_chroma.linalg import eigenvalues_sym
 from spectral_chroma.oracle import (
     all_graphs,
     chromatic_number,

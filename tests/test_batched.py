@@ -69,6 +69,7 @@ from spectral_chroma.graphs import (
     emit_graph6,
     petersen,
     random_gnp,
+    random_gnp_adjacency,
 )
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
@@ -418,7 +419,13 @@ def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
     )
 
 
-def reference_certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
+# what certificate_key reads of a GraphCertificationReport
+ReferenceCertification = collections.namedtuple(
+    "ReferenceCertification", ["conversion", "steps", "loan", "ok"]
+)
+
+
+def reference_certify_graph(g: Graph, col: Coloring) -> ReferenceCertification:
     """The left sides -A and -Q and the B = 0 right side A/(c-1) come from the A and Q spectra."""
 
     a = g.adjacency()
@@ -440,7 +447,8 @@ def reference_certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport
         ),
     }
     loan = reference_loan_identity(g, col) if g.edge_count >= 1 else None
-    return GraphCertificationReport(conversion, steps, loan)
+    ok = all(step.ok for step in steps.values()) and (loan is None or loan.ok)
+    return ReferenceCertification(conversion, steps, loan, ok)
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +525,7 @@ def _fields(obj, names) -> tuple:
     )
 
 
-def certificate_key(r: GraphCertificationReport) -> tuple:
+def certificate_key(r: GraphCertificationReport | ReferenceCertification) -> tuple:
     conv = r.conversion
     key = [
         conv.coloring,
@@ -647,8 +655,38 @@ class TestDerivedSpectraAgree:
         self.assert_agree(monkeypatch, [resolve_graph_input(s) for s in DEFAULT_NAMED])
 
 
+class TestClassicalIsGeneralizedAtOne:
+    """The classical bounds equal the m = 1 column of the generalized sweep, bit for bit.
+
+    _classical_values stays its own formula, on the first entries of the
+    spectra only; random_table reads it without the whole sweep.
+    """
+
+    @staticmethod
+    def assert_m1_column(mu, th, dl):
+        classical = bounds._classical_values(mu, th, dl)
+        generalized = bounds._generalized_values(mu, th, dl)[:, :, 0].T
+        assert _bits(classical) == _bits(generalized)
+
+    def test_edged_corpus(self):
+        graphs = [g for n in range(1, 8) for g in all_graphs(n) if g.edge_count]
+        assert len(graphs) == 2292
+        for batch in _batches(graphs):
+            self.assert_m1_column(*report_spectra(batch))
+
+    @pytest.mark.parametrize("n,p", [(50, 0.5), (20, 0.3), (7, 0.3), (60, 0.0005)])
+    def test_random_table_chunks(self, n, p):
+        # chunks as random_table draws and solves them, edgeless samples included
+        for first in range(0, 64, 16):
+            a = random_gnp_adjacency(n, p, range(first, first + 16))
+            self.assert_m1_column(*bounds.unnormalized_spectra(a))
+
+
 class TestSolveCounts:
-    """Validated eigh calls: A, L and Q once per graph, two right sides per certification."""
+    """Validated eigh calls: A, L and Q once per graph, two right sides per certification.
+
+    The normalized A is solved once per graph too, when a report or a sweep first asks for it.
+    """
 
     @staticmethod
     def count(monkeypatch) -> list:
@@ -680,6 +718,49 @@ class TestSolveCounts:
         calls = self.count(monkeypatch)
         certify_graph(g, col)
         assert calls == [(1, 10, 10)] * 5
+
+    @pytest.mark.parametrize(
+        "bound,solves",
+        [(b.value, 3) for b in bounds._GENERALIZED_IDS] + [("GenNormalizedHoffman", 1)],
+    )
+    def test_sweep(self, monkeypatch, capsys, bound, solves):
+        # A, L and Q for a generalized bound, the normalized A alone for the normalized one
+        calls = self.count(monkeypatch)
+        assert cli.main(["sweep", "gen:petersen", "--bound", bound]) == 0
+        assert calls == [(1, 10, 10)] * solves
+        assert len(capsys.readouterr().out.splitlines()) == 11
+
+    def test_second_full_reports_solves_nothing(self, monkeypatch):
+        # the graphs keep A, L, Q and the normalized A from the first call
+        chunk, _ = TestCertifiedBatch.chunk()
+        first = full_reports(chunk)
+        calls = self.count(monkeypatch)
+        second = full_reports(chunk)
+        assert calls == []
+        assert [_bits(r.value_row) for r in second] == [_bits(r.value_row) for r in first]
+
+    def test_reading_spectra_solves_nothing(self, monkeypatch):
+        chunk, _ = TestCertifiedBatch.chunk()
+        reports = full_reports(chunk)
+        calls = self.count(monkeypatch)
+        spectra = [r.spectra for r in reports]
+        assert calls == []
+        unnormalized = report_spectra(chunk)
+        assert calls == []
+        kinds = [
+            GraphMatrixKind.ADJACENCY, GraphMatrixKind.LAPLACIAN, GraphMatrixKind.SIGNLESS_LAPLACIAN
+        ]
+        for k, (g, found) in enumerate(zip(chunk, spectra)):
+            if not g.edge_count:
+                assert found == {}
+                continue
+            normal = [GraphMatrixKind.NORMALIZED_ADJACENCY] if g.degrees().all() else []
+            assert list(found) == kinds + normal
+            for kind, rows in zip(kinds, unnormalized[:, k]):
+                assert _bits(found[kind].values) == _bits(rows)
+            assert all(not spec.values.flags.writeable for spec in found.values())
+        assert any(GraphMatrixKind.NORMALIZED_ADJACENCY in found for found in spectra)
+        assert any(found == {} for found in spectra)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from conftest import from_edges, orthogonality_graph
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from paper_lemmas import random_hermitian
+from paper_lemmas import graph_spectrum, random_hermitian
 
 from spectral_chroma import bounds
 from spectral_chroma.bounds import (
@@ -52,7 +52,6 @@ from spectral_chroma.linalg import (
     PROPERTY_TOL,
     Spectrum,
     eigenvalues_sym,
-    graph_spectrum,
     negated_spectra,
 )
 from spectral_chroma.oracle import all_graphs, chromatic_number

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import load_no_perfect_matching
+from paper_lemmas import graph_spectrum
 
 from spectral_chroma import experiments
 from spectral_chroma.bounds import BoundId, classical_bounds, full_report, round_display
@@ -37,7 +38,6 @@ from spectral_chroma.graphs import (
     petersen,
     random_gnp,
 )
-from spectral_chroma.linalg import graph_spectrum
 
 # --------------------------------------------------------------------------
 # reference: the per-sample loop random_table replaced, one Graph, three

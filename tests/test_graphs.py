@@ -10,12 +10,14 @@ import pytest
 from conftest import from_edges
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from paper_lemmas import scalar_build_matrix
 
 from spectral_chroma import graphs, oracle
 from spectral_chroma.bounds import full_report
 from spectral_chroma.errors import DomainError, ParseError
 from spectral_chroma.graphs import (
     _G6_MAX_N,
+    UNNORMALIZED_KINDS,
     Graph,
     GraphMatrixKind,
     _g6_vertex_count,
@@ -29,12 +31,14 @@ from spectral_chroma.graphs import (
     emit_graph6,
     generate_from_spec,
     mycielskian,
+    normalized_adjacency_stack,
     parse_edge_list,
     parse_graph6,
     petersen,
     random_gnp,
     random_gnp_adjacency,
     sun,
+    unnormalized_stacks,
     windmill,
 )
 from spectral_chroma.oracle import all_graphs, greedy_coloring, labeled_graphs
@@ -547,14 +551,43 @@ class TestScalarReferenceEquivalence:
             assert back.edges == reference_parse_graph6(text).edges == g.edges
 
     def test_matrices_match_scalar_reference(self, equivalence_graphs):
+        # build_matrix is a stack builder on a stack of one; the per-graph
+        # array expressions of scalar_build_matrix give the same entries too
         for g in equivalence_graphs:
             for kind in GraphMatrixKind:
                 expected = _raised(reference_build_matrix, g, kind)
                 if expected is not None:
                     assert _raised(build_matrix, g, kind) == expected
+                    assert _raised(scalar_build_matrix, g, kind) == expected
                     continue
                 got = build_matrix(g, kind)
                 assert _bits(got) == _bits(reference_build_matrix(g, kind)), (g, kind)
+                assert _bits(got) == _bits(scalar_build_matrix(g, kind)), (g, kind)
+                assert got.flags.writeable and not np.shares_memory(got, g.adjacency())
+
+    def test_stack_builders_match_per_graph_matrices(self, equivalence_graphs):
+        # every graph of one order in one stack, as the reports solve them
+        by_order: dict[int, list[Graph]] = {}
+        for g in equivalence_graphs:
+            by_order.setdefault(g.n, []).append(g)
+        for group in by_order.values():
+            a = np.stack([g.adjacency() for g in group])
+            for kind, stack in zip(UNNORMALIZED_KINDS, unnormalized_stacks(a)):
+                for g, m in zip(group, stack):
+                    assert _bits(m) == _bits(reference_build_matrix(g, kind)), (g, kind)
+            assert _bits(a) == _bits(np.stack([g.adjacency() for g in group]))  # a unchanged
+            normal = [g for g in group if g.degrees().all()]
+            if normal:
+                stack = normalized_adjacency_stack(np.stack([g.adjacency() for g in normal]))
+                for g, m in zip(normal, stack):
+                    expected = reference_build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
+                    assert _bits(m) == _bits(expected), g
+
+    def test_first_isolated_vertex_named(self):
+        a = np.stack([cycle(4).adjacency(), from_edges(4, [(0, 3)]).adjacency()])
+        with pytest.raises(DomainError) as info:
+            normalized_adjacency_stack(a)
+        assert str(info.value) == "normalized matrix undefined: vertex 1 is isolated"
 
     @pytest.mark.parametrize(
         "text",

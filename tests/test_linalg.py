@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from paper_lemmas import hermitian_eigenvalues, ky_fan, random_hermitian, symmetrize
+from paper_lemmas import (
+    graph_spectrum,
+    hermitian_eigenvalues,
+    ky_fan,
+    random_hermitian,
+    symmetrize,
+)
 
 from spectral_chroma.errors import DomainError, NumericError
 from spectral_chroma.graphs import (
@@ -26,10 +32,9 @@ from spectral_chroma.linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     Spectrum,
+    check_spectra,
     eigenvalues_sym,
-    graph_spectrum,
     spectra_batch,
-    spectrum_rows,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -61,7 +66,7 @@ class TestSpectrumType:
 
 
 class TestSpectrumRows:
-    """spectrum_rows checks a (G, n) array once, as Spectrum(row) checks each row."""
+    """check_spectra checks a (G, n) array once, as Spectrum(row) checks each row."""
 
     @staticmethod
     def error(build):
@@ -75,24 +80,27 @@ class TestSpectrumRows:
     )
     def test_bad_row_raises_the_spectrum_error(self, bad_row):
         w = np.array([[3.0, 1.0, 0.0], bad_row, [1.0, 1.0, 1.0]])
-        assert self.error(lambda: spectrum_rows(w)) == self.error(lambda: Spectrum(w[1]))
+        assert self.error(lambda: check_spectra(w)) == self.error(lambda: Spectrum(w[1]))
 
     def test_non_finite_reported_before_order(self):
         # Spectrum checks finiteness first; a later unsorted row must not win
         w = np.array([[1.0, 2.0], [np.nan, 0.0]])
-        assert self.error(lambda: spectrum_rows(w)) == "spectrum contains non-finite values"
+        assert self.error(lambda: check_spectra(w)) == "spectrum contains non-finite values"
 
     @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 2, 2)])
     def test_shape_rejected(self, shape):
         with pytest.raises(DomainError, match="nonempty 1-d"):
-            spectrum_rows(np.zeros(shape))
+            check_spectra(np.zeros(shape))
 
     def test_rows_are_read_only_copies(self):
+        # checked_row holds the row itself, so the array is made read-only first
         w = spectra_batch(np.stack([random_hermitian(5, s) for s in range(3)]))
-        specs = spectrum_rows(w)
-        assert w.flags.writeable
-        for row, spec in zip(w, specs):
-            assert spec.values.tobytes() == row.tobytes() == Spectrum(row).values.tobytes()
+        check_spectra(w)
+        w.setflags(write=False)
+        for row in w:
+            spec = Spectrum.checked_row(row)
+            assert spec.values is row
+            assert spec.values.tobytes() == Spectrum(row).values.tobytes()
             assert spec.n == 5 and not spec.values.flags.writeable
             with pytest.raises(ValueError):
                 spec.values[0] = 0.0

@@ -14,7 +14,11 @@ inputs come from this script's own seeded stdlib RNG and graph6 writer,
 not from the program. The default formats print one decimal, which hides
 drift in the last bits, so a few invocations print full precision:
 `bounds --json` on the named and G(n, p) inputs, `compare --json` on a
-mixed list, one random-table CSV and two random-table JSON. The JSON
+mixed list, one random-table CSV and two random-table JSON; `sweep`
+prints full precision too, for all five bounds on the named inputs and
+for GenHoffman and GenNormalizedHoffman on the G(n, p) inputs and on
+the edgeless "D??" (an empty column, and exit 2 at its isolated vertex
+0). The JSON
 rows redraw edgeless samples and list the (sample, seed) pairs they
 redrew. The second JSON table has several chunks per row, which
 random-table solves on worker threads when BLAS leaves CPUs free: run
@@ -67,6 +71,9 @@ SWEEP_BOUNDS = (
     "GenKolotilina2",
     "GenNormalizedHoffman",
 )
+# sweep on the G(n, p) inputs and the edgeless graph: one bound read from
+# the A, L and Q spectra and the one read from the normalized A
+GNP_SWEEP_BOUNDS = ("GenHoffman", "GenNormalizedHoffman")
 GNP_SIZES = (9, 14, 25, 40)  # graph6 of n = 1 would start with "@", a file reference
 GNP_P = 0.5
 GNP_SEED = 7
@@ -120,6 +127,7 @@ def invocations(tmp: Path) -> list[list[str]]:
         out.append(["bounds", "--json", g6])
         out.append(["certify", g6])
         out.append(["chromatic", g6])
+        out.extend(["sweep", g6, "--bound", bound] for bound in GNP_SWEEP_BOUNDS)
     # an exact witness from colorable_with; this graph's chromatic number is 7
     out.append(["certify", gnp[GNP_SIZES.index(25)], "--colors", "7"])
     out.append(["compare", "--named", "default"])
@@ -133,6 +141,8 @@ def invocations(tmp: Path) -> list[list[str]]:
     # no edges: one greedy color widened to two, "loan skipped"; then an isolated vertex
     out.append(["certify", "D??"])
     out.append(["chromatic", "D??"])
+    # every m inadmissible (an empty column); the normalized A is undefined (exit 2)
+    out.extend(["sweep", "D??", "--bound", bound] for bound in GNP_SWEEP_BOUNDS)
     out.append(["certify", "Dh?"])
     out.append(["certify", "gen:complete(8)"])
     out.append(["certify", "gen:complete_multipartite(3,3,3)"])
