@@ -12,25 +12,25 @@ batch with the same vertex count: partial sums are cumsums along each
 row, every ratio goes through one masked sweep, and a maximum over m is
 the first argmax of its row, so it comes from the same array as the
 per-m sweep. The integer search probes all open graphs of a batch
-with one eigvalsh call per round and bisects them in lockstep.
-full_reports evaluates each family once per batch; full_report and the
-per-family functions (classical_bounds, generalized_bounds, ...) are the
-same code on a batch of one. Every spectrum comes from one per-graph
-cache: each graph keeps the A, L and Q spectra (report_spectra) and,
-once a report or a sweep asks for it, the normalized A spectrum, each
-solved once from the matrix builders of graphs. full_reports, the sweep
-(graph_spectra) and certify_graphs read them there. The integer
-search's B = -D candidate reads the spectrum of -Q = -D - A as
-negated_spectra of Q, whose eigenpairs, residuals and trace error are
-those of Q, so it passes the validation a solve of its own would have
-had to pass.
+with one linalg.eigenvalues_batch call per round and bisects them in
+lockstep. full_reports evaluates each family once per batch;
+full_report and the per-family functions (classical_bounds,
+generalized_bounds, ...) are the same code on a batch of one. Every
+spectrum comes from one per-graph cache: each graph keeps the A, L and
+Q spectra (report_spectra) and, once a report or a sweep asks for it,
+the normalized A spectrum, each solved once from the matrix builders of
+graphs. full_reports, the sweep (graph_spectra) and certify_graphs read
+them there. The integer search's B = -D candidate reads the spectrum of
+-Q = -D - A as negated_spectra of Q, whose eigenpairs, residuals and
+trace error are those of Q, so it passes the validation a solve of its
+own would have had to pass.
 
 The checks run once per batch array too: each solved array of spectra
 passes the checks of Spectrum once (linalg.check_spectra), and the
-(G, 15) bound values pass the checks of BoundValue once per batch. A
-report keeps its row of values and its row of best m; its BoundValue
-tuple (values), its graph6 id and hash (graph_id, graph_hash), its
-rounded display strings and its spectra are computed on first read.
+(G, 15) bound values pass the rule of BoundValue (_check_bounds) once
+per batch. A report keeps its row of values and its row of best m; its
+BoundValue tuple (values), its graph6 id (graph_id), its rounded
+display strings and its spectra are computed on first read.
 
 Invalid bounds (nonpositive denominators, edgeless graphs, isolated
 vertices for the normalized family) are reported as value 1 with
@@ -40,7 +40,6 @@ going.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -49,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, MatrixError, NumericError
 from .graphs import (
     UNNORMALIZED_KINDS,
     Graph,
@@ -60,10 +59,11 @@ from .graphs import (
     unnormalized_stacks,
 )
 from .linalg import (
+    BOUND_FLOOR_TOL,
     PROPERTY_TOL,
-    SPECTRUM_TOL,
     Spectrum,
     check_spectra,
+    eigenvalues_batch,
     matrices_named,
     negated_spectra,
     spectra_batch,
@@ -104,7 +104,6 @@ _GENERALIZED_IDS = (
 _NORMALIZED_IDS = BoundId.NORMALIZED_HOFFMAN, BoundId.GEN_NORMALIZED_HOFFMAN
 _CHAIN_IDS = BoundId.KOLOTILINA_CHAIN_317, BoundId.HANSEN_LUCAS, BoundId.CVETKOVIC
 _REPORT_IDS = tuple(BoundId)
-_INTEGER_C = _REPORT_IDS.index(BoundId.INTEGER_C)
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,26 @@ class BoundValue:
     valid: bool = True
 
     def __post_init__(self) -> None:
-        if self.valid and not self.value >= 1.0 - 1e-12:  # NaN fails
-            raise DomainError(f"{self.id.value}: valid bound must be at least 1, got {self.value}")
-        if self.valid and self.id is BoundId.INTEGER_C:
-            if not (self.value >= 2 and float(self.value).is_integer()):  # NaN fails
-                raise DomainError(f"IntegerC must be an integer >= 2, got {self.value}")
+        _check_bounds((self.id,), np.array([[self.value]]), np.array([[self.valid]]))
+
+
+def _check_bounds(ids: Sequence[BoundId], values: np.ndarray, valid: np.ndarray) -> None:
+    """DomainError for the first valid bound below 1, or valid IntegerC not an integer >= 2.
+
+    Column j of the (G, len(ids)) values is bound ids[j]; valid marks the
+    entries checked, in row-major order. The floor is 1 - BOUND_FLOOR_TOL;
+    NaN fails both tests.
+    """
+
+    below = valid & ~(values >= 1.0 - BOUND_FLOOR_TOL)
+    integer = (values >= 2) & np.isfinite(values) & (np.floor(values) == values)
+    bad = below | valid & ~integer & [bound_id is BoundId.INTEGER_C for bound_id in ids]
+    if bad.any():
+        g, j = divmod(int(bad.argmax()), len(ids))
+        value = values[g, j]
+        if below[g, j]:
+            raise DomainError(f"{ids[j].value}: valid bound must be at least 1, got {value}")
+        raise DomainError(f"IntegerC must be an integer >= 2, got {value}")
 
 
 def invalid_bound(bound_id: BoundId) -> BoundValue:
@@ -181,27 +195,6 @@ def _bound_values(
     rows = values.tolist()
     best_ms = [[1] * len(ids)] * len(rows) if best_m is None else best_m.tolist()
     return [_row_values(ids, row, ms) for row, ms in zip(rows, best_ms)]
-
-
-def _check_report_rows(values: np.ndarray) -> None:
-    """The checks of BoundValue on (G, 15) report values at once, with its errors.
-
-    Columns are in BoundId order, and -inf marks an invalid bound, which
-    is not checked. A valid bound must be at least 1 - 1e-12, a valid
-    IntegerC an integer of at least 2; NaN fails both. The first failing
-    entry in row-major order raises, as building the rows' BoundValues
-    in order would.
-    """
-
-    valid = values != -np.inf
-    bad = valid & ~(values >= 1.0 - 1e-12)
-    c = values[:, _INTEGER_C]
-    bad[:, _INTEGER_C] |= valid[:, _INTEGER_C] & ~((c >= 2) & np.isfinite(c) & (np.floor(c) == c))
-    if bad.any():
-        g, j = divmod(int(bad.argmax()), values.shape[1])
-        # the BoundValue of the failing entry raises its own error text
-        BoundValue(_REPORT_IDS[j], float(values[g, j]))
-        raise AssertionError(f"BoundValue accepted the refused {_REPORT_IDS[j].value} of row {g}")
 
 
 def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
@@ -400,14 +393,13 @@ def _probe(
 
     stack = a / (c - 1)[:, None, None]
     stack += b
-    eigs = np.linalg.eigvalsh(stack)[:, ::-1]
-    tr = np.trace(stack, axis1=1, axis2=2)
-    bad = ~(np.abs(eigs.sum(axis=1) - tr) <= SPECTRUM_TOL * np.maximum(1.0, np.abs(tr)))
-    if bad.any():
-        k = int(bad.argmax())
+    try:
+        eigs = eigenvalues_batch(stack)
+    except MatrixError as exc:
+        k = exc.matrix
         raise NumericError(
             f"graph {index[k]}: eigensolve at c={c[k]} disagrees with the matrix trace"
-        )
+        ) from None
     return lhs[:, :-1] >= np.cumsum(eigs[:, :-1], axis=1) - PROPERTY_TOL
 
 
@@ -533,9 +525,9 @@ class BoundReport:
 
     value_row holds the bound values in BoundId order, -inf where a bound
     is invalid, and best_m_row the m of each; both are checked read-only
-    rows of their batch's arrays. values, graph_id, graph_hash and
-    rounded_display are computed from them and the graph on first read,
-    and spectra from the graph's cache.
+    rows of their batch's arrays. values, graph_id and rounded_display
+    are computed from them and the graph on first read, and spectra from
+    the graph's cache.
     """
 
     graph: Graph
@@ -565,12 +557,6 @@ class BoundReport:
         """The graph's graph6 text, computed on first read."""
 
         return emit_graph6(self.graph)
-
-    @cached_property
-    def graph_hash(self) -> str:
-        """The first 16 hex digits of the SHA-256 of graph_id, computed on first read."""
-
-        return hashlib.sha256(self.graph_id.encode("ascii")).hexdigest()[:16]
 
     @cached_property
     def values(self) -> tuple[BoundValue, ...]:
@@ -738,7 +724,7 @@ def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
         values[index], best_m[index] = _edged_reports(
             [graphs[k] for k in edged], solved[:, index], index
         )
-    _check_report_rows(values)
+    _check_bounds(_REPORT_IDS, values, values != -np.inf)
     values.setflags(write=False)
     best_m.setflags(write=False)
     return [BoundReport(*fields) for fields in zip(graphs, values, best_m)]

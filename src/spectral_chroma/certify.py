@@ -11,7 +11,9 @@ never runs; the tests check them (tests/paper_lemmas.py).
 certify_graphs certifies a batch of graphs of one order as array code:
 the unitaries of all colorings are one (G, C, n) array, each check is
 one comparison over the batch that NaN fails, and its verdicts are the
-arrays of the CertifiedBatch it returns. The spectra it shares with the
+arrays of the CertifiedBatch it returns; only certify_graph,
+build_conversion and a failed report's conversion raise a conversion
+breach, as VerificationError. The spectra it shares with the
 bounds are the graphs' bounds.report_spectra, the A, L and Q spectra
 each graph keeps once full_reports on it has solved them. The
 majorization steps' left sides are -A (negated_spectra of A), L and
@@ -41,6 +43,7 @@ from .bounds import degree_stack, report_spectra
 from .errors import DomainError, VerificationError
 from .graphs import Graph, common_order
 from .linalg import (
+    CONVERSION_TOL,
     PROPERTY_TOL,
     SPECTRUM_TOL,
     UNITARY_TOL,
@@ -49,8 +52,6 @@ from .linalg import (
     spectra_batch,
 )
 from .oracle import Coloring, greedy_coloring
-
-CONVERSION_TOL = 1e-9
 
 
 def _as_adjacency(a) -> np.ndarray:
@@ -114,6 +115,12 @@ def _unitary_stack(cols: Sequence[Coloring]) -> np.ndarray:
     return u
 
 
+def _is_identity(diagonals: np.ndarray) -> np.ndarray:
+    """Per row of (..., n) unitary diagonals: is it the identity to UNITARY_TOL? NaN fails."""
+
+    return np.abs(diagonals - 1.0).max(axis=-1) <= UNITARY_TOL
+
+
 def _conjugations(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
     """U_s^dag X_g U_s over a (G, n, n) stack, for s = 1, 2, ... in turn.
 
@@ -151,50 +158,45 @@ class ColoringCertificate:
 
     def __post_init__(self) -> None:
         u = np.asarray(self.unitaries)
-        last = u[-1]
-        if not np.abs(last - 1.0).max() <= UNITARY_TOL:  # NaN fails
+        if not _is_identity(u[-1]):
             raise VerificationError("final conversion unitary is not the identity")
         object.__setattr__(self, "unitaries", u)
 
 
 @dataclass(frozen=True)
 class _Conversions:
-    """Conversion certificates of a batch: the colorings, the (G, C, n) unitaries, (G,) norms."""
+    """Conversion checks of a batch: colorings, (G, C, n) unitaries, (G,) norms and verdicts."""
 
     cols: Sequence[Coloring]
     unitaries: np.ndarray
     residual: np.ndarray
     tolerance: np.ndarray
+    residual_ok: np.ndarray  # residual <= tolerance; NaN fails
+    ok: np.ndarray  # residual_ok, and the final unitary is the identity
 
     def certificate(self, k: int) -> ColoringCertificate:
+        """Graph k's certificate; VerificationError for its first failed check, residual first."""
+
+        residual, tolerance = float(self.residual[k]), float(self.tolerance[k])
+        if not self.residual_ok[k]:
+            raise VerificationError(
+                f"conversion residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
+            )
         col = self.cols[k]
-        return ColoringCertificate(
-            col, self.unitaries[k, :col.c], float(self.residual[k]), float(self.tolerance[k])
-        )
+        return ColoringCertificate(col, self.unitaries[k, :col.c], residual, tolerance)
 
 
 def _conversions(a: np.ndarray, cols: Sequence[Coloring]) -> _Conversions:
-    """Conversion certificates for a (G, n, n) adjacency stack with checked colorings.
-
-    The first graph whose residual exceeds its tolerance, or is NaN,
-    raises VerificationError; so does then the first whose final
-    unitary is not the identity, with ColoringCertificate's error.
-    """
+    """Conversion checks for a (G, n, n) adjacency stack with checked colorings; none raises."""
 
     u = _unitary_stack(cols)
     c = _palettes(cols)
     residual = frobenius_norms(_conjugation_sum(a, u, c))
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(a))
-    bad = ~(residual <= tol)  # NaN fails
-    if bad.any():
-        k = int(bad.argmax())
-        raise VerificationError(
-            f"conversion residual {residual[k]:.3e} exceeds tolerance {tol[k]:.3e}"
-        )
-    last = u[np.arange(len(cols)), c - 1]
-    if not (np.abs(last - 1.0).max(axis=1) <= UNITARY_TOL).all():  # NaN fails
-        raise VerificationError("final conversion unitary is not the identity")
-    return _Conversions(cols, u, residual, tol)
+    within = residual <= tol
+    return _Conversions(
+        cols, u, residual, tol, within, within & _is_identity(u[np.arange(len(cols)), c - 1])
+    )
 
 
 def build_conversion(a, col: Coloring) -> ColoringCertificate:
@@ -460,9 +462,10 @@ class GraphCertificationReport:
 class CertifiedBatch(SequenceABC):
     """certify_graphs' result: one GraphCertificationReport per graph, and the batch's arrays.
 
-    ok holds each graph's verdict and residual its conversion residual,
-    so a caller that counts verdicts builds no per-graph object. A
-    report, and each object in it, is built on first read.
+    ok holds each graph's verdict, its conversion check's included, and
+    conversions.residual its conversion residual, so a caller that counts
+    verdicts builds no per-graph object. A report, and each object in
+    it, is built on first read.
     """
 
     conversions: _Conversions
@@ -470,10 +473,6 @@ class CertifiedBatch(SequenceABC):
     loans: _LoanIdentities | None  # over the graphs with an edge
     loan_rows: np.ndarray  # graph g's row of loans, -1 without an edge
     ok: np.ndarray
-
-    @property
-    def residual(self) -> np.ndarray:
-        return self.conversions.residual
 
     def __len__(self) -> int:
         return len(self.ok)
@@ -518,8 +517,8 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     error scales alike. Every check is array code over the batch, and its
     verdicts are the arrays of the result; the per-graph report objects
     are built on first read. A report equals the one certify_graph gives
-    for the graph alone. The first graph whose conversion check fails
-    raises, as certify_graph would for it.
+    for the graph alone. A conversion breach fails its graph's verdict and
+    raises, as certify_graph does, only when its conversion is read.
     """
 
     graphs = list(graphs)
@@ -543,7 +542,7 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
             ("negdeg", -deg, negated_spectra(signless), spectra_batch(scaled - deg)),
         )
     }
-    ok = np.logical_and.reduce([step.ok for step in steps.values()])
+    ok = np.logical_and.reduce([conversions.ok] + [step.ok for step in steps.values()])
     edged = np.flatnonzero([g.edge_count >= 1 for g in graphs])
     loan_rows = np.full(len(graphs), -1)
     loans = None
@@ -562,8 +561,10 @@ def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
 
     The loan identity needs an edge and is skipped (None) without one.
     Raises DomainError for an improper coloring and VerificationError
-    when the conversion residual exceeds its tolerance. This is
-    certify_graphs on a batch of one.
+    when the conversion check fails. This is certify_graphs on a batch
+    of one.
     """
 
-    return certify_graphs([g], [col])[0]
+    batch = certify_graphs([g], [col])
+    batch.conversions.certificate(0)  # raises VerificationError on a conversion breach
+    return batch[0]

@@ -25,7 +25,6 @@ from .bounds import (
     round_display,
 )
 from .certify import (
-    CertifiedBatch,
     certify_graph,
     certify_graphs,
     greedy_certificate_coloring,
@@ -48,10 +47,9 @@ from .experiments import (
     resolve_graph_input,
 )
 from .graphs import UNNORMALIZED_KINDS, Graph, GraphMatrixKind
+from .linalg import CERT_RESIDUAL_LIMIT, SOUNDNESS_SLACK
 from .oracle import Coloring, all_graphs, chromatic_number, colorable_with
 
-_SOUNDNESS_SLACK = 1e-6
-_CERT_RESIDUAL_LIMIT = 1e-10
 # corpus-check batch size: per-call overhead is spread as well as over a
 # whole order, while only this many graphs and their caches are alive
 CORPUS_CHUNK = 128
@@ -206,17 +204,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _certified(batch: CertifiedBatch) -> np.ndarray:
-    return batch.ok & (batch.residual < _CERT_RESIDUAL_LIMIT)
-
-
-def _certified_alone(g: Graph, col: Coloring) -> bool:
-    try:
-        return bool(_certified(certify_graphs([g], [col]))[0])
-    except VerificationError:
-        return False
-
-
 def _check_chunk(graphs: list[Graph]) -> tuple[int, int]:
     """Soundness violations and certification failures among graphs of one order."""
 
@@ -226,14 +213,9 @@ def _check_chunk(graphs: list[Graph]) -> tuple[int, int]:
     values = np.array([report.value_row for report in full_reports(graphs)])
     chi = np.array([chromatic_number(g).chi for g in graphs])
     # an invalid bound is -inf, which any chi passes
-    sound = (np.ceil(values - _SOUNDNESS_SLACK) <= chi[:, None]).all(axis=1)
-    cols = [greedy_certificate_coloring(g) for g in graphs]
-    try:
-        certified = _certified(certify_graphs(graphs, cols))
-    except VerificationError:
-        # a conversion breach stops the batch; certify one at a time to
-        # count every graph that breaches
-        certified = [_certified_alone(g, col) for g, col in zip(graphs, cols)]
+    sound = (np.ceil(values - SOUNDNESS_SLACK) <= chi[:, None]).all(axis=1)
+    batch = certify_graphs(graphs, [greedy_certificate_coloring(g) for g in graphs])
+    certified = batch.ok & (batch.conversions.residual < CERT_RESIDUAL_LIMIT)
     total = len(graphs)
     return total - int(np.count_nonzero(sound)), total - int(np.count_nonzero(certified))
 

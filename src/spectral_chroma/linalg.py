@@ -1,9 +1,10 @@
-"""Validated eigensolving of real symmetric matrices.
+"""Validated eigensolving of real symmetric matrices, and the package's tolerances.
 
-Every graph-matrix spectrum goes through spectra_batch, one solve per
-(G, n, n) stack, or is derived from a solved one by negated_spectra.
-Every eigenvalue vector returned here is validated rather than trusted
-blindly, against residual and trace guarantees.
+Every eigensolve of the package runs here. Each graph-matrix spectrum
+goes through spectra_batch, one solve per (G, n, n) stack, or is
+derived from a solved one by negated_spectra; each integer-search probe
+goes through eigenvalues_batch. Every eigenvalue vector returned here is
+checked against its trace, and spectra_batch's against residuals too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .errors import DomainError, MatrixError, NumericError
 SPECTRUM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 PROPERTY_TOL = 1e-8
+BOUND_FLOOR_TOL = 1e-12  # a valid bound is at least 1 - BOUND_FLOOR_TOL
+CONVERSION_TOL = 1e-9  # certify's residual limit, times c * max(1, ||X||_F)
+SOUNDNESS_SLACK = 1e-6  # corpus-check: sound when ceil(bound - slack) <= chi
+CERT_RESIDUAL_LIMIT = 1e-10  # corpus-check: certified below this conversion residual
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,24 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def _solve(routine, stack: np.ndarray):
+    """routine (np.linalg.eigh or eigvalsh) on a stack, non-convergence raised as NumericError."""
+
+    try:
+        return routine(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from None
+
+
+def _check_trace(stack: np.ndarray, w: np.ndarray) -> None:
+    """MatrixError for the first matrix whose eigenvalue sum misses its trace; NaN fails."""
+
+    tr = np.trace(stack, axis1=1, axis2=2)
+    bad = ~(np.abs(w.sum(axis=1) - tr) <= SPECTRUM_TOL * np.maximum(1.0, np.abs(tr)))
+    if bad.any():
+        raise MatrixError(int(bad.argmax()), "eigenvalue sum disagrees with the trace")
+
+
 def spectra_batch(stack: np.ndarray) -> np.ndarray:
     """Spectra of a (G, n, n) stack of real symmetric matrices, one solve.
 
@@ -115,10 +138,7 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     """
 
     stack = _validate_symmetric_stack(stack)
-    try:
-        w, v = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from None
+    w, v = _solve(np.linalg.eigh, stack)
     limit = SPECTRUM_TOL * np.maximum(1.0, frobenius_norms(stack))
     residual = stack @ v
     residual -= v * w[:, None, :]
@@ -128,11 +148,20 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     if bad.any():
         g = int(bad.argmax())
         raise MatrixError(g, f"eigenpair residual {worst[g]:.3e} exceeds {limit[g]:.3e}")
-    tr = np.trace(stack, axis1=1, axis2=2)
-    bad = ~(np.abs(w.sum(axis=1) - tr) <= SPECTRUM_TOL * np.maximum(1.0, np.abs(tr)))
-    if bad.any():
-        raise MatrixError(int(bad.argmax()), "eigenvalue sum disagrees with the trace")
+    _check_trace(stack, w)
     return np.ascontiguousarray(w[:, ::-1])
+
+
+def eigenvalues_batch(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (G, n, n) stack of real symmetric matrices, one eigvalsh call.
+
+    Rows as in spectra_batch (a reversed view), with its trace check and
+    errors; no eigenvectors, so no residuals. The stack is not validated.
+    """
+
+    w = _solve(np.linalg.eigvalsh, stack)
+    _check_trace(stack, w)
+    return w[:, ::-1]
 
 
 def negated_spectra(w: np.ndarray) -> np.ndarray:

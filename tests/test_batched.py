@@ -16,7 +16,6 @@ on the corpus stays the same.
 """
 
 import collections
-import hashlib
 import itertools
 
 import numpy as np
@@ -304,16 +303,15 @@ def reference_spectra(g: Graph) -> dict:
 
 
 def reference_full_report(g: Graph, spectra) -> tuple:
-    """(graph_id, graph_hash, n, edge_count, spectra, values, display) of one graph.
+    """(graph_id, n, edge_count, spectra, values, display) of one graph.
 
     spectra is reference_spectra(g), or {} for an edgeless graph.
     """
 
     g6 = emit_graph6(g)
-    digest = hashlib.sha256(g6.encode("ascii")).hexdigest()[:16]
     if g.edge_count == 0:
         values = tuple(invalid_bound(bound_id) for bound_id in BoundId)
-        return g6, digest, g.n, 0, {}, values, reference_display_map(values)
+        return g6, g.n, 0, {}, values, reference_display_map(values)
     spec_a = spectra[GraphMatrixKind.ADJACENCY]
     spec_l = spectra[GraphMatrixKind.LAPLACIAN]
     spec_q = spectra[GraphMatrixKind.SIGNLESS_LAPLACIAN]
@@ -331,7 +329,7 @@ def reference_full_report(g: Graph, spectra) -> tuple:
             g, spec_a=spec_a, spec_l=spec_l, spec_negdeg=reference_negdeg_spectrum(g)
         )
     )
-    return g6, digest, g.n, g.edge_count, spectra, tuple(values), reference_display_map(values)
+    return g6, g.n, g.edge_count, spectra, tuple(values), reference_display_map(values)
 
 
 def reference_negated(spec: Spectrum) -> Spectrum:
@@ -475,15 +473,15 @@ def report_key(r: BoundReport) -> tuple:
     # the rows the soundness check reads, then the fields computed on first read
     rows = tuple((_bits(x), m) for x, m in zip(r.value_row.tolist(), r.best_m_row.tolist()))
     return (
-        rows, r.graph_id, r.graph_hash, r.n, r.edge_count,
+        rows, r.graph_id, r.n, r.edge_count,
         _spectra_key(r.spectra), _values_key(r.values), dict(r.rounded_display),
     )
 
 
 def reference_report_key(g: Graph, spectra) -> tuple:
-    g6, digest, n, edge_count, spectra, values, display = reference_full_report(g, spectra)
+    g6, n, edge_count, spectra, values, display = reference_full_report(g, spectra)
     rows = tuple((_bits(v.value if v.valid else -np.inf), v.best_m) for v in values)
-    return rows, g6, digest, n, edge_count, _spectra_key(spectra), _values_key(values), display
+    return rows, g6, n, edge_count, _spectra_key(spectra), _values_key(values), display
 
 
 def assert_families_match_references(g: Graph, spectra) -> None:

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from spectral_chroma import cli, oracle
+from spectral_chroma import certify, cli, oracle
 from spectral_chroma.certify import greedy_certificate_coloring
 from spectral_chroma.cli import main
+from spectral_chroma.errors import VerificationError
 from spectral_chroma.graphs import Graph, emit_graph6, petersen
 from spectral_chroma.oracle import all_graphs, chromatic_number
 
@@ -203,6 +204,29 @@ class TestCompareCommand:
         assert "usage error" in err
 
 
+class TestProbeSolveFailure:
+    """An integer-search probe whose solve does not converge is a computation error."""
+
+    ERROR = "symmetric eigensolver failed to converge: Eigenvalues did not converge"
+
+    @pytest.fixture(autouse=True)
+    def diverge(self, monkeypatch):
+        # eigh converges, so the spectra solve; only the probes fail
+        def diverge(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+
+    def test_bounds_exits_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "gen:petersen")
+        assert (code, out, err) == (2, "", f"error: {self.ERROR}\n")
+
+    def test_compare_prints_each_row_error(self, capsys):
+        code, out, _ = run(capsys, "compare", "gen:petersen", "gen:cycle(5)")
+        assert code == 0
+        assert out == f"gen:petersen error: {self.ERROR}\n\ngen:cycle(5) error: {self.ERROR}\n"
+
+
 class TestCorpusCheckCommand:
     def test_small_sweep_clean(self, capsys):
         code, out, _ = run(capsys, "corpus-check", "--max-n", "4")
@@ -265,6 +289,44 @@ class TestCorpusCheckCommand:
             fresh = Graph(g.n, g.edges)
             assert chromatic_number(fresh) == chromatic_number(g)
             assert greedy_certificate_coloring(fresh) == greedy_certificate_coloring(g)
+
+    def test_conversion_breach_is_one_failed_verdict(self, monkeypatch, capsys):
+        # one graph's conversion residual is pushed past its tolerance: a
+        # unit diagonal entry added to its adjacency commutes with every
+        # U_s, so its conversion sum is c, not 0. The rest of the chunk is
+        # certified from the same batch, with no graph certified again
+        chunk = list(itertools.islice(all_graphs(7), cli.CORPUS_CHUNK))
+        g = chunk[40]
+        target = g.adjacency()
+        conversions = certify._conversions
+
+        def breached(a, cols):
+            a = a.copy()
+            a[(a == target).all(axis=(1, 2)), 0, 0] += 1.0
+            return conversions(a, cols)
+
+        batches = []
+        certify_graphs = cli.certify_graphs
+
+        def counting(graphs, cols):
+            batches.append(len(graphs))
+            return certify_graphs(graphs, cols)
+
+        monkeypatch.setattr(certify, "_conversions", breached)
+        monkeypatch.setattr(cli, "certify_graphs", counting)
+        assert cli._check_chunk(chunk) == (0, 1)
+        assert batches == [len(chunk)]
+        batch = certify_graphs(chunk, [greedy_certificate_coloring(h) for h in chunk])
+        assert np.flatnonzero(~batch.ok).tolist() == [40] and batch[40].steps["deg"].ok
+        with pytest.raises(VerificationError, match="^conversion residual"):
+            batch[40].conversion
+        # certify on the graph alone still stops at the breach, exit 3
+        c = greedy_certificate_coloring(g).c
+        code, out, err = run(capsys, "certify", emit_graph6(g))
+        assert code == 3
+        assert out == f"graph n=7 edges={g.edge_count} colors={c}\n"
+        prefix = f"verification failure: conversion residual {c:.3e} exceeds tolerance "
+        assert re.fullmatch(re.escape(prefix) + r"\S+\n", err)
 
     def test_max_n_out_of_range(self, capsys):
         code, _, err = run(capsys, "corpus-check", "--max-n", "9")

@@ -110,3 +110,37 @@ def test_every_public_definition_is_reached_from_the_cli():
     unreached = unreached_definitions()
     print("\n".join(unreached))
     assert not unreached, f"{len(unreached)} definitions only tests reach: {', '.join(unreached)}"
+
+
+def _eigensolver_calls(tree: ast.AST) -> list[str]:
+    """Each np.linalg.eig* (or numpy.linalg.eig*) reference and eig* import from numpy.linalg."""
+
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("eig")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [
+                f"line {node.lineno}: from numpy.linalg import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("eig")
+            ]
+    return found
+
+
+def test_eigensolves_only_in_linalg():
+    # linalg validates every eigensolve and maps solver failures to
+    # NumericError; a solve elsewhere would skip both
+    assert _eigensolver_calls(ast.parse((PACKAGE / "linalg.py").read_text()))
+    offenders = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        and (calls := _eigensolver_calls(ast.parse(path.read_text())))
+    }
+    assert not offenders, offenders

@@ -47,10 +47,13 @@ GenNormalizedHoffman run on it, and the sweep exits 2 on the isolated
 vertex. The other is the graph6 text of a G(70, .5), whose vertex
 count takes the four-byte header, run through bounds --json.
 
-The last four invocations cover the graph6 decoder's refusals and its
+The next four invocations cover the graph6 decoder's refusals and its
 prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
 bit field) and on "B@" (nonzero padding bits), each exit 2 with its
 error line, and chromatic on ">>graph6<<D?{" (the prefix is stripped).
+The last two run compare, in the table and CSV formats, on a list with
+failing rows: an unknown generator and the truncated "D" each print
+their row's error between rows that compute, and the command exits 0.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ DEEP_GNP = ((30, 0.5), (30, 0.5), (24, 0.8))
 # compare --json also covers the edge cases of a report: no edges (every
 # bound invalid), an isolated vertex (normalized bounds invalid), and K2
 MIXED_COMPARE = ("D??", "Dh?", "gen:complete(2)")
+# compare rows that fail, an unknown generator and a truncated graph6,
+# between rows that compute
+FAILING_COMPARE = ("gen:cycle(5)", "gen:nosuch", "D", "gen:petersen")
 # an edge list on 9 vertices: a 5-cycle with a chord and a pendant path,
 # every pair given in both orders, vertices 7 and 8 isolated
 EDGE_LIST = "n 9\n1 0\n0 1\n2 1\n2 3\n3 4\n4 0\n0 2\n3 2\n4 5\n5 6\n6 5\n1 2\n4 3\n"
@@ -171,6 +177,8 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["chromatic", "D"])  # truncated bit field
     out.append(["chromatic", "B@"])  # nonzero padding bits
     out.append(["chromatic", ">>graph6<<D?{"])
+    out.append(["compare", *FAILING_COMPARE])
+    out.append(["compare", "--csv", *FAILING_COMPARE])
     return out
 
 
