@@ -11,9 +11,10 @@ never runs; the tests check them (tests/paper_lemmas.py).
 certify_graphs certifies a batch of graphs of one order as array code:
 the unitaries of all colorings are one (G, C, n) array, each check is
 one comparison over the batch that NaN fails, and its verdicts are the
-arrays of the CertifiedBatch it returns; only certify_graph,
-build_conversion and a failed report's conversion raise a conversion
-breach, as VerificationError. The spectra it shares with the
+arrays of the CertifiedBatch it returns. A single graph is a batch of
+one. Only _Conversions.certificate raises a conversion breach, as
+VerificationError, for build_conversion or a caller that reads a
+failed graph's certificate. The spectra it shares with the
 bounds are the graphs' bounds.report_spectra, the A, L and Q spectra
 each graph keeps once full_reports on it has solved them. The
 majorization steps' left sides are -A (negated_spectra of A), L and
@@ -21,20 +22,21 @@ majorization steps' left sides are -A (negated_spectra of A), L and
 spectrum divided by c - 1, and Q gives the loan identity's delta_n.
 Only the right sides B + A/(c-1) for B = D and B = -D are solved here.
 A derived spectrum passes the validation its own solve would have had
-to pass (see certify_graphs). A GraphCertificationReport is a row of
-the CertifiedBatch, and the objects in it (ColoringCertificate,
-MajorizationStepReport, LoanIdentityReport) are built from rows of its
-arrays on first read. build_conversion, verify_loan_identity and
-certify_graph are the same code on a batch of one;
-verify_majorization_step takes any diagonal B and solves both of its
-sides.
+to pass (see certify_graphs).
+
+Each certificate kind is one type. MajorizationSteps and LoanIdentities
+hold one entry per graph in each field, and row(k) is the same type
+over graph k's entries; a CertifiedBatch gives graph k's step rows as
+steps[label].row(k), its loan identity row as loan(k), and its
+ColoringCertificate as conversions.certificate(k). build_conversion and
+verify_loan_identity are the same code on a batch of one, and return
+its certificate and row; verify_majorization_step takes any diagonal B,
+solves both of its sides, and returns its row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -212,40 +214,28 @@ def build_conversion(a, col: Coloring) -> ColoringCertificate:
 # matrix identity behind the generalized bounds
 
 @dataclass(frozen=True)
-class MajorizationStepReport:
-    identity_residual: float
-    identity_tolerance: float
-    identity_ok: bool
-    spectral_margins: np.ndarray  # per m: lhs - rhs, must be >= -PROPERTY_TOL for m < n
-    spectral_ok: bool
+class _Rows:
+    """A certificate kind whose every field holds one entry per graph of a batch."""
 
-    @property
-    def ok(self) -> bool:
-        return self.identity_ok and self.spectral_ok
+    def row(self, k: int):
+        """The same type over entry k of each field: numpy scalars, and arrays one axis down."""
+
+        return replace(self, **{f.name: getattr(self, f.name)[k] for f in fields(self)})
 
 
 @dataclass(frozen=True)
-class _MajorizationSteps:
-    """One majorization step over a batch: MajorizationStepReport's fields, one row per graph."""
+class MajorizationSteps(_Rows):
+    """One majorization step per graph, or, as a row, for one graph."""
 
     identity_residual: np.ndarray
     identity_tolerance: np.ndarray
     identity_ok: np.ndarray
-    spectral_margins: np.ndarray  # (G, n)
+    spectral_margins: np.ndarray  # (G, n): per m, lhs - rhs, must be >= -PROPERTY_TOL for m < n
     spectral_ok: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
         return self.identity_ok & self.spectral_ok
-
-    def report(self, k: int) -> MajorizationStepReport:
-        return MajorizationStepReport(
-            identity_residual=float(self.identity_residual[k]),
-            identity_tolerance=float(self.identity_tolerance[k]),
-            identity_ok=bool(self.identity_ok[k]),
-            spectral_margins=self.spectral_margins[k],
-            spectral_ok=bool(self.spectral_ok[k]),
-        )
 
 
 def _majorization_steps(
@@ -255,7 +245,7 @@ def _majorization_steps(
     rhs: np.ndarray,
     u: np.ndarray,
     c: np.ndarray,
-) -> _MajorizationSteps:
+) -> MajorizationSteps:
     """verify_majorization_step for (G, n, n) stacks of A and diagonal B.
 
     lhs and rhs hold the (G, n) spectra of B - A and B + A/(c-1); u and
@@ -274,7 +264,7 @@ def _majorization_steps(
     margins = np.empty(lhs.shape)
     for m in range(1, lhs.shape[1] + 1):
         margins[:, m - 1] = lhs[:, :m].sum(axis=1) - rhs[:, :m].sum(axis=1)
-    return _MajorizationSteps(
+    return MajorizationSteps(
         identity_residual=residual,
         identity_tolerance=tol,
         identity_ok=residual <= tol,
@@ -283,13 +273,13 @@ def _majorization_steps(
     )
 
 
-def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationStepReport:
+def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSteps:
     """Check sum_{s<c} U_s^dag (B-A) U_s = (c-1)B + A and its spectral consequence.
 
     B must be diagonal (it then commutes with every U_s). The spectral
     consequence compared for every m < n is
     sum_{i<=m} eig_i(B-A) >= sum_{i<=m} eig_i(B + A/(c-1));
-    at m = n both sides are tr B.
+    at m = n both sides are tr B. Returns the step's row.
     """
 
     a = _as_adjacency(a)
@@ -303,60 +293,37 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
     c = _palettes([col])
     lhs = spectra_batch((b - a)[None])
     rhs = spectra_batch((b + a / (c[0] - 1))[None])
-    return _majorization_steps(a[None], b[None], lhs, rhs, _unitary_stack([col]), c).report(0)
+    return _majorization_steps(a[None], b[None], lhs, rhs, _unitary_stack([col]), c).row(0)
 
 
 # --------------------------------------------------------------------------
 # average-degree bound identity
 
 @dataclass(frozen=True)
-class LoanIdentityReport:
-    identity_residual: float
-    identity_tolerance: float
-    identity_ok: bool
-    rayleigh_value: float       # v^dag A v with v the normalized all-ones vector
-    rayleigh_ok: bool           # equals 2E/n within SPECTRUM_TOL
-    conjugate_minima: np.ndarray  # v^dag U_s Q U_s^dag v per s = 1..c-1
-    minima_ok: bool             # each >= delta_n - PROPERTY_TOL
-    inequality_ok: bool         # 2E/n <= (c-1)(2E/n - delta_n) + PROPERTY_TOL
+class LoanIdentities(_Rows):
+    """The loan identity per graph, or, as a row, for one graph.
 
-    @property
-    def ok(self) -> bool:
-        return self.identity_ok and self.rayleigh_ok and self.minima_ok and self.inequality_ok
-
-
-@dataclass(frozen=True)
-class _LoanIdentities:
-    """The loan identity over a batch: LoanIdentityReport's fields, one row per graph.
-
-    Row g of conjugate_minima holds graph g's c - 1 values, then NaN.
+    Entry g of conjugate_minima holds graph g's c - 1 values, then NaN;
+    a row holds the c - 1 values alone.
     """
 
     identity_residual: np.ndarray
     identity_tolerance: np.ndarray
     identity_ok: np.ndarray
-    rayleigh_value: np.ndarray
-    rayleigh_ok: np.ndarray
-    conjugate_minima: np.ndarray  # (G, C - 1)
-    minima_ok: np.ndarray
-    inequality_ok: np.ndarray
+    rayleigh_value: np.ndarray  # v^dag A v with v the normalized all-ones vector
+    rayleigh_ok: np.ndarray  # equals 2E/n within SPECTRUM_TOL
+    conjugate_minima: np.ndarray  # (G, C - 1): v^dag U_s Q U_s^dag v per s = 1..c-1
+    minima_ok: np.ndarray  # each >= delta_n - PROPERTY_TOL
+    inequality_ok: np.ndarray  # 2E/n <= (c-1)(2E/n - delta_n) + PROPERTY_TOL
     counts: np.ndarray  # c - 1 per graph
 
     @property
     def ok(self) -> np.ndarray:
         return self.identity_ok & self.rayleigh_ok & self.minima_ok & self.inequality_ok
 
-    def report(self, k: int) -> LoanIdentityReport:
-        return LoanIdentityReport(
-            identity_residual=float(self.identity_residual[k]),
-            identity_tolerance=float(self.identity_tolerance[k]),
-            identity_ok=bool(self.identity_ok[k]),
-            rayleigh_value=float(self.rayleigh_value[k]),
-            rayleigh_ok=bool(self.rayleigh_ok[k]),
-            conjugate_minima=self.conjugate_minima[k, :self.counts[k]],
-            minima_ok=bool(self.minima_ok[k]),
-            inequality_ok=bool(self.inequality_ok[k]),
-        )
+    def row(self, k: int) -> LoanIdentities:
+        row = super().row(k)
+        return replace(row, conjugate_minima=row.conjugate_minima[:row.counts])
 
 
 def _quadratic_forms(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -376,7 +343,7 @@ def _loan_identities(
     edges: np.ndarray,
     u: np.ndarray,
     c: np.ndarray,
-) -> _LoanIdentities:
+) -> LoanIdentities:
     """verify_loan_identity for graphs with an edge and checked colorings.
 
     a and d are the (G, n, n) adjacency and diagonal degree stacks, delta
@@ -399,7 +366,7 @@ def _loan_identities(
     avg = 2.0 * edges / n
     rayleigh = _quadratic_forms(v, a)
     live = np.arange(minima.shape[1]) < (c - 1)[:, None]
-    return _LoanIdentities(
+    return LoanIdentities(
         identity_residual=residual,
         identity_tolerance=tol,
         identity_ok=residual <= tol,
@@ -412,8 +379,8 @@ def _loan_identities(
     )
 
 
-def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
-    """Check A = (c-1)D - sum_{s<c} U_s Q U_s^dag and the scalar chain under it."""
+def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentities:
+    """Check A = (c-1)D - sum_{s<c} U_s Q U_s^dag and the scalar chain under it; returns its row."""
 
     if g.edge_count < 1:
         raise DomainError("identity needs at least one edge")
@@ -423,66 +390,36 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
     d = degree_stack([g])
     delta = spectra_batch(d + a)[:, -1]
     edges = np.array([g.edge_count])
-    return _loan_identities(a, d, delta, edges, _unitary_stack([col]), _palettes([col])).report(0)
+    return _loan_identities(a, d, delta, edges, _unitary_stack([col]), _palettes([col])).row(0)
 
 
 # --------------------------------------------------------------------------
 # the whole certification sequence for a batch of graphs
 
-class GraphCertificationReport:
-    """Conversion certificate, majorization step for B in {0, D, -D}, loan identity.
-
-    A report is row k of a CertifiedBatch. conversion is a
-    ColoringCertificate; steps maps "zero", "deg" and "negdeg" to
-    MajorizationStepReports; loan is a LoanIdentityReport, or None for an
-    edgeless graph. Each is built from the batch's arrays on first read,
-    and ok is the batch's verdict.
-    """
-
-    def __init__(self, batch: "CertifiedBatch", k: int) -> None:
-        self._batch = batch
-        self._k = k
-        self.ok = bool(batch.ok[k])
-
-    @cached_property
-    def conversion(self) -> ColoringCertificate:
-        return self._batch.conversions.certificate(self._k)
-
-    @cached_property
-    def steps(self) -> dict[str, MajorizationStepReport]:
-        return {label: step.report(self._k) for label, step in self._batch.steps.items()}
-
-    @cached_property
-    def loan(self) -> LoanIdentityReport | None:
-        row = int(self._batch.loan_rows[self._k])
-        return None if row < 0 else self._batch.loans.report(row)
-
-
 @dataclass(frozen=True, eq=False)
-class CertifiedBatch(SequenceABC):
-    """certify_graphs' result: one GraphCertificationReport per graph, and the batch's arrays.
+class CertifiedBatch:
+    """certify_graphs' result: each certificate kind over the batch, and each graph's verdict.
 
-    ok holds each graph's verdict, its conversion check's included, and
-    conversions.residual its conversion residual, so a caller that counts
-    verdicts builds no per-graph object. A report, and each object in
-    it, is built on first read.
+    conversions holds the conversion checks; steps maps "zero", "deg"
+    and "negdeg" to the MajorizationSteps for B = 0, D and -D; loans
+    holds the LoanIdentities of the graphs with an edge. ok is each
+    graph's verdict, its conversion check's included, so a caller that
+    counts verdicts builds no per-graph object. Graph k's certificate
+    is conversions.certificate(k), its steps steps[label].row(k), and
+    its loan identity loan(k).
     """
 
     conversions: _Conversions
-    steps: Mapping[str, _MajorizationSteps]
-    loans: _LoanIdentities | None  # over the graphs with an edge
+    steps: Mapping[str, MajorizationSteps]
+    loans: LoanIdentities | None  # over the graphs with an edge
     loan_rows: np.ndarray  # graph g's row of loans, -1 without an edge
     ok: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.ok)
+    def loan(self, k: int) -> LoanIdentities | None:
+        """Graph k's loan identity row, None without an edge."""
 
-    def __getitem__(self, k):
-        return self._reports[k]
-
-    @cached_property
-    def _reports(self) -> list[GraphCertificationReport]:
-        return [GraphCertificationReport(self, k) for k in range(len(self))]
+        row = int(self.loan_rows[k])
+        return None if row < 0 else self.loans.row(row)
 
 
 def greedy_certificate_coloring(g: Graph) -> Coloring:
@@ -497,7 +434,12 @@ def greedy_certificate_coloring(g: Graph) -> Coloring:
 
 
 def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> CertifiedBatch:
-    """certify_graph for each of several graphs with the same vertex count.
+    """Certify several graphs with the same vertex count, one coloring each.
+
+    A graph's certificates are its conversion, the majorization step for
+    B = 0, D and -D, and, with an edge, the loan identity. An improper
+    coloring, or one with a single color, raises DomainError. A graph
+    alone is a batch of one: certify_graphs([g], [col]).
 
     Each coloring is checked once, and the unitaries of all of them are
     one array. The certificates read the graphs' report_spectra, the A,
@@ -515,10 +457,10 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     SPECTRUM_TOL * max(1, ||A||_F) / (c - 1), which is at most the limit
     SPECTRUM_TOL * max(1, ||A||_F / (c - 1)) of its own solve; its trace
     error scales alike. Every check is array code over the batch, and its
-    verdicts are the arrays of the result; the per-graph report objects
-    are built on first read. A report equals the one certify_graph gives
-    for the graph alone. A conversion breach fails its graph's verdict and
-    raises, as certify_graph does, only when its conversion is read.
+    verdicts are the arrays of the result; a graph's row of a certificate
+    kind is built when it is read. A conversion breach fails its graph's
+    verdict and raises VerificationError only when conversions.certificate
+    reads it.
     """
 
     graphs = list(graphs)
@@ -554,17 +496,3 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
         loan_rows[edged] = np.arange(edged.size)
         ok[edged] &= loans.ok
     return CertifiedBatch(conversions, steps, loans, loan_rows, ok)
-
-
-def certify_graph(g: Graph, col: Coloring) -> GraphCertificationReport:
-    """Conversion certificate, majorization step for B in {0, D, -D}, loan identity.
-
-    The loan identity needs an edge and is skipped (None) without one.
-    Raises DomainError for an improper coloring and VerificationError
-    when the conversion check fails. This is certify_graphs on a batch
-    of one.
-    """
-
-    batch = certify_graphs([g], [col])
-    batch.conversions.certificate(0)  # raises VerificationError on a conversion breach
-    return batch[0]

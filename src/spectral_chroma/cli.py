@@ -24,11 +24,7 @@ from .bounds import (
     normalized_sweep,
     round_display,
 )
-from .certify import (
-    certify_graph,
-    certify_graphs,
-    greedy_certificate_coloring,
-)
+from .certify import certify_graphs, greedy_certificate_coloring
 from .errors import (
     DomainError,
     NumericError,
@@ -120,6 +116,10 @@ def _cmd_sweep(args) -> int:
 def _certify_coloring(g: Graph, colors: int | None) -> Coloring:
     if colors is None:
         return greedy_certificate_coloring(g)
+    # a palette past n adds only empty color classes, yet each of its
+    # colors costs a unitary and a conjugation
+    if colors > g.n:
+        raise DomainError(f"{colors} colors exceed the graph's {g.n} vertices")
     col = colorable_with(g, colors)
     if col is None:
         raise DomainError(f"graph admits no proper coloring with {colors} colors")
@@ -130,17 +130,17 @@ def _cmd_certify(args) -> int:
     g = resolve_graph_input(args.input)
     col = _certify_coloring(g, args.colors)
     print(f"graph n={g.n} edges={g.edge_count} colors={col.c}")
-    report = certify_graph(g, col)  # raises VerificationError on a conversion breach
-
-    cert = report.conversion
+    batch = certify_graphs([g], [col])
+    cert = batch.conversions.certificate(0)  # raises VerificationError on a conversion breach
     print(f"conversion residual {cert.residual:.3e} tolerance {cert.tolerance:.3e} ok")
-    for label, step in report.steps.items():
+    for label, steps in batch.steps.items():
+        step = steps.row(0)
         state = "ok" if step.ok else "FAIL"
         print(
             f"majorization B={label} residual {step.identity_residual:.3e} "
             f"min_margin {step.spectral_margins.min():.3e} {state}"
         )
-    loan = report.loan
+    loan = batch.loan(0)
     if loan is not None:
         state = "ok" if loan.ok else "FAIL"
         print(
@@ -150,8 +150,8 @@ def _cmd_certify(args) -> int:
     else:
         print("loan skipped (needs an edge)")
 
-    print("certified" if report.ok else "FAILED")
-    return 0 if report.ok else 3
+    print("certified" if batch.ok[0] else "FAILED")
+    return 0 if batch.ok[0] else 3
 
 
 def _cmd_chromatic(args) -> int:

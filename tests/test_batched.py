@@ -16,6 +16,7 @@ on the corpus stays the same.
 """
 
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -50,10 +51,8 @@ from spectral_chroma.bounds import (
 from spectral_chroma.certify import (
     CONVERSION_TOL,
     ColoringCertificate,
-    GraphCertificationReport,
-    LoanIdentityReport,
-    MajorizationStepReport,
-    certify_graph,
+    LoanIdentities,
+    MajorizationSteps,
     certify_graphs,
     greedy_certificate_coloring,
 )
@@ -356,8 +355,8 @@ def reference_build_conversion(a, col: Coloring) -> ColoringCertificate:
     return ColoringCertificate(col, conversion_unitaries(col), residual, tol)
 
 
-def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationStepReport:
-    """The step for B with lhs and rhs the spectra of B - A and B + A/(c-1)."""
+def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationSteps:
+    """The step's row for B with lhs and rhs the spectra of B - A and B + A/(c-1)."""
 
     check_proper(a, col)
     c = col.c
@@ -372,7 +371,7 @@ def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationSt
     tol = CONVERSION_TOL * c * max(1.0, float(np.linalg.norm(x, "fro")))
     n = a.shape[0]
     margins = np.array([ky_fan(lhs, m) - ky_fan(rhs, m) for m in range(1, n + 1)])
-    return MajorizationStepReport(
+    return MajorizationSteps(
         identity_residual=residual,
         identity_tolerance=tol,
         identity_ok=residual <= tol,
@@ -381,7 +380,9 @@ def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationSt
     )
 
 
-def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
+def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentities:
+    """The loan identity's row."""
+
     a = g.adjacency()
     check_proper(a, col)
     c = col.c
@@ -405,7 +406,7 @@ def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
         reference_eigenvalues_sym(q).values[-1]
     )
     minima = np.array(conj_values)
-    return LoanIdentityReport(
+    return LoanIdentities(
         identity_residual=residual,
         identity_tolerance=tol,
         identity_ok=residual <= tol,
@@ -414,16 +415,26 @@ def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentityReport:
         conjugate_minima=minima,
         minima_ok=bool((minima >= delta_n - PROPERTY_TOL).all()),
         inequality_ok=avg <= (c - 1) * (avg - delta_n) + PROPERTY_TOL,
+        counts=c - 1,
     )
 
 
-# what certificate_key reads of a GraphCertificationReport
-ReferenceCertification = collections.namedtuple(
-    "ReferenceCertification", ["conversion", "steps", "loan", "ok"]
-)
+# one graph's certificates, as certificate_key reads them
+Certification = collections.namedtuple("Certification", ["conversion", "steps", "loan", "ok"])
 
 
-def reference_certify_graph(g: Graph, col: Coloring) -> ReferenceCertification:
+def batch_certification(batch, k: int) -> Certification:
+    """Graph k's certificates, read from a CertifiedBatch as cli certify reads row 0."""
+
+    return Certification(
+        batch.conversions.certificate(k),
+        {label: steps.row(k) for label, steps in batch.steps.items()},
+        batch.loan(k),
+        batch.ok[k],
+    )
+
+
+def reference_certify_graph(g: Graph, col: Coloring) -> Certification:
     """The left sides -A and -Q and the B = 0 right side A/(c-1) come from the A and Q spectra."""
 
     a = g.adjacency()
@@ -446,7 +457,7 @@ def reference_certify_graph(g: Graph, col: Coloring) -> ReferenceCertification:
     }
     loan = reference_loan_identity(g, col) if g.edge_count >= 1 else None
     ok = all(step.ok for step in steps.values()) and (loan is None or loan.ok)
-    return ReferenceCertification(conversion, steps, loan, ok)
+    return Certification(conversion, steps, loan, ok)
 
 
 # --------------------------------------------------------------------------
@@ -523,7 +534,7 @@ def _fields(obj, names) -> tuple:
     )
 
 
-def certificate_key(r: GraphCertificationReport | ReferenceCertification) -> tuple:
+def certificate_key(r: Certification) -> tuple:
     conv = r.conversion
     key = [
         conv.coloring,
@@ -538,7 +549,7 @@ def certificate_key(r: GraphCertificationReport | ReferenceCertification) -> tup
         None if r.loan is None else _fields(r.loan, (
             "identity_residual", "identity_tolerance", "identity_ok",
             "rayleigh_value", "rayleigh_ok", "conjugate_minima", "minima_ok",
-            "inequality_ok",
+            "inequality_ok", "counts",
         )),
         r.ok,
     ]
@@ -561,15 +572,16 @@ def assert_batches_match_references(graphs):
         cols = [greedy_certificate_coloring(g) for g in batch]
         reports = full_reports(batch)
         certs = certify_graphs(batch, cols)
-        for g, col, report, cert in zip(batch, cols, reports, certs):
+        for k, (g, col, report) in enumerate(zip(batch, cols, reports)):
             spectra = reference_spectra(g) if g.edge_count else {}
             expected = reference_report_key(g, spectra)
             assert report_key(report) == expected, emit_graph6(g)
             assert report_key(full_report(g)) == expected, emit_graph6(g)
             assert_families_match_references(g, spectra)
             expected = certificate_key(reference_certify_graph(g, col))
-            assert certificate_key(cert) == expected, emit_graph6(g)
-            assert certificate_key(certify_graph(g, col)) == expected, emit_graph6(g)
+            assert certificate_key(batch_certification(certs, k)) == expected, emit_graph6(g)
+            alone = certify_graphs([g], [col])
+            assert certificate_key(batch_certification(alone, 0)) == expected, emit_graph6(g)
 
 
 class TestBatchesMatchReferences:
@@ -714,7 +726,7 @@ class TestSolveCounts:
         g = petersen()
         col = greedy_certificate_coloring(g)
         calls = self.count(monkeypatch)
-        certify_graph(g, col)
+        certify_graphs([g], [col])
         assert calls == [(1, 10, 10)] * 5
 
     @pytest.mark.parametrize(
@@ -1040,45 +1052,61 @@ class TestBatchInputs:
         assert [r.edge_count for r in reports] == [0, 4, 0]
         assert reports[0].spectra == {} and reports[1].value(BoundId.INTEGER_C).value == 2
         certs = certify_graphs(graphs, [greedy_certificate_coloring(g) for g in graphs])
-        assert [c.loan is None for c in certs] == [True, False, True]
-        assert all(c.ok for c in certs)
+        assert [certs.loan(k) is None for k in range(3)] == [True, False, True]
+        assert certs.ok.all()
 
 
 class TestCertifiedBatch:
-    """certify_graphs on a corpus chunk: verdict arrays first, report objects on first read."""
+    """certify_graphs on a corpus chunk: verdict arrays first, rows on first read."""
 
     @staticmethod
     def chunk():
         chunk = list(itertools.islice(all_graphs(7), cli.CORPUS_CHUNK))
         return chunk, [greedy_certificate_coloring(g) for g in chunk]
 
-    def test_reports_built_on_first_read(self, monkeypatch):
+    def test_rows_built_on_first_read(self, monkeypatch):
         built = collections.Counter()
-        for cls in (ColoringCertificate, MajorizationStepReport, LoanIdentityReport):
-            init = cls.__init__
+        init, row = ColoringCertificate.__init__, certify._Rows.row
 
-            def counting(self, *args, _init=init, **kwargs):
-                built[type(self).__name__] += 1
-                _init(self, *args, **kwargs)
+        def counting_init(self, *args, **kwargs):
+            built["ColoringCertificate"] += 1
+            init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+        def counting_row(self, k):
+            built[type(self).__name__] += 1
+            return row(self, k)
+
+        monkeypatch.setattr(ColoringCertificate, "__init__", counting_init)
+        monkeypatch.setattr(certify._Rows, "row", counting_row)
         chunk, cols = self.chunk()
         assert cli._check_chunk(chunk) == (0, 0)
         full_reports(chunk)
         batch = certify_graphs(chunk, cols)
-        assert len(batch) == len(chunk) and [r.ok for r in batch] == batch.ok.tolist()
+        assert batch.ok.shape == batch.conversions.residual.shape == (len(chunk),)
         assert batch.ok.all() and not built
         k = 5
-        batch[k].conversion
+        batch.conversions.certificate(k)
         assert built == {"ColoringCertificate": 1}
-        batch[k].steps
-        assert built == {"ColoringCertificate": 1, "MajorizationStepReport": 3}
-        batch[k].loan
-        batch[k].conversion
-        expected = {"ColoringCertificate": 1, "MajorizationStepReport": 3, "LoanIdentityReport": 1}
-        assert built == expected and batch[k] is batch[k]
-        for g, col, cert in zip(chunk, cols, batch):
-            assert certificate_key(cert) == certificate_key(reference_certify_graph(g, col))
+        steps = [step.row(k) for step in batch.steps.values()]
+        assert built == {"ColoringCertificate": 1, "MajorizationSteps": 3}
+        loan = batch.loan(k)
+        expected = {"ColoringCertificate": 1, "MajorizationSteps": 3, "LoanIdentities": 1}
+        assert built == expected
+        # a row's fields are numpy scalars and arrays: np.bool_ is not a bool
+        for one in steps + [loan]:
+            assert all(isinstance(getattr(one, f.name), (np.generic, np.ndarray))
+                       for f in dataclasses.fields(one))
+        assert loan.conjugate_minima.shape == (cols[k].c - 1,)
+
+    def test_rows_equal_batches_of_one(self):
+        # row k of the chunk, and graph k's certificate, equal row 0 of the
+        # graph certified alone bit for bit, and both equal the reference
+        chunk, cols = self.chunk()
+        batch = certify_graphs(chunk, cols)
+        for k, (g, col) in enumerate(zip(chunk, cols)):
+            expected = certificate_key(batch_certification(certify_graphs([g], [col]), 0))
+            assert certificate_key(batch_certification(batch, k)) == expected, emit_graph6(g)
+            assert certificate_key(reference_certify_graph(g, col)) == expected, emit_graph6(g)
 
     @pytest.mark.parametrize("where", ["right side", "conjugation term"])
     def test_nan_fails_only_its_graph(self, monkeypatch, where):
@@ -1118,16 +1146,15 @@ class TestCertifiedBatch:
             bad = edged[j]
         batch = certify_graphs(chunk, cols)
         assert np.flatnonzero(~batch.ok).tolist() == [bad]
-        report = batch[bad]
+        loan = batch.loan(bad)
         if where == "right side":
-            step = report.steps["deg"]
+            step = batch.steps["deg"].row(bad)
             assert not step.ok and not step.spectral_ok and np.isnan(step.spectral_margins).all()
-            assert report.loan.ok
+            assert loan.ok
         else:
-            assert not report.loan.identity_ok and not report.loan.minima_ok
-            assert report.loan.rayleigh_ok and report.loan.inequality_ok
-            assert all(step.ok for step in report.steps.values())
-        assert not report.ok and all(batch[k].ok for k in range(len(chunk)) if k != bad)
+            assert not loan.identity_ok and not loan.minima_ok
+            assert loan.rayleigh_ok and loan.inequality_ok
+            assert all(steps.ok[bad] for steps in batch.steps.values())
         assert cli._check_chunk(chunk) == (0, 1)
 
 

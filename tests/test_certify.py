@@ -27,7 +27,7 @@ from spectral_chroma import certify
 from spectral_chroma.certify import (
     ColoringCertificate,
     build_conversion,
-    certify_graph,
+    certify_graphs,
     greedy_certificate_coloring,
     verify_loan_identity,
     verify_majorization_step,
@@ -141,26 +141,29 @@ class TestConversion:
 
 
 class TestCertifyGraph:
+    """certify_graphs on one graph: a batch of one, read as its row 0."""
+
     def test_petersen_greedy(self):
         g = petersen()
-        report = certify_graph(g, greedy_coloring(g))
-        assert report.ok
-        assert list(report.steps) == ["zero", "deg", "negdeg"]
-        assert all(step.ok for step in report.steps.values())
-        assert report.loan is not None and report.loan.ok
-        assert report.conversion.residual <= report.conversion.tolerance
+        batch = certify_graphs([g], [greedy_coloring(g)])
+        assert batch.ok.tolist() == [True]
+        assert list(batch.steps) == ["zero", "deg", "negdeg"]
+        assert all(steps.row(0).ok for steps in batch.steps.values())
+        assert batch.loan(0) is not None and batch.loan(0).ok
+        cert = batch.conversions.certificate(0)
+        assert cert.residual <= cert.tolerance
 
     def test_single_vertex_widened_palette(self):
         g = Graph(1)
         col = greedy_certificate_coloring(g)
         assert col.c == 2
-        report = certify_graph(g, col)
-        assert report.ok
-        assert report.loan is None
+        batch = certify_graphs([g], [col])
+        assert batch.ok.tolist() == [True]
+        assert batch.loans is None and batch.loan(0) is None
 
     def test_improper_coloring_rejected(self):
         with pytest.raises(DomainError, match="improper"):
-            certify_graph(complete(3), Coloring((0, 0, 1), 2))
+            certify_graphs([complete(3)], [Coloring((0, 0, 1), 2)])
 
 
 class TestMajorizationStep:
@@ -191,10 +194,10 @@ class TestMajorizationStep:
 
         monkeypatch.setattr(certify, "spectra_batch", lifted)
         g = petersen()
-        report = certify_graph(g, chromatic_number(g).witness)
-        margins = report.steps["deg"].spectral_margins
+        batch = certify_graphs([g], [chromatic_number(g).witness])
+        margins = batch.steps["deg"].row(0).spectral_margins
         assert margins[-1] < -certify.PROPERTY_TOL <= margins[:-1].min()
-        assert report.ok
+        assert batch.ok.tolist() == [True]
 
     def test_non_diagonal_b_rejected(self):
         g = cycle(4)

@@ -113,6 +113,16 @@ class TestCertifyCommand:
         assert code == 0
         assert "colors=5" in out.splitlines()[0]
 
+    def test_palette_wider_than_n_refused(self, capsys, monkeypatch):
+        # refused before a unitary of the palette is built
+        def unbuilt(cols):
+            raise AssertionError("unitaries built")
+
+        monkeypatch.setattr(certify, "_unitary_stack", unbuilt)
+        code, out, err = run(capsys, "certify", "gen:petersen", "--colors", "11")
+        assert code == 2 and out == ""
+        assert err == "error: 11 colors exceed the graph's 10 vertices\n"
+
     def test_infeasible_color_count(self, capsys):
         code, _, err = run(capsys, "certify", "gen:petersen", "--colors", "2")
         assert code == 2
@@ -317,9 +327,9 @@ class TestCorpusCheckCommand:
         assert cli._check_chunk(chunk) == (0, 1)
         assert batches == [len(chunk)]
         batch = certify_graphs(chunk, [greedy_certificate_coloring(h) for h in chunk])
-        assert np.flatnonzero(~batch.ok).tolist() == [40] and batch[40].steps["deg"].ok
+        assert np.flatnonzero(~batch.ok).tolist() == [40] and batch.steps["deg"].ok[40]
         with pytest.raises(VerificationError, match="^conversion residual"):
-            batch[40].conversion
+            batch.conversions.certificate(40)
         # certify on the graph alone still stops at the breach, exit 3
         c = greedy_certificate_coloring(g).c
         code, out, err = run(capsys, "certify", emit_graph6(g))

@@ -30,9 +30,11 @@ certify share are covered too: certify and chromatic on an edgeless
 graph (the palette widened to two colors, the loan identity skipped) and
 certify on a graph with an isolated vertex. certify also runs on K_8
 (the palette as large as n), on K_{3,3,3} and on the Petersen graph with
---colors 5 (a palette wider than the greedy one); their min_margin lines
-print values near 1e-15, so drift in the last bits of a margin shows
-here. chromatic runs on three more G(n, p) inputs, two G(30, .5) and one
+--colors 5 (a palette wider than the greedy one) and --colors 10 (k = n,
+the widest palette certify accepts; a wider one exits 2 before any
+unitary is built, which older trees did not do, so none runs here); their
+min_margin lines print values near 1e-15, so drift in the last bits of a
+margin shows here. chromatic runs on three more G(n, p) inputs, two G(30, .5) and one
 G(24, .8), and on the triangle-free Mycielskian of the Grötzsch graph
 (chromatic number 5): each deepens through one or more searches that
 fail before the one that finds the witness, so a change to the exact
@@ -153,6 +155,7 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["certify", "gen:complete(8)"])
     out.append(["certify", "gen:complete_multipartite(3,3,3)"])
     out.append(["certify", "gen:petersen", "--colors", "5"])
+    out.append(["certify", "gen:petersen", "--colors", "10"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0", "--samples", "50"])
     out.append(["random-table", "--rows", "7:0.3,20:1.0,50:0.5", "--samples", "50", "--csv"])
     # a negative seed and edgeless redraws (114 and 50 regenerated pairs),
