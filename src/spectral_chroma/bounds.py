@@ -53,6 +53,7 @@ from .graphs import (
     UNNORMALIZED_KINDS,
     Graph,
     GraphMatrixKind,
+    adjacency_stack,
     common_order,
     emit_graph6,
     normalized_adjacency_stack,
@@ -387,12 +388,14 @@ def _probe(
 ) -> np.ndarray:
     """(G, n - 1) pass test of c[k] for graph k at each m < n: one eigvalsh call on B + A/(c-1).
 
-    lhs holds the (G, n) top-m sums of the B - A spectra. Each matrix's
-    eigenvalue sum must match its trace; a NaN fails.
+    b holds the (G, n) diagonals of the candidates B and lhs the (G, n)
+    top-m sums of the B - A spectra. Each matrix's eigenvalue sum must
+    match its trace; a NaN fails.
     """
 
     stack = a / (c - 1)[:, None, None]
-    stack += b
+    diag = np.arange(a.shape[1])
+    stack[:, diag, diag] += b
     try:
         eigs = eigenvalues_batch(stack)
     except MatrixError as exc:
@@ -413,7 +416,8 @@ def _raise_best(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running maxima and their m after one more candidate B per graph.
 
-    b and a are (G, n, n) stacks, lhs_values the (G, n) spectra of B - A,
+    b holds the (G, n) diagonals of the candidates B and a the (G, n, n)
+    adjacency stack, lhs_values the (G, n) spectra of B - A,
     best and best_m the running maxima. One probe at c = best: a graph
     whose every m passes there keeps its maximum. The others bisect
     (best, n] in lockstep, one probe call per round on the graphs whose
@@ -442,21 +446,17 @@ def _raise_best(
 
 
 def _integer_c(
-    a: np.ndarray,
-    d: np.ndarray,
-    mu: np.ndarray,
-    th: np.ndarray,
-    negdeg: np.ndarray,
-    index: np.ndarray,
+    a: np.ndarray, mu: np.ndarray, th: np.ndarray, negdeg: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(G,) IntegerC values and best m from stacks of A and D and the A, L, -D - A spectra.
+    """(G,) IntegerC values and best m from an adjacency stack and the A, L, -D - A spectra.
 
     Candidates in the order zero, deg, negdeg; a graph whose maximum has
-    reached n is not probed again. d is negated in place for the negdeg
-    candidate, so one dense degree stack is alive at a time.
+    reached n is not probed again. The degree vectors are the diagonals
+    of D, negated in place for the negdeg candidate.
     """
 
     n = a.shape[1]
+    d = a.sum(axis=2)
     zero = _zero_minima(mu, index)
     best, best_m = zero.max(axis=1), zero.argmax(axis=1) + 1
     for lhs_values in (th, negdeg):
@@ -468,22 +468,6 @@ def _integer_c(
         )
         np.negative(d, out=d)
     return best, best_m
-
-
-def degree_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """(G, n, n) stack of the diagonal degree matrices."""
-
-    n = graphs[0].n
-    d = np.zeros((len(graphs), n, n))
-    diag = np.arange(n)
-    d[:, diag, diag] = [g.degrees() for g in graphs]
-    return d
-
-
-def _stack(matrices: list[np.ndarray]) -> np.ndarray:
-    """A (G, n, n) stack; a single matrix is a view, not a copy."""
-
-    return matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
 
 
 def integer_c_search(
@@ -506,8 +490,7 @@ def integer_c_search(
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
     best, best_m = _integer_c(
-        _stack([g.adjacency()]),
-        degree_stack([g]),
+        adjacency_stack([g]),
         spec_a.values[None],
         spec_l.values[None],
         spec_negdeg.values[None],
@@ -593,8 +576,9 @@ def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
 def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(G, n) spectra of A, L = D - A and Q = D + A from a (G, n, n) adjacency stack.
 
-    One spectra_batch call per stack of graphs.unnormalized_stacks: the one
-    solve routine of random_table, the reports and the certificates.
+    One spectra_batch call per stack of graphs.unnormalized_stacks, which
+    writes each over a: the one solve routine of random_table, the
+    reports and the certificates.
     """
 
     mu, th, dl = (spectra_batch(m) for m in unnormalized_stacks(a))
@@ -614,9 +598,9 @@ def _spectra_rows(graphs: Sequence[Graph], solve, index=None) -> list[np.ndarray
 
     A graph keeps them in its instance dict under solve's name, which
     equality and hashing ignore (see graphs.computed_once). The graphs
-    that lack them go through solve as one adjacency stack, whose result
-    passes check_spectra once. A failed solve names index[k], k by
-    default, for graph k.
+    that lack them go through solve as one new adjacency stack, which
+    solve may write over, and its result passes check_spectra once. A
+    failed solve names index[k], k by default, for graph k.
     """
 
     key = solve.__name__
@@ -624,7 +608,7 @@ def _spectra_rows(graphs: Sequence[Graph], solve, index=None) -> list[np.ndarray
     if missing:
         index = range(len(graphs)) if index is None else index
         with matrices_named(lambda j: f"graph {index[missing[j]]}"):
-            solved = solve(_stack([graphs[k].adjacency() for k in missing]))
+            solved = solve(adjacency_stack([graphs[k] for k in missing]))
         check_spectra(solved.reshape(-1, solved.shape[-1]))
         solved.setflags(write=False)
         for k, rows in zip(missing, solved):
@@ -682,9 +666,8 @@ def _edged_reports(
         na = np.stack(_spectra_rows(normal_graphs, _normalized_spectra, index[normal]))
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     top, top_m = _first_max(_generalized_values(mu, th, dl))
-    # one dense stack besides A alive at a time: D
-    a = _stack([g.adjacency() for g in graphs])
-    integer, integer_m = _integer_c(a, degree_stack(graphs), mu, th, negated_spectra(dl), index)
+    a = adjacency_stack(graphs)  # the spectra are solved: A and a probe stack are alive
+    integer, integer_m = _integer_c(a, mu, th, negated_spectra(dl), index)
     values = np.column_stack([
         _classical_values(mu, th, dl),
         _loan_values(edges, n, dl),

@@ -41,9 +41,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import degree_stack, report_spectra
+from .bounds import report_spectra
 from .errors import DomainError, VerificationError
-from .graphs import Graph, common_order
+from .graphs import Graph, adjacency_stack
 from .linalg import (
     CONVERSION_TOL,
     PROPERTY_TOL,
@@ -71,13 +71,17 @@ def _check_proper_stack(a: np.ndarray, cols: Sequence[Coloring]) -> None:
     """Raise unless cols[g] is proper for the graph of adjacency a[g], for each g.
 
     The first failing graph raises: an improper coloring names its first
-    monochromatic edge in row-major order.
+    monochromatic edge in row-major order. So does a palette above
+    max(2, n), with the CLI's text: its extra colors are empty classes,
+    yet each costs a unitary and a conjugation over the batch.
     """
 
     n = a.shape[1]
     for col in cols:
         if col.n != n:
             raise DomainError(f"coloring covers {col.n} vertices, graph has {n}")
+        if col.c > max(2, n):
+            raise DomainError(f"{col.c} colors exceed the graph's {n} vertices")
     rows, cols_ = np.triu_indices(n, 1)  # vertex pairs in row-major order
     colors = np.array([col.colors for col in cols])
     clash = (a[:, rows, cols_] != 0) & (colors[:, rows] == colors[:, cols_])
@@ -384,10 +388,10 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentities:
 
     if g.edge_count < 1:
         raise DomainError("identity needs at least one edge")
-    a = g.adjacency()[None]
+    a = adjacency_stack([g])
     _check_proper_stack(a, [col])
     _require_two_colors([col], "identity")
-    d = degree_stack([g])
+    d = np.eye(g.n) * a.sum(axis=2)[:, None, :]  # the degree matrix; +0.0 off the diagonal
     delta = spectra_batch(d + a)[:, -1]
     edges = np.array([g.edge_count])
     return _loan_identities(a, d, delta, edges, _unitary_stack([col]), _palettes([col])).row(0)
@@ -467,14 +471,13 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     cols = list(cols)
     if len(cols) != len(graphs):
         raise DomainError(f"{len(graphs)} graphs but {len(cols)} colorings")
-    common_order(graphs)
-    a = np.stack([g.adjacency() for g in graphs])
+    a = adjacency_stack(graphs)
     _require_two_colors(cols, "conversion")
     _check_proper_stack(a, cols)
     conversions = _conversions(a, cols)
     u, c = conversions.unitaries, _palettes(cols)
     mu, lap, signless = report_spectra(graphs)
-    deg = degree_stack(graphs)
+    deg = np.eye(a.shape[1]) * a.sum(axis=2)[:, None, :]
     scaled = a / (c - 1)[:, None, None]
     steps = {
         label: _majorization_steps(a, b, lhs, rhs, u, c)

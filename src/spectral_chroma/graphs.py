@@ -95,8 +95,9 @@ class Graph:
     duplicates collapse, so every Graph satisfies the invariants by
     construction. graphs_from_bits and random_gnp make Graphs without
     these per-graph checks, from pairs that hold the invariants by
-    construction. The edge set, degrees, degree order, neighborhoods and
-    dense adjacency are derived on first use, once, and read-only.
+    construction. The edge set, degrees, degree order and neighborhoods
+    are derived on first use, once, and read-only. No dense matrix is
+    kept: adjacency() builds a new one on each call.
     """
 
     n: int
@@ -149,15 +150,10 @@ class Graph:
         d = np.bincount(self.ends.ravel(), minlength=self.n)
         return _read_only(d.astype(np.int64, copy=False))
 
-    @computed_once
     def adjacency(self) -> np.ndarray:
-        """The dense 0/1 adjacency matrix as float64."""
+        """The dense 0/1 adjacency matrix as a new float64 array: adjacency_stack of one."""
 
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        u, v = self.ends.T
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-        return _read_only(a)
+        return adjacency_stack([self])[0]
 
     @computed_once
     def neighbors(self) -> tuple[frozenset[int], ...]:
@@ -420,29 +416,39 @@ def parse_edge_list(text: str) -> Graph:
 
 
 # --------------------------------------------------------------------------
-# derived matrices: one builder per kind, on a (G, n, n) adjacency stack
+# derived matrices: one builder per kind, each written over a new
+# adjacency stack, so one dense stack is alive while it is solved
+
+def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """(G, n, n) float64 stack of the 0/1 adjacency matrices of graphs of one order, new."""
+
+    n = common_order(graphs)
+    a = np.zeros((len(graphs), n, n))
+    k = np.repeat(np.arange(len(graphs)), [g.edge_count for g in graphs])
+    u, v = np.concatenate([g.ends for g in graphs]).T
+    a[k, u, v] = a[k, v, u] = 1.0
+    return a
+
 
 def unnormalized_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
-    """A itself, then L = D - A and Q = |L| in one more stack, Q overwriting L.
+    """A, L = D - A, then Q = |L|, each written over the caller's stack a: read each in turn."""
 
-    A caller uses each stack before it asks for the next.
-    """
-
-    yield a
-    m = np.subtract(0.0, a)  # +0.0, not -0.0, where A is 0
     diag = np.arange(a.shape[1])
-    m[:, diag, diag] = a.sum(axis=2)  # sums of 0s and 1s: exact
-    yield m
-    yield np.abs(m, out=m)
+    deg = a.sum(axis=2)  # sums of 0s and 1s: exact
+    yield a
+    np.subtract(0.0, a, out=a)  # +0.0, not -0.0, where A is 0
+    a[:, diag, diag] = deg
+    yield a
+    yield np.abs(a, out=a)
 
 
 def normalized_adjacency_stack(a: np.ndarray) -> np.ndarray:
-    """The normalized adjacency a_ij * (x_i * x_j), x = 1 / sqrt(deg), of each matrix of a stack.
+    """The normalized adjacency a_ij * x_i * x_j, x = 1 / sqrt(deg), written over the stack a.
 
-    An entry is the product of its endpoints' inverse square-root
-    degrees, the same in either order, so symmetry holds to the last
-    bit. Every vertex needs positive degree: the first isolated one, in
-    the first matrix that has one, raises DomainError naming it.
+    An entry is 0 or the rounded product x_i * x_j, the same in either
+    order, so symmetry holds to the last bit. Every vertex needs positive
+    degree: the first isolated one, in the first matrix that has one,
+    raises DomainError naming it, before a is written.
     """
 
     deg = a.sum(axis=2)
@@ -453,7 +459,9 @@ def normalized_adjacency_stack(a: np.ndarray) -> np.ndarray:
             f"normalized matrix undefined: vertex {int(isolated[k].argmax())} is isolated"
         )
     x = 1.0 / np.sqrt(deg)
-    return a * (x[:, :, None] * x[:, None, :])
+    a *= x[:, :, None]
+    a *= x[:, None, :]
+    return a
 
 
 UNNORMALIZED_KINDS = tuple(GraphMatrixKind)[:3]  # A, L and Q, as unnormalized_stacks builds them
@@ -462,11 +470,10 @@ UNNORMALIZED_KINDS = tuple(GraphMatrixKind)[:3]  # A, L and Q, as unnormalized_s
 def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     """One of the four derived matrices of g as a new array: a builder on a stack of one."""
 
-    a = g.adjacency()[None]
+    a = adjacency_stack([g])
     if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         return normalized_adjacency_stack(a)[0]
-    stacks = unnormalized_stacks(a)
-    return next(itertools.islice(stacks, UNNORMALIZED_KINDS.index(kind), None))[0].copy()
+    return next(itertools.islice(unnormalized_stacks(a), UNNORMALIZED_KINDS.index(kind), None))[0]
 
 
 # --------------------------------------------------------------------------

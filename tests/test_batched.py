@@ -30,7 +30,7 @@ from paper_lemmas import (
     random_hermitian,
 )
 
-from spectral_chroma import bounds, certify, cli
+from spectral_chroma import bounds, certify, cli, linalg
 from spectral_chroma.bounds import (
     BoundId,
     BoundReport,
@@ -65,9 +65,11 @@ from spectral_chroma.graphs import (
     complete,
     cycle,
     emit_graph6,
+    normalized_adjacency_stack,
     petersen,
     random_gnp,
     random_gnp_adjacency,
+    unnormalized_stacks,
 )
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
@@ -620,8 +622,11 @@ class TestDerivedSpectraAgree:
         integer_c = bounds._integer_c
         steps = certify._majorization_steps
 
-        def integer_c_solved(a, d, mu, th, negdeg, index):
-            return integer_c(a, d, mu, th, spectra_batch(-(d + a)), index)
+        def integer_c_solved(a, mu, th, negdeg, index):
+            d = np.zeros_like(a)
+            diag = np.arange(a.shape[1])
+            d[:, diag, diag] = a.sum(axis=2)
+            return integer_c(a, mu, th, spectra_batch(-(d + a)), index)
 
         def steps_solved(a, b, lhs, rhs, u, c):
             lhs = spectra_batch(b - a)
@@ -974,23 +979,26 @@ class TestProbeStacks:
         ):
             full_reports(graphs)
 
-    @pytest.mark.parametrize("extra_kind", ["random", "adjacency"])
+    @pytest.mark.parametrize("extra_kind", ["random", "complete"])
     def test_lockstep_bisection_matches_reference(self, extra_kind):
-        # candidates B through the stacked _raise_best from a running maximum
-        # of 2. With B = A every m < n fails below c = n, so each graph climbs
-        # to n and best_m is the lowest of several m failing at n - 1. Some
-        # random B have their lowest failing m at c = 2 pass before the
-        # bisection ends, so best_m must come from its last failing probe
+        # diagonal candidates B through the stacked _raise_best from a
+        # running maximum of 2. On K_n with B = tI every c < n fails at
+        # m = 1, so each graph climbs to n. Some random B have their lowest
+        # failing m at c = 2 pass before the bisection ends, so best_m must
+        # come from its last failing probe
         n = 10
-        graphs = [random_gnp(n, 0.5, s) for s in range(40)]
-        a = np.stack([g.adjacency() for g in graphs])
+        rng = np.random.default_rng(n)
         if extra_kind == "random":
-            b = np.stack([random_hermitian(n, 7 * s + n) for s in range(len(graphs))])
+            graphs = [random_gnp(n, 0.8, s) for s in range(40)]
+            diagonals = 4.0 * rng.standard_normal((len(graphs), n))
         else:
-            b = a.copy()
+            graphs = [complete(n)] * 40
+            diagonals = np.repeat(rng.standard_normal((len(graphs), 1)), n, axis=1)
+        a = np.stack([g.adjacency() for g in graphs])
+        b = np.stack([np.diag(row) for row in diagonals])
         lhs = np.stack([reference_eigenvalues_sym(bk - ak).values for bk, ak in zip(b, a)])
         best, best_m = np.full(len(graphs), 2), np.ones(len(graphs), dtype=np.int64)
-        got = bounds._raise_best(b, a, lhs, best, best_m, np.arange(len(graphs)))
+        got = bounds._raise_best(diagonals, a, lhs, best, best_m, np.arange(len(graphs)))
         expected = [reference_raise_best(bk, ak, lk, 2, 1) for bk, ak, lk in zip(b, a, lhs)]
         assert list(zip(got[0].tolist(), got[1].tolist())) == expected
         first_failing = [
@@ -1021,6 +1029,80 @@ class TestProbeStacks:
 
 # --------------------------------------------------------------------------
 # batch semantics
+
+
+class TestInPlaceBuffersAgreeExactly:
+    """The in-place forms of the matrix builders, the residual and the probe stack.
+
+    Each is compared bit for bit with the expression it replaced, on every
+    corpus chunk stack and on G(300, .5), whose products take BLAS's
+    blocked code paths.
+    """
+
+    @staticmethod
+    def stacks():
+        """(adjacency stack, its graphs) per corpus chunk, then G(300, .5) alone."""
+
+        graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+        for batch in itertools.chain(_batches(graphs), [[random_gnp(300, 0.5, 11)]]):
+            yield np.stack([g.adjacency() for g in batch]), batch
+
+    @staticmethod
+    def bits(x: np.ndarray) -> tuple:
+        return x.shape, x.dtype.str, x.tobytes()
+
+    @staticmethod
+    def old_matrices(a: np.ndarray) -> list[np.ndarray]:
+        """A, L, Q and (where no vertex is isolated) normalized A, as separate arrays."""
+
+        lap = np.subtract(0.0, a)
+        diag = np.arange(a.shape[1])
+        lap[:, diag, diag] = a.sum(axis=2)
+        out = [a, lap, np.abs(lap)]
+        deg = a.sum(axis=2)
+        normal = deg.all(axis=1)
+        if normal.any():
+            x = 1.0 / np.sqrt(deg[normal])
+            out.append(a[normal] * (x[:, :, None] * x[:, None, :]))
+        return out
+
+    def test_builders_match_the_old_expressions(self):
+        for a, _ in self.stacks():
+            expected = self.old_matrices(a)
+            built = [m.copy() for m in unnormalized_stacks(a.copy())]
+            normal = a.sum(axis=2).all(axis=1)
+            if normal.any():
+                built.append(normalized_adjacency_stack(a[normal]))
+            assert list(map(self.bits, built)) == list(map(self.bits, expected))
+
+    def test_residuals_match_the_old_expression(self):
+        for a, _ in self.stacks():
+            for m in self.old_matrices(a):
+                w, v = np.linalg.eigh(m)
+                old = np.linalg.norm(m @ v - v * w[:, None, :], axis=1).max(axis=1)
+                assert self.bits(linalg._worst_residuals(m, w, v)) == self.bits(old)
+
+    def test_probe_stacks_match_the_old_expression(self, monkeypatch):
+        seen = []
+
+        def recorded(stack):
+            seen.append(stack.copy())
+            return np.zeros(stack.shape[:2])
+
+        monkeypatch.setattr(bounds, "eigenvalues_batch", recorded)
+        for a, graphs in self.stacks():
+            n = a.shape[1]
+            deg = np.zeros_like(a)
+            diag = np.arange(n)
+            deg[:, diag, diag] = [g.degrees() for g in graphs]
+            index = np.arange(len(a))
+            for c in {2, 3, max(2, n - 1), max(2, n)}:
+                cs = np.full(len(a), c)
+                scaled = a / (cs - 1)[:, None, None]
+                for sign in (1, -1):
+                    seen.clear()
+                    bounds._probe(sign * a.sum(axis=2), a, np.zeros((len(a), n)), cs, index)
+                    assert self.bits(seen[0]) == self.bits(scaled + sign * deg), (n, c, sign)
 
 
 class TestBatchInputs:

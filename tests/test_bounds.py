@@ -387,7 +387,7 @@ def search(g):
 
 
 def raise_best(b, a, lhs_values, best, best_m):
-    """_raise_best on a batch of one matrix pair, as (value, best_m)."""
+    """_raise_best on a batch of one: B's diagonal b and A, as (value, best_m)."""
 
     best, best_m = _raise_best(
         b[None], a[None], lhs_values[None], np.array([best]), np.array([best_m]), np.zeros(1, int)
@@ -424,7 +424,7 @@ class TestIntegerC:
         base = search(g)
         a = g.adjacency()
         running = (int(base.value), base.best_m)
-        assert raise_best(np.zeros((5, 5)), a, eigenvalues_sym(-a).values, *running) == running
+        assert raise_best(np.zeros(5), a, eigenvalues_sym(-a).values, *running) == running
 
     def test_equals_full_report(self):
         for g in (petersen(), sun(8), random_gnp(30, 0.5, 4)):
@@ -583,26 +583,32 @@ class TestIntegerCSearchMatchesFullScan:
     def test_complete_reaches_n(self, n):
         assert search_result(complete(n)) == full_scan_max(complete(n)) == (n, 1)
 
-    @pytest.mark.parametrize("extra_kind", ["random", "adjacency"])
+    @pytest.mark.parametrize("extra_kind", ["random", "complete"])
     def test_extra_candidate(self, extra_kind):
-        # a further candidate B after zero, deg and negdeg, through
-        # _raise_best. With B = A every m < n fails below c = n, so the
-        # maximum climbs to n and best_m must be the lowest of the m that
-        # fail at n - 1
-        g = random_gnp(24, 0.5, 5)
+        # a further diagonal candidate B through _raise_best, from a running
+        # maximum of 2, against the full scan of that candidate alone. On
+        # K_n, B = tI fails at m = 1 for every c < n, so the maximum climbs
+        # to n
+        if extra_kind == "random":
+            g = random_gnp(24, 0.5, 5)
+            b = 5.0 * np.diag(random_hermitian(24, 6))
+        else:
+            g = complete(24)
+            b = np.full(24, 3.0)
         a = g.adjacency()
-        extra = random_hermitian(24, 6) if extra_kind == "random" else a
-        lhs_values = eigenvalues_sym(extra - a).values
-        raised = raise_best(extra, a, lhs_values, *search_result(g))
-        assert raised == full_scan_max(g, extra_b=extra)
+        column = full_scan_minima(g, extra_b=np.diag(b))["extra"]
+        top = max(column)
+        assert top > 2 and (top == 24) == (extra_kind == "complete")
+        lhs_values = eigenvalues_sym(np.diag(b) - a).values
+        assert raise_best(b, a, lhs_values, 2, 1) == (top, column.index(top) + 1)
 
     def test_memory_is_quadratic(self):
-        # the report solves its spectra one validated eigh at a time, with
-        # the eigenvectors and residual alive, and the search holds a few
-        # n x n matrices. Measured peak: 5.26 n^2 float64 with numpy 2.4.6,
-        # of which one n^2 is the graph's cached dense adjacency, so a numpy
-        # whose eigh/eigvalsh or matmul adds n x n temporaries can fail this
-        # without a change here
+        # the report solves its spectra one validated eigh at a time: the
+        # one matrix buffer, the eigenvectors and the residual are alive,
+        # and the search holds A and one probe matrix; the graph keeps no
+        # dense matrix. Measured peak: 3.28 n^2 float64 with numpy 2.4.6,
+        # so a numpy whose eigh/eigvalsh or matmul adds an n x n temporary
+        # can fail this without a change here
         n = 200
         g = random_gnp(n, 0.5, 11)
         tracemalloc.start()
@@ -611,7 +617,12 @@ class TestIntegerCSearchMatchesFullScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * n * 8
+        assert peak < 4 * n * n * 8
+
+    def test_no_dense_matrix_kept_on_the_graph(self):
+        g = random_gnp(40, 0.5, 2)
+        assert full_report(g).spectra  # the normalized A is solved too
+        assert not [v for v in vars(g).values() if getattr(v, "shape", None) == (g.n, g.n)]
 
     def test_probes_are_single_matrices_and_logarithmic(self, monkeypatch):
         n = 300
@@ -631,11 +642,11 @@ class TestIntegerCSearchMatchesFullScan:
         per_candidate = 1 + math.ceil(math.log2(n))
         assert shapes and all(shape == (1, n, n) for shape in shapes)
         assert len(shapes) <= 2 * per_candidate
-        # with B = A no m < n ever passes, so a further candidate climbs to
-        # n, where a scan upward would solve about n matrices
+        # on K_n with B = 0 no c < n passes at m = 1, so the candidate
+        # climbs from 2 to n, where a scan upward would solve about n matrices
         shapes.clear()
-        a = g.adjacency()
-        assert raise_best(a, a, np.zeros(n), int(v.value), v.best_m)[0] == n
+        a = complete(n).adjacency()
+        assert raise_best(np.zeros(n), a, eigenvalues_sym(-a).values, 2, 1) == (n, 1)
         assert shapes and all(shape == (1, n, n) for shape in shapes)
         assert len(shapes) <= per_candidate
         # a corpus chunk makes one probe call per round for all its open

@@ -165,6 +165,30 @@ class TestCertifyGraph:
         with pytest.raises(DomainError, match="improper"):
             certify_graphs([complete(3)], [Coloring((0, 0, 1), 2)])
 
+    def test_palette_wider_than_n_refused_before_any_unitary(self, monkeypatch):
+        # the CLI's --colors rule and text, for a library caller too; a
+        # palette of max(2, n) is still certified
+        def unbuilt(cols):
+            raise AssertionError("unitaries built")
+
+        g = petersen()
+        with monkeypatch.context() as patched:
+            patched.setattr(certify, "_unitary_stack", unbuilt)
+            for c in (11, 200000):
+                with pytest.raises(DomainError) as info:
+                    certify_graphs([cycle(10), g], [greedy_coloring(cycle(10)),
+                                                    Coloring(tuple(range(10)), c)])
+                assert str(info.value) == f"{c} colors exceed the graph's 10 vertices"
+        assert certify_graphs([g], [Coloring(tuple(range(10)), 10)]).ok.tolist() == [True]
+        assert certify_graphs([Graph(1)], [Coloring((0,), 2)]).ok.tolist() == [True]
+        with pytest.raises(DomainError, match="^3 colors exceed the graph's 1 vertices$"):
+            certify_graphs([Graph(1)], [Coloring((0,), 3)])
+
+    def test_no_dense_matrix_kept_on_the_graph(self):
+        g = random_gnp(40, 0.5, 2)
+        certify_graphs([g], [greedy_certificate_coloring(g)])
+        assert not [v for v in vars(g).values() if getattr(v, "shape", None) == (g.n, g.n)]
+
 
 class TestMajorizationStep:
     def test_bipartite_sign_flip(self):

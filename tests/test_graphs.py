@@ -21,6 +21,7 @@ from spectral_chroma.graphs import (
     Graph,
     GraphMatrixKind,
     _g6_vertex_count,
+    adjacency_stack,
     barbell,
     build_matrix,
     circulant,
@@ -571,23 +572,35 @@ class TestScalarReferenceEquivalence:
         for g in equivalence_graphs:
             by_order.setdefault(g.n, []).append(g)
         for group in by_order.values():
-            a = np.stack([g.adjacency() for g in group])
+            a = adjacency_stack(group)
+            assert _bits(a) == _bits(np.stack([g.adjacency() for g in group]))
             for kind, stack in zip(UNNORMALIZED_KINDS, unnormalized_stacks(a)):
+                assert stack is a  # each kind is written over the one buffer
                 for g, m in zip(group, stack):
                     assert _bits(m) == _bits(reference_build_matrix(g, kind)), (g, kind)
-            assert _bits(a) == _bits(np.stack([g.adjacency() for g in group]))  # a unchanged
             normal = [g for g in group if g.degrees().all()]
             if normal:
-                stack = normalized_adjacency_stack(np.stack([g.adjacency() for g in normal]))
+                stack = normalized_adjacency_stack(adjacency_stack(normal))
                 for g, m in zip(normal, stack):
                     expected = reference_build_matrix(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
                     assert _bits(m) == _bits(expected), g
 
     def test_first_isolated_vertex_named(self):
-        a = np.stack([cycle(4).adjacency(), from_edges(4, [(0, 3)]).adjacency()])
+        a = adjacency_stack([cycle(4), from_edges(4, [(0, 3)])])
+        before = a.copy()
         with pytest.raises(DomainError) as info:
             normalized_adjacency_stack(a)
         assert str(info.value) == "normalized matrix undefined: vertex 1 is isolated"
+        assert _bits(a) == _bits(before)
+
+    def test_adjacency_stack_of_graphs_of_one_order(self):
+        graphs = [Graph(5), cycle(5), from_edges(5, [(4, 0)])]
+        a = adjacency_stack(graphs)
+        assert a.shape == (3, 5, 5) and a.dtype == np.float64 and a.flags.writeable
+        for g, m in zip(graphs, a):
+            assert _bits(m) == _bits(reference_build_matrix(g, GraphMatrixKind.ADJACENCY))
+        with pytest.raises(DomainError, match="graph 1 has n=4"):
+            adjacency_stack([cycle(5), cycle(4)])
 
     @pytest.mark.parametrize(
         "text",
@@ -722,13 +735,18 @@ class TestCanonicalEndpoints:
 class TestGraphCaches:
     def test_derived_values_are_cached_and_read_only(self):
         g = petersen()
-        for method in (g.degrees, g.adjacency, g.neighbors):
+        for method in (g.degrees, g.neighbors):
             assert method() is method()
         with pytest.raises(ValueError):
             g.degrees()[0] = 7
-        with pytest.raises(ValueError):
-            g.adjacency()[0, 1] = 0.0
         assert all(isinstance(nb, frozenset) for nb in g.neighbors())
+
+    def test_adjacency_is_built_on_each_call_and_not_kept(self):
+        g = petersen()
+        a = g.adjacency()
+        a[0, 1] = 0.0  # a new array, the caller's to overwrite
+        assert g.adjacency()[0, 1] == 1.0 and g.adjacency() is not g.adjacency()
+        assert not [v for v in vars(g).values() if getattr(v, "shape", None) == (g.n, g.n)]
 
     def test_caches_do_not_affect_equality(self):
         a, b = cycle(6), cycle(6)

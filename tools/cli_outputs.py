@@ -41,13 +41,17 @@ fail before the one that finds the witness, so a change to the exact
 search that changes a witness, or the coloring taken when every search
 fails, shows here.
 
-Two inputs are @file references to files the script writes into a
+Three inputs are @file references to files the script writes into a
 temporary directory, printed as $TMP in the argv lines. One is an edge
 list with an "n" line, reversed and repeated pairs, and two trailing
 isolated vertices; bounds --json, certify, chromatic and sweep --bound
 GenNormalizedHoffman run on it, and the sweep exits 2 on the isolated
-vertex. The other is the graph6 text of a G(70, .5), whose vertex
-count takes the four-byte header, run through bounds --json.
+vertex. The second is the graph6 text of a G(70, .5), whose vertex
+count takes the four-byte header, run through bounds --json. The third
+is a G(300, .5), the size of the benchmark's largest bounds input, run
+through bounds --json and sweep --bound GenHoffman, so the matrix
+builders, eigensolves and integer search are compared at a size where
+BLAS takes its blocked code paths.
 
 The next four invocations cover the graph6 decoder's refusals and its
 prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
@@ -96,6 +100,8 @@ FAILING_COMPARE = ("gen:cycle(5)", "gen:nosuch", "D", "gen:petersen")
 EDGE_LIST = "n 9\n1 0\n0 1\n2 1\n2 3\n3 4\n4 0\n0 2\n3 2\n4 5\n5 6\n6 5\n1 2\n4 3\n"
 # drawn after DEEP_GNP: a vertex count past 62 needs the four-byte graph6 header
 LONG_HEADER_N = 70
+# drawn after LONG_HEADER_N: the largest n of the benchmark's bounds inputs
+LARGE_N = 300
 
 
 def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
@@ -124,6 +130,8 @@ def invocations(tmp: Path) -> list[list[str]]:
     edge_file.write_text(EDGE_LIST, encoding="ascii")
     g6_file = tmp / "long_header.g6"
     g6_file.write_text(gnp_graph6(LONG_HEADER_N, GNP_P, rng) + "\n", encoding="ascii")
+    large_file = tmp / "large.g6"
+    large_file.write_text(gnp_graph6(LARGE_N, GNP_P, rng) + "\n", encoding="ascii")
     out = []
     for spec in DEFAULT_NAMED:
         out.append(["bounds", spec])
@@ -175,6 +183,8 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["chromatic", edges])
     out.append(["sweep", edges, "--bound", "GenNormalizedHoffman"])  # exit 2: isolated vertex
     out.append(["bounds", "--json", f"@{g6_file}"])
+    out.append(["bounds", "--json", f"@{large_file}"])
+    out.append(["sweep", f"@{large_file}", "--bound", "GenHoffman"])
     # graph6 text that parse_graph6 refuses (exit 2), and one with the optional prefix
     out.append(["bounds", "C~~"])  # a trailing byte
     out.append(["chromatic", "D"])  # truncated bit field
