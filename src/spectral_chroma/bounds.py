@@ -56,6 +56,7 @@ from .graphs import (
     adjacency_stack,
     common_order,
     emit_graph6,
+    majorization_stack,
     normalized_adjacency_stack,
     unnormalized_stacks,
 )
@@ -223,23 +224,16 @@ def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.nd
     return values
 
 
-def _classical_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
-    """(G, 4) classical ratio bounds; a graph with mu_1 <= PROPERTY_TOL has none.
+def _classical_values(mu: np.ndarray, generalized: np.ndarray) -> np.ndarray:
+    """(G, 4) classical ratio bounds: the m = 1 column of the (4, G, n) generalized sweep.
 
     Their denominators -mu_n, theta_1 - mu_1, mu_1 - delta_1 + theta_1 and
-    mu_1 - delta_n + theta_n are the first partial sums of the generalized
-    ones, so each equals the m = 1 entry of its generalized sweep to the
-    bit. The smallest Laplacian eigenvalue enters the fourth exactly as
-    computed (theoretically zero).
+    mu_1 - delta_n + theta_n (theta_n as computed) are the first partial
+    sums of the generalized ones. A graph with mu_1 <= PROPERTY_TOL has none.
     """
 
-    mu1 = mu[:, :1]
-    denominators = np.concatenate(
-        [-mu[:, -1:], th[:, :1] - mu1, mu1 - dl[:, :1] + th[:, :1], mu1 - dl[:, -1:] + th[:, -1:]],
-        axis=1,
-    )
-    values = _ratio_sweep(mu1, denominators)
-    values[mu1[:, 0] <= PROPERTY_TOL] = -np.inf
+    values = generalized[:, :, 0].T.copy()
+    values[mu[:, 0] <= PROPERTY_TOL] = -np.inf
     return values
 
 
@@ -285,7 +279,8 @@ def classical_bounds(
 ) -> list[BoundValue]:
     """The four m = 1 ratio bounds from the three unnormalized spectra."""
 
-    values = _classical_values(spec_a.values[None], spec_l.values[None], spec_q.values[None])
+    mu, th, dl = (spec.values[None] for spec in (spec_a, spec_l, spec_q))
+    values = _classical_values(mu, _generalized_values(mu, th, dl))
     return _bound_values(_CLASSICAL_IDS, values)[0]
 
 
@@ -393,11 +388,8 @@ def _probe(
     match its trace; a NaN fails.
     """
 
-    stack = a / (c - 1)[:, None, None]
-    diag = np.arange(a.shape[1])
-    stack[:, diag, diag] += b
     try:
-        eigs = eigenvalues_batch(stack)
+        eigs = eigenvalues_batch(majorization_stack(a, b, c))
     except MatrixError as exc:
         k = exc.matrix
         raise NumericError(
@@ -665,11 +657,12 @@ def _edged_reports(
         normal_graphs = [graphs[k] for k in normal]
         na = np.stack(_spectra_rows(normal_graphs, _normalized_spectra, index[normal]))
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
-    top, top_m = _first_max(_generalized_values(mu, th, dl))
+    generalized = _generalized_values(mu, th, dl)
+    top, top_m = _first_max(generalized)
     a = adjacency_stack(graphs)  # the spectra are solved: A and a probe stack are alive
     integer, integer_m = _integer_c(a, mu, th, negated_spectra(dl), index)
     values = np.column_stack([
-        _classical_values(mu, th, dl),
+        _classical_values(mu, generalized),
         _loan_values(edges, n, dl),
         top.T,
         normalized,

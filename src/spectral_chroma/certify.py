@@ -16,13 +16,9 @@ one. Only _Conversions.certificate raises a conversion breach, as
 VerificationError, for build_conversion or a caller that reads a
 failed graph's certificate. The spectra it shares with the
 bounds are the graphs' bounds.report_spectra, the A, L and Q spectra
-each graph keeps once full_reports on it has solved them. The
-majorization steps' left sides are -A (negated_spectra of A), L and
--D - A (negated_spectra of Q), the right side for B = 0 is the A
-spectrum divided by c - 1, and Q gives the loan identity's delta_n.
-Only the right sides B + A/(c-1) for B = D and B = -D are solved here.
-A derived spectrum passes the validation its own solve would have had
-to pass (see certify_graphs).
+each graph keeps once full_reports on it has solved them; certify_graphs
+says which spectrum each check reads, derives or solves. Every
+diagonal B, the degree matrix D included, is held as its diagonal.
 
 Each certificate kind is one type. MajorizationSteps and LoanIdentities
 hold one entry per graph in each field, and row(k) is the same type
@@ -43,7 +39,7 @@ import numpy as np
 
 from .bounds import report_spectra
 from .errors import DomainError, VerificationError
-from .graphs import Graph, adjacency_stack
+from .graphs import Graph, adjacency_stack, diagonal_minus_stack, majorization_stack
 from .linalg import (
     CONVERSION_TOL,
     PROPERTY_TOL,
@@ -250,7 +246,7 @@ def _majorization_steps(
     u: np.ndarray,
     c: np.ndarray,
 ) -> MajorizationSteps:
-    """verify_majorization_step for (G, n, n) stacks of A and diagonal B.
+    """verify_majorization_step for a (G, n, n) stack A and the (G, n) diagonals of B.
 
     lhs and rhs hold the (G, n) spectra of B - A and B + A/(c-1); u and
     c are the checked colorings' unitary stack and palettes. The margins
@@ -259,9 +255,12 @@ def _majorization_steps(
     comparison fails on NaN.
     """
 
-    x = b - a
+    x = diagonal_minus_stack(a, b)
     total = _conjugation_sum(x, u, c - 1)
-    residual = frobenius_norms(total - ((c - 1)[:, None, None] * b + a))
+    total -= a
+    diag = np.arange(a.shape[1])
+    total[:, diag, diag] -= (c - 1)[:, None] * b
+    residual = frobenius_norms(total)
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
     # one sum per m, not a cumulative sum: the two can differ in the last
     # bit from m = 8 on, and certify prints these margins
@@ -290,14 +289,15 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
     b = np.asarray(b, dtype=np.float64)
     if b.shape != a.shape:
         raise DomainError(f"B has shape {b.shape}, expected {a.shape}")
-    if np.abs(b - np.diag(np.diag(b))).max() != 0.0:
+    d = np.diag(b)
+    if np.count_nonzero(b) != np.count_nonzero(d) or not np.isfinite(d).all():
         raise DomainError("B must be diagonal")
     _check_proper_stack(a[None], [col])
     _require_two_colors([col], "identity")
-    c = _palettes([col])
-    lhs = spectra_batch((b - a)[None])
-    rhs = spectra_batch((b + a / (c[0] - 1))[None])
-    return _majorization_steps(a[None], b[None], lhs, rhs, _unitary_stack([col]), c).row(0)
+    a, b, c = a[None], d[None], _palettes([col])
+    lhs = spectra_batch(diagonal_minus_stack(a, b))
+    rhs = spectra_batch(majorization_stack(a, b, c))
+    return _majorization_steps(a, b, lhs, rhs, _unitary_stack([col]), c).row(0)
 
 
 # --------------------------------------------------------------------------
@@ -342,22 +342,20 @@ def _quadratic_forms(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _loan_identities(
     a: np.ndarray,
-    d: np.ndarray,
+    deg: np.ndarray,
     delta: np.ndarray,
-    edges: np.ndarray,
     u: np.ndarray,
     c: np.ndarray,
 ) -> LoanIdentities:
-    """verify_loan_identity for graphs with an edge and checked colorings.
+    """verify_loan_identity for a (G, n, n) adjacency stack and checked colorings.
 
-    a and d are the (G, n, n) adjacency and diagonal degree stacks, delta
-    the smallest Q eigenvalue of each graph, edges the edge counts, and u
-    and c the colorings' unitary stack and palettes. Every comparison
-    fails on NaN.
+    deg holds the (G, n) degrees, delta the smallest Q eigenvalue of each
+    graph, and u and c the colorings' unitary stack and palettes. An
+    edgeless graph passes every check. Every comparison fails on NaN.
     """
 
     n = a.shape[1]
-    q = d + a
+    q = np.abs(diagonal_minus_stack(a, deg))  # Q = |D - A|, as the reports build it
     v = np.full(n, 1.0 / np.sqrt(n))
     # U_s Q U_s^dag is the conjugation by U_s^dag, whose diagonal is conj(u)
     total = np.zeros(a.shape, dtype=np.complex128)
@@ -365,9 +363,13 @@ def _loan_identities(
     for s, term in enumerate(_conjugations(q, np.conj(u), c - 1)):
         total += term
         minima[:, s] = _quadratic_forms(v, term)
-    residual = frobenius_norms(((c - 1)[:, None, None] * d - total) - a)
+    # the residual (c-1)D - sum - A, negated and formed in place: the same norm
+    total += a
+    diag = np.arange(n)
+    total[:, diag, diag] -= (c - 1)[:, None] * deg
+    residual = frobenius_norms(total)
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(q))
-    avg = 2.0 * edges / n
+    avg = deg.sum(axis=1) / n  # 2E/n: sums of integers are exact
     rayleigh = _quadratic_forms(v, a)
     live = np.arange(minima.shape[1]) < (c - 1)[:, None]
     return LoanIdentities(
@@ -391,10 +393,8 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentities:
     a = adjacency_stack([g])
     _check_proper_stack(a, [col])
     _require_two_colors([col], "identity")
-    d = np.eye(g.n) * a.sum(axis=2)[:, None, :]  # the degree matrix; +0.0 off the diagonal
-    delta = spectra_batch(d + a)[:, -1]
-    edges = np.array([g.edge_count])
-    return _loan_identities(a, d, delta, edges, _unitary_stack([col]), _palettes([col])).row(0)
+    delta = report_spectra([g])[2, :, -1]
+    return _loan_identities(a, a.sum(axis=2), delta, _unitary_stack([col]), _palettes([col])).row(0)
 
 
 # --------------------------------------------------------------------------
@@ -406,24 +406,23 @@ class CertifiedBatch:
 
     conversions holds the conversion checks; steps maps "zero", "deg"
     and "negdeg" to the MajorizationSteps for B = 0, D and -D; loans
-    holds the LoanIdentities of the graphs with an edge. ok is each
-    graph's verdict, its conversion check's included, so a caller that
-    counts verdicts builds no per-graph object. Graph k's certificate
-    is conversions.certificate(k), its steps steps[label].row(k), and
-    its loan identity loan(k).
+    holds the LoanIdentities of every graph, which an edgeless graph
+    passes trivially. ok is each graph's verdict, its conversion check's
+    included, so a caller that counts verdicts builds no per-graph
+    object. Graph k's certificate is conversions.certificate(k), its
+    steps steps[label].row(k), and its loan identity loan(k).
     """
 
     conversions: _Conversions
     steps: Mapping[str, MajorizationSteps]
-    loans: LoanIdentities | None  # over the graphs with an edge
-    loan_rows: np.ndarray  # graph g's row of loans, -1 without an edge
+    loans: LoanIdentities
+    edged: np.ndarray  # whether graph g has an edge
     ok: np.ndarray
 
     def loan(self, k: int) -> LoanIdentities | None:
         """Graph k's loan identity row, None without an edge."""
 
-        row = int(self.loan_rows[k])
-        return None if row < 0 else self.loans.row(row)
+        return self.loans.row(k) if self.edged[k] else None
 
 
 def greedy_certificate_coloring(g: Graph) -> Coloring:
@@ -452,7 +451,7 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     B = 0, D and -D are the spectra of -A, L and -Q = -D - A, the first
     and last negated_spectra of A and Q; the right side for B = 0 is the
     A spectrum divided by c - 1; Q gives the loan identity's delta_n. Two
-    stacks are solved here, B + A/(c-1) for B = D and B = -D.
+    stacks are solved here, graphs.majorization_stack for B = D and -D.
 
     No derived spectrum escapes the validation of spectra_batch: -M has
     the eigenvectors of M, so its residuals and trace error are those of
@@ -476,26 +475,16 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     _check_proper_stack(a, cols)
     conversions = _conversions(a, cols)
     u, c = conversions.unitaries, _palettes(cols)
-    mu, lap, signless = report_spectra(graphs)
-    deg = np.eye(a.shape[1]) * a.sum(axis=2)[:, None, :]
-    scaled = a / (c - 1)[:, None, None]
+    mu, th, dl = report_spectra(graphs)
+    deg = a.sum(axis=2)
     steps = {
         label: _majorization_steps(a, b, lhs, rhs, u, c)
         for label, b, lhs, rhs in (
-            ("zero", np.zeros_like(a), negated_spectra(mu), mu / (c - 1)[:, None]),
-            ("deg", deg, lap, spectra_batch(deg + scaled)),
-            ("negdeg", -deg, negated_spectra(signless), spectra_batch(scaled - deg)),
+            ("zero", np.zeros_like(deg), negated_spectra(mu), mu / (c - 1)[:, None]),
+            ("deg", deg, th, spectra_batch(majorization_stack(a, deg, c))),
+            ("negdeg", -deg, negated_spectra(dl), spectra_batch(majorization_stack(a, -deg, c))),
         )
     }
-    ok = np.logical_and.reduce([conversions.ok] + [step.ok for step in steps.values()])
-    edged = np.flatnonzero([g.edge_count >= 1 for g in graphs])
-    loan_rows = np.full(len(graphs), -1)
-    loans = None
-    if edged.size:
-        edges = np.array([graphs[k].edge_count for k in edged])
-        loans = _loan_identities(
-            a[edged], deg[edged], signless[edged, -1], edges, u[edged], c[edged]
-        )
-        loan_rows[edged] = np.arange(edged.size)
-        ok[edged] &= loans.ok
-    return CertifiedBatch(conversions, steps, loans, loan_rows, ok)
+    loans = _loan_identities(a, deg, dl[:, -1], u, c)
+    ok = np.logical_and.reduce([conversions.ok, loans.ok] + [step.ok for step in steps.values()])
+    return CertifiedBatch(conversions, steps, loans, deg.any(axis=1), ok)

@@ -42,6 +42,7 @@ from .bounds import (
     BoundId,
     BoundReport,
     _classical_values,
+    _generalized_values,
     full_report,
     round_display,
     unnormalized_spectra,
@@ -169,7 +170,8 @@ def _chunk_values(a: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
     """(G, 4) classical values of an adjacency stack; a failed solve names name(k)."""
 
     with matrices_named(name):
-        return _classical_values(*unnormalized_spectra(a))
+        mu, th, dl = unnormalized_spectra(a)
+    return _classical_values(mu, _generalized_values(mu, th, dl))
 
 
 def _sample_values(

@@ -433,12 +433,9 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
 def unnormalized_stacks(a: np.ndarray) -> Iterator[np.ndarray]:
     """A, L = D - A, then Q = |L|, each written over the caller's stack a: read each in turn."""
 
-    diag = np.arange(a.shape[1])
     deg = a.sum(axis=2)  # sums of 0s and 1s: exact
     yield a
-    np.subtract(0.0, a, out=a)  # +0.0, not -0.0, where A is 0
-    a[:, diag, diag] = deg
-    yield a
+    yield diagonal_minus_stack(a, deg, out=a)
     yield np.abs(a, out=a)
 
 
@@ -462,6 +459,24 @@ def normalized_adjacency_stack(a: np.ndarray) -> np.ndarray:
     a *= x[:, :, None]
     a *= x[:, None, :]
     return a
+
+
+def diagonal_minus_stack(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """B - A from a (G, n, n) stack A with zero diagonal and the (G, n) diagonals of B, into out."""
+
+    x = np.subtract(0.0, a, out=out)  # +0.0, not -0.0, where A is 0
+    diag = np.arange(a.shape[1])
+    x[:, diag, diag] = b
+    return x
+
+
+def majorization_stack(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """B + A/(c - 1) as a new stack: A/(c[k] - 1) with b[k] added to its zero diagonal, per k."""
+
+    stack = a / (c - 1)[:, None, None]
+    diag = np.arange(a.shape[1])
+    stack[:, diag, diag] += b
+    return stack
 
 
 UNNORMALIZED_KINDS = tuple(GraphMatrixKind)[:3]  # A, L and Q, as unnormalized_stacks builds them

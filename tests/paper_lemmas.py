@@ -7,8 +7,9 @@ tests check them on random instances, and the command line needs
 neither. Their spectra come from hermitian_eigenvalues, which accepts
 complex Hermitian input, and ky_fan sums them.
 
-scalar_build_matrix and graph_spectrum build and solve one graph's
-matrix at a time, where the tool builds and solves stacks of them.
+reference_build_matrix and graph_spectrum build and solve one graph's
+matrix at a time, from a loop over its edges, where the tool builds and
+solves stacks of them from index arrays.
 conversion_unitaries, conversion_residual and check_proper are the
 per-graph forms of what certify computes for a batch, written out one
 coloring at a time for the tests to compare against.
@@ -112,37 +113,47 @@ def ky_fan(spec: Spectrum, m: int) -> float:
 # per-graph matrices and their spectra
 
 
-def scalar_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    """One of the four derived matrices of one graph, from its adjacency and degrees.
+def reference_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
+    """One of the four derived matrices of one graph, entry by entry from its edge set.
 
     The per-graph form of the stack builders of graphs (build_matrix is
     one of them on a stack of one), written out for the tests to compare
     against: the same entries, signed zeros included.
     """
 
-    deg = g.degrees()
-    a = g.adjacency()
+    n = g.n
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
     if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         isolated = np.nonzero(deg == 0)[0]
         if isolated.size:
             raise DomainError(
                 f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
             )
+    a = np.zeros((n, n), dtype=np.float64)
+    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
         inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
-        return a * np.outer(inv_sqrt, inv_sqrt)
-    if kind is GraphMatrixKind.ADJACENCY:
-        return a.copy()
+        for u, v in g.edges:
+            w = inv_sqrt[u] * inv_sqrt[v]
+            a[u, v] = w
+            a[v, u] = w
+    else:
+        for u, v in g.edges:
+            a[u, v] = 1.0
+            a[v, u] = 1.0
+    if kind is GraphMatrixKind.ADJACENCY or kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
+        return a
     if kind is GraphMatrixKind.LAPLACIAN:
         return np.diag(deg.astype(np.float64)) - a
-    if kind is GraphMatrixKind.SIGNLESS_LAPLACIAN:
-        return np.diag(deg.astype(np.float64)) + a
-    raise DomainError(f"unknown matrix kind {kind!r}")
+    return np.diag(deg.astype(np.float64)) + a
 
 
 def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
     """Spectrum of one of a graph's derived matrices, solved on its own."""
 
-    return eigenvalues_sym(scalar_build_matrix(g, kind))
+    return eigenvalues_sym(reference_build_matrix(g, kind))
 
 
 # --------------------------------------------------------------------------

@@ -536,18 +536,18 @@ def _fields(obj, names) -> tuple:
     )
 
 
+def step_key(step: MajorizationSteps) -> tuple:
+    return _fields(step, (
+        "identity_residual", "identity_tolerance", "identity_ok", "spectral_margins", "spectral_ok",
+    ))
+
+
 def certificate_key(r: Certification) -> tuple:
     conv = r.conversion
     key = [
         conv.coloring,
         _fields(conv, ("unitaries", "residual", "tolerance")),
-        tuple(
-            (label, _fields(step, (
-                "identity_residual", "identity_tolerance", "identity_ok",
-                "spectral_margins", "spectral_ok",
-            )))
-            for label, step in r.steps.items()
-        ),
+        tuple((label, step_key(step)) for label, step in r.steps.items()),
         None if r.loan is None else _fields(r.loan, (
             "identity_residual", "identity_tolerance", "identity_ok",
             "rayleigh_value", "rayleigh_ok", "conjugate_minima", "minima_ok",
@@ -595,8 +595,21 @@ class TestBatchesMatchReferences:
         assert_batches_match_references([resolve_graph_input(s) for s in DEFAULT_NAMED])
 
     def test_random_graphs(self):
+        # up to n = 200, where the products of the certificates take BLAS's
+        # blocked code paths; there verify_majorization_step also takes a
+        # random diagonal B that is no degree matrix
+        large = [random_gnp(n, 0.5, 11) for n in (40, 65, 130, 200)]
         graphs = [random_gnp(n, 0.5, s) for n in range(12, 31) for s in (1, 2)]
-        assert_batches_match_references(graphs)
+        assert_batches_match_references(graphs + large)
+        rng = np.random.default_rng(11)
+        for g in large:
+            a = g.adjacency()
+            b = np.diag(rng.standard_normal(g.n))
+            col = greedy_certificate_coloring(g)
+            lhs = reference_eigenvalues_sym(b - a)
+            rhs = reference_eigenvalues_sym(b + a / (col.c - 1))
+            expected = step_key(reference_majorization_step(a, b, col, lhs, rhs))
+            assert step_key(certify.verify_majorization_step(a, b, col)) == expected, g.n
 
     def test_complete_graphs(self):
         # IntegerC climbs to n here, through every bisection round
@@ -629,8 +642,12 @@ class TestDerivedSpectraAgree:
             return integer_c(a, mu, th, spectra_batch(-(d + a)), index)
 
         def steps_solved(a, b, lhs, rhs, u, c):
-            lhs = spectra_batch(b - a)
-            rhs = spectra_batch(b + a / (c - 1)[:, None, None])
+            # b holds the diagonals of B; both sides are solved from a dense B
+            dense = np.zeros_like(a)
+            diag = np.arange(a.shape[1])
+            dense[:, diag, diag] = b
+            lhs = spectra_batch(dense - a)
+            rhs = spectra_batch(dense + a / (c - 1)[:, None, None])
             return steps(a, b, lhs, rhs, u, c)
 
         monkeypatch.setattr(bounds, "_integer_c", integer_c_solved)
@@ -670,22 +687,36 @@ class TestDerivedSpectraAgree:
         self.assert_agree(monkeypatch, [resolve_graph_input(s) for s in DEFAULT_NAMED])
 
 
-class TestClassicalIsGeneralizedAtOne:
-    """The classical bounds equal the m = 1 column of the generalized sweep, bit for bit.
+def reference_classical_values(mu, th, dl):
+    """(G, 4) classical ratio bounds, each from its own denominator on the first and last entries."""
 
-    _classical_values stays its own formula, on the first entries of the
-    spectra only; random_table reads it without the whole sweep.
+    mu1 = mu[:, :1]
+    denominators = np.concatenate(
+        [-mu[:, -1:], th[:, :1] - mu1, mu1 - dl[:, :1] + th[:, :1], mu1 - dl[:, -1:] + th[:, -1:]],
+        axis=1,
+    )
+    values = bounds._ratio_sweep(mu1, denominators)
+    values[mu1[:, 0] <= PROPERTY_TOL] = -np.inf
+    return values
+
+
+class TestClassicalIsGeneralizedAtOne:
+    """The classical bounds, the m = 1 column of the generalized sweep, equal their own formula.
+
+    _classical_values reads them from the sweep, as full_reports and
+    random_table do; reference_classical_values is the four-denominator
+    formula it replaced. The two must agree bit for bit.
     """
 
     @staticmethod
     def assert_m1_column(mu, th, dl):
-        classical = bounds._classical_values(mu, th, dl)
-        generalized = bounds._generalized_values(mu, th, dl)[:, :, 0].T
-        assert _bits(classical) == _bits(generalized)
+        classical = bounds._classical_values(mu, bounds._generalized_values(mu, th, dl))
+        assert _bits(classical) == _bits(reference_classical_values(mu, th, dl))
 
     def test_edged_corpus(self):
-        graphs = [g for n in range(1, 8) for g in all_graphs(n) if g.edge_count]
-        assert len(graphs) == 2292
+        # every corpus chunk, the edgeless graphs included
+        graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+        assert sum(1 for g in graphs if g.edge_count) == 2292
         for batch in _batches(graphs):
             self.assert_m1_column(*report_spectra(batch))
 
@@ -733,6 +764,15 @@ class TestSolveCounts:
         calls = self.count(monkeypatch)
         certify_graphs([g], [col])
         assert calls == [(1, 10, 10)] * 5
+
+    def test_loan_identity_reads_the_report_spectra(self, monkeypatch):
+        # delta_n is the smallest Q eigenvalue full_report solved: no
+        # spectra_batch call, so no eigh
+        g = random_gnp(12, 0.5, 3)
+        full_report(g)
+        calls = self.count(monkeypatch)
+        assert certify.verify_loan_identity(g, greedy_certificate_coloring(g)).ok
+        assert calls == []
 
     @pytest.mark.parametrize(
         "bound,solves",
@@ -1193,7 +1233,6 @@ class TestCertifiedBatch:
     @pytest.mark.parametrize("where", ["right side", "conjugation term"])
     def test_nan_fails_only_its_graph(self, monkeypatch, where):
         chunk, cols = self.chunk()
-        edged = [k for k, g in enumerate(chunk) if g.edge_count]
         j = 40
         calls = []
         if where == "right side":
@@ -1213,8 +1252,8 @@ class TestCertifiedBatch:
             bad = j
         else:
             # the conjugation sums of certify_graphs: the conversion, the three
-            # steps, then the loan identity over the graphs with an edge, whose
-            # first term is NaN in one entry of one graph
+            # steps, then the loan identity over the whole chunk, whose first
+            # term is NaN in one entry of one graph
             conjugations = certify._conjugations
 
             def poisoned(x, u, counts):
@@ -1225,7 +1264,8 @@ class TestCertifiedBatch:
                     yield term
 
             monkeypatch.setattr(certify, "_conjugations", poisoned)
-            bad = edged[j]
+            bad = j
+        assert chunk[bad].edge_count
         batch = certify_graphs(chunk, cols)
         assert np.flatnonzero(~batch.ok).tolist() == [bad]
         loan = batch.loan(bad)

@@ -4,6 +4,8 @@ The representations and the pinching lemma are the paper's, checked
 with the test-side code of paper_lemmas.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import from_edges
@@ -24,6 +26,7 @@ from paper_lemmas import (
 )
 
 from spectral_chroma import certify
+from spectral_chroma.bounds import full_report
 from spectral_chroma.certify import (
     ColoringCertificate,
     build_conversion,
@@ -159,7 +162,11 @@ class TestCertifyGraph:
         assert col.c == 2
         batch = certify_graphs([g], [col])
         assert batch.ok.tolist() == [True]
-        assert batch.loans is None and batch.loan(0) is None
+        # the batch's loan identity covers the edgeless graph too, where
+        # every term is zero and every check holds; its row reads as None
+        loans = batch.loans
+        assert loans.ok.tolist() == [True] and loans.identity_residual.tolist() == [0.0]
+        assert batch.loan(0) is None
 
     def test_improper_coloring_rejected(self):
         with pytest.raises(DomainError, match="improper"):
@@ -188,6 +195,24 @@ class TestCertifyGraph:
         g = random_gnp(40, 0.5, 2)
         certify_graphs([g], [greedy_certificate_coloring(g)])
         assert not [v for v in vars(g).values() if getattr(v, "shape", None) == (g.n, g.n)]
+
+    def test_memory_is_quadratic(self):
+        # full_report has solved the spectra, and every B is its diagonal:
+        # each certificate holds A, at most one of B - A and Q, and a
+        # complex sum and term, six n x n float64 in all. Measured peak:
+        # 7.58 n^2 float64 with numpy 2.4.6, so a numpy whose ufuncs or
+        # eigh add an n x n temporary can fail this without a change here
+        n = 200
+        g = random_gnp(n, 0.5, 11)
+        full_report(g)
+        col = greedy_coloring(g)
+        tracemalloc.start()
+        try:
+            certify_graphs([g], [col])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * n * n * 8
 
 
 class TestMajorizationStep:

@@ -10,7 +10,7 @@ import pytest
 from conftest import from_edges
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from paper_lemmas import scalar_build_matrix
+from paper_lemmas import reference_build_matrix
 
 from spectral_chroma import graphs, oracle
 from spectral_chroma.bounds import full_report
@@ -474,36 +474,6 @@ def reference_emit_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-def reference_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
-    n = g.n
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
-        isolated = np.nonzero(deg == 0)[0]
-        if isolated.size:
-            raise DomainError(
-                f"normalized matrix undefined: vertex {int(isolated[0])} is isolated"
-            )
-    a = np.zeros((n, n), dtype=np.float64)
-    if kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
-        inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
-        for u, v in g.edges:
-            w = inv_sqrt[u] * inv_sqrt[v]
-            a[u, v] = w
-            a[v, u] = w
-    else:
-        for u, v in g.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-    if kind is GraphMatrixKind.ADJACENCY or kind is GraphMatrixKind.NORMALIZED_ADJACENCY:
-        return a
-    if kind is GraphMatrixKind.LAPLACIAN:
-        return np.diag(deg.astype(np.float64)) - a
-    return np.diag(deg.astype(np.float64)) + a
-
-
 def _bits(a: np.ndarray) -> tuple:
     return a.dtype, a.shape, a.tobytes()
 
@@ -552,18 +522,15 @@ class TestScalarReferenceEquivalence:
             assert back.edges == reference_parse_graph6(text).edges == g.edges
 
     def test_matrices_match_scalar_reference(self, equivalence_graphs):
-        # build_matrix is a stack builder on a stack of one; the per-graph
-        # array expressions of scalar_build_matrix give the same entries too
+        # build_matrix is a stack builder on a stack of one
         for g in equivalence_graphs:
             for kind in GraphMatrixKind:
                 expected = _raised(reference_build_matrix, g, kind)
                 if expected is not None:
                     assert _raised(build_matrix, g, kind) == expected
-                    assert _raised(scalar_build_matrix, g, kind) == expected
                     continue
                 got = build_matrix(g, kind)
                 assert _bits(got) == _bits(reference_build_matrix(g, kind)), (g, kind)
-                assert _bits(got) == _bits(scalar_build_matrix(g, kind)), (g, kind)
                 assert got.flags.writeable and not np.shares_memory(got, g.adjacency())
 
     def test_stack_builders_match_per_graph_matrices(self, equivalence_graphs):

@@ -47,11 +47,12 @@ list with an "n" line, reversed and repeated pairs, and two trailing
 isolated vertices; bounds --json, certify, chromatic and sweep --bound
 GenNormalizedHoffman run on it, and the sweep exits 2 on the isolated
 vertex. The second is the graph6 text of a G(70, .5), whose vertex
-count takes the four-byte header, run through bounds --json. The third
-is a G(300, .5), the size of the benchmark's largest bounds input, run
-through bounds --json and sweep --bound GenHoffman, so the matrix
-builders, eigensolves and integer search are compared at a size where
-BLAS takes its blocked code paths.
+count takes the four-byte header, run through bounds --json and
+certify. The third is a G(300, .5), the size of the benchmark's largest
+bounds input, run through bounds --json, sweep --bound GenHoffman and
+certify, so the matrix builders, eigensolves, integer search and the
+certificates' residuals and margins are compared at sizes where BLAS
+takes its blocked code paths.
 
 The next four invocations cover the graph6 decoder's refusals and its
 prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
@@ -183,8 +184,10 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["chromatic", edges])
     out.append(["sweep", edges, "--bound", "GenNormalizedHoffman"])  # exit 2: isolated vertex
     out.append(["bounds", "--json", f"@{g6_file}"])
+    out.append(["certify", f"@{g6_file}"])
     out.append(["bounds", "--json", f"@{large_file}"])
     out.append(["sweep", f"@{large_file}", "--bound", "GenHoffman"])
+    out.append(["certify", f"@{large_file}"])
     # graph6 text that parse_graph6 refuses (exit 2), and one with the optional prefix
     out.append(["bounds", "C~~"])  # a trailing byte
     out.append(["chromatic", "D"])  # truncated bit field
