@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import io
 import json
 import math
 import os
@@ -271,17 +272,29 @@ def random_table(
     return out
 
 
-def random_table_csv(rows: list[RandomTableRow]) -> str:
-    """CSV with a header, '.' decimals, LF endings, full-precision averages."""
+def _csv_text(rows: list[list]) -> str:
+    """Rows as CSV with LF endings; only a cell with a comma, quote or newline is quoted."""
 
-    lines = ["n,p,samples,seed_base,hoffman_avg,kolo1_avg,kolo2_avg,bollobas"]
-    for r in rows:
-        bollobas = "" if r.bollobas is None else repr(r.bollobas)
-        lines.append(
-            f"{r.n},{r.p!r},{r.samples},{r.seed_base},"
-            f"{r.hoffman_avg!r},{r.kolo1_avg!r},{r.kolo2_avg!r},{bollobas}"
-        )
-    return "\n".join(lines) + "\n"
+    import csv  # here, so that commands without --csv do not import it
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def random_table_csv(rows: list[RandomTableRow]) -> str:
+    """CSV with a header, '.' decimals, LF endings, full-precision averages.
+
+    csv writes each float as its repr and a missing Bollobas estimate as
+    an empty cell.
+    """
+
+    header = ["n", "p", "samples", "seed_base", "hoffman_avg", "kolo1_avg", "kolo2_avg", "bollobas"]
+    body = [
+        [r.n, r.p, r.samples, r.seed_base, r.hoffman_avg, r.kolo1_avg, r.kolo2_avg, r.bollobas]
+        for r in rows
+    ]
+    return _csv_text([header, *body])
 
 
 def random_table_json(rows: list[RandomTableRow]) -> str:
@@ -390,20 +403,22 @@ def named_comparison(names: list[str]) -> list[ComparisonRow]:
 
 
 def comparison_csv(rows: list[ComparisonRow]) -> str:
-    """One CSV row per graph: name, chi, then each bound's 1-decimal display."""
+    """One CSV row per graph: name, chi, then each bound's 1-decimal display.
 
-    header = ["name", "chi"] + [b.value for b in BoundId]
-    lines = [",".join(header)]
+    A failed row has its error text in the chi column and empty bound cells.
+    """
+
+    lines = [["name", "chi"] + [b.value for b in BoundId]]
     for row in rows:
         if row.report is None:
-            lines.append(f"{row.name},error:{row.error}" + "," * (len(BoundId) - 1))
+            lines.append([row.name, f"error:{row.error}"] + [""] * len(BoundId))
             continue
-        cells = [row.name, "" if row.chi is None else str(row.chi)]
+        cells = [row.name, row.chi]
         for b in BoundId:
             v = row.report.value(b)
             cells.append(row.report.rounded_display[b.value] if v.valid else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        lines.append(cells)
+    return _csv_text(lines)
 
 
 def report_json_payload(report: BoundReport, chi: int | None = None) -> dict:

@@ -95,9 +95,9 @@ class Graph:
     duplicates collapse, so every Graph satisfies the invariants by
     construction. graphs_from_bits and random_gnp make Graphs without
     these per-graph checks, from pairs that hold the invariants by
-    construction. The edge set, degrees, degree order and neighborhoods
-    are derived on first use, once, and read-only. No dense matrix is
-    kept: adjacency() builds a new one on each call.
+    construction. The edge set, degrees and neighborhoods are derived on
+    first use, once, and read-only. No dense matrix is kept: adjacency()
+    builds a new one on each call.
     """
 
     n: int
@@ -164,13 +164,6 @@ class Graph:
         cols = cols.tolist()
         stops = itertools.accumulate(deg)
         return tuple(frozenset(cols[stop - d:stop]) for stop, d in zip(stops, deg))
-
-    @computed_once
-    def degree_order(self) -> tuple[int, ...]:
-        """Vertices by degree, largest first, ties by index: the greedy and search order."""
-
-        deg = self.degrees().tolist()
-        return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
 
 
 def common_order(graphs: Sequence[Graph]) -> int:

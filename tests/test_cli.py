@@ -1,5 +1,7 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import csv
+import io
 import itertools
 import json
 import os
@@ -11,9 +13,11 @@ import numpy as np
 import pytest
 
 from spectral_chroma import certify, cli, oracle
+from spectral_chroma.bounds import BoundId
 from spectral_chroma.certify import greedy_certificate_coloring
 from spectral_chroma.cli import main
 from spectral_chroma.errors import VerificationError
+from spectral_chroma.experiments import DEFAULT_NAMED, named_comparison
 from spectral_chroma.graphs import Graph, emit_graph6, petersen
 from spectral_chroma.oracle import all_graphs, chromatic_number
 
@@ -208,6 +212,27 @@ class TestCompareCommand:
         assert "gen:complete(3) chi=3" in out
         assert f"@{path} error:" in out
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--named", "default"], list(DEFAULT_NAMED)),
+            (["gen:petersen", "gen:nope", "xx"], ["gen:petersen", "gen:nope", "xx"]),
+        ],
+    )
+    def test_csv_rows_parse_to_the_header_width(self, capsys, argv, names):
+        # the circulant and windmill names and the "xx" error text hold commas
+        code, out, _ = run(capsys, "compare", "--csv", *argv)
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert header == ["name", "chi"] + [b.value for b in BoundId]
+        assert all(len(row) == len(header) for row in rows)
+        expected = named_comparison(names)
+        assert [row[0] for row in rows] == [r.name for r in expected]
+        for row, r in zip(rows, expected):
+            if r.error is not None:
+                assert row[1:] == [f"error:{r.error}"] + [""] * len(BoundId)
+        assert any("," in row[0] or "," in row[1] for row in rows)
+
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compare")
         assert code == 1
@@ -267,7 +292,7 @@ class TestCorpusCheckCommand:
         # counts the calls of the functions' own bodies, not of their caches
         bodies = {
             oracle.greedy_coloring.__wrapped__.__code__: 0,
-            Graph.degree_order.__wrapped__.__code__: 0,
+            oracle._search_table.__wrapped__.__code__: 0,
         }
 
         def count(frame, event, arg):

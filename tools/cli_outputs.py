@@ -61,6 +61,8 @@ error line, and chromatic on ">>graph6<<D?{" (the prefix is stripped).
 The last two run compare, in the table and CSV formats, on a list with
 failing rows: an unknown generator and the truncated "D" each print
 their row's error between rows that compute, and the command exits 0.
+compare --csv also runs on the default named graphs, two of whose
+names hold commas, so the CSV quoting is compared too.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ def invocations(tmp: Path) -> list[list[str]]:
     # an exact witness from colorable_with; this graph's chromatic number is 7
     out.append(["certify", gnp[GNP_SIZES.index(25)], "--colors", "7"])
     out.append(["compare", "--named", "default"])
+    # the circulant and windmill names hold commas, so their CSV cells are quoted
+    out.append(["compare", "--named", "default", "--csv"])
     out.append(["compare", "--named", "default", "--json", *MIXED_COMPARE])
     out.append(["corpus-check", "--max-n", "7"])
     out.append(["chromatic", "gen:petersen"])
