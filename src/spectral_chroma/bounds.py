@@ -105,6 +105,8 @@ _GENERALIZED_IDS = (
 )
 _NORMALIZED_IDS = BoundId.NORMALIZED_HOFFMAN, BoundId.GEN_NORMALIZED_HOFFMAN
 _CHAIN_IDS = BoundId.KOLOTILINA_CHAIN_317, BoundId.HANSEN_LUCAS, BoundId.CVETKOVIC
+# the bounds with a per-m sweep: the generalized family and the generalized normalized Hoffman
+SWEPT_IDS = _GENERALIZED_IDS + (BoundId.GEN_NORMALIZED_HOFFMAN,)
 _REPORT_IDS = tuple(BoundId)
 
 

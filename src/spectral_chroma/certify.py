@@ -68,8 +68,9 @@ def _check_proper_stack(a: np.ndarray, cols: Sequence[Coloring]) -> None:
 
     The first failing graph raises: an improper coloring names its first
     monochromatic edge in row-major order. So does a palette above
-    max(2, n), with the CLI's text: its extra colors are empty classes,
-    yet each costs a unitary and a conjugation over the batch.
+    max(2, n), the one palette rule, which the CLI's certify applies
+    too: its extra colors are empty classes, yet each costs a unitary
+    and a conjugation over the batch.
     """
 
     n = a.shape[1]

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .bounds import (
+    SWEPT_IDS,
     BoundId,
     BoundReport,
     full_report,
@@ -50,14 +51,7 @@ from .oracle import Coloring, all_graphs, chromatic_number, colorable_with
 # whole order, while only this many graphs and their caches are alive
 CORPUS_CHUNK = 128
 
-_SWEEPABLE = (
-    BoundId.GEN_HOFFMAN,
-    BoundId.GEN_NIKIFOROV,
-    BoundId.GEN_KOLOTILINA_1,
-    BoundId.GEN_KOLOTILINA_2,
-    BoundId.GEN_NORMALIZED_HOFFMAN,
-)
-_SHOW_M = set(_SWEEPABLE) | {BoundId.INTEGER_C}
+_SHOW_M = set(SWEPT_IDS) | {BoundId.INTEGER_C}
 
 
 class _UsageError(Exception):
@@ -116,10 +110,6 @@ def _cmd_sweep(args) -> int:
 def _certify_coloring(g: Graph, colors: int | None) -> Coloring:
     if colors is None:
         return greedy_certificate_coloring(g)
-    # a palette past n adds only empty color classes, yet each of its
-    # colors costs a unitary and a conjugation
-    if colors > g.n:
-        raise DomainError(f"{colors} colors exceed the graph's {g.n} vertices")
     col = colorable_with(g, colors)
     if col is None:
         raise DomainError(f"graph admits no proper coloring with {colors} colors")
@@ -129,8 +119,8 @@ def _certify_coloring(g: Graph, colors: int | None) -> Coloring:
 def _cmd_certify(args) -> int:
     g = resolve_graph_input(args.input)
     col = _certify_coloring(g, args.colors)
+    batch = certify_graphs([g], [col])  # a refused coloring prints nothing
     print(f"graph n={g.n} edges={g.edge_count} colors={col.c}")
-    batch = certify_graphs([g], [col])
     cert = batch.conversions.certificate(0)  # raises VerificationError on a conversion breach
     print(f"conversion residual {cert.residual:.3e} tolerance {cert.tolerance:.3e} ok")
     for label, steps in batch.steps.items():
@@ -289,7 +279,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="per-m values of a generalized bound, CSV")
     p.add_argument("input")
-    p.add_argument("--bound", required=True, choices=[b.value for b in _SWEEPABLE])
+    p.add_argument("--bound", required=True, choices=[b.value for b in SWEPT_IDS])
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("certify", help="conversion and identity certificates")

@@ -609,13 +609,27 @@ def petersen() -> Graph:
 
 _GENERATOR_SPEC = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)
 
+# the families whose arguments are a list of integers: each one's builder,
+# called with the integers, and its arity, None for one or more arguments
+_INTEGER_FAMILIES = {
+    "complete": (complete, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "complete_multipartite": (lambda *parts: complete_multipartite(parts), None),
+    "cycle": (cycle, 1),
+    "barbell": (barbell, 1),
+    "sun": (sun, 1),
+    "windmill": (windmill, 2),
+}
+
 
 def generate_from_spec(spec: str) -> Graph:
     """Resolve a generator mini-language spec like "circulant(16;1,7,8)".
 
-    Grammar: family or family(args). Integer args are comma-separated;
-    circulant separates n from its connection set with a semicolon; the
-    mycielskian takes a nested spec as its single argument.
+    Grammar: family or family(args). Integer args are comma-separated,
+    and a family of integer args is one row of _INTEGER_FAMILIES: its
+    builder and arity. circulant separates n from its connection set
+    with a semicolon; the mycielskian takes a nested spec as its single
+    argument; petersen takes none.
     """
 
     m = _GENERATOR_SPEC.match(spec)
@@ -623,65 +637,41 @@ def generate_from_spec(spec: str) -> Graph:
         raise DomainError(f"unparseable generator spec {spec!r}")
     name = m.group(1).lower()
     args = m.group(2)
-
-    def int_args() -> list[int]:
-        if args is None or not args.strip():
-            return []
-        try:
-            return [int(tok) for tok in args.split(",")]
-        except ValueError:
-            raise DomainError(f"non-integer argument in generator spec {spec!r}") from None
-
-    if name == "complete":
-        (n,) = _arity(spec, int_args(), 1)
-        return complete(n)
-    if name == "complete_bipartite":
-        a, b = _arity(spec, int_args(), 2)
-        return complete_bipartite(a, b)
-    if name == "complete_multipartite":
-        parts = int_args()
-        if not parts:
-            raise DomainError(f"complete_multipartite needs part sizes in {spec!r}")
-        return complete_multipartite(parts)
-    if name == "cycle":
-        (n,) = _arity(spec, int_args(), 1)
-        return cycle(n)
+    has_args = args is not None and bool(args.strip())
     if name == "circulant":
         if args is None or ";" not in args:
             raise DomainError(
                 f"circulant spec must read circulant(n;s1,s2,...), got {spec!r}"
             )
         head, tail = args.split(";", 1)
-        try:
-            n = int(head)
-            offsets = [int(tok) for tok in tail.split(",") if tok.strip()]
-        except ValueError:
-            raise DomainError(f"non-integer argument in generator spec {spec!r}") from None
+        n, *offsets = _integers(spec, [head] + [tok for tok in tail.split(",") if tok.strip()])
         return circulant(n, offsets)
-    if name == "barbell":
-        (k,) = _arity(spec, int_args(), 1)
-        return barbell(k)
-    if name == "sun":
-        (k,) = _arity(spec, int_args(), 1)
-        return sun(k)
-    if name == "windmill":
-        a, b = _arity(spec, int_args(), 2)
-        return windmill(a, b)
     if name == "mycielskian":
-        if args is None or not args.strip():
+        if not has_args:
             raise DomainError(f"mycielskian needs a nested generator spec in {spec!r}")
         return mycielskian(generate_from_spec(args))
     if name == "petersen":
-        if args is not None and args.strip():
+        if has_args:
             raise DomainError("petersen takes no arguments")
         return petersen()
-    raise DomainError(f"unknown graph family {name!r}")
+    if name not in _INTEGER_FAMILIES:
+        raise DomainError(f"unknown graph family {name!r}")
+    builder, arity = _INTEGER_FAMILIES[name]
+    ints = _integers(spec, args.split(",") if has_args else [])
+    if arity is None and not ints:
+        raise DomainError(f"{name} needs part sizes in {spec!r}")
+    if arity is not None and len(ints) != arity:
+        raise DomainError(f"generator spec {spec!r} expects {arity} integer argument(s), got {len(ints)}")
+    # the builder runs outside the try of _integers: its DomainError is a
+    # ValueError, which that try would rewrite
+    return builder(*ints)
 
 
-def _arity(spec: str, got: list[int], want: int) -> list[int]:
-    if len(got) != want:
-        raise DomainError(f"generator spec {spec!r} expects {want} integer argument(s), got {len(got)}")
-    return got
+def _integers(spec: str, tokens: list[str]) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise DomainError(f"non-integer argument in generator spec {spec!r}") from None
 
 
 # --------------------------------------------------------------------------

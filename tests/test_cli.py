@@ -133,10 +133,14 @@ class TestCertifyCommand:
         assert "no proper coloring" in err
 
     def test_single_vertex(self, capsys):
-        code, out, _ = run(capsys, "certify", "gen:complete(1)")
-        assert code == 0
-        assert "loan skipped" in out
-        assert out.splitlines()[-1] == "certified"
+        # the greedy palette is widened to two colors, and --colors 2 is
+        # accepted as it is by certify_graphs: c <= max(2, n)
+        for palette in ([], ["--colors", "2"]):
+            code, out, _ = run(capsys, "certify", "gen:complete(1)", *palette)
+            assert code == 0
+            assert out.splitlines()[0] == "graph n=1 edges=0 colors=2"
+            assert "loan skipped" in out
+            assert out.splitlines()[-1] == "certified"
 
 
 class TestChromaticCommand:

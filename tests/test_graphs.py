@@ -286,6 +286,51 @@ class TestGeneratorSpecs:
         with pytest.raises(DomainError, match="circulant"):
             generate_from_spec("circulant(16,1,7,8)")
 
+    # one spec per row of the integer-family table, with upper case and extra whitespace
+    @pytest.mark.parametrize(
+        "spec, builder, args",
+        [
+            ("complete(4)", complete, (4,)),
+            ("COMPLETE_BIPARTITE( 2 , 3 )", complete_bipartite, (2, 3)),
+            ("complete_multipartite(3, 1,2)", complete_multipartite, ([3, 1, 2],)),
+            ("  Cycle(7)  ", cycle, (7,)),
+            ("barbell(3)", barbell, (3,)),
+            ("Sun (4)", sun, (4,)),
+            ("windmill( 3,6 )", windmill, (3, 6)),
+        ],
+    )
+    def test_table_family_is_its_builder(self, spec, builder, args):
+        assert_same_graph(generate_from_spec(spec), builder(*args))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("windmill(3)", "generator spec 'windmill(3)' expects 2 integer argument(s), got 1"),
+            ("cycle(5,x)", "non-integer argument in generator spec 'cycle(5,x)'"),
+            ("circulant(x;1)", "non-integer argument in generator spec 'circulant(x;1)'"),
+            ("petersen(1)", "petersen takes no arguments"),
+            (
+                "complete_multipartite()",
+                "complete_multipartite needs part sizes in 'complete_multipartite()'",
+            ),
+            ("mycielskian()", "mycielskian needs a nested generator spec in 'mycielskian()'"),
+            (
+                "circulant(16,1)",
+                "circulant spec must read circulant(n;s1,s2,...), got 'circulant(16,1)'",
+            ),
+            ("hypercube(4)", "unknown graph family 'hypercube'"),
+            ("complete(5", "unparseable generator spec 'complete(5'"),
+            # the builders' own refusals: a DomainError is a ValueError, and
+            # the integer parsing must not rewrite it
+            ("circulant(8;9)", "circulant offset 9 outside [1, 4] for n=8"),
+            ("cycle(2)", "cycle needs at least 3 vertices, got 2"),
+        ],
+    )
+    def test_refusal_text(self, spec, message):
+        with pytest.raises(DomainError) as info:
+            generate_from_spec(spec)
+        assert str(info.value) == message
+
 
 class TestRandomGnp:
     def test_deterministic(self):

@@ -58,6 +58,12 @@ The next four invocations cover the graph6 decoder's refusals and its
 prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
 bit field) and on "B@" (nonzero padding bits), each exit 2 with its
 error line, and chromatic on ">>graph6<<D?{" (the prefix is stripped).
+Then bounds runs on gen:complete_bipartite(2,3) and gen:cycle(7), the
+generator families no other invocation computes, and on one refused
+generator spec of each kind of error, among them two refusals of the
+builders themselves (a circulant offset out of range, a 2-cycle), each
+exit 2 with its error line, so every path of the generator parser is
+compared.
 The last two run compare, in the table and CSV formats, on a list with
 failing rows: an unknown generator and the truncated "D" each print
 their row's error between rows that compute, and the command exits 0.
@@ -98,6 +104,24 @@ MIXED_COMPARE = ("D??", "Dh?", "gen:complete(2)")
 # compare rows that fail, an unknown generator and a truncated graph6,
 # between rows that compute
 FAILING_COMPARE = ("gen:cycle(5)", "gen:nosuch", "D", "gen:petersen")
+# generator specs refused with each kind of error (exit 2): wrong arity,
+# a non-integer argument, petersen with an argument, no part sizes, no
+# nested spec, circulant without its semicolon, an unknown family, an
+# unparseable spec, and two refusals of the builders themselves
+REFUSED_SPECS = (
+    "gen:windmill(3)",
+    "gen:cycle(5,x)",
+    "gen:petersen(1)",
+    "gen:complete_multipartite()",
+    "gen:mycielskian()",
+    "gen:circulant(16,1)",
+    "gen:hypercube(4)",
+    "gen:complete(5",
+    "gen:circulant(8;9)",
+    "gen:cycle(2)",
+)
+# the generator families that no other invocation computes
+UNCOVERED_FAMILIES = ("gen:complete_bipartite(2,3)", "gen:cycle(7)")
 # an edge list on 9 vertices: a 5-cycle with a chord and a pendant path,
 # every pair given in both orders, vertices 7 and 8 isolated
 EDGE_LIST = "n 9\n1 0\n0 1\n2 1\n2 3\n3 4\n4 0\n0 2\n3 2\n4 5\n5 6\n6 5\n1 2\n4 3\n"
@@ -197,6 +221,7 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["chromatic", "D"])  # truncated bit field
     out.append(["chromatic", "B@"])  # nonzero padding bits
     out.append(["chromatic", ">>graph6<<D?{"])
+    out.extend(["bounds", spec] for spec in UNCOVERED_FAMILIES + REFUSED_SPECS)
     out.append(["compare", *FAILING_COMPARE])
     out.append(["compare", "--csv", *FAILING_COMPARE])
     return out
