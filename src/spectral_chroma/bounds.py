@@ -15,7 +15,9 @@ per-m sweep. The integer search probes all open graphs of a batch
 with one linalg.eigenvalues_batch call per round and bisects them in
 lockstep. full_reports evaluates each family once per batch;
 full_report and the per-family functions (classical_bounds,
-generalized_bounds, ...) are the same code on a batch of one. Every
+generalized_bounds, ...) are the same code on a batch of one: a family
+function takes its spectra as 1-d arrays and checks them once, as one
+(K, n) stack (_spectra_stack). Every
 spectrum comes from one per-graph cache: each graph keeps the A, L and
 Q spectra (report_spectra) and, once a report or a sweep asks for it,
 the normalized A spectrum, each solved once from the matrix builders of
@@ -26,11 +28,12 @@ trace error are those of Q, so it passes the validation a solve of its
 own would have had to pass.
 
 The checks run once per batch array too: each solved array of spectra
-passes the checks of Spectrum once (linalg.check_spectra), and the
+passes linalg.check_spectra once and is kept read-only, and the
 (G, 15) bound values pass the rule of BoundValue (_check_bounds) once
 per batch. A report keeps its row of values and its row of best m; its
-BoundValue tuple (values), its graph6 id (graph_id), its rounded
-display strings and its spectra are computed on first read.
+BoundValue tuple (values), its graph6 id (graph_id) and its rounded
+display strings are computed on first read, and its spectra are the
+graph's cached rows themselves.
 
 Invalid bounds (nonpositive denominators, edgeless graphs, isolated
 vertices for the normalized family) are reported as value 1 with
@@ -63,7 +66,6 @@ from .graphs import (
 from .linalg import (
     BOUND_FLOOR_TOL,
     PROPERTY_TOL,
-    Spectrum,
     check_spectra,
     eigenvalues_batch,
     matrices_named,
@@ -276,22 +278,41 @@ def _chain_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray, n: int) -> np.
     return values
 
 
+def _spectra_stack(spectra: Sequence[np.ndarray], n: int | None = None) -> np.ndarray:
+    """The spectra handed to a family function as one checked (K, n) stack.
+
+    Each must be a 1-d row, all of one length, n when it is given; the
+    stack then passes check_spectra.
+    """
+
+    rows = [np.asarray(spec, dtype=np.float64) for spec in spectra]
+    if any(row.ndim != 1 for row in rows):
+        raise DomainError("spectrum needs a nonempty 1-d value vector")
+    lengths = [row.size for row in rows]
+    if set(lengths) != {lengths[0] if n is None else n}:
+        expected = "one length" if n is None else f"length n = {n}"
+        raise DomainError(f"spectra must have {expected}, got lengths {lengths}")
+    stack = np.stack(rows)
+    check_spectra(stack)
+    return stack
+
+
 def classical_bounds(
-    spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
+    spec_a: np.ndarray, spec_l: np.ndarray, spec_q: np.ndarray
 ) -> list[BoundValue]:
     """The four m = 1 ratio bounds from the three unnormalized spectra."""
 
-    mu, th, dl = (spec.values[None] for spec in (spec_a, spec_l, spec_q))
+    mu, th, dl = _spectra_stack([spec_a, spec_l, spec_q])[:, None]
     values = _classical_values(mu, _generalized_values(mu, th, dl))
     return _bound_values(_CLASSICAL_IDS, values)[0]
 
 
 def generalized_bounds(
-    spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
+    spec_a: np.ndarray, spec_l: np.ndarray, spec_q: np.ndarray
 ) -> list[BoundValue]:
     """Partial-sum versions of the four ratio bounds, maximized over m."""
 
-    values = _generalized_values(spec_a.values[None], spec_l.values[None], spec_q.values[None])
+    values = _generalized_values(*_spectra_stack([spec_a, spec_l, spec_q])[:, None])
     top, best_m = _first_max(values)
     return _bound_values(_GENERALIZED_IDS, top.T, best_m.T)[0]
 
@@ -301,32 +322,32 @@ def _sweep_column(values: np.ndarray) -> list[float | None]:
 
 
 def generalized_sweep(
-    spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum
+    spec_a: np.ndarray, spec_l: np.ndarray, spec_q: np.ndarray
 ) -> dict[BoundId, list[float | None]]:
     """Per-m values for the generalized bounds; None marks inadmissible m."""
 
-    values = _generalized_values(spec_a.values[None], spec_l.values[None], spec_q.values[None])
+    values = _generalized_values(*_spectra_stack([spec_a, spec_l, spec_q])[:, None])
     return {bound_id: _sweep_column(sweep[0]) for bound_id, sweep in zip(_GENERALIZED_IDS, values)}
 
 
-def normalized_bounds(spec_na: Spectrum) -> list[BoundValue]:
+def normalized_bounds(spec_na: np.ndarray) -> list[BoundValue]:
     """Bounds from the normalized adjacency spectrum alone."""
 
-    return _bound_values(_NORMALIZED_IDS, *_normalized_columns(spec_na.values[None]))[0]
+    return _bound_values(_NORMALIZED_IDS, *_normalized_columns(_spectra_stack([spec_na])))[0]
 
 
-def normalized_sweep(spec_na: Spectrum) -> list[float | None]:
+def normalized_sweep(spec_na: np.ndarray) -> list[float | None]:
     """Per-m values of the generalized normalized bound; None marks inadmissible m."""
 
-    return _sweep_column(_normalized_values(spec_na.values[None])[0])
+    return _sweep_column(_normalized_values(_spectra_stack([spec_na]))[0])
 
 
 def chain_bounds(
-    spec_a: Spectrum, spec_l: Spectrum, spec_q: Spectrum, n: int
+    spec_a: np.ndarray, spec_l: np.ndarray, spec_q: np.ndarray, n: int
 ) -> list[BoundValue]:
-    """Three successively weaker closed-form bounds kept for comparisons."""
+    """Three successively weaker closed-form bounds kept for comparisons, on n-entry spectra."""
 
-    values = _chain_values(spec_a.values[None], spec_l.values[None], spec_q.values[None], n)
+    values = _chain_values(*_spectra_stack([spec_a, spec_l, spec_q], n)[:, None], n)
     return _bound_values(_CHAIN_IDS, values)[0]
 
 
@@ -465,7 +486,7 @@ def _integer_c(
 
 
 def integer_c_search(
-    g: Graph, *, spec_a: Spectrum, spec_l: Spectrum, spec_negdeg: Spectrum
+    g: Graph, *, spec_a: np.ndarray, spec_l: np.ndarray, spec_negdeg: np.ndarray
 ) -> BoundValue:
     """Integer lower bound: max over candidates and m of the smallest valid c.
 
@@ -478,18 +499,13 @@ def integer_c_search(
     spec_l, the Laplacian spectrum, for B = D, and spec_negdeg, the
     spectrum of -D - A, for B = -D (full_reports derives it from the Q
     spectrum with negated_spectra). No spectrum is solved here, only the
-    probes.
+    probes. The spectra have g.n entries each.
     """
 
+    mu, th, negdeg = _spectra_stack([spec_a, spec_l, spec_negdeg], g.n)[:, None]
     if g.edge_count < 1:
         raise DomainError("integer search needs at least one edge")
-    best, best_m = _integer_c(
-        adjacency_stack([g]),
-        spec_a.values[None],
-        spec_l.values[None],
-        spec_negdeg.values[None],
-        np.zeros(1, dtype=np.int64),
-    )
+    best, best_m = _integer_c(adjacency_stack([g]), mu, th, negdeg, np.zeros(1, dtype=np.int64))
     return BoundValue(BoundId.INTEGER_C, float(best[0]), best_m=int(best_m[0]))
 
 
@@ -512,7 +528,7 @@ class BoundReport:
     best_m_row: np.ndarray
 
     @cached_property
-    def spectra(self) -> Mapping[GraphMatrixKind, Spectrum]:
+    def spectra(self) -> Mapping[GraphMatrixKind, np.ndarray]:
         """The bounds' spectra: {} without an edge, no normalized A with an isolated vertex."""
 
         g = self.graph
@@ -623,10 +639,13 @@ def report_spectra(graphs: Sequence[Graph]) -> np.ndarray:
     return np.stack(_spectra_rows(graphs, _report_spectra), axis=1)
 
 
-def graph_spectra(g: Graph, kinds: Sequence[GraphMatrixKind]) -> dict[GraphMatrixKind, Spectrum]:
+def graph_spectra(
+    g: Graph, kinds: Sequence[GraphMatrixKind]
+) -> dict[GraphMatrixKind, np.ndarray]:
     """g's spectra of the given kinds, each solved on first demand as a batch of one and kept on g.
 
-    Each Spectrum holds a row checked when it was solved, unchecked again.
+    Each is a read-only row of g's cached array, checked when it was
+    solved and handed out without a copy.
     """
 
     rows = {}
@@ -634,7 +653,7 @@ def graph_spectra(g: Graph, kinds: Sequence[GraphMatrixKind]) -> dict[GraphMatri
         rows[GraphMatrixKind.NORMALIZED_ADJACENCY] = _spectra_rows([g], _normalized_spectra)[0]
     if any(kind in UNNORMALIZED_KINDS for kind in kinds):
         rows.update(zip(UNNORMALIZED_KINDS, _spectra_rows([g], _report_spectra)[0]))
-    return {kind: Spectrum.checked_row(rows[kind]) for kind in kinds}
+    return {kind: rows[kind] for kind in kinds}
 
 
 def _edged_reports(

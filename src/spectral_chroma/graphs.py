@@ -627,9 +627,9 @@ def generate_from_spec(spec: str) -> Graph:
 
     Grammar: family or family(args). Integer args are comma-separated,
     and a family of integer args is one row of _INTEGER_FAMILIES: its
-    builder and arity. circulant separates n from its connection set
-    with a semicolon; the mycielskian takes a nested spec as its single
-    argument; petersen takes none.
+    builder and arity. circulant separates n from its connection set,
+    one or more offsets, with a semicolon; the mycielskian takes a
+    nested spec as its single argument; petersen takes none.
     """
 
     m = _GENERATOR_SPEC.match(spec)
@@ -644,7 +644,9 @@ def generate_from_spec(spec: str) -> Graph:
                 f"circulant spec must read circulant(n;s1,s2,...), got {spec!r}"
             )
         head, tail = args.split(";", 1)
-        n, *offsets = _integers(spec, [head] + [tok for tok in tail.split(",") if tok.strip()])
+        if not tail.strip():
+            raise DomainError(f"circulant needs offsets in {spec!r}")
+        n, *offsets = _integers(spec, [head, *tail.split(",")])
         return circulant(n, offsets)
     if name == "mycielskian":
         if not has_args:

@@ -5,12 +5,15 @@ goes through spectra_batch, one solve per (G, n, n) stack, or is
 derived from a solved one by negated_spectra; each integer-search probe
 goes through eigenvalues_batch. Every eigenvalue vector returned here is
 checked against its trace, and spectra_batch's against residuals too.
+
+A spectrum is a float64 row sorted non-increasing; check_spectra checks
+a (G, n) array of them once, and eigenvalues_sym returns a checked
+read-only row.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -27,43 +30,12 @@ SOUNDNESS_SLACK = 1e-6  # corpus-check: sound when ceil(bound - slack) <= chi
 CERT_RESIDUAL_LIMIT = 1e-10  # corpus-check: certified below this conversion residual
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted non-increasing.
-
-    Constructing one checks its values. check_spectra checks a whole
-    array of them once, and checked_row wraps a row of such an array
-    without checking it again.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).copy()
-        if v.ndim != 1:
-            raise DomainError("spectrum needs a nonempty 1-d value vector")
-        check_spectra(v[None])
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def checked_row(cls, row: np.ndarray) -> Spectrum:
-        """A Spectrum holding row itself: a read-only row of an array that passed check_spectra."""
-
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "values", row)
-        return spec
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def __len__(self) -> int:
-        return self.n
-
-
 def check_spectra(w: np.ndarray) -> None:
-    """The checks of Spectrum on every row of a (G, n) array at once, with its errors."""
+    """Check a (G, n) array of spectra at once: n >= 1, finite, rows sorted non-increasing.
+
+    A failure raises DomainError; finiteness is checked before order,
+    over the whole array.
+    """
 
     if w.ndim != 2 or w.shape[1] < 1:
         raise DomainError("spectrum needs a nonempty 1-d value vector")
@@ -196,14 +168,17 @@ def matrices_named(name: Callable[[int], str]) -> Iterator[None]:
         raise NumericError(f"{name(exc.matrix)}: {exc.detail}") from None
 
 
-def eigenvalues_sym(a: np.ndarray) -> Spectrum:
-    """Full spectrum of a real symmetric matrix, sorted non-increasing.
+def eigenvalues_sym(a: np.ndarray) -> np.ndarray:
+    """Full spectrum of a real symmetric matrix: a read-only row sorted non-increasing.
 
     The solve is spectra_batch on a stack of one, with the same
-    residual and trace validation.
+    residual and trace validation, and its row passes check_spectra.
     """
 
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return Spectrum(spectra_batch(a[None])[0])
+    w = spectra_batch(a[None])
+    check_spectra(w)
+    w.setflags(write=False)
+    return w[0]

@@ -27,7 +27,7 @@ from spectral_chroma.linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
     UNITARY_TOL,
-    Spectrum,
+    check_spectra,
     eigenvalues_sym,
 )
 from spectral_chroma.oracle import Coloring
@@ -63,13 +63,14 @@ def random_hermitian(n: int, seed: int) -> np.ndarray:
     return symmetrize(raw)
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> Spectrum:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Spectrum of a (possibly complex) Hermitian matrix, sorted non-increasing.
 
     Accepts numerically Hermitian input: the anti-Hermitian part must be
     below SPECTRUM_TOL * max(1, ||A||_F) and is projected away before
     solving. Real input goes through eigenvalues_sym; complex input has
     its eigenvalue sum checked against the trace to the same tolerance.
+    Either way the result is a read-only row that passed check_spectra.
     """
 
     a = np.asarray(a)
@@ -91,7 +92,10 @@ def hermitian_eigenvalues(a: np.ndarray) -> Spectrum:
     tr = float(np.trace(h).real)
     if not abs(float(w.sum()) - tr) <= SPECTRUM_TOL * max(1.0, abs(tr)):  # NaN fails
         raise NumericError("Hermitian eigenvalue sum disagrees with the trace")
-    return Spectrum(w[::-1])
+    spec = w[::-1].copy()
+    check_spectra(spec[None])
+    spec.setflags(write=False)
+    return spec
 
 
 def _check_m(m: int, n: int) -> int:
@@ -102,11 +106,11 @@ def _check_m(m: int, n: int) -> int:
     return int(m)
 
 
-def ky_fan(spec: Spectrum, m: int) -> float:
-    """Sum of the m largest eigenvalues (1-based m)."""
+def ky_fan(spec: np.ndarray, m: int) -> float:
+    """Sum of the m largest eigenvalues of a spectrum (1-based m)."""
 
-    m = _check_m(m, spec.n)
-    return float(spec.values[:m].sum())
+    m = _check_m(m, spec.size)
+    return float(spec[:m].sum())
 
 
 # --------------------------------------------------------------------------
@@ -150,7 +154,7 @@ def reference_build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     return np.diag(deg.astype(np.float64)) + a
 
 
-def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> Spectrum:
+def graph_spectrum(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     """Spectrum of one of a graph's derived matrices, solved on its own."""
 
     return eigenvalues_sym(reference_build_matrix(g, kind))

@@ -74,7 +74,6 @@ from spectral_chroma.graphs import (
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
-    Spectrum,
     frobenius_norms,
     spectra_batch,
 )
@@ -84,7 +83,7 @@ from spectral_chroma.oracle import Coloring, all_graphs
 # references
 
 
-def reference_eigenvalues_sym(a) -> Spectrum:
+def reference_eigenvalues_sym(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
@@ -102,7 +101,7 @@ def reference_eigenvalues_sym(a) -> Spectrum:
     tr = float(np.trace(a))
     if abs(float(w.sum()) - tr) > SPECTRUM_TOL * max(1.0, abs(tr)):
         raise NumericError("eigenvalue sum disagrees with the trace")
-    return Spectrum(w[::-1])
+    return w[::-1]
 
 
 # the per-graph bound families and integer search that full_reports'
@@ -116,10 +115,7 @@ def reference_ratio_bound(bound_id: BoundId, numerator: float, denominator: floa
     return BoundValue(bound_id, 1.0 + numerator / denominator)
 
 
-def reference_classical_bounds(spec_a, spec_l, spec_q) -> list[BoundValue]:
-    mu = spec_a.values
-    th = spec_l.values
-    dl = spec_q.values
+def reference_classical_bounds(mu, th, dl) -> list[BoundValue]:
     mu1, mun = float(mu[0]), float(mu[-1])
     if mu1 <= PROPERTY_TOL:
         return [
@@ -140,7 +136,7 @@ def reference_loan_bound(g: Graph, spec_q) -> BoundValue:
     if g.edge_count < 1:
         return invalid_bound(BoundId.LOAN)
     two_e = 2.0 * g.edge_count
-    delta_n = float(spec_q.values[-1])
+    delta_n = float(spec_q[-1])
     return reference_ratio_bound(BoundId.LOAN, two_e, two_e - g.n * delta_n)
 
 
@@ -162,10 +158,7 @@ def reference_sweep_column(values) -> list:
     return np.where(values == -np.inf, None, values).tolist()
 
 
-def reference_generalized_values(spec_a, spec_l, spec_q) -> dict:
-    mu = spec_a.values
-    th = spec_l.values
-    dl = spec_q.values
+def reference_generalized_values(mu, th, dl) -> dict:
     top_mu = np.cumsum(mu)
     bottom_mu = np.cumsum(mu[::-1])
     bottom_th = np.cumsum(th[::-1])
@@ -196,15 +189,14 @@ def reference_generalized_sweep(spec_a, spec_l, spec_q) -> dict:
     return {bound_id: reference_sweep_column(column) for bound_id, column in values.items()}
 
 
-def reference_normalized_values(spec_na):
-    mu = spec_na.values
+def reference_normalized_values(mu):
     values = reference_ratio_sweep(np.cumsum(mu), -np.cumsum(mu[::-1]))
     values[-1] = -np.inf  # 0/0 at m = n
     return values
 
 
 def reference_normalized_bounds(spec_na) -> list[BoundValue]:
-    hoffman = reference_ratio_bound(BoundId.NORMALIZED_HOFFMAN, 1.0, -float(spec_na.values[-1]))
+    hoffman = reference_ratio_bound(BoundId.NORMALIZED_HOFFMAN, 1.0, -float(spec_na[-1]))
     gen = reference_sweep_max(BoundId.GEN_NORMALIZED_HOFFMAN, reference_normalized_values(spec_na))
     return [hoffman, gen]
 
@@ -214,9 +206,9 @@ def reference_normalized_sweep(spec_na) -> list:
 
 
 def reference_chain_bounds(spec_a, spec_l, spec_q, n: int) -> list[BoundValue]:
-    mu1 = float(spec_a.values[0])
-    th1 = float(spec_l.values[0])
-    dl1 = float(spec_q.values[0])
+    mu1 = float(spec_a[0])
+    th1 = float(spec_l[0])
+    dl1 = float(spec_q[0])
     if mu1 <= PROPERTY_TOL:
         return [
             invalid_bound(BoundId.KOLOTILINA_CHAIN_317),
@@ -230,8 +222,7 @@ def reference_chain_bounds(spec_a, spec_l, spec_q, n: int) -> list[BoundValue]:
     ]
 
 
-def reference_zero_minima(spec_a):
-    mu = spec_a.values
+def reference_zero_minima(mu):
     # m < n only: at m = n both partial sums are the trace
     slack = PROPERTY_TOL - np.cumsum(mu[::-1])[:-1]
     if (slack <= 0).any():
@@ -274,10 +265,10 @@ def reference_integer_c_search(g: Graph, *, spec_a, spec_l, spec_negdeg) -> Boun
     best_m = int(zero.argmax()) + 1
     if best < n:
         d = np.diag(g.degrees().astype(np.float64))
-        best, best_m = reference_raise_best(d, a, spec_l.values, best, best_m)
+        best, best_m = reference_raise_best(d, a, spec_l, best, best_m)
         if best < n:
             np.negative(d, out=d)
-            best, best_m = reference_raise_best(d, a, spec_negdeg.values, best, best_m)
+            best, best_m = reference_raise_best(d, a, spec_negdeg, best, best_m)
         del d
     return BoundValue(BoundId.INTEGER_C, float(best), best_m=best_m)
 
@@ -333,13 +324,13 @@ def reference_full_report(g: Graph, spectra) -> tuple:
     return g6, g.n, g.edge_count, spectra, tuple(values), reference_display_map(values)
 
 
-def reference_negated(spec: Spectrum) -> Spectrum:
+def reference_negated(spec: np.ndarray) -> np.ndarray:
     """The spectrum of -M from that of M."""
 
-    return Spectrum(-spec.values[::-1])
+    return -spec[::-1]
 
 
-def reference_negdeg_spectrum(g: Graph) -> Spectrum:
+def reference_negdeg_spectrum(g: Graph) -> np.ndarray:
     """-Q = -D - A, derived from the validated Q spectrum."""
 
     q = build_matrix(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
@@ -404,9 +395,7 @@ def reference_loan_identity(g: Graph, col: Coloring) -> LoanIdentities:
     tol = CONVERSION_TOL * c * max(1.0, float(np.linalg.norm(q, "fro")))
     avg = 2.0 * g.edge_count / n
     rayleigh = float(np.real(v @ a @ v))
-    delta_n = float(
-        reference_eigenvalues_sym(q).values[-1]
-    )
+    delta_n = float(reference_eigenvalues_sym(q)[-1])
     minima = np.array(conj_values)
     return LoanIdentities(
         identity_residual=residual,
@@ -448,7 +437,7 @@ def reference_certify_graph(g: Graph, col: Coloring) -> Certification:
     steps = {
         "zero": reference_majorization_step(
             a, np.zeros_like(a), col,
-            reference_negated(spec_a), Spectrum(spec_a.values / (col.c - 1)),
+            reference_negated(spec_a), spec_a / (col.c - 1),
         ),
         "deg": reference_majorization_step(
             a, deg, col, reference_eigenvalues_sym(deg - a), reference_eigenvalues_sym(deg + scaled)
@@ -475,7 +464,7 @@ def _values_key(values) -> tuple:
 
 
 def _spectra_key(spectra) -> tuple:
-    return tuple((kind, _bits(spec.values)) for kind, spec in spectra.items())
+    return tuple((kind, _bits(spec)) for kind, spec in spectra.items())
 
 
 def _sweep_key(column) -> tuple:
@@ -812,8 +801,8 @@ class TestSolveCounts:
             normal = [GraphMatrixKind.NORMALIZED_ADJACENCY] if g.degrees().all() else []
             assert list(found) == kinds + normal
             for kind, rows in zip(kinds, unnormalized[:, k]):
-                assert _bits(found[kind].values) == _bits(rows)
-            assert all(not spec.values.flags.writeable for spec in found.values())
+                assert _bits(found[kind]) == _bits(rows)
+            assert all(not spec.flags.writeable for spec in found.values())
         assert any(GraphMatrixKind.NORMALIZED_ADJACENCY in found for found in spectra)
         assert any(found == {} for found in spectra)
 
@@ -828,7 +817,7 @@ class TestSpectraBatch:
         rows = spectra_batch(stack)
         assert rows.shape == (5, 6) and rows.flags.c_contiguous
         for matrix, row in zip(stack, rows):
-            assert _bits(row) == _bits(reference_eigenvalues_sym(matrix).values)
+            assert _bits(row) == _bits(reference_eigenvalues_sym(matrix))
 
     def test_asymmetric_matrix_named(self):
         stack = np.stack([random_hermitian(4, s) for s in range(4)])
@@ -1036,7 +1025,7 @@ class TestProbeStacks:
             diagonals = np.repeat(rng.standard_normal((len(graphs), 1)), n, axis=1)
         a = np.stack([g.adjacency() for g in graphs])
         b = np.stack([np.diag(row) for row in diagonals])
-        lhs = np.stack([reference_eigenvalues_sym(bk - ak).values for bk, ak in zip(b, a)])
+        lhs = np.stack([reference_eigenvalues_sym(bk - ak) for bk, ak in zip(b, a)])
         best, best_m = np.full(len(graphs), 2), np.ones(len(graphs), dtype=np.int64)
         got = bounds._raise_best(diagonals, a, lhs, best, best_m, np.arange(len(graphs)))
         expected = [reference_raise_best(bk, ak, lk, 2, 1) for bk, ak, lk in zip(b, a, lhs)]

@@ -50,7 +50,6 @@ from spectral_chroma.graphs import (
 )
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
-    Spectrum,
     eigenvalues_sym,
     negated_spectra,
 )
@@ -378,7 +377,7 @@ def search_spectra(g):
     return {
         "spec_a": graph_spectrum(g, GraphMatrixKind.ADJACENCY),
         "spec_l": graph_spectrum(g, GraphMatrixKind.LAPLACIAN),
-        "spec_negdeg": Spectrum(negated_spectra(spec_q.values)),
+        "spec_negdeg": negated_spectra(spec_q),
     }
 
 
@@ -393,6 +392,33 @@ def raise_best(b, a, lhs_values, best, best_m):
         b[None], a[None], lhs_values[None], np.array([best]), np.array([best_m]), np.zeros(1, int)
     )
     return int(best[0]), int(best_m[0])
+
+
+class TestSpectraThatDoNotFit:
+    """A family function refuses spectra of unequal lengths, or of a length other than n."""
+
+    def test_unequal_lengths_refused(self):
+        sa = spectra(complete(3))[0]
+        _, sl, sq = spectra(complete(4))
+        message = r"spectra must have one length, got lengths \[3, 4, 4\]"
+        for family in (classical_bounds, generalized_bounds, generalized_sweep):
+            with pytest.raises(DomainError, match=message):
+                family(sa, sl, sq)
+        with pytest.raises(DomainError, match=r"length n = 3, got lengths \[3, 4, 4\]"):
+            chain_bounds(sa, sl, sq, 3)
+
+    def test_chain_length_must_be_n(self):
+        sa, sl, sq = spectra(complete(3))
+        with pytest.raises(DomainError, match=r"length n = 5, got lengths \[3, 3, 3\]"):
+            chain_bounds(sa, sl, sq, 5)
+
+    def test_integer_c_lengths_must_be_g_n(self):
+        g = complete(3)
+        four = search_spectra(complete(4))
+        with pytest.raises(DomainError, match=r"length n = 3, got lengths \[3, 4, 4\]"):
+            integer_c_search(g, **{**four, "spec_a": search_spectra(g)["spec_a"]})
+        with pytest.raises(DomainError, match=r"length n = 3, got lengths \[4, 4, 4\]"):
+            integer_c_search(g, **four)
 
 
 class TestIntegerC:
@@ -424,7 +450,7 @@ class TestIntegerC:
         base = search(g)
         a = g.adjacency()
         running = (int(base.value), base.best_m)
-        assert raise_best(np.zeros(5), a, eigenvalues_sym(-a).values, *running) == running
+        assert raise_best(np.zeros(5), a, eigenvalues_sym(-a), *running) == running
 
     def test_equals_full_report(self):
         for g in (petersen(), sun(8), random_gnp(30, 0.5, 4)):
@@ -526,7 +552,7 @@ def full_scan_minima(g, extra_b=None):
     cs = np.arange(2, n + 1)
     out = {}
     for name, b in candidates.items():
-        lhs = np.cumsum(eigenvalues_sym(b - a).values)
+        lhs = np.cumsum(eigenvalues_sym(b - a))
         stack = b[None, :, :] + a[None, :, :] / (cs - 1)[:, None, None]
         rhs = np.cumsum(np.linalg.eigvalsh(stack)[:, ::-1], axis=1)
         satisfied = lhs[None, :] >= rhs - PROPERTY_TOL
@@ -599,7 +625,7 @@ class TestIntegerCSearchMatchesFullScan:
         column = full_scan_minima(g, extra_b=np.diag(b))["extra"]
         top = max(column)
         assert top > 2 and (top == 24) == (extra_kind == "complete")
-        lhs_values = eigenvalues_sym(np.diag(b) - a).values
+        lhs_values = eigenvalues_sym(np.diag(b) - a)
         assert raise_best(b, a, lhs_values, 2, 1) == (top, column.index(top) + 1)
 
     def test_memory_is_quadratic(self):
@@ -646,7 +672,7 @@ class TestIntegerCSearchMatchesFullScan:
         # climbs from 2 to n, where a scan upward would solve about n matrices
         shapes.clear()
         a = complete(n).adjacency()
-        assert raise_best(np.zeros(n), a, eigenvalues_sym(-a).values, 2, 1) == (n, 1)
+        assert raise_best(np.zeros(n), a, eigenvalues_sym(-a), 2, 1) == (n, 1)
         assert shapes and all(shape == (1, n, n) for shape in shapes)
         assert len(shapes) <= per_candidate
         # a corpus chunk makes one probe call per round for all its open
@@ -804,8 +830,8 @@ class TestDominanceInvariants:
             return
         sa = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
         sq = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
-        mu1 = float(sa.values[0])
-        delta_n = float(sq.values[-1])
+        mu1 = float(sa[0])
+        delta_n = float(sq[-1])
         avg = 2.0 * g.edge_count / g.n
         loan = full_report(g).value(BoundId.LOAN)
         if loan.valid and mu1 - delta_n > PROPERTY_TOL:

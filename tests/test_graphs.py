@@ -308,6 +308,10 @@ class TestGeneratorSpecs:
             ("windmill(3)", "generator spec 'windmill(3)' expects 2 integer argument(s), got 1"),
             ("cycle(5,x)", "non-integer argument in generator spec 'cycle(5,x)'"),
             ("circulant(x;1)", "non-integer argument in generator spec 'circulant(x;1)'"),
+            # an empty offset is refused, not dropped, as in the integer families
+            ("circulant(8;1,,2)", "non-integer argument in generator spec 'circulant(8;1,,2)'"),
+            ("circulant(8;)", "circulant needs offsets in 'circulant(8;)'"),
+            ("circulant(8; )", "circulant needs offsets in 'circulant(8; )'"),
             ("petersen(1)", "petersen takes no arguments"),
             (
                 "complete_multipartite()",

@@ -5,8 +5,6 @@ test-side helpers of paper_lemmas; their tests live here with the
 solver they feed.
 """
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -19,6 +17,13 @@ from paper_lemmas import (
     symmetrize,
 )
 
+from spectral_chroma.bounds import (
+    classical_bounds,
+    full_report,
+    graph_spectra,
+    normalized_bounds,
+    normalized_sweep,
+)
 from spectral_chroma.errors import DomainError, NumericError
 from spectral_chroma.graphs import (
     GraphMatrixKind,
@@ -31,7 +36,6 @@ from spectral_chroma.graphs import (
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
-    Spectrum,
     check_spectra,
     eigenvalues_sym,
     spectra_batch,
@@ -41,32 +45,51 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 class TestSpectrumType:
+    """A spectrum is a float64 row sorted non-increasing, held to that where it enters.
+
+    eigenvalues_sym returns one; check_spectra checks an array of them,
+    and a family function the spectra it is handed.
+    """
+
     def test_sorted_enforced(self):
         with pytest.raises(DomainError, match="sorted"):
-            Spectrum(np.array([1.0, 2.0]))
+            check_spectra(np.array([[1.0, 2.0]]))
+        with pytest.raises(DomainError, match="sorted"):
+            normalized_bounds(np.array([1.0, 2.0]))
 
     def test_values_read_only(self):
-        s = Spectrum(np.array([2.0, 1.0]))
+        s = eigenvalues_sym(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):
-            s.values[0] = 5.0
+            s[0] = 5.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
-            Spectrum(np.array([np.inf, 0.0]))
+            check_spectra(np.array([[np.inf, 0.0]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            normalized_sweep(np.array([np.inf, 0.0]))
 
     def test_len(self):
-        assert len(Spectrum(np.array([3.0, 1.0, 0.0]))) == 3
+        assert len(eigenvalues_sym(np.diag([0.0, 3.0, 1.0]))) == 3
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
-            Spectrum(np.array([1.0, np.nan, 0.0]))
+            check_spectra(np.array([[1.0, np.nan, 0.0]]))
+        row = np.array([1.0, 0.0, -1.0])
+        with pytest.raises(DomainError, match="non-finite"):
+            classical_bounds(row, row, np.array([1.0, np.nan, 0.0]))
 
-    def test_values_is_the_only_field(self):
-        assert [f.name for f in fields(Spectrum)] == ["values"]
+    def test_spectrum_is_a_plain_row(self):
+        spec = eigenvalues_sym(np.diag([0.0, 3.0, 1.0]))
+        assert type(spec) is np.ndarray and spec.dtype == np.float64
+        assert spec.tolist() == [3.0, 1.0, 0.0]
+        # a family function takes nothing but a nonempty 1-d row
+        for bad in (np.zeros((1, 3)), np.zeros(0), 2.0):
+            with pytest.raises(DomainError, match="nonempty 1-d"):
+                normalized_bounds(bad)
 
 
 class TestSpectrumRows:
-    """check_spectra checks a (G, n) array once, as Spectrum(row) checks each row."""
+    """check_spectra checks a (G, n) array once, as a family function checks each spectrum."""
 
     @staticmethod
     def error(build):
@@ -80,37 +103,43 @@ class TestSpectrumRows:
     )
     def test_bad_row_raises_the_spectrum_error(self, bad_row):
         w = np.array([[3.0, 1.0, 0.0], bad_row, [1.0, 1.0, 1.0]])
-        assert self.error(lambda: check_spectra(w)) == self.error(lambda: Spectrum(w[1]))
+        assert self.error(lambda: check_spectra(w)) == self.error(lambda: normalized_bounds(w[1]))
 
     def test_non_finite_reported_before_order(self):
-        # Spectrum checks finiteness first; a later unsorted row must not win
+        # finiteness is checked first; a later unsorted row must not win
         w = np.array([[1.0, 2.0], [np.nan, 0.0]])
         assert self.error(lambda: check_spectra(w)) == "spectrum contains non-finite values"
+        assert self.error(lambda: classical_bounds(w[0], w[1], w[1])) == (
+            "spectrum contains non-finite values"
+        )
 
     @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 2, 2)])
     def test_shape_rejected(self, shape):
         with pytest.raises(DomainError, match="nonempty 1-d"):
             check_spectra(np.zeros(shape))
 
-    def test_rows_are_read_only_copies(self):
-        # checked_row holds the row itself, so the array is made read-only first
-        w = spectra_batch(np.stack([random_hermitian(5, s) for s in range(3)]))
-        check_spectra(w)
-        w.setflags(write=False)
-        for row in w:
-            spec = Spectrum.checked_row(row)
-            assert spec.values is row
-            assert spec.values.tobytes() == Spectrum(row).values.tobytes()
-            assert spec.n == 5 and not spec.values.flags.writeable
+    def test_cached_rows_are_handed_out_read_only(self):
+        # graph_spectra and report.spectra hand out the rows the graph keeps, not copies
+        g = petersen()
+        kinds = list(GraphMatrixKind)
+        found = graph_spectra(g, kinds)
+        spectra = full_report(g).spectra
+        assert list(spectra) == kinds
+        for kind in kinds:
+            row = found[kind]
+            assert row.shape == (g.n,) and not row.flags.writeable
+            assert np.shares_memory(row, spectra[kind])
+            assert np.shares_memory(row, graph_spectra(g, [kind])[kind])
+            check_spectra(row[None])
             with pytest.raises(ValueError):
-                spec.values[0] = 0.0
+                row[0] = 0.0
 
 
 class TestEigenvaluesSym:
     def test_complete_graph_spectrum(self):
         spec = graph_spectrum(complete(6), GraphMatrixKind.ADJACENCY)
-        assert abs(spec.values[0] - 5.0) <= SPECTRUM_TOL
-        assert np.allclose(spec.values[1:], -1.0, atol=SPECTRUM_TOL)
+        assert abs(spec[0] - 5.0) <= SPECTRUM_TOL
+        assert np.allclose(spec[1:], -1.0, atol=SPECTRUM_TOL)
 
     def test_petersen_spectrum_against_polynomial(self):
         # Independent route: A is annihilated by (A-3I)(A-I)(A+2I), and the
@@ -121,12 +150,12 @@ class TestEigenvaluesSym:
         assert np.abs(annihilated).max() <= 1e-9
         spec = graph_spectrum(petersen(), GraphMatrixKind.ADJACENCY)
         expected = np.array([3.0] + [1.0] * 5 + [-2.0] * 4)
-        assert np.allclose(spec.values, expected, atol=SPECTRUM_TOL)
+        assert np.allclose(spec, expected, atol=SPECTRUM_TOL)
 
     def test_laplacian_kernel(self):
         for g in [petersen(), cycle(7), random_gnp(12, 0.5, 3)]:
             spec = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
-            assert abs(spec.values[-1]) <= SPECTRUM_TOL
+            assert abs(spec[-1]) <= SPECTRUM_TOL
 
     def test_non_finite_rejected(self):
         a = np.array([[0.0, np.nan], [np.nan, 0.0]])
@@ -141,7 +170,7 @@ class TestEigenvaluesSym:
     def test_symmetrize_makes_input_acceptable(self):
         a = np.array([[0.0, 1.0], [0.5, 0.0]])
         spec = eigenvalues_sym(symmetrize(a))
-        assert np.allclose(spec.values, [0.75, -0.75], atol=SPECTRUM_TOL)
+        assert np.allclose(spec, [0.75, -0.75], atol=SPECTRUM_TOL)
 
     @seed(3)
     @given(seeds)
@@ -149,7 +178,7 @@ class TestEigenvaluesSym:
     def test_trace_matches_sum(self, s):
         a = random_hermitian(7, s)
         spec = eigenvalues_sym(a)
-        assert abs(spec.values.sum() - np.trace(a)) <= SPECTRUM_TOL * max(
+        assert abs(spec.sum() - np.trace(a)) <= SPECTRUM_TOL * max(
             1.0, abs(np.trace(a))
         )
 
@@ -165,14 +194,14 @@ class TestKyFan:
         assert abs(ky_fan(spec, 2) - 1.0) <= SPECTRUM_TOL
 
     def test_m_out_of_range(self):
-        spec = Spectrum(np.array([1.0, 0.0]))
+        spec = np.array([1.0, 0.0])
         for bad in (0, 3, -1):
             with pytest.raises(DomainError):
                 ky_fan(spec, bad)
 
     def test_prefix_sums_consistent(self):
         spec = eigenvalues_sym(random_hermitian(9, 5))
-        sums = np.cumsum(spec.values)
+        sums = np.cumsum(spec)
         for m in range(1, 10):
             assert abs(sums[m - 1] - ky_fan(spec, m)) <= 1e-12
         # concavity in m: increments are the sorted eigenvalues
@@ -222,7 +251,7 @@ class TestConjugate:
         y = np.conj(phases)[:, None] * x * phases[None, :]  # U^dag X U, U diagonal
         sx = eigenvalues_sym(x)
         sy = hermitian_eigenvalues(y)
-        assert np.allclose(sx.values, sy.values, atol=PROPERTY_TOL)
+        assert np.allclose(sx, sy, atol=PROPERTY_TOL)
 
 
 class TestComplexHermitian:
@@ -301,8 +330,8 @@ class TestGraphSpectraRelations:
     @settings(max_examples=60, deadline=None)
     def test_signless_dominates_doubled_adjacency(self, n, s):
         g = random_gnp(n, 0.5, s)
-        mu = graph_spectrum(g, GraphMatrixKind.ADJACENCY).values
-        dl = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN).values
+        mu = graph_spectrum(g, GraphMatrixKind.ADJACENCY)
+        dl = graph_spectrum(g, GraphMatrixKind.SIGNLESS_LAPLACIAN)
         assert (dl >= 2 * mu - PROPERTY_TOL).all()
 
     @seed(9)
@@ -310,7 +339,7 @@ class TestGraphSpectraRelations:
     @settings(max_examples=60, deadline=None)
     def test_laplacian_bounded_by_n(self, n, s):
         g = random_gnp(n, 0.5, s)
-        theta = graph_spectrum(g, GraphMatrixKind.LAPLACIAN).values
+        theta = graph_spectrum(g, GraphMatrixKind.LAPLACIAN)
         assert theta[0] <= n + PROPERTY_TOL
         assert abs(theta[-1]) <= PROPERTY_TOL
 
@@ -321,5 +350,5 @@ class TestGraphSpectraRelations:
         g = random_gnp(n, 0.7, s)
         if (g.degrees() == 0).any():
             return
-        mu = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY).values
+        mu = graph_spectrum(g, GraphMatrixKind.NORMALIZED_ADJACENCY)
         assert abs(mu[0] - 1.0) <= PROPERTY_TOL
