@@ -17,23 +17,24 @@ lockstep. full_reports evaluates each family once per batch;
 full_report and the per-family functions (classical_bounds,
 generalized_bounds, ...) are the same code on a batch of one: a family
 function takes its spectra as 1-d arrays and checks them once, as one
-(K, n) stack (_spectra_stack). Every
-spectrum comes from one per-graph cache: each graph keeps the A, L and
-Q spectra (report_spectra) and, once a report or a sweep asks for it,
-the normalized A spectrum, each solved once from the matrix builders of
-graphs. full_reports, the sweep (graph_spectra) and certify_graphs read
-them there. The integer search's B = -D candidate reads the spectrum of
--Q = -D - A as negated_spectra of Q, whose eigenpairs, residuals and
-trace error are those of Q, so it passes the validation a solve of its
-own would have had to pass.
+(K, n) stack (_spectra_stack). Every spectrum comes from one per-graph
+cache: each graph keeps the A, L and Q spectra (report_spectra) and,
+once a report or a sweep asks for it, the normalized A spectrum
+(normalized_spectra), each solved once from the matrix builders of
+graphs. full_reports, the sweep and certify_graphs read the cache
+through those two accessors, and a report's spectra are its rows. The
+integer search's B = -D candidate reads the spectrum of -Q = -D - A as
+negated_spectra of Q, whose eigenpairs, residuals and trace error are
+those of Q, so it passes the validation a solve of its own would have
+had to pass.
 
 The checks run once per batch array too: each solved array of spectra
 passes linalg.check_spectra once and is kept read-only, and the
 (G, 15) bound values pass the rule of BoundValue (_check_bounds) once
 per batch. A report keeps its row of values and its row of best m; its
-BoundValue tuple (values), its graph6 id (graph_id) and its rounded
-display strings are computed on first read, and its spectra are the
-graph's cached rows themselves.
+BoundValue tuple (values) and its graph6 id (graph_id) are computed on
+first read, and its spectra are the graph's cached rows themselves. A
+bound's display text is BoundValue.display, one rule for every report.
 
 Invalid bounds (nonpositive denominators, edgeless graphs, isolated
 vertices for the normalized family) are reported as value 1 with
@@ -124,6 +125,14 @@ class BoundValue:
     def __post_init__(self) -> None:
         _check_bounds((self.id,), np.array([[self.value]]), np.array([[self.valid]]))
 
+    @property
+    def display(self) -> str:
+        """The printed text: a valid IntegerC as an integer, any other value by round_display."""
+
+        if self.id is BoundId.INTEGER_C and self.valid:
+            return str(int(self.value))
+        return round_display(self.value)
+
 
 def _check_bounds(ids: Sequence[BoundId], values: np.ndarray, valid: np.ndarray) -> None:
     """DomainError for the first valid bound below 1, or valid IntegerC not an integer >= 2.
@@ -183,24 +192,15 @@ def _first_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_values(
-    ids: Sequence[BoundId], row: Sequence[float], best_m: Sequence[int]
+    ids: Sequence[BoundId], row: np.ndarray, best_m: np.ndarray | None = None
 ) -> list[BoundValue]:
-    """One BoundValue per entry of a value row and its best m."""
+    """One BoundValue per entry of a value row and its best m, which defaults to 1."""
 
+    best_ms = [1] * len(ids) if best_m is None else best_m.tolist()
     return [
         invalid_bound(bound_id) if v == -np.inf else BoundValue(bound_id, v, best_m=m)
-        for bound_id, v, m in zip(ids, row, best_m)
+        for bound_id, v, m in zip(ids, row.tolist(), best_ms)
     ]
-
-
-def _bound_values(
-    ids: Sequence[BoundId], values: np.ndarray, best_m: np.ndarray | None = None
-) -> list[list[BoundValue]]:
-    """Per row of (G, len(ids)) arrays, one BoundValue per column; best_m defaults to 1."""
-
-    rows = values.tolist()
-    best_ms = [[1] * len(ids)] * len(rows) if best_m is None else best_m.tolist()
-    return [_row_values(ids, row, ms) for row, ms in zip(rows, best_ms)]
 
 
 def _generalized_values(mu: np.ndarray, th: np.ndarray, dl: np.ndarray) -> np.ndarray:
@@ -304,7 +304,7 @@ def classical_bounds(
 
     mu, th, dl = _spectra_stack([spec_a, spec_l, spec_q])[:, None]
     values = _classical_values(mu, _generalized_values(mu, th, dl))
-    return _bound_values(_CLASSICAL_IDS, values)[0]
+    return _row_values(_CLASSICAL_IDS, values[0])
 
 
 def generalized_bounds(
@@ -314,7 +314,7 @@ def generalized_bounds(
 
     values = _generalized_values(*_spectra_stack([spec_a, spec_l, spec_q])[:, None])
     top, best_m = _first_max(values)
-    return _bound_values(_GENERALIZED_IDS, top.T, best_m.T)[0]
+    return _row_values(_GENERALIZED_IDS, top[:, 0], best_m[:, 0])
 
 
 def _sweep_column(values: np.ndarray) -> list[float | None]:
@@ -333,7 +333,8 @@ def generalized_sweep(
 def normalized_bounds(spec_na: np.ndarray) -> list[BoundValue]:
     """Bounds from the normalized adjacency spectrum alone."""
 
-    return _bound_values(_NORMALIZED_IDS, *_normalized_columns(_spectra_stack([spec_na])))[0]
+    values, best_m = _normalized_columns(_spectra_stack([spec_na]))
+    return _row_values(_NORMALIZED_IDS, values[0], best_m[0])
 
 
 def normalized_sweep(spec_na: np.ndarray) -> list[float | None]:
@@ -348,7 +349,7 @@ def chain_bounds(
     """Three successively weaker closed-form bounds kept for comparisons, on n-entry spectra."""
 
     values = _chain_values(*_spectra_stack([spec_a, spec_l, spec_q], n)[:, None], n)
-    return _bound_values(_CHAIN_IDS, values)[0]
+    return _row_values(_CHAIN_IDS, values[0])
 
 
 # --------------------------------------------------------------------------
@@ -518,9 +519,8 @@ class BoundReport:
 
     value_row holds the bound values in BoundId order, -inf where a bound
     is invalid, and best_m_row the m of each; both are checked read-only
-    rows of their batch's arrays. values, graph_id and rounded_display
-    are computed from them and the graph on first read, and spectra from
-    the graph's cache.
+    rows of their batch's arrays. values and graph_id are computed from
+    them and the graph on first read, and spectra from the graph's cache.
     """
 
     graph: Graph
@@ -534,8 +534,11 @@ class BoundReport:
         g = self.graph
         if not g.edge_count:
             return {}
-        normal = (GraphMatrixKind.NORMALIZED_ADJACENCY,) if g.degrees().all() else ()
-        return graph_spectra(g, UNNORMALIZED_KINDS + normal)
+        spectra = dict(zip(UNNORMALIZED_KINDS, _spectra_rows([g], _report_spectra)[0]))
+        if g.degrees().all():
+            (na,) = _spectra_rows([g], _normalized_spectra)
+            spectra[GraphMatrixKind.NORMALIZED_ADJACENCY] = na
+        return spectra
 
     @property
     def n(self) -> int:
@@ -555,32 +558,13 @@ class BoundReport:
     def values(self) -> tuple[BoundValue, ...]:
         """One BoundValue per bound in BoundId order, computed on first read."""
 
-        return tuple(_row_values(_REPORT_IDS, self.value_row.tolist(), self.best_m_row.tolist()))
-
-    @cached_property
-    def rounded_display(self) -> Mapping[str, str]:
-        """Display string per bound name, computed on first read."""
-
-        return _display_map(self.values)
+        return tuple(_row_values(_REPORT_IDS, self.value_row, self.best_m_row))
 
     def value(self, bound_id: BoundId) -> BoundValue:
-        for v in self.values:
-            if v.id is bound_id:
-                return v
-        raise DomainError(f"report is missing {bound_id.value}")
+        return self.values[_REPORT_IDS.index(bound_id)]
 
     def display(self, bound_id: BoundId) -> str:
-        return self.rounded_display[bound_id.value]
-
-
-def _display_map(values: Sequence[BoundValue]) -> dict[str, str]:
-    out = {}
-    for v in values:
-        if v.id is BoundId.INTEGER_C and v.valid:
-            out[v.id.value] = str(int(v.value))
-        else:
-            out[v.id.value] = round_display(v.value)
-    return out
+        return self.value(bound_id).display
 
 
 def unnormalized_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -639,21 +623,14 @@ def report_spectra(graphs: Sequence[Graph]) -> np.ndarray:
     return np.stack(_spectra_rows(graphs, _report_spectra), axis=1)
 
 
-def graph_spectra(
-    g: Graph, kinds: Sequence[GraphMatrixKind]
-) -> dict[GraphMatrixKind, np.ndarray]:
-    """g's spectra of the given kinds, each solved on first demand as a batch of one and kept on g.
+def normalized_spectra(graphs: Sequence[Graph], index=None) -> np.ndarray:
+    """(G, n) normalized A spectra for graphs of one order, none with an isolated vertex.
 
-    Each is a read-only row of g's cached array, checked when it was
-    solved and handed out without a copy.
+    Solved once per graph like report_spectra, for full_reports and
+    sweep; a failed solve names index[k], k by default, for graph k.
     """
 
-    rows = {}
-    if GraphMatrixKind.NORMALIZED_ADJACENCY in kinds:
-        rows[GraphMatrixKind.NORMALIZED_ADJACENCY] = _spectra_rows([g], _normalized_spectra)[0]
-    if any(kind in UNNORMALIZED_KINDS for kind in kinds):
-        rows.update(zip(UNNORMALIZED_KINDS, _spectra_rows([g], _report_spectra)[0]))
-    return {kind: rows[kind] for kind in kinds}
+    return np.stack(_spectra_rows(graphs, _normalized_spectra, index))
 
 
 def _edged_reports(
@@ -675,8 +652,7 @@ def _edged_reports(
     normalized = np.full((len(graphs), 2), -np.inf)
     normalized_m = np.ones(normalized.shape, dtype=np.int64)
     if normal.size:
-        normal_graphs = [graphs[k] for k in normal]
-        na = np.stack(_spectra_rows(normal_graphs, _normalized_spectra, index[normal]))
+        na = normalized_spectra([graphs[k] for k in normal], index[normal])
         normalized[normal], normalized_m[normal] = _normalized_columns(na)
     generalized = _generalized_values(mu, th, dl)
     top, top_m = _first_max(generalized)

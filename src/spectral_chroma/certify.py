@@ -58,6 +58,8 @@ def _as_adjacency(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"adjacency must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("adjacency matrix contains non-finite entries")
     if not np.array_equal(a, a.T):
         raise DomainError("adjacency matrix is not symmetric")
     return a

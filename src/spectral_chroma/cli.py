@@ -21,8 +21,9 @@ from .bounds import (
     full_report,
     full_reports,
     generalized_sweep,
-    graph_spectra,
+    normalized_spectra,
     normalized_sweep,
+    report_spectra,
     round_display,
 )
 from .certify import certify_graphs, greedy_certificate_coloring
@@ -43,7 +44,7 @@ from .experiments import (
     report_json_payload,
     resolve_graph_input,
 )
-from .graphs import UNNORMALIZED_KINDS, Graph, GraphMatrixKind
+from .graphs import Graph
 from .linalg import CERT_RESIDUAL_LIMIT, SOUNDNESS_SLACK
 from .oracle import Coloring, all_graphs, chromatic_number, colorable_with
 
@@ -73,11 +74,9 @@ def _report_lines(report: BoundReport) -> list[str]:
         if not value.valid:
             lines.append(f"{value.id.value} n/a")
         elif value.id in _SHOW_M:
-            lines.append(
-                f"{value.id.value} {report.display(value.id)} m={value.best_m}"
-            )
+            lines.append(f"{value.id.value} {value.display} m={value.best_m}")
         else:
-            lines.append(f"{value.id.value} {report.display(value.id)}")
+            lines.append(f"{value.id.value} {value.display}")
     return lines
 
 
@@ -94,13 +93,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_sweep(args) -> int:
     g = resolve_graph_input(args.input)
     bound_id = BoundId(args.bound)
-    # the graph's cached spectra, as full_reports reads them: the
-    # normalized A alone, or A, L and Q
+    # the graph's cached spectra through the accessors full_reports reads:
+    # the normalized A alone, or A, L and Q
     if bound_id is BoundId.GEN_NORMALIZED_HOFFMAN:
-        (spec_na,) = graph_spectra(g, [GraphMatrixKind.NORMALIZED_ADJACENCY]).values()
-        column = normalized_sweep(spec_na)
+        column = normalized_sweep(normalized_spectra([g])[0])
     else:
-        column = generalized_sweep(*graph_spectra(g, UNNORMALIZED_KINDS).values())[bound_id]
+        column = generalized_sweep(*report_spectra([g])[:, 0])[bound_id]
     print("m,value")
     for m, value in enumerate(column, start=1):
         print(f"{m}," if value is None else f"{m},{value!r}")

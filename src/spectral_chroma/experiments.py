@@ -413,11 +413,8 @@ def comparison_csv(rows: list[ComparisonRow]) -> str:
         if row.report is None:
             lines.append([row.name, f"error:{row.error}"] + [""] * len(BoundId))
             continue
-        cells = [row.name, row.chi]
-        for b in BoundId:
-            v = row.report.value(b)
-            cells.append(row.report.rounded_display[b.value] if v.valid else "")
-        lines.append(cells)
+        cells = [v.display if v.valid else "" for v in row.report.values]
+        lines.append([row.name, row.chi] + cells)
     return _csv_text(lines)
 
 
@@ -430,7 +427,7 @@ def report_json_payload(report: BoundReport, chi: int | None = None) -> dict:
             {"id": v.id.value, "value": v.value, "best_m": v.best_m, "valid": v.valid}
             for v in report.values
         ],
-        "display": dict(report.rounded_display),
+        "display": {v.id.value: v.display for v in report.values},
     }
     if chi is not None:
         payload["chi"] = chi

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from spectral_chroma.experiments import parse_graph_file
+from spectral_chroma.experiments import DEFAULT_NAMED, parse_graph_file, resolve_graph_input
 from spectral_chroma.graphs import Graph
+from spectral_chroma.oracle import all_graphs
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -38,6 +39,13 @@ def orthogonality_graph(k):
     gram = vectors @ vectors.T
     rows, cols = np.nonzero(np.triu(gram == 0, 1))
     return from_edges(vectors.shape[0], zip(rows.tolist(), cols.tolist()))
+
+
+def small_and_named_graphs():
+    """Every graph on at most 5 vertices, then the default comparison graphs."""
+
+    small = [g for n in range(1, 6) for g in all_graphs(n)]
+    return small + [resolve_graph_input(text) for text in DEFAULT_NAMED]
 
 
 def from_edges(n, edges):

@@ -476,7 +476,7 @@ def report_key(r: BoundReport) -> tuple:
     rows = tuple((_bits(x), m) for x, m in zip(r.value_row.tolist(), r.best_m_row.tolist()))
     return (
         rows, r.graph_id, r.n, r.edge_count,
-        _spectra_key(r.spectra), _values_key(r.values), dict(r.rounded_display),
+        _spectra_key(r.spectra), _values_key(r.values), {b.value: r.display(b) for b in BoundId},
     )
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import from_edges, orthogonality_graph
+from conftest import from_edges, orthogonality_graph, small_and_named_graphs
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from paper_lemmas import graph_spectrum, random_hermitian
@@ -199,6 +199,17 @@ class TestRoundDisplay:
     def test_uses_repr_not_binary_noise(self):
         # 2.675 in binary is 2.67499999...; display follows the printed value
         assert round_display(2.675) == "2.7"
+
+
+class TestBoundValueDisplay:
+    def test_valid_integer_c_prints_its_integer(self):
+        assert BoundValue(BoundId.INTEGER_C, 3.0, best_m=2).display == "3"
+
+    def test_invalid_integer_c_prints_its_value_rounded(self):
+        assert invalid_bound(BoundId.INTEGER_C).display == "1.0"
+
+    def test_ratio_bound_prints_round_display(self):
+        assert BoundValue(BoundId.HOFFMAN, 2.675).display == round_display(2.675) == "2.7"
 
 
 class TestClassicalBounds:
@@ -743,9 +754,17 @@ class TestFullReport:
         r = full_report(barbell(8))
         for v in r.values:
             if v.id is BoundId.INTEGER_C:
-                assert r.rounded_display[v.id.value] == str(int(v.value))
+                assert r.display(v.id) == str(int(v.value))
             else:
-                assert r.rounded_display[v.id.value] == round_display(v.value)
+                assert r.display(v.id) == round_display(v.value)
+
+    def test_value_and_display_read_the_values_row(self):
+        # value(b) is the b-th entry of values, and display(b) is that value's own text
+        for g in small_and_named_graphs():
+            r = full_report(g)
+            for k, b in enumerate(BoundId):
+                assert r.value(b) is r.values[k]
+                assert r.display(b) == r.value(b).display
 
     def test_graph_identity_fields(self):
         r = full_report(complete(3))

@@ -5,6 +5,7 @@ with the test-side code of paper_lemmas.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ class TestConversion:
     def test_improper_coloring_rejected(self):
         with pytest.raises(DomainError, match="improper"):
             build_conversion(adjacency(complete(3)), Coloring((0, 0, 1), 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_adjacency_refused(self, bad):
+        # bad input, refused before any arithmetic warns or any check names symmetry
+        a = np.array([[0.0, bad], [bad, 0.0]])
+        col = Coloring((0, 1), 2)
+        calls = [
+            lambda: build_conversion(a, col),
+            lambda: verify_majorization_step(a, np.zeros((2, 2)), col),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="contains non-finite entries"):
+                    call()
 
     def test_improper_residual_large(self):
         # shared color on an edge leaves a coefficient-c entry pair

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import load_no_perfect_matching
+from conftest import load_no_perfect_matching, small_and_named_graphs
 from paper_lemmas import graph_spectrum
 
 from spectral_chroma import experiments
@@ -463,6 +463,12 @@ class TestNamedComparison:
         payload = report_json_payload(full_report(petersen()))
         assert "chi" not in payload
         assert payload["graph"] == emit_graph6(petersen())
+
+    def test_report_payload_display_is_each_values_display(self):
+        for g in small_and_named_graphs():
+            report = full_report(g)
+            expected = {b.value: report.value(b).display for b in BoundId}
+            assert report_json_payload(report)["display"] == expected
 
 
 class TestExternalGraph:
