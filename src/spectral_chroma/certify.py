@@ -60,6 +60,8 @@ def _as_adjacency(a) -> np.ndarray:
         raise DomainError(f"adjacency must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("adjacency matrix contains non-finite entries")
+    if (loops := np.flatnonzero(np.diagonal(a))).size:
+        raise DomainError(f"adjacency matrix has a nonzero diagonal entry at vertex {loops[0]}")
     if not np.array_equal(a, a.T):
         raise DomainError("adjacency matrix is not symmetric")
     return a
@@ -233,7 +235,7 @@ class MajorizationSteps(_Rows):
     identity_residual: np.ndarray
     identity_tolerance: np.ndarray
     identity_ok: np.ndarray
-    spectral_margins: np.ndarray  # (G, n): per m, lhs - rhs, must be >= -PROPERTY_TOL for m < n
+    spectral_margins: np.ndarray  # (G, n - 1): per m < n, lhs - rhs, must be >= -PROPERTY_TOL
     spectral_ok: np.ndarray
 
     @property
@@ -253,9 +255,8 @@ def _majorization_steps(
 
     lhs and rhs hold the (G, n) spectra of B - A and B + A/(c-1); u and
     c are the checked colorings' unitary stack and palettes. The margins
-    cover every m, but spectral_ok reads m < n only: at m = n both sums
-    are tr B, so that margin is rounding and has no content. Every
-    comparison fails on NaN.
+    cover m < n only: at m = n both sums are tr B, so that margin would be
+    rounding with no content. Every comparison fails on NaN.
     """
 
     x = diagonal_minus_stack(a, b)
@@ -267,15 +268,15 @@ def _majorization_steps(
     tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
     # one sum per m, not a cumulative sum: the two can differ in the last
     # bit from m = 8 on, and certify prints these margins
-    margins = np.empty(lhs.shape)
-    for m in range(1, lhs.shape[1] + 1):
+    margins = np.empty((lhs.shape[0], lhs.shape[1] - 1))
+    for m in range(1, lhs.shape[1]):
         margins[:, m - 1] = lhs[:, :m].sum(axis=1) - rhs[:, :m].sum(axis=1)
     return MajorizationSteps(
         identity_residual=residual,
         identity_tolerance=tol,
         identity_ok=residual <= tol,
         spectral_margins=margins,
-        spectral_ok=(margins[:, :-1] >= -PROPERTY_TOL).all(axis=1),
+        spectral_ok=(margins >= -PROPERTY_TOL).all(axis=1),
     )
 
 

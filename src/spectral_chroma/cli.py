@@ -24,7 +24,6 @@ from .bounds import (
     normalized_spectra,
     normalized_sweep,
     report_spectra,
-    round_display,
 )
 from .certify import certify_graphs, greedy_certificate_coloring
 from .errors import (
@@ -123,10 +122,12 @@ def _cmd_certify(args) -> int:
     print(f"conversion residual {cert.residual:.3e} tolerance {cert.tolerance:.3e} ok")
     for label, steps in batch.steps.items():
         step = steps.row(0)
+        margins = step.spectral_margins
+        margin = f"{margins.min():.3e}" if margins.size else "n/a"  # no m < n at n = 1
         state = "ok" if step.ok else "FAIL"
         print(
             f"majorization B={label} residual {step.identity_residual:.3e} "
-            f"min_margin {step.spectral_margins.min():.3e} {state}"
+            f"min_margin {margin} {state}"
         )
     loan = batch.loan(0)
     if loan is not None:
@@ -161,9 +162,7 @@ def _cmd_random_table(args) -> int:
         print("n p samples hoffman kolo1 kolo2 bollobas")
         for row in rows:
             cells = [str(row.n), repr(row.p), str(row.samples)]
-            for value in (row.hoffman_avg, row.kolo1_avg, row.kolo2_avg):
-                cells.append(round_display(value))
-            cells.append("-" if row.bollobas is None else round_display(row.bollobas))
+            cells.extend("-" if text is None else text for text in row.display().values())
             print(" ".join(cells))
     return 0
 

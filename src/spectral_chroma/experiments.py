@@ -32,7 +32,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -75,20 +75,31 @@ def bollobas_estimate(n: int, p: float) -> float:
 class RandomTableRow:
     """One (n, p) row of averaged classical bounds over sampled graphs.
 
-    bollobas is None at p = 1, where the estimate's formula is
-    undefined but the averaged columns still make sense.
+    The fields are the table's columns in order, the JSON keys; the CSV
+    has all but regenerated. bollobas is None at p = 1, where the
+    estimate's formula is undefined but the averaged columns still make
+    sense.
     """
 
     n: int
     p: float
+    samples: int
+    seed_base: int
     hoffman_avg: float
     kolo1_avg: float
     kolo2_avg: float
     bollobas: float | None
-    samples: int
-    seed_base: int
     regenerated: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     # (sample index, auxiliary seed) pairs for edgeless draws that were redrawn
+
+    def display(self) -> dict[str, str | None]:
+        """The estimates as printed: round_display, or None where there is no estimate."""
+
+        cells = {}
+        for f in fields(self)[4:-1]:  # every field after seed_base but regenerated
+            value = getattr(self, f.name)
+            cells[f.name] = None if value is None else round_display(value)
+        return cells
 
 
 _REDRAW_CAP = 1000
@@ -289,36 +300,14 @@ def random_table_csv(rows: list[RandomTableRow]) -> str:
     an empty cell.
     """
 
-    header = ["n", "p", "samples", "seed_base", "hoffman_avg", "kolo1_avg", "kolo2_avg", "bollobas"]
-    body = [
-        [r.n, r.p, r.samples, r.seed_base, r.hoffman_avg, r.kolo1_avg, r.kolo2_avg, r.bollobas]
-        for r in rows
-    ]
-    return _csv_text([header, *body])
+    header = [f.name for f in fields(RandomTableRow)[:-1]]
+    return _csv_text([header, *([getattr(r, name) for name in header] for r in rows)])
 
 
 def random_table_json(rows: list[RandomTableRow]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "p": r.p,
-            "samples": r.samples,
-            "seed_base": r.seed_base,
-            "hoffman_avg": r.hoffman_avg,
-            "kolo1_avg": r.kolo1_avg,
-            "kolo2_avg": r.kolo2_avg,
-            "bollobas": r.bollobas,
-            "regenerated": [list(pair) for pair in r.regenerated],
-            "display": {
-                "hoffman_avg": round_display(r.hoffman_avg),
-                "kolo1_avg": round_display(r.kolo1_avg),
-                "kolo2_avg": round_display(r.kolo2_avg),
-                "bollobas": None if r.bollobas is None else round_display(r.bollobas),
-            },
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2)
+    """Each row's fields in order, then its display cells."""
+
+    return json.dumps([asdict(r) | {"display": r.display()} for r in rows], indent=2)
 
 
 # --------------------------------------------------------------------------

@@ -122,6 +122,25 @@ class TestConversion:
         with pytest.raises(DomainError, match="improper"):
             build_conversion(adjacency(complete(3)), Coloring((0, 0, 1), 2))
 
+    @pytest.mark.parametrize(
+        "a, vertex",
+        [
+            (np.array([[1.0, 1.0], [1.0, 0.0]]), 0),
+            (np.array([[0.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 2.0]]), 1),
+        ],
+        ids=["loop-at-0", "loops-at-1-and-2"],
+    )
+    def test_nonzero_diagonal_refused(self, a, vertex):
+        # not an adjacency matrix: bad input, not a failed verification
+        col = Coloring((0, 1, 0)[:len(a)], 2)
+        calls = [
+            lambda: build_conversion(a, col),
+            lambda: verify_majorization_step(a, np.zeros(a.shape), col),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"nonzero diagonal entry at vertex {vertex}$"):
+                call()
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_adjacency_refused(self, bad):
         # bad input, refused before any arithmetic warns or any check names symmetry
@@ -247,9 +266,12 @@ class TestMajorizationStep:
         assert rep.identity_ok and rep.spectral_ok
 
     def test_m_equal_n_margin_is_not_a_verdict(self, monkeypatch):
-        # at m = n both sums are tr B, so its margin is rounding: a right
-        # side whose smallest eigenvalue is 2e-8 high drives that margin
-        # below -PROPERTY_TOL, and the step still holds
+        # at m = n both sums are tr B, so its margin would be rounding: a
+        # right side whose smallest eigenvalue is 2e-8 high moves only that
+        # margin, which is not recorded, and the step still holds
+        g = petersen()
+        col = chromatic_number(g).witness
+        unlifted = certify_graphs([g], [col]).steps["deg"].row(0).spectral_margins
         solve = certify.spectra_batch
 
         def lifted(stack):
@@ -258,10 +280,10 @@ class TestMajorizationStep:
             return w
 
         monkeypatch.setattr(certify, "spectra_batch", lifted)
-        g = petersen()
-        batch = certify_graphs([g], [chromatic_number(g).witness])
+        batch = certify_graphs([g], [col])
         margins = batch.steps["deg"].row(0).spectral_margins
-        assert margins[-1] < -certify.PROPERTY_TOL <= margins[:-1].min()
+        assert margins.shape == (g.n - 1,) and np.array_equal(margins, unlifted)
+        assert margins.min() >= -certify.PROPERTY_TOL
         assert batch.ok.tolist() == [True]
 
     def test_non_diagonal_b_rejected(self):

@@ -140,7 +140,15 @@ class TestCertifyCommand:
             assert code == 0
             assert out.splitlines()[0] == "graph n=1 edges=0 colors=2"
             assert "loan skipped" in out
+            assert out.count(" min_margin n/a ok\n") == 3  # no m < n
             assert out.splitlines()[-1] == "certified"
+
+    def test_min_margin_is_over_m_below_n(self, capsys):
+        # at m = n both sums are tr B, a rounding term that is not printed
+        code, out, _ = run(capsys, "certify", "gen:circulant(16;1,7,8)")
+        assert code == 0
+        margins = re.findall(r"^majorization B=\S+ residual \S+ min_margin (\S+) ok$", out, re.M)
+        assert margins == ["1.333e+00"] * 3
 
 
 class TestChromaticCommand:
@@ -182,6 +190,24 @@ class TestRandomTableCommand:
         )
         assert code == 0
         assert out.startswith("n,p,samples,seed_base,")
+
+    def test_formats_agree_column_by_column(self, capsys):
+        # G(2, .3) draws edgeless graphs, which are redrawn; at p = 1 there
+        # is no Bollobas estimate
+        argv = ("random-table", "--rows", "2:0.3,7:1.0", "--samples", "6", "--seed", "-4")
+        outs = {}
+        for fmt, extra in (("text", ()), ("csv", ("--csv",)), ("json", ("--json",))):
+            code, outs[fmt], _ = run(capsys, *argv, *extra)
+            assert code == 0
+        payload = json.loads(outs["json"])
+        assert payload[0]["regenerated"] and payload[1]["bollobas"] is None
+        header, *csv_rows = csv.reader(io.StringIO(outs["csv"]))
+        keys = list(payload[0])
+        assert header == keys[:keys.index("regenerated")]
+        text_rows = [line.split() for line in outs["text"].splitlines()[1:]]
+        for row, csv_row, text_row in zip(payload, csv_rows, text_rows, strict=True):
+            assert csv_row == ["" if row[k] is None else str(row[k]) for k in header]
+            assert text_row[-4:] == ["-" if v is None else v for v in row["display"].values()]
 
     def test_row_syntax_error(self, capsys):
         code, _, err = run(capsys, "random-table", "--rows", "20-0.5")

@@ -27,14 +27,16 @@ tree with worker threads is compared with one without, and the first
 row's 36 redraws cross chunk boundaries. A change that adds a JSON key
 shows here as a difference, and should say so. The edge cases of the greedy coloring that chromatic and
 certify share are covered too: certify and chromatic on an edgeless
-graph (the palette widened to two colors, the loan identity skipped) and
-certify on a graph with an isolated vertex. certify also runs on K_8
-(the palette as large as n), on K_{3,3,3} and on the Petersen graph with
---colors 5 (a palette wider than the greedy one) and --colors 10 (k = n,
-the widest palette certify accepts; a wider one exits 2 before any
-unitary is built, which older trees did not do, so none runs here); their
-min_margin lines print values near 1e-15, so drift in the last bits of a
-margin shows here. chromatic runs on three more G(n, p) inputs, two G(30, .5) and one
+graph (the palette widened to two colors, the loan identity skipped),
+certify on a graph with an isolated vertex, and certify on a single
+vertex, which has no margin to print (min_margin n/a). certify also runs
+on K_8 (the palette as large as n), on K_{3,3,3} and on the Petersen
+graph with --colors 5 (a palette wider than the greedy one) and --colors
+10 (k = n, the widest palette certify accepts; a wider one exits 2
+before any unitary is built, which older trees did not do, so none runs
+here). A min_margin line prints the smallest margin over m < n to four
+digits, so it shows a changed verdict, not drift in the last bits;
+tests/test_batched.py compares every margin bit for bit. chromatic runs on three more G(n, p) inputs, two G(30, .5) and one
 G(24, .8), and on the triangle-free Mycielskian of the Grötzsch graph
 (chromatic number 5): each deepens through one or more searches that
 fail before the one that finds the witness, so a change to the exact
@@ -189,6 +191,7 @@ def invocations(tmp: Path) -> list[list[str]]:
     # every m inadmissible (an empty column); the normalized A is undefined (exit 2)
     out.extend(["sweep", "D??", "--bound", bound] for bound in GNP_SWEEP_BOUNDS)
     out.append(["certify", "Dh?"])
+    out.append(["certify", "gen:complete(1)"])  # no m < n: min_margin n/a
     out.append(["certify", "gen:complete(8)"])
     out.append(["certify", "gen:complete_multipartite(3,3,3)"])
     out.append(["certify", "gen:petersen", "--colors", "5"])
