@@ -12,22 +12,24 @@ certify_graphs certifies a batch of graphs of one order as array code:
 the unitaries of all colorings are one (G, C, n) array, each check is
 one comparison over the batch that NaN fails, and its verdicts are the
 arrays of the CertifiedBatch it returns. A single graph is a batch of
-one. Only _Conversions.certificate raises a conversion breach, as
-VerificationError, for build_conversion or a caller that reads a
-failed graph's certificate. The spectra it shares with the
+one. Every entry point checks its colorings with _check_colorings, in
+one order, and every identity's residual meets the one tolerance rule
+of _identity_check. Only Conversions.certificate raises a conversion
+breach, as VerificationError, for build_conversion or a caller that
+reads a failed graph's certificate. The spectra it shares with the
 bounds are the graphs' bounds.report_spectra, the A, L and Q spectra
 each graph keeps once full_reports on it has solved them; certify_graphs
 says which spectrum each check reads, derives or solves. Every
 diagonal B, the degree matrix D included, is held as its diagonal.
 
-Each certificate kind is one type. MajorizationSteps and LoanIdentities
-hold one entry per graph in each field, and row(k) is the same type
-over graph k's entries; a CertifiedBatch gives graph k's step rows as
-steps[label].row(k), its loan identity row as loan(k), and its
-ColoringCertificate as conversions.certificate(k). build_conversion and
-verify_loan_identity are the same code on a batch of one, and return
-its certificate and row; verify_majorization_step takes any diagonal B,
-solves both of its sides, and returns its row.
+Each certificate kind is one type. Conversions, MajorizationSteps and
+LoanIdentities hold one entry per graph in each field, and row(k) is
+the same type over graph k's entries; a CertifiedBatch gives graph k's
+conversion row as conversions.certificate(k), its step rows as
+steps[label].row(k), and its loan identity row as loan(k).
+build_conversion and verify_loan_identity are the same code on a batch
+of one, and return its row; verify_majorization_step takes any
+diagonal B, solves both of its sides, and returns its row.
 """
 
 from __future__ import annotations
@@ -67,16 +69,20 @@ def _as_adjacency(a) -> np.ndarray:
     return a
 
 
-def _check_proper_stack(a: np.ndarray, cols: Sequence[Coloring]) -> None:
-    """Raise unless cols[g] is proper for the graph of adjacency a[g], for each g.
+def _check_colorings(a: np.ndarray, cols: Sequence[Coloring], what: str) -> np.ndarray:
+    """The palettes of cols, after DomainError unless cols[g] fits the graph of a[g].
 
-    The first failing graph raises: an improper coloring names its first
-    monochromatic edge in row-major order. So does a palette above
-    max(2, n), the one palette rule, which the CLI's certify applies
-    too: its extra colors are empty classes, yet each costs a unitary
-    and a conjugation over the batch.
+    The first failure raises, in this order: fewer than 2 colors (what
+    names the certificate), a wrong vertex count or a palette above
+    max(2, n), then an improper coloring, named by its first
+    monochromatic edge in row-major order. max(2, n) is the one palette
+    rule, which the CLI's certify applies too: extra colors are empty
+    classes, yet each costs a unitary and a conjugation over the batch.
     """
 
+    for col in cols:
+        if col.c < 2:
+            raise DomainError(f"{what} needs at least 2 colors, got c={col.c}")
     n = a.shape[1]
     for col in cols:
         if col.n != n:
@@ -94,38 +100,22 @@ def _check_proper_stack(a: np.ndarray, cols: Sequence[Coloring]) -> None:
             f"improper coloring: edge ({k}, {l}) has both endpoints colored "
             f"{cols[g].colors[k]}"
         )
-
-
-def _require_two_colors(cols: Sequence[Coloring], what: str) -> None:
-    for col in cols:
-        if col.c < 2:
-            raise DomainError(f"{what} needs at least 2 colors, got c={col.c}")
-
-
-def _palettes(cols: Sequence[Coloring]) -> np.ndarray:
     return np.array([col.c for col in cols])
 
 
-def _unitary_stack(cols: Sequence[Coloring]) -> np.ndarray:
+def _unitary_stack(cols: Sequence[Coloring], c: np.ndarray) -> np.ndarray:
     """(G, C, n) diagonals of each coloring's U_s, row s-1 for U_s, zero past its palette.
 
-    C is the largest palette. Row s-1 of a coloring's block is the
-    diagonal of U_s = diag(omega^(s*colors[k])), s = 1..c, omega its
-    c-th root of unity; the row for s = c is the identity.
+    c holds the palettes and C is the largest. Row s-1 of a coloring's
+    block is the diagonal of U_s = diag(omega^(s*colors[k])), s = 1..c,
+    omega its c-th root of unity; the row for s = c is the identity.
     """
 
-    c = _palettes(cols)
     s = np.arange(1, c.max() + 1)
     colors = np.array([col.colors for col in cols])
     u = np.exp(2j * np.pi * s[None, :, None] * colors[:, None, :] / c[:, None, None])
     u[s[None, :] > c[:, None]] = 0.0
     return u
-
-
-def _is_identity(diagonals: np.ndarray) -> np.ndarray:
-    """Per row of (..., n) unitary diagonals: is it the identity to UNITARY_TOL? NaN fails."""
-
-    return np.abs(diagonals - 1.0).max(axis=-1) <= UNITARY_TOL
 
 
 def _conjugations(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
@@ -154,69 +144,19 @@ def _conjugation_sum(x: np.ndarray, u: np.ndarray, counts: np.ndarray) -> np.nda
     return total
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
-    """A verified conversion-to-zero certificate for one proper coloring."""
+def _identity_check(
+    total: np.ndarray, x: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual norms of the (G, n, n) stack total, their tolerances, and the verdicts.
 
-    coloring: Coloring
-    unitaries: np.ndarray  # shape (c, n); row s-1 holds the diagonal of U_s
-    residual: float
-    tolerance: float
+    The one tolerance rule, CONVERSION_TOL * c * max(1, ||X||_F), with x
+    the stack the unitaries conjugate. A NaN residual fails.
+    """
 
-    def __post_init__(self) -> None:
-        u = np.asarray(self.unitaries)
-        if not _is_identity(u[-1]):
-            raise VerificationError("final conversion unitary is not the identity")
-        object.__setattr__(self, "unitaries", u)
+    residual = frobenius_norms(total)
+    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
+    return residual, tol, residual <= tol
 
-
-@dataclass(frozen=True)
-class _Conversions:
-    """Conversion checks of a batch: colorings, (G, C, n) unitaries, (G,) norms and verdicts."""
-
-    cols: Sequence[Coloring]
-    unitaries: np.ndarray
-    residual: np.ndarray
-    tolerance: np.ndarray
-    residual_ok: np.ndarray  # residual <= tolerance; NaN fails
-    ok: np.ndarray  # residual_ok, and the final unitary is the identity
-
-    def certificate(self, k: int) -> ColoringCertificate:
-        """Graph k's certificate; VerificationError for its first failed check, residual first."""
-
-        residual, tolerance = float(self.residual[k]), float(self.tolerance[k])
-        if not self.residual_ok[k]:
-            raise VerificationError(
-                f"conversion residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
-            )
-        col = self.cols[k]
-        return ColoringCertificate(col, self.unitaries[k, :col.c], residual, tolerance)
-
-
-def _conversions(a: np.ndarray, cols: Sequence[Coloring]) -> _Conversions:
-    """Conversion checks for a (G, n, n) adjacency stack with checked colorings; none raises."""
-
-    u = _unitary_stack(cols)
-    c = _palettes(cols)
-    residual = frobenius_norms(_conjugation_sum(a, u, c))
-    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(a))
-    within = residual <= tol
-    return _Conversions(
-        cols, u, residual, tol, within, within & _is_identity(u[np.arange(len(cols)), c - 1])
-    )
-
-
-def build_conversion(a, col: Coloring) -> ColoringCertificate:
-    """Certificate that the coloring's unitaries convert adjacency a to zero."""
-
-    a = _as_adjacency(a)
-    _require_two_colors([col], "conversion")
-    _check_proper_stack(a[None], [col])
-    return _conversions(a[None], [col]).certificate(0)
-
-
-# --------------------------------------------------------------------------
-# matrix identity behind the generalized bounds
 
 @dataclass(frozen=True)
 class _Rows:
@@ -227,6 +167,67 @@ class _Rows:
 
         return replace(self, **{f.name: getattr(self, f.name)[k] for f in fields(self)})
 
+
+@dataclass(frozen=True)
+class Conversions(_Rows):
+    """The conversion to zero per graph, or, as a row, for one graph.
+
+    Entry g of unitaries holds graph g's unitary diagonals, row s-1 for
+    U_s, then zero rows up to the batch's largest palette; a row holds
+    its c rows alone.
+    """
+
+    coloring: Sequence[Coloring]  # one Coloring in a row
+    unitaries: np.ndarray  # (G, C, n)
+    residual: np.ndarray
+    tolerance: np.ndarray
+    residual_ok: np.ndarray  # residual <= tolerance; NaN fails
+    identity_ok: np.ndarray  # the final unitary U_c is the identity to UNITARY_TOL; NaN fails
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.residual_ok & self.identity_ok
+
+    def row(self, k: int) -> Conversions:
+        row = super().row(k)
+        return replace(row, unitaries=row.unitaries[:row.coloring.c])
+
+    def certificate(self, k: int) -> Conversions:
+        """Graph k's row; VerificationError for its first failed check, residual first."""
+
+        row = self.row(k)
+        if not row.residual_ok:
+            raise VerificationError(
+                f"conversion residual {row.residual:.3e} exceeds tolerance {row.tolerance:.3e}"
+            )
+        if not row.identity_ok:
+            raise VerificationError("final conversion unitary is not the identity")
+        return row
+
+
+def _conversions(a: np.ndarray, cols: Sequence[Coloring], c: np.ndarray) -> Conversions:
+    """Conversion checks for a (G, n, n) adjacency stack, checked colorings and their palettes.
+
+    None raises; the final unitary of each graph is checked here, once.
+    """
+
+    u = _unitary_stack(cols, c)
+    residual, tol, within = _identity_check(_conjugation_sum(a, u, c), a, c)
+    final = u[np.arange(len(cols)), c - 1]
+    return Conversions(
+        tuple(cols), u, residual, tol, within, np.abs(final - 1.0).max(axis=1) <= UNITARY_TOL
+    )
+
+
+def build_conversion(a, col: Coloring) -> Conversions:
+    """The row that certifies the coloring's unitaries convert adjacency a to zero."""
+
+    a = _as_adjacency(a)[None]
+    return _conversions(a, [col], _check_colorings(a, [col], "conversion")).certificate(0)
+
+
+# --------------------------------------------------------------------------
+# matrix identity behind the generalized bounds
 
 @dataclass(frozen=True)
 class MajorizationSteps(_Rows):
@@ -264,8 +265,7 @@ def _majorization_steps(
     total -= a
     diag = np.arange(a.shape[1])
     total[:, diag, diag] -= (c - 1)[:, None] * b
-    residual = frobenius_norms(total)
-    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(x))
+    residual, tol, within = _identity_check(total, x, c)
     # one sum per m, not a cumulative sum: the two can differ in the last
     # bit from m = 8 on, and certify prints these margins
     margins = np.empty((lhs.shape[0], lhs.shape[1] - 1))
@@ -274,7 +274,7 @@ def _majorization_steps(
     return MajorizationSteps(
         identity_residual=residual,
         identity_tolerance=tol,
-        identity_ok=residual <= tol,
+        identity_ok=within,
         spectral_margins=margins,
         spectral_ok=(margins >= -PROPERTY_TOL).all(axis=1),
     )
@@ -296,12 +296,11 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
     d = np.diag(b)
     if np.count_nonzero(b) != np.count_nonzero(d) or not np.isfinite(d).all():
         raise DomainError("B must be diagonal")
-    _check_proper_stack(a[None], [col])
-    _require_two_colors([col], "identity")
-    a, b, c = a[None], d[None], _palettes([col])
+    a, b = a[None], d[None]
+    c = _check_colorings(a, [col], "identity")
     lhs = spectra_batch(diagonal_minus_stack(a, b))
     rhs = spectra_batch(majorization_stack(a, b, c))
-    return _majorization_steps(a, b, lhs, rhs, _unitary_stack([col]), c).row(0)
+    return _majorization_steps(a, b, lhs, rhs, _unitary_stack([col], c), c).row(0)
 
 
 # --------------------------------------------------------------------------
@@ -371,15 +370,14 @@ def _loan_identities(
     total += a
     diag = np.arange(n)
     total[:, diag, diag] -= (c - 1)[:, None] * deg
-    residual = frobenius_norms(total)
-    tol = CONVERSION_TOL * c * np.maximum(1.0, frobenius_norms(q))
+    residual, tol, within = _identity_check(total, q, c)
     avg = deg.sum(axis=1) / n  # 2E/n: sums of integers are exact
     rayleigh = _quadratic_forms(v, a)
     live = np.arange(minima.shape[1]) < (c - 1)[:, None]
     return LoanIdentities(
         identity_residual=residual,
         identity_tolerance=tol,
-        identity_ok=residual <= tol,
+        identity_ok=within,
         rayleigh_value=rayleigh,
         rayleigh_ok=np.abs(rayleigh - avg) <= SPECTRUM_TOL * np.maximum(1.0, avg),
         conjugate_minima=minima,
@@ -395,10 +393,9 @@ def verify_loan_identity(g: Graph, col: Coloring) -> LoanIdentities:
     if g.edge_count < 1:
         raise DomainError("identity needs at least one edge")
     a = adjacency_stack([g])
-    _check_proper_stack(a, [col])
-    _require_two_colors([col], "identity")
+    c = _check_colorings(a, [col], "identity")
     delta = report_spectra([g])[2, :, -1]
-    return _loan_identities(a, a.sum(axis=2), delta, _unitary_stack([col]), _palettes([col])).row(0)
+    return _loan_identities(a, a.sum(axis=2), delta, _unitary_stack([col], c), c).row(0)
 
 
 # --------------------------------------------------------------------------
@@ -413,11 +410,11 @@ class CertifiedBatch:
     holds the LoanIdentities of every graph, which an edgeless graph
     passes trivially. ok is each graph's verdict, its conversion check's
     included, so a caller that counts verdicts builds no per-graph
-    object. Graph k's certificate is conversions.certificate(k), its
+    object. Graph k's conversion row is conversions.certificate(k), its
     steps steps[label].row(k), and its loan identity loan(k).
     """
 
-    conversions: _Conversions
+    conversions: Conversions
     steps: Mapping[str, MajorizationSteps]
     loans: LoanIdentities
     edged: np.ndarray  # whether graph g has an edge
@@ -475,10 +472,9 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     if len(cols) != len(graphs):
         raise DomainError(f"{len(graphs)} graphs but {len(cols)} colorings")
     a = adjacency_stack(graphs)
-    _require_two_colors(cols, "conversion")
-    _check_proper_stack(a, cols)
-    conversions = _conversions(a, cols)
-    u, c = conversions.unitaries, _palettes(cols)
+    c = _check_colorings(a, cols, "conversion")
+    conversions = _conversions(a, cols, c)
+    u = conversions.unitaries
     mu, th, dl = report_spectra(graphs)
     deg = a.sum(axis=2)
     steps = {

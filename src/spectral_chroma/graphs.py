@@ -186,7 +186,11 @@ _G6_MAX_N = 10000
 
 
 def _g6_vertex_count(data: bytes) -> tuple[int, int]:
-    """Decode the N(n) header; returns (n, data offset of the bit field)."""
+    """Decode the N(n) header; returns (n, data offset of the bit field).
+
+    Only the canonical header is accepted: the four-byte form for
+    1 <= n <= 62, whose header is the one byte n + 63, is refused.
+    """
 
     if not data:
         raise ParseError("empty graph6 string")
@@ -202,6 +206,11 @@ def _g6_vertex_count(data: bytes) -> tuple[int, int]:
             if not 63 <= b <= 126:
                 raise ParseError(f"out-of-range graph6 byte {b} at offset {off}")
             n = (n << 6) | (b - 63)
+        if 1 <= n <= 62:
+            raise ParseError(
+                f"non-canonical graph6 header {data[:4].decode('ascii')!r}: "
+                f"n={n} takes the one-byte header {chr(n + 63)!r}"
+            )
         return n, 4
     if not 63 <= b0 <= 126:
         raise ParseError(f"out-of-range graph6 byte {b0} at offset 0")
@@ -630,7 +639,31 @@ def generate_from_spec(spec: str) -> Graph:
     builder and arity. circulant separates n from its connection set,
     one or more offsets, with a semicolon; the mycielskian takes a
     nested spec as its single argument; petersen takes none.
+
+    Nested mycielskians are peeled in a loop, and d of them around an
+    n-vertex graph make (n + 1) * 2^d - 1 vertices: a spec past
+    _G6_MAX_N, the most a graph6 id names, is refused before any of
+    them is built.
     """
+
+    depth = 0
+    while (m := _GENERATOR_SPEC.match(spec)) and m.group(1).lower() == "mycielskian":
+        if m.group(2) is None or not m.group(2).strip():
+            raise DomainError(f"mycielskian needs a nested generator spec in {spec!r}")
+        depth, spec = depth + 1, m.group(2)
+    g = _family_graph(spec)
+    if depth and (g.n + 1) * 2**depth - 1 > _G6_MAX_N:
+        raise DomainError(
+            f"{depth} nested mycielskians of a {g.n}-vertex graph exceed "
+            f"the {_G6_MAX_N} vertices a graph6 id can name"
+        )
+    for _ in range(depth):
+        g = mycielskian(g)
+    return g
+
+
+def _family_graph(spec: str) -> Graph:
+    """The graph of a spec whose family is not the mycielskian."""
 
     m = _GENERATOR_SPEC.match(spec)
     if not m:
@@ -648,10 +681,6 @@ def generate_from_spec(spec: str) -> Graph:
             raise DomainError(f"circulant needs offsets in {spec!r}")
         n, *offsets = _integers(spec, [head, *tail.split(",")])
         return circulant(n, offsets)
-    if name == "mycielskian":
-        if not has_args:
-            raise DomainError(f"mycielskian needs a nested generator spec in {spec!r}")
-        return mycielskian(generate_from_spec(args))
     if name == "petersen":
         if has_args:
             raise DomainError("petersen takes no arguments")

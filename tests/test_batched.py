@@ -50,7 +50,7 @@ from spectral_chroma.bounds import (
 )
 from spectral_chroma.certify import (
     CONVERSION_TOL,
-    ColoringCertificate,
+    Conversions,
     LoanIdentities,
     MajorizationSteps,
     certify_graphs,
@@ -74,6 +74,7 @@ from spectral_chroma.graphs import (
 from spectral_chroma.linalg import (
     PROPERTY_TOL,
     SPECTRUM_TOL,
+    UNITARY_TOL,
     frobenius_norms,
     spectra_batch,
 )
@@ -337,7 +338,9 @@ def reference_negdeg_spectrum(g: Graph) -> np.ndarray:
     return reference_negated(reference_eigenvalues_sym(q))
 
 
-def reference_build_conversion(a, col: Coloring) -> ColoringCertificate:
+def reference_build_conversion(a, col: Coloring) -> Conversions:
+    """The conversion's row: both checks pass, or VerificationError names the first that fails."""
+
     if col.c < 2:
         raise DomainError(f"conversion needs at least 2 colors, got c={col.c}")
     check_proper(a, col)
@@ -345,7 +348,10 @@ def reference_build_conversion(a, col: Coloring) -> ColoringCertificate:
     tol = CONVERSION_TOL * col.c * max(1.0, float(np.linalg.norm(a, "fro")))
     if residual > tol:
         raise VerificationError(f"conversion residual {residual:.3e} exceeds {tol:.3e}")
-    return ColoringCertificate(col, conversion_unitaries(col), residual, tol)
+    u = conversion_unitaries(col)
+    if not np.abs(u[-1] - 1.0).max() <= UNITARY_TOL:
+        raise VerificationError("final conversion unitary is not the identity")
+    return Conversions(col, u, residual, tol, True, True)
 
 
 def reference_majorization_step(a, b, col: Coloring, lhs, rhs) -> MajorizationSteps:
@@ -1177,17 +1183,12 @@ class TestCertifiedBatch:
 
     def test_rows_built_on_first_read(self, monkeypatch):
         built = collections.Counter()
-        init, row = ColoringCertificate.__init__, certify._Rows.row
-
-        def counting_init(self, *args, **kwargs):
-            built["ColoringCertificate"] += 1
-            init(self, *args, **kwargs)
+        row = certify._Rows.row
 
         def counting_row(self, k):
             built[type(self).__name__] += 1
             return row(self, k)
 
-        monkeypatch.setattr(ColoringCertificate, "__init__", counting_init)
         monkeypatch.setattr(certify._Rows, "row", counting_row)
         chunk, cols = self.chunk()
         assert cli._check_chunk(chunk) == (0, 0)
@@ -1196,18 +1197,20 @@ class TestCertifiedBatch:
         assert batch.ok.shape == batch.conversions.residual.shape == (len(chunk),)
         assert batch.ok.all() and not built
         k = 5
-        batch.conversions.certificate(k)
-        assert built == {"ColoringCertificate": 1}
+        conversion = batch.conversions.certificate(k)
+        assert built == {"Conversions": 1}
         steps = [step.row(k) for step in batch.steps.values()]
-        assert built == {"ColoringCertificate": 1, "MajorizationSteps": 3}
+        assert built == {"Conversions": 1, "MajorizationSteps": 3}
         loan = batch.loan(k)
-        expected = {"ColoringCertificate": 1, "MajorizationSteps": 3, "LoanIdentities": 1}
+        expected = {"Conversions": 1, "MajorizationSteps": 3, "LoanIdentities": 1}
         assert built == expected
         # a row's fields are numpy scalars and arrays: np.bool_ is not a bool
         for one in steps + [loan]:
             assert all(isinstance(getattr(one, f.name), (np.generic, np.ndarray))
                        for f in dataclasses.fields(one))
         assert loan.conjugate_minima.shape == (cols[k].c - 1,)
+        assert conversion.coloring == cols[k]
+        assert conversion.unitaries.shape == (cols[k].c, chunk[k].n)
 
     def test_rows_equal_batches_of_one(self):
         # row k of the chunk, and graph k's certificate, equal row 0 of the

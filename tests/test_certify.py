@@ -29,7 +29,6 @@ from paper_lemmas import (
 from spectral_chroma import certify
 from spectral_chroma.bounds import full_report
 from spectral_chroma.certify import (
-    ColoringCertificate,
     build_conversion,
     certify_graphs,
     greedy_certificate_coloring,
@@ -74,6 +73,20 @@ class TestColoring:
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
             build_conversion(adjacency(complete(3)), Coloring((0, 0, 1), 2))
 
+    def test_single_color_refused_first_by_every_entry_point(self):
+        # the palette is checked before properness, though the edge is monochromatic
+        g, col = complete(2), Coloring((0, 0), 1)
+        calls = [
+            ("conversion", lambda: build_conversion(g, col)),
+            ("conversion", lambda: certify_graphs([g], [col])),
+            ("identity", lambda: verify_majorization_step(g.adjacency(), np.zeros((2, 2)), col)),
+            ("identity", lambda: verify_loan_identity(g, col)),
+        ]
+        for what, call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == f"{what} needs at least 2 colors, got c=1"
+
     def test_improper_coloring_names_first_bad_edge_in_row_major_order(self):
         # both (0, 3) and (1, 2) are monochromatic; row-major order meets (0, 3) first
         g = from_edges(4, [(1, 2), (0, 3), (0, 1)])
@@ -99,12 +112,24 @@ class TestConversion:
         diags = build_conversion(np.zeros((4, 4)), col).unitaries
         assert np.allclose(diags[-1], 1.0, atol=1e-12)
 
-    def test_nan_final_unitary_rejected(self):
-        col = Coloring((0, 1), 2)
-        u = build_conversion(np.zeros((2, 2)), col).unitaries.copy()
-        u[-1, 0] = np.nan
-        with pytest.raises(VerificationError, match="identity"):
-            ColoringCertificate(col, u, 0.0, 1.0)
+    def test_final_unitary_not_identity_rejected(self, monkeypatch):
+        # U_c = -I leaves every conjugate U_c^dag A U_c, and so the residual,
+        # unchanged: only the final-unitary check sees it
+        unitary_stack = certify._unitary_stack
+
+        def negated_final(cols, c):
+            u = unitary_stack(cols, c)
+            u[np.arange(len(cols)), c - 1] = -1.0
+            return u
+
+        monkeypatch.setattr(certify, "_unitary_stack", negated_final)
+        g = petersen()
+        col = greedy_coloring(g)
+        with pytest.raises(VerificationError, match="^final conversion unitary is not the identity$"):
+            build_conversion(g, col)
+        conversions = certify_graphs([g], [col]).conversions
+        assert conversions.residual_ok.tolist() == [True]
+        assert conversions.ok.tolist() == [False]
 
     def test_nan_residual_rejected(self, monkeypatch):
         monkeypatch.setattr(

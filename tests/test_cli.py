@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ class TestBoundsCommand:
             code, out, err = run(capsys, "bounds", text)
             assert code == 2 and out == ""
             assert err == "error: empty graph file name after '@'\n"
+
+    def test_deep_mycielskian_refused_before_building(self, capsys):
+        # the nesting is peeled in a loop, not recursion, and refused before any
+        # level is built: 13 levels around K_1 make 2^14 - 1 vertices
+        for depth in (1200, 13):
+            spec = "gen:" + "mycielskian(" * depth + "complete(1)" + ")" * depth
+            start = time.perf_counter()
+            code, out, err = run(capsys, "bounds", spec)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: {depth} nested mycielskians of a 1-vertex graph exceed "
+                "the 10000 vertices a graph6 id can name\n"
+            )
+
+    def test_nested_mycielskian_built(self, capsys):
+        code, out, _ = run(capsys, "chromatic", "gen:mycielskian(mycielskian(cycle(5)))")
+        assert code == 0
+        assert out.splitlines()[:2] == ["graph n=23 edges=71", "chi 5"]
 
     def test_non_ascii_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
@@ -365,10 +385,10 @@ class TestCorpusCheckCommand:
         target = g.adjacency()
         conversions = certify._conversions
 
-        def breached(a, cols):
+        def breached(a, cols, c):
             a = a.copy()
             a[(a == target).all(axis=(1, 2)), 0, 0] += 1.0
-            return conversions(a, cols)
+            return conversions(a, cols, c)
 
         batches = []
         certify_graphs = cli.certify_graphs

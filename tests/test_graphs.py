@@ -100,6 +100,18 @@ class TestGraph6:
         back = parse_graph6(s)
         assert back.n == 70 and back.edges == g.edges
 
+    def test_long_header_below_63_rejected(self):
+        # the Petersen graph is "IheA@GUAo"; the four-byte header is not canonical for n <= 62
+        with pytest.raises(ParseError) as info:
+            parse_graph6("~??IheA@GUAo")
+        assert str(info.value) == (
+            "non-canonical graph6 header '~??I': n=10 takes the one-byte header 'I'"
+        )
+        # n = 0 keeps its own refusal, and n = 63 takes the four-byte header
+        with pytest.raises(ParseError, match="^graph6 encodes an empty vertex set"):
+            parse_graph6("~???")
+        assert parse_graph6(emit_graph6(cycle(63))).edges == cycle(63).edges
+
     def test_nonzero_padding_rejected(self):
         # n=3 uses 3 of 6 bits; set one of the 3 padding bits
         bad = "B" + chr(63 + 1)

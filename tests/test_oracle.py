@@ -347,10 +347,17 @@ class TestCorpusDecodeErrors:
                 "truncated graph6 bit field at byte offset 3: need 4 data bytes for n=7, got 2",
             ),
             ("E??W", DomainError, "corpus graphs7.g6 contains a graph on 6 vertices"),
+            # parse_graph6 refuses the four-byte header of n <= 62 itself
             (
                 "~??F????",
                 ParseError,
-                "corpus graphs7.g6 line '~??F????' is not plain graph6 of 7 vertices",
+                "non-canonical graph6 header '~??F': n=7 takes the one-byte header 'F'",
+            ),
+            # parse_graph6 reads this line as a 7-vertex graph; the corpus does not
+            (
+                ">>graph6<<F????",
+                ParseError,
+                "corpus graphs7.g6 line '>>graph6<<F????' is not plain graph6 of 7 vertices",
             ),
         ],
     )

@@ -56,10 +56,13 @@ certify, so the matrix builders, eigensolves, integer search and the
 certificates' residuals and margins are compared at sizes where BLAS
 takes its blocked code paths.
 
-The next four invocations cover the graph6 decoder's refusals and its
+The next five invocations cover the graph6 decoder's refusals and its
 prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
 bit field) and on "B@" (nonzero padding bits), each exit 2 with its
 error line, and chromatic on ">>graph6<<D?{" (the prefix is stripped).
+bounds on "~??IheA@GUAo", the Petersen graph behind a four-byte header,
+exits 2 on trees that accept only the one-byte header of n <= 62;
+older trees read it and exit 0.
 Then bounds runs on gen:complete_bipartite(2,3) and gen:cycle(7), the
 generator families no other invocation computes, and on one refused
 generator spec of each kind of error, among them two refusals of the
@@ -224,6 +227,7 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.append(["chromatic", "D"])  # truncated bit field
     out.append(["chromatic", "B@"])  # nonzero padding bits
     out.append(["chromatic", ">>graph6<<D?{"])
+    out.append(["bounds", "~??IheA@GUAo"])  # a four-byte header for n = 10
     out.extend(["bounds", spec] for spec in UNCOVERED_FAMILIES + REFUSED_SPECS)
     out.append(["compare", *FAILING_COMPARE])
     out.append(["compare", "--csv", *FAILING_COMPARE])
