@@ -374,7 +374,8 @@ def parse_edge_list(text: str) -> Graph:
 
     An optional first nonblank line "n <count>" fixes the vertex count
     (needed for trailing isolated vertices); otherwise n is one more
-    than the largest index seen. Duplicate lines collapse.
+    than the largest index seen. Duplicate lines collapse. A vertex
+    count past _G6_MAX_N, the most a graph6 id names, is refused.
     """
 
     declared_n: int | None = None
@@ -414,6 +415,8 @@ def parse_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_seen + 1
     if max_seen >= n:
         raise ParseError(f"edge endpoint {max_seen} exceeds declared vertex count {n}")
+    if n > _G6_MAX_N:
+        raise ParseError(f"edge list vertex count {n} exceeds the supported maximum {_G6_MAX_N}")
     return Graph(n, edges)
 
 
@@ -619,15 +622,18 @@ def petersen() -> Graph:
 _GENERATOR_SPEC = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)
 
 # the families whose arguments are a list of integers: each one's builder,
-# called with the integers, and its arity, None for one or more arguments
+# called with the integers, its arity, None for one or more arguments, and
+# its vertex count as a function of the same (positive) integers
 _INTEGER_FAMILIES = {
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "complete_multipartite": (lambda *parts: complete_multipartite(parts), None),
-    "cycle": (cycle, 1),
-    "barbell": (barbell, 1),
-    "sun": (sun, 1),
-    "windmill": (windmill, 2),
+    "complete": (complete, 1, lambda n: n),
+    "complete_bipartite": (complete_bipartite, 2, lambda a, b: a + b),
+    "complete_multipartite": (
+        lambda *parts: complete_multipartite(parts), None, lambda *parts: sum(parts)
+    ),
+    "cycle": (cycle, 1, lambda n: n),
+    "barbell": (barbell, 1, lambda k: 2 * k),
+    "sun": (sun, 1, lambda k: 2 * k),
+    "windmill": (windmill, 2, lambda copies, size: copies * (size - 1) + 1),
 }
 
 
@@ -640,10 +646,11 @@ def generate_from_spec(spec: str) -> Graph:
     one or more offsets, with a semicolon; the mycielskian takes a
     nested spec as its single argument; petersen takes none.
 
+    No graph past _G6_MAX_N vertices, the most a graph6 id names, is
+    built: a family's vertex count is checked before its builder runs.
     Nested mycielskians are peeled in a loop, and d of them around an
-    n-vertex graph make (n + 1) * 2^d - 1 vertices: a spec past
-    _G6_MAX_N, the most a graph6 id names, is refused before any of
-    them is built.
+    n-vertex graph make (n + 1) * 2^d - 1 vertices, checked before any
+    of them is built.
     """
 
     depth = 0
@@ -680,6 +687,7 @@ def _family_graph(spec: str) -> Graph:
         if not tail.strip():
             raise DomainError(f"circulant needs offsets in {spec!r}")
         n, *offsets = _integers(spec, [head, *tail.split(",")])
+        _check_vertex_count(spec, n)
         return circulant(n, offsets)
     if name == "petersen":
         if has_args:
@@ -687,15 +695,24 @@ def _family_graph(spec: str) -> Graph:
         return petersen()
     if name not in _INTEGER_FAMILIES:
         raise DomainError(f"unknown graph family {name!r}")
-    builder, arity = _INTEGER_FAMILIES[name]
+    builder, arity, order = _INTEGER_FAMILIES[name]
     ints = _integers(spec, args.split(",") if has_args else [])
     if arity is None and not ints:
         raise DomainError(f"{name} needs part sizes in {spec!r}")
     if arity is not None and len(ints) != arity:
         raise DomainError(f"generator spec {spec!r} expects {arity} integer argument(s), got {len(ints)}")
+    if min(ints) >= 1:  # the builder refuses the others itself
+        _check_vertex_count(spec, order(*ints))
     # the builder runs outside the try of _integers: its DomainError is a
     # ValueError, which that try would rewrite
     return builder(*ints)
+
+
+def _check_vertex_count(spec: str, n: int) -> None:
+    if n > _G6_MAX_N:
+        raise DomainError(
+            f"generator spec {spec!r} has {n} vertices, past the {_G6_MAX_N} a graph6 id can name"
+        )
 
 
 def _integers(spec: str, tokens: list[str]) -> list[int]:

@@ -1,34 +1,30 @@
 """Exact ground truth at desk scale.
 
-Colorings and the exact chromatic number: the Coloring type,
-backtracking chromatic numbers, exhaustive labeled enumeration for tiny
-n, the bundled deduplicated corpora for 6 and 7 vertices, and the
-deterministic greedy coloring that feeds the certificate machinery.
-The enumerations validate once per array, not per graph: a corpus file
-is decoded and checked as one array of lines, and the labeled graphs
-come from one table of bit masks, both through graphs.graphs_from_bits.
+Colorings and the exact chromatic number: the Coloring type, the exact
+k-coloring search and the chromatic number deepened through it,
+exhaustive labeled enumeration for tiny n, the bundled deduplicated
+corpora for 6 and 7 vertices, and the deterministic greedy coloring that
+feeds the certificate machinery. The enumerations validate once per
+array, not per graph: a corpus file is decoded and checked as one array
+of lines, and the labeled graphs come from one table of bit masks, both
+through graphs.graphs_from_bits.
 
-The backtracking keeps one int bitmask per color over the search
-positions: bit j of forbidden[c] says that position j already has a
-colored neighbor of color c. Giving a position a color ORs its later
-neighbors into that color's mask, and undoing it restores the one int.
-The branch ends when the AND of the k masks has a bit among those later
-neighbors: a neighbor with every color taken. No uncolored position
-had every color before the assignment (that branch would have ended),
-so these are exactly the neighbors the assignment completed, the ones
-a check of each later neighbor in turn finds: the cuts, and so the
-nodes visited, are those of the per-neighbor forward check. A cut
-branch holds no coloring, so the search meets the colorings in the same
-order as plain backtracking would, and returns the same witnesses. One
-table per graph (_search_table) holds the search order and each
-position's neighbors as a bitmask; every search on the graph, the
-greedy coloring and the greedy clique read it.
+The exact search (colorable_with) decides k-colorability by DSATUR
+(Brélaz, CACM 22, 1979) on one int bitmask per color over the search
+positions, and builds its witness by lexicographic descent: each
+position in search order takes the smallest color with which the
+colored prefix still completes. The witness is the one plain
+backtracking in search order meets first, whatever order DSATUR
+colors in. One table per graph (_search_table) holds the search order
+and each position's neighbors as a bitmask; every search on the graph,
+the greedy coloring and the greedy clique read it.
 
 Reach, on a 2-vCPU VM with Python 3.11: random_gnp(50, .5, s) takes
-about 0.6 s in the median (0.06-3.7 s over seeds 0-9), and G(64, .5) is
-not guaranteed to finish, as there is no node budget yet. The solver
-refuses rather than guessing: any input past its 64-vertex ceiling
-raises instead of returning an estimate.
+0.42 s over seeds 0-9 together (0.005-0.13 s each), and G(64, .5) 0.7-3.2
+s a graph over seeds 0-4. There is no node budget yet, so a harder graph
+of 64 vertices is not guaranteed to finish. The solver refuses rather
+than guessing: any input past its 64-vertex ceiling raises instead of
+returning an estimate.
 """
 
 from __future__ import annotations
@@ -145,27 +141,46 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
+def _check_ceiling(g: Graph) -> None:
+    # the searches recurse once per position
+    if g.n > _BACKTRACK_CEILING:
+        raise DomainError(
+            f"exact coloring supports at most {_BACKTRACK_CEILING} vertices, got {g.n}"
+        )
+
+
 def colorable_with(g: Graph, k: int) -> Coloring | None:
     """Decide k-colorability; returns a witness or None.
 
-    Backtracking over vertices in degree-descending order (ties by
-    index), colors tried in index order, with new color indices
-    introduced only in order (the first vertex always takes color 0).
-    The state is one bitmask per color over the search positions: bit j
-    of forbidden[c] is set once an earlier neighbor of position j took
-    color c. Coloring position i with c ORs its later neighbors into
-    forbidden[c], and the branch is cut when the AND of all k masks has
-    a bit among those neighbors: a later neighbor with every color
-    taken. No uncolored position has every color before the
-    assignment, so these are the neighbors it completed, and the cuts
-    are those of checking each later neighbor in turn. Only branches
-    without a complete coloring are cut: the first coloring found, the
-    witness, is the one plain backtracking in the same order finds.
+    The witness is the lexicographically first k-coloring in search
+    order (degree descending, ties by index) whose colors open in order,
+    the first vertex taking color 0: the coloring that backtracking over
+    the vertices in that order, colors in index order, meets first.
+
+    The decision is DSATUR over the search positions (completes): the
+    state is one bitmask per color, bit j of forbidden[c] set once a
+    neighbor of position j took color c, and the count of colors taken
+    at each position, bit-sliced into one int per binary digit. The next
+    position is an uncolored one with the most colors taken, the first
+    in search order on a tie; colors are tried in index order, with a
+    new one only after those in use; and a branch is cut when the AND of
+    the k masks meets an uncolored position, one with no color left.
+
+    The witness comes by descent over the positions in search order,
+    from the coloring the decision found. At position i the colored
+    prefix is fixed and sol completes it. If sol[i] is a color the
+    prefix has not opened, it trades names in sol with the next color
+    to open. Then each allowed color below sol[i] is tried in turn by
+    one search of the later positions: the first that completes is
+    taken, and its completion becomes sol; if none does, sol[i] is
+    taken. So each position takes the smallest color with which its
+    prefix still completes. Past 64 vertices it raises DomainError.
     k = 0 is decidable too: no nonempty graph is 0-colorable.
     """
 
     if k < 0:
         raise DomainError(f"color count must be nonnegative, got {k}")
+    _check_ceiling(g)
     if k == 0:
         return None
     if k >= g.n:
@@ -173,46 +188,107 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     n = g.n
     order, masks = _search_table(g)
     forbidden = [0] * k
-    assigned = [0] * n  # by search position
+    # bit j of planes[b]: binary digit b, most significant first, of the
+    # count of colors taken at uncolored position j
+    planes = [0] * k.bit_length()
+    low = len(planes) - 1
 
-    def backtrack(i: int, used: int) -> bool:
-        if i == n:
+    def completes(uncolored: int, used: int, out: list[int]) -> bool:
+        """Color the uncolored positions, given the used colors so far; writes out on success."""
+
+        if not uncolored:
             return True
-        bit = 1 << i
-        ahead = masks[i] >> (i + 1) << (i + 1)  # the neighbors colored after position i
+        best = uncolored
+        for plane in planes:
+            top = best & plane
+            if top:
+                best = top
+        bit = best & -best
+        i = bit.bit_length() - 1
+        rest = uncolored ^ bit
+        ahead = masks[i] & rest
         for color in range(used + 1 if used < k else k):
             mask = forbidden[color]
             if mask & bit:
                 continue
+            fresh = ahead & ~mask  # the neighbors that gain a taken color
             forbidden[color] = mask | ahead
-            full = ahead
+            full = fresh  # only they can have every color taken now
             for other in forbidden:
                 full &= other
                 if not full:
                     break
             if not full:
-                assigned[i] = color
-                # color <= used: only color == used opens a new one
-                if backtrack(i + 1, used + (color == used)):
+                carry, b = fresh, low
+                while carry:
+                    plane = planes[b]
+                    planes[b] = plane ^ carry
+                    carry &= plane
+                    b -= 1
+                if completes(rest, used + (color == used), out):
+                    out[i] = color
                     return True
+                borrow, b = fresh, low
+                while borrow:
+                    plane = planes[b]
+                    planes[b] = plane ^ borrow
+                    borrow &= ~plane
+                    b -= 1
             forbidden[color] = mask
         return False
 
-    if not backtrack(0, 0):
+    def extends(i: int, out: list[int], used: int) -> bool:
+        """Whether out's colors at positions 0..i complete; completes' state is made here.
+
+        A later position with every color taken needs no check here:
+        it is the most saturated, so completes takes it first and fails.
+        """
+
+        later = everything >> (i + 1) << (i + 1)
+        forbidden[:] = [0] * k
+        for j in range(i + 1):
+            forbidden[out[j]] |= masks[j] & later
+        planes[:] = [0] * len(planes)
+        for carry in forbidden:
+            b = low
+            while carry:
+                plane = planes[b]
+                planes[b] = plane ^ carry
+                carry &= plane
+                b -= 1
+        return completes(later, used, out)
+
+    everything = (1 << n) - 1
+    sol = [0] * n  # by search position
+    if not completes(everything, 0, sol):
         return None
+    classes = [0] * k  # bit j of classes[c]: position j, colored, has color c
+    used = 0
+    for i in range(n):
+        if sol[i] > used:  # unopened: rename it to the next color to open
+            old = sol[i]
+            sol = [used if c == old else old if c == used else c for c in sol]
+        target = sol[i]
+        for color in range(target):
+            if masks[i] & classes[color]:
+                continue
+            trial = sol[:]
+            trial[i] = color
+            if extends(i, trial, used):
+                sol, target = trial, color
+                break
+        classes[target] |= 1 << i
+        used += target == used
     colors = [0] * n
     for i, v in enumerate(order):
-        colors[v] = assigned[i]
+        colors[v] = sol[i]
     return Coloring(tuple(colors), k)
 
 
 def chromatic_number(g: Graph) -> ChromaticResult:
     """Exact chi with witness, via iterative deepening from a clique seed."""
 
-    if g.n > _BACKTRACK_CEILING:
-        raise DomainError(
-            f"exact coloring supports at most {_BACKTRACK_CEILING} vertices, got {g.n}"
-        )
+    _check_ceiling(g)
     if g.edge_count == 0:
         return ChromaticResult(1, Coloring((0,) * g.n, 1))
     lower = max(2, len(_greedy_clique(g)))

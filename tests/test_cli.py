@@ -87,6 +87,24 @@ class TestBoundsCommand:
                 "the 10000 vertices a graph6 id can name\n"
             )
 
+    def test_oversize_inputs_refused_before_building(self, capsys, tmp_path):
+        # a generator spec and an edge list past the 10 000 vertices of a graph6 id
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n2 10001\n", encoding="ascii")
+        for text, error in (
+            (
+                "gen:complete_multipartite(3000,3000,3000,1002)",
+                "generator spec 'complete_multipartite(3000,3000,3000,1002)' has 10002 "
+                "vertices, past the 10000 a graph6 id can name",
+            ),
+            (f"@{path}", "edge list vertex count 10002 exceeds the supported maximum 10000"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "bounds", text)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err == f"error: {error}\n"
+
     def test_nested_mycielskian_built(self, capsys):
         code, out, _ = run(capsys, "chromatic", "gen:mycielskian(mycielskian(cycle(5)))")
         assert code == 0
@@ -98,6 +116,12 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", f"@{path}")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_nul_byte_in_file_name_is_domain_error(self, capsys):
+        # no file name holds a NUL byte; open() raises ValueError, not OSError
+        code, out, err = run(capsys, "bounds", "@a\x00b")
+        assert code == 2 and out == ""
+        assert err == "error: cannot read graph file a\x00b: embedded null byte\n"
 
 
 class TestSweepCommand:
@@ -146,6 +170,14 @@ class TestCertifyCommand:
         code, out, err = run(capsys, "certify", "gen:petersen", "--colors", "11")
         assert code == 2 and out == ""
         assert err == "error: 11 colors exceed the graph's 10 vertices\n"
+
+    def test_exact_palette_refused_above_the_search_ceiling(self, capsys):
+        # the exact search recurses once per vertex: past its 64-vertex
+        # ceiling it is refused, not run into Python's recursion limit
+        for n in (65, 1000):
+            code, out, err = run(capsys, "certify", f"gen:cycle({n})", "--colors", "3")
+            assert code == 2 and out == ""
+            assert err == f"error: exact coloring supports at most 64 vertices, got {n}\n"
 
     def test_infeasible_color_count(self, capsys):
         code, _, err = run(capsys, "certify", "gen:petersen", "--colors", "2")
@@ -261,6 +293,12 @@ class TestCompareCommand:
         assert code == 0
         assert "gen:complete(3) chi=3" in out
         assert f"@{path} error:" in out
+
+    def test_nul_byte_in_file_name_is_an_error_row(self, capsys):
+        code, out, _ = run(capsys, "compare", "gen:complete(3)", "@a\x00b")
+        assert code == 0
+        assert "gen:complete(3) chi=3" in out
+        assert "@a\x00b error: cannot read graph file a\x00b: embedded null byte" in out
 
     @pytest.mark.parametrize(
         "argv, names",

@@ -179,6 +179,12 @@ class TestEdgeList:
         g = parse_edge_list("n 4\n")
         assert g.n == 4 and g.edge_count == 0
 
+    @pytest.mark.parametrize("text", ["n 10001\n", "0 10000\n", "n 10001\n0 1\n"])
+    def test_vertex_count_past_graph6_maximum_refused(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == "edge list vertex count 10001 exceeds the supported maximum 10000"
+
 
 class TestMatrices:
     def test_laplacian_rows_sum_to_zero_exactly(self):
@@ -313,6 +319,41 @@ class TestGeneratorSpecs:
     )
     def test_table_family_is_its_builder(self, spec, builder, args):
         assert_same_graph(generate_from_spec(spec), builder(*args))
+
+    @pytest.mark.parametrize("name", sorted(graphs._INTEGER_FAMILIES))
+    def test_table_vertex_count_is_the_graphs(self, name):
+        builder, arity, order = graphs._INTEGER_FAMILIES[name]
+        for ints in itertools.product(range(1, 6), repeat=arity or 3):
+            if name == "cycle" and ints[0] < 3 or name == "windmill" and ints[1] < 2:
+                continue  # refused by the builder
+            assert order(*ints) == builder(*ints).n, (name, ints)
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            ("complete(10001)", 10001),
+            ("complete(100000000000000000000)", 10**20),
+            ("complete_bipartite(5000,5001)", 10001),
+            ("complete_multipartite(3000,3000,3000,1002)", 10002),
+            ("cycle(10001)", 10001),
+            ("barbell(5001)", 10002),
+            ("sun(5001)", 10002),
+            ("windmill(5000,3)", 10001),
+            ("circulant(10001;1)", 10001),
+        ],
+    )
+    def test_vertex_count_past_graph6_maximum_refused_before_building(
+        self, monkeypatch, spec, n
+    ):
+        def unbuilt(*args):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(Graph, "__init__", unbuilt)
+        with pytest.raises(DomainError) as info:
+            generate_from_spec(spec)
+        assert str(info.value) == (
+            f"generator spec {spec!r} has {n} vertices, past the 10000 a graph6 id can name"
+        )
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -51,8 +51,11 @@ def degree_order(g: Graph) -> list[int]:
 def reference_colorable_with(g: Graph, k: int) -> Coloring | None:
     """The plain backtracking that colorable_with must agree with exactly.
 
-    Same vertex order, color order and symmetry breaking, but no bitset
-    state and no forward checking: it visits every node of the tree.
+    Vertices in search order, colors in index order, a new color opened
+    only after those in use: its first coloring is the lexicographically
+    first one whose colors open in order, colorable_with's witness. No
+    bitset state, no forward checking and no DSATUR: it visits every
+    node of the tree.
     """
 
     if k < 0:
@@ -112,7 +115,9 @@ def reference_greedy_clique(g: Graph) -> list[int]:
 
 
 # graphs on which the oracle must match the references; G(n, .2) and
-# G(n, .8) take colorable_with's per-color masks from k = 2 to k = 14
+# G(n, .8) take colorable_with's per-color masks from k = 2 to k = 14, and
+# on each G(n, .5) with n = 32-40 the witness descent tries colors that
+# fail and colors that complete, at several k
 AGREEMENT_FAMILIES = {
     "exhaustive": lambda: itertools.chain.from_iterable(all_graphs(n) for n in range(1, 8)),
     "named": lambda: (resolve_graph_input(spec) for spec in DEFAULT_NAMED),
@@ -121,6 +126,7 @@ AGREEMENT_FAMILIES = {
     "gnp": lambda: (
         random_gnp(n, p, s) for p in (0.5, 0.2, 0.8) for n in range(8, 31) for s in (1, 2)
     ),
+    "gnp_descent": lambda: (random_gnp(n, 0.5, s) for n in range(32, 41, 2) for s in (1, 2)),
 }
 
 
@@ -173,6 +179,10 @@ class TestChromaticNumber:
     def test_ceiling_refusal(self):
         with pytest.raises(DomainError, match="64"):
             chromatic_number(Graph(65))
+        # the k-coloring search refuses too, whatever k
+        for k in (0, 3, 65):
+            with pytest.raises(DomainError, match="64"):
+                colorable_with(cycle(65), k)
 
     @seed(17)
     @given(st.integers(2, 10), seeds)
@@ -204,8 +214,9 @@ class TestColorableWith:
 
 
 class TestAgreesWithReference:
-    """colorable_with prunes only subtrees without a coloring, so it meets
-    the same first coloring as the reference: same answers, same witnesses."""
+    """colorable_with decides by DSATUR and builds the lexicographically
+    first coloring by descent, the one the reference meets first: same
+    answers, same witnesses."""
 
     @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
     def test_colorable_with_for_every_k(self, family):

@@ -41,9 +41,15 @@ G(24, .8), and on the triangle-free Mycielskian of the Grötzsch graph
 (chromatic number 5): each deepens through one or more searches that
 fail before the one that finds the witness, so a change to the exact
 search that changes a witness, or the coloring taken when every search
-fails, shows here.
+fails, shows here. One more chromatic input is a G(50, .5) from its own
+seeded RNG, where the witness descent tries colors that fail and colors
+that complete. certify --colors 3 on a 65-cycle exits 2 on trees whose
+exact search refuses more than 64 vertices; older trees certify it.
+chromatic on gen:cycle(10001) and on an edge list of 10 001 vertices
+exits 2 on every tree, and names the input's vertex count on trees that
+refuse it before building the graph.
 
-Three inputs are @file references to files the script writes into a
+Four inputs are @file references to files the script writes into a
 temporary directory, printed as $TMP in the argv lines. One is an edge
 list with an "n" line, reversed and repeated pairs, and two trailing
 isolated vertices; bounds --json, certify, chromatic and sweep --bound
@@ -54,7 +60,7 @@ certify. The third is a G(300, .5), the size of the benchmark's largest
 bounds input, run through bounds --json, sweep --bound GenHoffman and
 certify, so the matrix builders, eigensolves, integer search and the
 certificates' residuals and margins are compared at sizes where BLAS
-takes its blocked code paths.
+takes its blocked code paths. The fourth is the oversize edge list above.
 
 The next five invocations cover the graph6 decoder's refusals and its
 prefix: bounds on "C~~" (a trailing byte), chromatic on "D" (a truncated
@@ -134,6 +140,11 @@ EDGE_LIST = "n 9\n1 0\n0 1\n2 1\n2 3\n3 4\n4 0\n0 2\n3 2\n4 5\n5 6\n6 5\n1 2\n4 
 LONG_HEADER_N = 70
 # drawn after LONG_HEADER_N: the largest n of the benchmark's bounds inputs
 LARGE_N = 300
+# a chromatic input from its own RNG, DESCENT_SEED picked so the exact
+# search answers in under 2 s with the witness descent's trial searches
+DESCENT_N, DESCENT_SEED = 50, 3
+# an edge list one past the 10 000 vertices of a graph6 id
+OVERSIZE_EDGE_LIST = "0 1\n2 10000\n"
 
 
 def gnp_graph6(n: int, p: float, rng: random.Random) -> str:
@@ -164,6 +175,8 @@ def invocations(tmp: Path) -> list[list[str]]:
     g6_file.write_text(gnp_graph6(LONG_HEADER_N, GNP_P, rng) + "\n", encoding="ascii")
     large_file = tmp / "large.g6"
     large_file.write_text(gnp_graph6(LARGE_N, GNP_P, rng) + "\n", encoding="ascii")
+    oversize_file = tmp / "oversize.txt"
+    oversize_file.write_text(OVERSIZE_EDGE_LIST, encoding="ascii")
     out = []
     for spec in DEFAULT_NAMED:
         out.append(["bounds", spec])
@@ -188,6 +201,10 @@ def invocations(tmp: Path) -> list[list[str]]:
     # triangle-free with chromatic number 5: the greedy clique gives 2, so
     # the searches for 2, 3 and 4 colors all fail before greedy's 5 is taken
     out.append(["chromatic", "gen:mycielskian(mycielskian(cycle(5)))"])
+    out.append(["chromatic", gnp_graph6(DESCENT_N, GNP_P, random.Random(DESCENT_SEED))])
+    out.append(["certify", "gen:cycle(65)", "--colors", "3"])  # past the exact search's ceiling
+    out.append(["chromatic", "gen:cycle(10001)"])
+    out.append(["chromatic", f"@{oversize_file}"])
     # no edges: one greedy color widened to two, "loan skipped"; then an isolated vertex
     out.append(["certify", "D??"])
     out.append(["chromatic", "D??"])
