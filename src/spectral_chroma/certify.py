@@ -48,6 +48,7 @@ from .linalg import (
     SPECTRUM_TOL,
     UNITARY_TOL,
     frobenius_norms,
+    matrices_named,
     negated_spectra,
     spectra_batch,
 )
@@ -363,9 +364,10 @@ def _loan_identities(
     # U_s Q U_s^dag is the conjugation by U_s^dag, whose diagonal is conj(u)
     total = np.zeros(a.shape, dtype=np.complex128)
     minima = np.full((len(a), u.shape[1] - 1), np.nan)
+    live = np.arange(minima.shape[1]) < (c - 1)[:, None]
     for s, term in enumerate(_conjugations(q, np.conj(u), c - 1)):
         total += term
-        minima[:, s] = _quadratic_forms(v, term)
+        minima[live[:, s], s] = _quadratic_forms(v, term)[live[:, s]]
     # the residual (c-1)D - sum - A, negated and formed in place: the same norm
     total += a
     diag = np.arange(n)
@@ -373,7 +375,6 @@ def _loan_identities(
     residual, tol, within = _identity_check(total, q, c)
     avg = deg.sum(axis=1) / n  # 2E/n: sums of integers are exact
     rayleigh = _quadratic_forms(v, a)
-    live = np.arange(minima.shape[1]) < (c - 1)[:, None]
     return LoanIdentities(
         identity_residual=residual,
         identity_tolerance=tol,
@@ -452,7 +453,9 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     B = 0, D and -D are the spectra of -A, L and -Q = -D - A, the first
     and last negated_spectra of A and Q; the right side for B = 0 is the
     A spectrum divided by c - 1; Q gives the loan identity's delta_n. Two
-    stacks are solved here, graphs.majorization_stack for B = D and -D.
+    stacks are solved here, graphs.majorization_stack for B = D and -D;
+    a failed solve there names the graph's index and the step, as in
+    "graph 4 majorization B=deg: eigenpair residual ...".
 
     No derived spectrum escapes the validation of spectra_batch: -M has
     the eigenvectors of M, so its residuals and trace error are those of
@@ -477,12 +480,17 @@ def certify_graphs(graphs: Sequence[Graph], cols: Sequence[Coloring]) -> Certifi
     u = conversions.unitaries
     mu, th, dl = report_spectra(graphs)
     deg = a.sum(axis=2)
+
+    def right_side(label: str, b: np.ndarray) -> np.ndarray:
+        with matrices_named(lambda k: f"graph {k} majorization B={label}"):
+            return spectra_batch(majorization_stack(a, b, c))
+
     steps = {
         label: _majorization_steps(a, b, lhs, rhs, u, c)
         for label, b, lhs, rhs in (
             ("zero", np.zeros_like(deg), negated_spectra(mu), mu / (c - 1)[:, None]),
-            ("deg", deg, th, spectra_batch(majorization_stack(a, deg, c))),
-            ("negdeg", -deg, negated_spectra(dl), spectra_batch(majorization_stack(a, -deg, c))),
+            ("deg", deg, th, right_side("deg", deg)),
+            ("negdeg", -deg, negated_spectra(dl), right_side("negdeg", -deg)),
         )
     }
     loans = _loan_identities(a, deg, dl[:, -1], u, c)

@@ -49,7 +49,14 @@ from .bounds import (
     unnormalized_spectra,
 )
 from .errors import DomainError, SpectralChromaError
-from .graphs import Graph, generate_from_spec, parse_edge_list, parse_graph6, random_gnp_adjacency
+from .graphs import (
+    _G6_MAX_N,
+    Graph,
+    generate_from_spec,
+    parse_edge_list,
+    parse_graph6,
+    random_gnp_adjacency,
+)
 from .linalg import matrices_named
 from .oracle import chromatic_number
 
@@ -254,17 +261,24 @@ def random_table(
     does not grow with the sample count. Valid values are kept in
     sample order and averaged with compensated summation, so neither
     the chunk length nor the worker count can shift results. A failed
-    solve names the sample and the seed it was drawn with.
+    solve names the sample and the seed it was drawn with. Every row is
+    checked before any is drawn: n from 2 to 10 000, the most a graph6
+    id names, and 0 < p <= 1.
     """
 
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    out = []
     for n, p in rows:
         if n < 2:
             raise DomainError(f"table rows need n >= 2, got {n}")
+        if n > _G6_MAX_N:
+            raise DomainError(
+                f"table rows need n <= {_G6_MAX_N}, the most a graph6 id can name, got {n}"
+            )
         if not 0.0 < p <= 1.0:
             raise DomainError(f"table rows need 0 < p <= 1, got {p}")
+    out = []
+    for n, p in rows:
         regenerated: list[tuple[int, int]] = []
         values = _sample_values(n, p, seed_base, samples, regenerated)
         out.append(

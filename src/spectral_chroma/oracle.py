@@ -15,9 +15,11 @@ positions, and builds its witness by lexicographic descent: each
 position in search order takes the smallest color with which the
 colored prefix still completes. The witness is the one plain
 backtracking in search order meets first, whatever order DSATUR
-colors in. One table per graph (_search_table) holds the search order
-and each position's neighbors as a bitmask; every search on the graph,
-the greedy coloring and the greedy clique read it.
+colors in. A move is undone by restoring what it changed, and every
+trial of the descent starts from its fixed prefix, one mask per color.
+One table per graph (_search_table) holds the search order and each
+position's neighbors as a bitmask; every search on the graph, the
+greedy coloring and the greedy clique read it.
 
 Reach, on a 2-vCPU VM with Python 3.11: random_gnp(50, .5, s) takes
 0.42 s over seeds 0-9 together (0.005-0.13 s each), and G(64, .5) 0.7-3.2
@@ -155,7 +157,9 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     The witness is the lexicographically first k-coloring in search
     order (degree descending, ties by index) whose colors open in order,
     the first vertex taking color 0: the coloring that backtracking over
-    the vertices in that order, colors in index order, meets first.
+    the vertices in that order, colors in index order, meets first. The
+    exception is k >= n, where the search does not run and the witness
+    is the identity coloring, vertex v taking color v.
 
     The decision is DSATUR over the search positions (completes): the
     state is one bitmask per color, bit j of forbidden[c] set once a
@@ -164,18 +168,24 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     position is an uncolored one with the most colors taken, the first
     in search order on a tie; colors are tried in index order, with a
     new one only after those in use; and a branch is cut when the AND of
-    the k masks meets an uncolored position, one with no color left.
+    the k masks meets an uncolored position, one with no color left. A
+    move is undone by value: its color's mask is put back, and the count
+    planes from a snapshot taken before the move.
 
     The witness comes by descent over the positions in search order,
     from the coloring the decision found. At position i the colored
-    prefix is fixed and sol completes it. If sol[i] is a color the
-    prefix has not opened, it trades names in sol with the next color
-    to open. Then each allowed color below sol[i] is tried in turn by
-    one search of the later positions: the first that completes is
-    taken, and its completion becomes sol; if none does, sol[i] is
-    taken. So each position takes the smallest color with which its
-    prefix still completes. Past 64 vertices it raises DomainError.
-    k = 0 is decidable too: no nonempty graph is 0-colorable.
+    prefix is fixed, bit j of prefix[c] set when a fixed neighbor of
+    position j has color c, and sol completes it. If sol[i] is a color
+    the prefix has not opened, it trades names in sol with the next
+    color to open. Then each allowed color below sol[i] is tried in turn
+    by one search of the later positions, from forbidden = prefix with
+    position i's neighbors added to that color: the first that completes
+    is taken, and its completion becomes sol; if none does, sol[i] is
+    taken. The fixed positions' bits left in that state do no harm, as
+    completes reads it only at uncolored positions. So each position
+    takes the smallest color with which its prefix still completes.
+    Past 64 vertices it raises DomainError. k = 0 is decidable too: no
+    nonempty graph is 0-colorable.
     """
 
     if k < 0:
@@ -189,7 +199,7 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
     order, masks = _search_table(g)
     forbidden = [0] * k
     # bit j of planes[b]: binary digit b, most significant first, of the
-    # count of colors taken at uncolored position j
+    # count of colors taken at position j, at most k
     planes = [0] * k.bit_length()
     low = len(planes) - 1
 
@@ -219,6 +229,7 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
                 if not full:
                     break
             if not full:
+                saved = planes[:]
                 carry, b = fresh, low
                 while carry:
                     plane = planes[b]
@@ -228,56 +239,43 @@ def colorable_with(g: Graph, k: int) -> Coloring | None:
                 if completes(rest, used + (color == used), out):
                     out[i] = color
                     return True
-                borrow, b = fresh, low
-                while borrow:
-                    plane = planes[b]
-                    planes[b] = plane ^ borrow
-                    borrow &= ~plane
-                    b -= 1
+                planes[:] = saved
             forbidden[color] = mask
         return False
-
-    def extends(i: int, out: list[int], used: int) -> bool:
-        """Whether out's colors at positions 0..i complete; completes' state is made here.
-
-        A later position with every color taken needs no check here:
-        it is the most saturated, so completes takes it first and fails.
-        """
-
-        later = everything >> (i + 1) << (i + 1)
-        forbidden[:] = [0] * k
-        for j in range(i + 1):
-            forbidden[out[j]] |= masks[j] & later
-        planes[:] = [0] * len(planes)
-        for carry in forbidden:
-            b = low
-            while carry:
-                plane = planes[b]
-                planes[b] = plane ^ carry
-                carry &= plane
-                b -= 1
-        return completes(later, used, out)
 
     everything = (1 << n) - 1
     sol = [0] * n  # by search position
     if not completes(everything, 0, sol):
         return None
-    classes = [0] * k  # bit j of classes[c]: position j, colored, has color c
+    prefix = [0] * k  # bit j of prefix[c]: a colored neighbor of position j has color c
     used = 0
     for i in range(n):
         if sol[i] > used:  # unopened: rename it to the next color to open
             old = sol[i]
             sol = [used if c == old else old if c == used else c for c in sol]
         target = sol[i]
+        later = everything >> (i + 1) << (i + 1)
         for color in range(target):
-            if masks[i] & classes[color]:
+            if prefix[color] >> i & 1:
                 continue
+            # A later position with every color taken needs no check here:
+            # it is the most saturated, so completes takes it first and fails.
+            forbidden[:] = prefix
+            forbidden[color] |= masks[i]
+            planes[:] = [0] * len(planes)
+            for carry in forbidden:
+                b = low
+                while carry:
+                    plane = planes[b]
+                    planes[b] = plane ^ carry
+                    carry &= plane
+                    b -= 1
             trial = sol[:]
             trial[i] = color
-            if extends(i, trial, used):
+            if completes(later, used, trial):
                 sol, target = trial, color
                 break
-        classes[target] |= 1 << i
+        prefix[target] |= masks[i]
         used += target == used
     colors = [0] * n
     for i, v in enumerate(order):

@@ -27,7 +27,7 @@ from paper_lemmas import (
 )
 
 from spectral_chroma import certify
-from spectral_chroma.bounds import full_report
+from spectral_chroma.bounds import full_report, report_spectra
 from spectral_chroma.certify import (
     build_conversion,
     certify_graphs,
@@ -35,7 +35,7 @@ from spectral_chroma.certify import (
     verify_loan_identity,
     verify_majorization_step,
 )
-from spectral_chroma.errors import DomainError, VerificationError
+from spectral_chroma.errors import DomainError, NumericError, VerificationError
 from spectral_chroma.graphs import (
     Graph,
     GraphMatrixKind,
@@ -232,6 +232,31 @@ class TestCertifyGraph:
         with pytest.raises(DomainError, match="improper"):
             certify_graphs([complete(3)], [Coloring((0, 0, 1), 2)])
 
+    @pytest.mark.parametrize("call,label", [(0, "deg"), (1, "negdeg")])
+    def test_failed_solve_names_graph_and_step(self, monkeypatch, call, label):
+        # the report spectra are solved first, so the only stacks solved
+        # are the right sides for B = D, then B = -D
+        graphs = [random_gnp(8, 0.5, s) for s in range(5)]
+        cols = [greedy_certificate_coloring(g) for g in graphs]
+        report_spectra(graphs)
+        solve = np.linalg.eigh
+        calls = []
+
+        def perturbed(a, *args, **kwargs):
+            w, v = solve(a, *args, **kwargs)
+            if len(calls) == call:
+                w = w.copy()
+                w[3, 0] += 1e-3
+            calls.append(len(a))
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(
+            NumericError, match=rf"^graph 3 majorization B={label}: eigenpair residual"
+        ):
+            certify_graphs(graphs, cols)
+        assert calls[:call + 1] == [5] * (call + 1)
+
     def test_palette_wider_than_n_refused_before_any_unitary(self, monkeypatch):
         # the CLI's --colors rule and text, for a library caller too; a
         # palette of max(2, n) is still certified
@@ -353,6 +378,21 @@ class TestLoanIdentity:
     def test_edgeless_rejected(self):
         with pytest.raises(DomainError, match="edge"):
             verify_loan_identity(Graph(3), Coloring((0, 1, 0), 2))
+
+    def test_mixed_palettes_pad_with_nan(self):
+        # C6 takes 2 colors and K6 6: C6's one real minimum is 0.0, and
+        # the four entries past it are padding
+        graphs = [cycle(6), complete(6)]
+        cols = [Coloring((0, 1) * 3, 2), Coloring(tuple(range(6)), 6)]
+        loans = certify_graphs(graphs, cols).loans
+        minima = loans.conjugate_minima
+        assert minima[0, 0] == 0.0 and np.isnan(minima[0, 1:]).all()
+        assert np.isfinite(minima[1]).all()
+        assert loans.ok.tolist() == [True, True]
+        for k, (g, col) in enumerate(zip(graphs, cols)):
+            alone = verify_loan_identity(g, col).conjugate_minima
+            assert loans.row(k).conjugate_minima.tolist() == alone.tolist()
+            assert alone.shape == (col.c - 1,)
 
     @seed(13)
     @given(st.integers(2, 8), seeds)

@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -14,12 +16,12 @@ import numpy as np
 import pytest
 
 from spectral_chroma import certify, cli, oracle
-from spectral_chroma.bounds import BoundId
+from spectral_chroma.bounds import SWEPT_IDS, BoundId
 from spectral_chroma.certify import greedy_certificate_coloring
 from spectral_chroma.cli import main
 from spectral_chroma.errors import VerificationError
 from spectral_chroma.experiments import DEFAULT_NAMED, named_comparison
-from spectral_chroma.graphs import Graph, emit_graph6, petersen
+from spectral_chroma.graphs import Graph, emit_graph6, parse_graph6, petersen, random_gnp
 from spectral_chroma.oracle import all_graphs, chromatic_number
 
 RESIDUAL = re.compile(r"residual (\S+)")
@@ -179,6 +181,24 @@ class TestCertifyCommand:
             assert code == 2 and out == ""
             assert err == f"error: exact coloring supports at most 64 vertices, got {n}\n"
 
+    def test_failed_solve_names_graph_and_step(self, capsys, monkeypatch):
+        # eigh calls: the A, L and Q spectra, then the right side for B = D
+        solve = np.linalg.eigh
+        calls = []
+
+        def perturbed(a, *args, **kwargs):
+            w, v = solve(a, *args, **kwargs)
+            if len(calls) == 3:
+                w = w.copy()
+                w[0, 0] += 1e-3
+            calls.append(len(a))
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        code, out, err = run(capsys, "certify", "gen:petersen")
+        assert code == 2 and out == ""
+        assert err.startswith("error: graph 0 majorization B=deg: eigenpair residual")
+
     def test_infeasible_color_count(self, capsys):
         code, _, err = run(capsys, "certify", "gen:petersen", "--colors", "2")
         assert code == 2
@@ -270,6 +290,16 @@ class TestRandomTableCommand:
         code, _, err = run(capsys, "random-table", "--rows", "20:1.5", "--samples", "2")
         assert code == 2
         assert err
+
+    def test_row_past_the_graph6_limit_refused(self, capsys):
+        # refused before its 20 000-vertex samples are drawn
+        start = time.perf_counter()
+        code, out, err = run(capsys, "random-table", "--rows", "20000:0.5", "--samples", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: table rows need n <= 10000, the most a graph6 id can name, got 20000\n"
+        )
 
 
 class TestCompareCommand:
@@ -509,3 +539,128 @@ class TestTopLevel:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         ).stdout
         assert out.strip() == "0"
+
+
+class TestInputSurfaceFuzz:
+    """A seeded fuzz of main over every input form, for the four one-graph commands.
+
+    Well-formed gen: specs name at most 40 vertices; corruptions insert
+    or delete non-digit characters and truncate, so no number grows,
+    and the only large sizes are the ones refused before building.
+    Graph6-like strings take headers of at most 40 vertices, or long
+    headers with too short a body.
+    """
+
+    CALLS = 600
+    ALARM_S = 5
+
+    @staticmethod
+    def spec(rng):
+        r = rng.randint
+        wellformed = rng.choice([
+            lambda: f"complete({r(1, 40)})",
+            lambda: f"cycle({r(3, 40)})",
+            lambda: f"complete_bipartite({r(1, 20)},{r(1, 20)})",
+            lambda: f"complete_multipartite({','.join(str(r(1, 8)) for _ in range(r(1, 5)))})",
+            lambda: f"barbell({r(1, 20)})",
+            lambda: f"sun({r(1, 20)})",
+            lambda: f"windmill({r(1, 6)},{r(2, 7)})",
+            lambda: f"circulant({r(1, 40)};{','.join(str(r(0, 20)) for _ in range(r(1, 3)))})",
+            lambda: "petersen",
+            lambda: (lambda d: "mycielskian(" * d + f"cycle({r(3, 5)})" + ")" * d)(r(1, 2)),
+        ])()
+        roll = rng.random()
+        if roll < 0.1:  # an argument out of range, small or past the graph6 limit
+            return re.sub(r"\d+", lambda m: str(rng.choice([-1, 0, 10**5, 10**30])),
+                          wellformed, count=1)
+        if roll < 0.4:
+            text = wellformed
+            for _ in range(r(1, 2)):
+                at = r(0, len(text))
+                edit = rng.random()
+                if edit < 0.5:
+                    text = text[:at] + rng.choice(" ()-;,.x_") + text[at:]
+                elif edit < 0.8 and at < len(text) and not text[at].isdigit():
+                    text = text[:at] + text[at + 1:]
+                else:
+                    text = text[:at]
+            return text
+        return wellformed
+
+    @staticmethod
+    def graph6_like(rng):
+        roll = rng.random()
+        n = rng.randint(1, 40)
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        if roll < 0.4:
+            text = emit_graph6(random_gnp(n, rng.random(), rng.randrange(1000)))
+            if rng.random() < 0.5:  # one character swapped, added or dropped
+                at = rng.randrange(len(text))
+                edit = rng.choice(["", chr(rng.randint(33, 126)), text[at] * 2])
+                text = text[:at] + edit + text[at + 1:]
+            return rng.choice(["", ">>graph6<<"]) + text
+        if roll < 0.7:
+            size = max(0, nbytes + rng.randint(-1, 1))
+            return chr(63 + n) + "".join(chr(rng.randint(63, 126)) for _ in range(size))
+        if roll < 0.85:  # long headers: non-canonical, or the body cut short
+            head = "~" + "".join(chr(rng.randint(63, 126)) for _ in range(3))
+            return head + "".join(chr(rng.randint(63, 126)) for _ in range(rng.randint(0, 5)))
+        return rng.choice(["", " ", "~", "~~", ">>graph6<<", "Aé", "?", "@"])
+
+    @staticmethod
+    def path(rng, tmp_path, index):
+        roll = rng.random()
+        file = tmp_path / f"in{index}.txt"
+        if roll < 0.45:
+            n = rng.randint(2, 40)
+            lines = [f"{u} {v}" for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+            lines = lines or ["0 1"]
+            if rng.random() < 0.3:
+                lines[rng.randrange(len(lines))] = rng.choice(
+                    ["0", "a b", "-1 2", "3 3", "0 10001", "0 1 2", "n 0", "n x", "1.5 2"]
+                )
+            if rng.random() < 0.3:
+                lines.insert(0, f"n {rng.randint(1, 40)}")
+            file.write_text("\n".join(lines) + "\n", encoding="ascii")
+        elif roll < 0.7:
+            file.write_text(TestInputSurfaceFuzz.graph6_like(rng) + "\n", encoding="utf-8")
+        elif roll < 0.8:
+            file.write_bytes(rng.choice([b"", b"\n\n  \n", b"B\xff\n", b"\x00\x01"]))
+        else:
+            return rng.choice(["@", f"@{tmp_path}", f"@{tmp_path / 'missing.g6'}", "@a\x00b"])
+        return f"@{file}"
+
+    def test_every_call_answers_or_refuses(self, capsys, tmp_path):
+        def expired(signum, frame):
+            raise TimeoutError(f"no answer within {self.ALARM_S} s")
+
+        rng = random.Random(32)
+        bounds = [b.value for b in SWEPT_IDS] + ["Hoffman"]
+        previous = signal.signal(signal.SIGALRM, expired)
+        try:
+            for index in range(self.CALLS):
+                form = rng.choice(["gen", "graph6", "path"])
+                if form == "gen":
+                    text = "gen:" + self.spec(rng)
+                elif form == "graph6":
+                    text = self.graph6_like(rng)
+                else:
+                    text = self.path(rng, tmp_path, index)
+                command = rng.choice(["bounds", "sweep", "certify", "chromatic"])
+                argv = [command, text]
+                if command == "bounds" and rng.random() < 0.3:
+                    argv.append("--json")
+                elif command == "sweep":
+                    argv += ["--bound", rng.choice(bounds)]
+                elif command == "certify" and rng.random() < 0.5:
+                    argv += ["--colors", str(rng.randint(-1, 12))]
+                signal.alarm(self.ALARM_S)
+                try:
+                    code, _, err = run(capsys, *argv)
+                finally:
+                    signal.alarm(0)
+                assert code in (0, 2, 3) or (code == 1 and "usage error" in err), (argv, code, err)
+                if form == "graph6" and code == 0:
+                    assert emit_graph6(parse_graph6(text)) == text.removeprefix(">>graph6<<"), argv
+        finally:
+            signal.signal(signal.SIGALRM, previous)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -317,6 +318,18 @@ class TestRandomTable:
     def test_p_zero_rejected(self):
         with pytest.raises(DomainError):
             random_table([(5, 0.0)], samples=2, seed_base=1)
+
+    def test_every_row_checked_before_any_is_drawn(self, monkeypatch):
+        def undrawn(*args, **kwargs):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(experiments, "random_gnp_adjacency", undrawn)
+        for bad, error in (
+            ((10001, 0.5), "table rows need n <= 10000, the most a graph6 id can name, got 10001"),
+            ((20, 0.0), "table rows need 0 < p <= 1, got 0.0"),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
+                random_table([(20, 0.5), bad], samples=1, seed_base=1)
 
     def test_csv_shape(self):
         rows = random_table([(6, 0.5)], samples=4, seed_base=3)

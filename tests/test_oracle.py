@@ -212,6 +212,16 @@ class TestColorableWith:
         assert colorable_with(cycle(5), 2) is None
         assert colorable_with(cycle(5), 3) is not None
 
+    def test_palette_of_n_or_more_is_the_identity(self):
+        # from k = n on the search does not run: vertex v takes color v,
+        # not the restricted-growth witness it gives below n
+        g = petersen()
+        for k in (10, 11):
+            assert colorable_with(g, k) == Coloring(tuple(range(10)), k)
+        below = colorable_with(g, 9)
+        assert below.c == 9 and set(below.colors) == {0, 1, 2}
+        assert below.colors == colorable_with(g, 3).colors
+
 
 class TestAgreesWithReference:
     """colorable_with decides by DSATUR and builds the lexicographically
