@@ -13,20 +13,24 @@ row, every ratio goes through one masked sweep, and a maximum over m is
 the first argmax of its row, so it comes from the same array as the
 per-m sweep. The integer search probes all open graphs of a batch
 with one linalg.eigenvalues_batch call per round and bisects them in
-lockstep. full_reports evaluates each family once per batch;
-full_report and the per-family functions (classical_bounds,
-generalized_bounds, ...) are the same code on a batch of one: a family
-function takes its spectra as 1-d arrays and checks them once, as one
-(K, n) stack (_spectra_stack). Every spectrum comes from one per-graph
-cache: each graph keeps the A, L and Q spectra (report_spectra) and,
-once a report or a sweep asks for it, the normalized A spectrum
-(normalized_spectra), each solved once from the matrix builders of
-graphs. full_reports, the sweep and certify_graphs read the cache
-through those two accessors, and a report's spectra are its rows. The
-integer search's B = -D candidate reads the spectrum of -Q = -D - A as
-negated_spectra of Q, whose eigenpairs, residuals and trace error are
-those of Q, so it passes the validation a solve of its own would have
-had to pass.
+lockstep. full_reports makes one pass over a batch: every family runs
+once on all of its rows, an edgeless graph's included, since the ratio
+families mask such a row themselves; only the normalized family (no
+isolated vertex) and the integer search (an edge) run on a subset. The
+families are one list in BoundId order, so the 15 columns of values and
+of best m are listed once. full_report and the per-family functions
+(classical_bounds, generalized_bounds, ...) are the same code on a batch
+of one: a family function takes its spectra as 1-d arrays and checks
+them once, as one (K, n) stack (_spectra_stack). Every spectrum comes
+from one per-graph cache: each graph keeps the A, L and Q spectra
+(report_spectra) and, once a report or a sweep asks for it, the
+normalized A spectrum (normalized_spectra), each solved once from the
+matrix builders of graphs. full_reports, the sweep and certify_graphs
+read the cache through those two accessors, and a report's spectra are
+its rows. The integer search's B = -D candidate reads the spectrum of
+-Q = -D - A as negated_spectra of Q, whose eigenpairs, residuals and
+trace error are those of Q, so it passes the validation a solve of its
+own would have had to pass.
 
 The checks run once per batch array too: each solved array of spectra
 passes linalg.check_spectra once and is kept read-only, and the
@@ -633,70 +637,52 @@ def normalized_spectra(graphs: Sequence[Graph], index=None) -> np.ndarray:
     return np.stack(_spectra_rows(graphs, _normalized_spectra, index))
 
 
-def _edged_reports(
-    graphs: Sequence[Graph], spectra: np.ndarray, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(G, 15) bound values and their best m for graphs of one order, each with an edge.
+def _at_m1(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return values, np.ones(values.shape, dtype=np.int64)
 
-    spectra holds the graphs' report_spectra; the graphs without an
-    isolated vertex read their normalized A spectra too, solved here on
-    first demand and kept. Each family then runs once on those (G, n)
-    arrays. index[k] is graph k's position in the caller's batch, which
-    errors name, those of the solves included.
-    """
 
-    n = graphs[0].n
-    mu, th, dl = spectra
-    edges = np.array([g.edge_count for g in graphs])
-    normal = np.flatnonzero([g.degrees().all() for g in graphs])
-    normalized = np.full((len(graphs), 2), -np.inf)
-    normalized_m = np.ones(normalized.shape, dtype=np.int64)
-    if normal.size:
-        na = normalized_spectra([graphs[k] for k in normal], index[normal])
-        normalized[normal], normalized_m[normal] = _normalized_columns(na)
-    generalized = _generalized_values(mu, th, dl)
-    top, top_m = _first_max(generalized)
-    a = adjacency_stack(graphs)  # the spectra are solved: A and a probe stack are alive
-    integer, integer_m = _integer_c(a, mu, th, negated_spectra(dl), index)
-    values = np.column_stack([
-        _classical_values(mu, generalized),
-        _loan_values(edges, n, dl),
-        top.T,
-        normalized,
-        _chain_values(mu, th, dl, n),
-        integer,
-    ])
-    best_m = np.column_stack([
-        np.ones((len(graphs), len(_CLASSICAL_IDS) + 1), dtype=np.int64),  # and LOAN
-        top_m.T,
-        normalized_m,
-        np.ones((len(graphs), len(_CHAIN_IDS)), dtype=np.int64),
-        integer_m,
-    ])
+def _on_rows(shape, rows: np.ndarray, family) -> tuple[np.ndarray, np.ndarray]:
+    """Values and best m of a shape: family()'s on rows, if there are any, else -inf and 1."""
+
+    values, best_m = _at_m1(np.full(shape, -np.inf))
+    if rows.size:
+        values[rows], best_m[rows] = family()
     return values, best_m
 
 
 def full_reports(graphs: Sequence[Graph]) -> list[BoundReport]:
     """full_report for each of several graphs with the same vertex count.
 
-    report_spectra solves every graph of the batch; the graphs with an
-    edge then go through _edged_reports as one batch, and an edgeless
-    graph gets every bound invalid. The batch's (G, 15) values are
-    checked once, and each report keeps its rows of them. A report
-    equals the one full_report gives for the graph alone, to the bit.
+    Each family runs once on every row of the batch, edgeless ones too,
+    except two: the normalized family on the graphs without an isolated
+    vertex and the integer search on those with an edge; errors name a
+    graph's batch index. The families form one list in BoundId order,
+    stacked once into the (G, 15) values and best m, which are checked
+    once. A report equals the one full_report gives for the graph alone,
+    to the bit.
     """
 
     graphs = list(graphs)
-    common_order(graphs)
-    solved = report_spectra(graphs)
-    edged = [k for k, g in enumerate(graphs) if g.edge_count]
-    values = np.full((len(graphs), len(_REPORT_IDS)), -np.inf)
-    best_m = np.ones(values.shape, dtype=np.int64)
-    if edged:
-        index = np.array(edged)
-        values[index], best_m[index] = _edged_reports(
-            [graphs[k] for k in edged], solved[:, index], index
-        )
+    n = common_order(graphs)
+    mu, th, dl = report_spectra(graphs)
+    edges = np.array([g.edge_count for g in graphs])
+    normal = np.flatnonzero([g.degrees().all() for g in graphs])
+    edged = np.flatnonzero(edges)
+    generalized = _generalized_values(mu, th, dl)
+    families = (  # in BoundId order; the normalized A is solved before the probe stacks are built
+        _at_m1(_classical_values(mu, generalized)),
+        _at_m1(_loan_values(edges, n, dl)),
+        tuple(column.T for column in _first_max(generalized)),
+        _on_rows((len(graphs), 2), normal, lambda: _normalized_columns(
+            normalized_spectra([graphs[k] for k in normal], normal)
+        )),
+        _at_m1(_chain_values(mu, th, dl, n)),
+        _on_rows(len(graphs), edged, lambda: _integer_c(
+            adjacency_stack([graphs[k] for k in edged]),
+            mu[edged], th[edged], negated_spectra(dl[edged]), edged,
+        )),
+    )
+    values, best_m = (np.column_stack(columns) for columns in zip(*families))
     _check_bounds(_REPORT_IDS, values, values != -np.inf)
     values.setflags(write=False)
     best_m.setflags(write=False)

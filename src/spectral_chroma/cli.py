@@ -1,7 +1,8 @@
 """Command-line front end: bound tables, sweeps, certificates, corpora.
 
 Exit codes: 0 success, 1 usage error, 2 computation or domain error,
-3 verification failure (a residual or soundness breach).
+3 verification failure (a residual or soundness breach), 141 stdout
+closed by its reader (the shell's status for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -43,7 +45,7 @@ from .experiments import (
     report_json_payload,
     resolve_graph_input,
 )
-from .graphs import Graph
+from .graphs import Graph, _ascii_number
 from .linalg import CERT_RESIDUAL_LIMIT, SOUNDNESS_SLACK
 from .oracle import Coloring, all_graphs, chromatic_number, colorable_with
 
@@ -247,12 +249,21 @@ def _parse_rows(text: str) -> list[tuple[int, float]]:
                 f"row {chunk!r} is not of the form n:p (like 20:0.5)"
             )
         try:
-            rows.append((int(parts[0]), float(parts[1])))
+            rows.append((_ascii_number(parts[0]), _ascii_number(parts[1], float)))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"row {chunk!r} is not of the form n:p (like 20:0.5)"
             ) from None
     return rows
+
+
+def _int_option(text: str) -> int:
+    """The type of every integer option: a plain ASCII integer, with argparse's own error text."""
+
+    try:
+        return _ascii_number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 @functools.cache
@@ -281,7 +292,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="conversion and identity certificates")
     p.add_argument("input")
-    p.add_argument("--colors", type=int, help="use an exact coloring with this many colors")
+    p.add_argument("--colors", type=_int_option, help="use an exact coloring with this many colors")
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("chromatic", help="exact chromatic number with witness")
@@ -290,8 +301,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("random-table", help="averaged bounds on random graphs")
     p.add_argument("--rows", required=True, type=_parse_rows, help="like 20:0.5,20:0.7")
-    p.add_argument("--samples", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_option, default=15)
+    p.add_argument("--seed", type=_int_option, default=0)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -306,7 +317,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("corpus-check", help="exhaustive soundness and certification")
-    p.add_argument("--max-n", type=int, default=7, choices=range(1, 8))
+    p.add_argument("--max-n", type=_int_option, default=7, choices=range(1, 8))
     p.set_defaults(handler=_cmd_corpus_check)
 
     return parser
@@ -322,7 +333,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a write held in the buffer fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull so the
+        # interpreter's exit flush cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -438,10 +438,12 @@ def report_json_payload(report: BoundReport, chi: int | None = None) -> dict:
 
 
 def comparison_json(rows: list[ComparisonRow]) -> str:
+    """One JSON object per row, each with its "name": a report's payload, or the error text."""
+
     payload = []
     for row in rows:
         if row.report is None:
-            payload.append({"graph": row.name, "error": row.error})
+            payload.append({"name": row.name, "error": row.error})
         else:
             entry = report_json_payload(row.report, row.chi)
             entry["name"] = row.name

@@ -390,7 +390,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: vertex-count line must read 'n <count>'")
             try:
-                declared_n = int(tokens[1])
+                declared_n = _ascii_number(tokens[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer vertex count {tokens[1]!r}") from None
             if declared_n < 1:
@@ -401,7 +401,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected two endpoints, got {len(tokens)} tokens")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _ascii_number(tokens[0]), _ascii_number(tokens[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer endpoint in {raw.strip()!r}") from None
         if u < 0 or v < 0:
@@ -715,9 +715,22 @@ def _check_vertex_count(spec: str, n: int) -> None:
         )
 
 
+def _ascii_number(text: str, kind: type = int):
+    """kind(text) for a plain ASCII numeral: ValueError for an '_' or a non-ASCII character.
+
+    int() and float() read digit-group underscores and any Unicode digit,
+    so "1_0" and an Arabic-Indic five would pass as 10 and 5; every number
+    read from input text goes through here.
+    """
+
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
 def _integers(spec: str, tokens: list[str]) -> list[int]:
     try:
-        return [int(tok) for tok in tokens]
+        return [_ascii_number(tok) for tok in tokens]
     except ValueError:
         raise DomainError(f"non-integer argument in generator spec {spec!r}") from None
 

@@ -291,6 +291,15 @@ class TestRandomTableCommand:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("rows", ["1_0:0.5", "10:0.5_0", "\u0661\u0660:0.5", "10:0.\u0665"])
+    def test_non_ascii_or_grouped_row_refused(self, capsys, rows):
+        # int() and float() would read each as the row 10:0.5
+        code, out, err = run(capsys, "random-table", "--rows", rows, "--samples", "2")
+        assert code == 1 and out == ""
+        assert err == (
+            f"usage error: argument --rows: row {rows!r} is not of the form n:p (like 20:0.5)\n"
+        )
+
     def test_row_past_the_graph6_limit_refused(self, capsys):
         # refused before its 20 000-vertex samples are drawn
         start = time.perf_counter()
@@ -303,6 +312,16 @@ class TestRandomTableCommand:
 
 
 class TestCompareCommand:
+    def test_json_error_row_is_name_and_error(self, capsys):
+        code, out, _ = run(capsys, "compare", "--json", "gen:nosuch", "A_")
+        assert code == 0
+        error, report = json.loads(out)
+        assert error == {
+            "name": "gen:nosuch", "error": "unknown graph family 'nosuch'",
+        }
+        assert list(report) == ["graph", "bounds", "display", "chi", "name"]
+        assert report["graph"] == "A_" == report["name"]
+
     def test_named_default_json(self, capsys):
         code, out, _ = run(capsys, "compare", "--named", "default", "--json")
         assert code == 0
@@ -528,6 +547,39 @@ class TestTopLevel:
         assert reused == fresh
         assert cli._build_parser.cache_info().misses == 1
         assert [code for code, _, _ in fresh] == [0] * 8 + [0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random-table", "--rows", "10:0.5", "--samples", "1_0"],
+            ["random-table", "--rows", "10:0.5", "--seed", "\u0663"],
+            ["certify", "gen:petersen", "--colors", "\u0663"],
+            ["corpus-check", "--max-n", "\u0665"],
+        ],
+    )
+    def test_integer_option_is_plain_ascii(self, capsys, argv):
+        # int() would read each, "1_0" as 10 and an Arabic-Indic digit as its value
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        option, value = argv[-2:]
+        assert err == f"usage error: argument {option}: invalid int value: {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "gen:petersen"], ["compare", "--named", "default", "--json"]]
+    )
+    def test_closed_stdout_exits_as_sigpipe(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "spectral_chroma.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 141
+        assert "Traceback" not in done.stderr
 
     def test_parser_is_not_built_at_import(self):
         code = (

@@ -179,6 +179,21 @@ class TestEdgeList:
         g = parse_edge_list("n 4\n")
         assert g.n == 4 and g.edge_count == 0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # int() would read "1_0" as 10 and an Arabic-Indic digit as its value
+            ("0 1_0\n", "line 1: non-integer endpoint in '0 1_0'"),
+            ("0 1\n\u0663 1\n", "line 2: non-integer endpoint in '\u0663 1'"),
+            ("n 1_0\n0 1\n", "line 1: non-integer vertex count '1_0'"),
+            ("n \u0665\n", "line 1: non-integer vertex count '\u0665'"),
+        ],
+    )
+    def test_non_ascii_or_grouped_number_refused(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["n 10001\n", "0 10000\n", "n 10001\n0 1\n"])
     def test_vertex_count_past_graph6_maximum_refused(self, text):
         with pytest.raises(ParseError) as info:
@@ -361,6 +376,11 @@ class TestGeneratorSpecs:
             ("windmill(3)", "generator spec 'windmill(3)' expects 2 integer argument(s), got 1"),
             ("cycle(5,x)", "non-integer argument in generator spec 'cycle(5,x)'"),
             ("circulant(x;1)", "non-integer argument in generator spec 'circulant(x;1)'"),
+            # int() would read "1_0" as 10 and an Arabic-Indic digit as its value
+            ("cycle(1_0)", "non-integer argument in generator spec 'cycle(1_0)'"),
+            ("cycle(\u0665)", "non-integer argument in generator spec 'cycle(\u0665)'"),
+            ("circulant(1_6;1)", "non-integer argument in generator spec 'circulant(1_6;1)'"),
+            ("circulant(8;\u0661)", "non-integer argument in generator spec 'circulant(8;\u0661)'"),
             # an empty offset is refused, not dropped, as in the integer families
             ("circulant(8;1,,2)", "non-integer argument in generator spec 'circulant(8;1,,2)'"),
             ("circulant(8;)", "circulant needs offsets in 'circulant(8;)'"),

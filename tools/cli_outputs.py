@@ -113,15 +113,17 @@ DEEP_GNP = ((30, 0.5), (30, 0.5), (24, 0.8))
 # bound invalid), an isolated vertex (normalized bounds invalid), and K2
 MIXED_COMPARE = ("D??", "Dh?", "gen:complete(2)")
 # compare rows that fail, an unknown generator and a truncated graph6,
-# between rows that compute
+# between rows that compute; in default, CSV and JSON form
 FAILING_COMPARE = ("gen:cycle(5)", "gen:nosuch", "D", "gen:petersen")
 # generator specs refused with each kind of error (exit 2): wrong arity,
-# a non-integer argument, petersen with an argument, no part sizes, no
-# nested spec, circulant without its semicolon, an unknown family, an
-# unparseable spec, and two refusals of the builders themselves
+# a non-integer argument, a digit-grouped one, petersen with an argument,
+# no part sizes, no nested spec, circulant without its semicolon, an
+# unknown family, an unparseable spec, and two refusals of the builders
+# themselves
 REFUSED_SPECS = (
     "gen:windmill(3)",
     "gen:cycle(5,x)",
+    "gen:cycle(1_0)",
     "gen:petersen(1)",
     "gen:complete_multipartite()",
     "gen:mycielskian()",
@@ -248,6 +250,7 @@ def invocations(tmp: Path) -> list[list[str]]:
     out.extend(["bounds", spec] for spec in UNCOVERED_FAMILIES + REFUSED_SPECS)
     out.append(["compare", *FAILING_COMPARE])
     out.append(["compare", "--csv", *FAILING_COMPARE])
+    out.append(["compare", "--json", *FAILING_COMPARE])
     return out
 
 
