@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MatrixError, NumericError
+from .errors import DomainError, NumericError
 from .graphs import (
     UNNORMALIZED_KINDS,
     Graph,
@@ -416,13 +416,8 @@ def _probe(
     match its trace; a NaN fails.
     """
 
-    try:
+    with matrices_named(lambda k: f"graph {index[k]}: eigensolve at c={c[k]}"):
         eigs = eigenvalues_batch(majorization_stack(a, b, c))
-    except MatrixError as exc:
-        k = exc.matrix
-        raise NumericError(
-            f"graph {index[k]}: eigensolve at c={c[k]} disagrees with the matrix trace"
-        ) from None
     return lhs[:, :-1] >= np.cumsum(eigs[:, :-1], axis=1) - PROPERTY_TOL
 
 

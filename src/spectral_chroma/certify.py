@@ -51,22 +51,22 @@ from .linalg import (
     matrices_named,
     negated_spectra,
     spectra_batch,
+    validate_symmetric_stack,
 )
 from .oracle import Coloring, greedy_coloring
 
 
 def _as_adjacency(a) -> np.ndarray:
+    """A Graph's adjacency, or a raw matrix, as a stack of one.
+
+    A raw matrix passes validate_symmetric_stack, then needs a zero diagonal.
+    """
+
     if isinstance(a, Graph):
-        return a.adjacency()
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"adjacency must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("adjacency matrix contains non-finite entries")
-    if (loops := np.flatnonzero(np.diagonal(a))).size:
+        return a.adjacency()[None]
+    a = validate_symmetric_stack(np.asarray(a)[None])
+    if (loops := np.flatnonzero(np.diagonal(a[0]))).size:
         raise DomainError(f"adjacency matrix has a nonzero diagonal entry at vertex {loops[0]}")
-    if not np.array_equal(a, a.T):
-        raise DomainError("adjacency matrix is not symmetric")
     return a
 
 
@@ -223,7 +223,7 @@ def _conversions(a: np.ndarray, cols: Sequence[Coloring], c: np.ndarray) -> Conv
 def build_conversion(a, col: Coloring) -> Conversions:
     """The row that certifies the coloring's unitaries convert adjacency a to zero."""
 
-    a = _as_adjacency(a)[None]
+    a = _as_adjacency(a)
     return _conversions(a, [col], _check_colorings(a, [col], "conversion")).certificate(0)
 
 
@@ -292,12 +292,12 @@ def verify_majorization_step(a, b: np.ndarray, col: Coloring) -> MajorizationSte
 
     a = _as_adjacency(a)
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != a.shape:
-        raise DomainError(f"B has shape {b.shape}, expected {a.shape}")
+    if b.shape != a.shape[1:]:
+        raise DomainError(f"B has shape {b.shape}, expected {a.shape[1:]}")
     d = np.diag(b)
     if np.count_nonzero(b) != np.count_nonzero(d) or not np.isfinite(d).all():
         raise DomainError("B must be diagonal")
-    a, b = a[None], d[None]
+    b = d[None]
     c = _check_colorings(a, [col], "identity")
     lhs = spectra_batch(diagonal_minus_stack(a, b))
     rhs = spectra_batch(majorization_stack(a, b, c))

@@ -243,13 +243,9 @@ def _cmd_corpus_check(args) -> int:
 def _parse_rows(text: str) -> list[tuple[int, float]]:
     rows = []
     for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise argparse.ArgumentTypeError(
-                f"row {chunk!r} is not of the form n:p (like 20:0.5)"
-            )
         try:
-            rows.append((_ascii_number(parts[0]), _ascii_number(parts[1], float)))
+            n, p = chunk.split(":")  # ValueError unless one colon
+            rows.append((_ascii_number(n), _ascii_number(p, float)))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"row {chunk!r} is not of the form n:p (like 20:0.5)"
@@ -327,15 +323,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help prints and exits 0
-        return int(exc.code or 0)
-    try:
         status = args.handler(args)
         sys.stdout.flush()  # a write held in the buffer fails here, not at exit
         return status
+    except SystemExit as exc:  # --help prints and exits 0
+        return int(exc.code or 0)
     except BrokenPipeError:
         # the reader closed stdout: send what is left to devnull so the
         # interpreter's exit flush cannot raise again, and exit as SIGPIPE would

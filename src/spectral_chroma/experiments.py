@@ -7,9 +7,11 @@ Bollobas estimate. Everything is seeded explicitly and reduces in a
 fixed order, so identical inputs give byte-identical output.
 
 The random table works on chunks of samples. A chunk's G(n, p) draws
-become one adjacency stack with no Graph built; its A, L and Q stacks
-are solved and validated by one spectra_batch call each, and the
-classical bounds run once on the chunk's spectra. The main thread draws
+become one adjacency stack with no Graph built, returned with the seed
+of each sample as drawn, a redraw's included, which a failed solve
+names next to the sample; its A, L and Q stacks are solved and
+validated by one spectra_batch call each, and the classical bounds run
+once on the chunk's spectra. The main thread draws
 the chunks in sample order; up to `workers` of them are solved at once
 on as many threads (eigh releases the GIL), and their values are taken
 in chunk order. `workers` is the process's CPUs over BLAS's own thread
@@ -27,7 +29,6 @@ and one worker starts no thread.
 from __future__ import annotations
 
 import collections
-import functools
 import io
 import json
 import math
@@ -120,37 +121,28 @@ _HOFFMAN, _KOLO1, _KOLO2 = (
 def _edged_samples(
     n: int, p: float, seed_base: int, samples: int, start: int, stop: int,
     regenerated: list[tuple[int, int]],
-) -> np.ndarray:
-    """Adjacency stack of samples start..stop-1, each with at least one edge.
+) -> tuple[np.ndarray, list[int]]:
+    """Adjacency stack of samples start..stop-1, each with at least one edge, and their seeds.
 
     Sample i is drawn with seed seed_base + i. An edgeless draw is
     replaced, in sample order, by the draw of the next auxiliary seed
     seed_base + samples + len(regenerated), and the (sample, seed) pair
-    is appended to regenerated.
+    is appended to regenerated. Entry k of the seeds is the seed of
+    matrix k as drawn.
     """
 
-    a = random_gnp_adjacency(n, p, range(seed_base + start, seed_base + stop))
+    seeds = list(range(seed_base + start, seed_base + stop))
+    a = random_gnp_adjacency(n, p, seeds)
     for k in np.flatnonzero(~a.any(axis=(1, 2))).tolist():
         while not a[k].any():
             if len(regenerated) >= _REDRAW_CAP:
                 raise DomainError(
                     f"gave up after {_REDRAW_CAP} edgeless redraws at n={n}, p={p}"
                 )
-            aux_seed = seed_base + samples + len(regenerated)
-            regenerated.append((start + k, aux_seed))
-            a[k] = random_gnp_adjacency(n, p, [aux_seed])[0]
-    return a
-
-
-def _sample_name(start: int, seed_base: int, redrawn: list[tuple[int, int]], k: int) -> str:
-    """Sample start + k and the seed of its drawn graph, for an error message.
-
-    redrawn holds the (sample, seed) redraws of the sample's chunk.
-    """
-
-    sample = start + k
-    seed = next((s for i, s in reversed(redrawn) if i == sample), seed_base + sample)
-    return f"sample {sample} (seed {seed})"
+            seeds[k] = seed_base + samples + len(regenerated)
+            regenerated.append((start + k, seeds[k]))
+            a[k] = random_gnp_adjacency(n, p, [seeds[k]])[0]
+    return a, seeds
 
 
 def _blas_free_cpus() -> int:
@@ -211,10 +203,9 @@ def _sample_values(
     chunk = max(1, _STACK_BYTES // (workers * 8 * n * n))
 
     def drawn(start: int) -> tuple[np.ndarray, Callable[[int], str]]:
-        mark = len(regenerated)
         stop = min(start + chunk, samples)
-        a = _edged_samples(n, p, seed_base, samples, start, stop, regenerated)
-        return a, functools.partial(_sample_name, start, seed_base, regenerated[mark:])
+        a, seeds = _edged_samples(n, p, seed_base, samples, start, stop, regenerated)
+        return a, lambda k: f"sample {start + k} (seed {seeds[k]})"
 
     starts = range(0, samples, chunk)
     if len(starts) == 1 or workers == 1:
@@ -337,12 +328,18 @@ DEFAULT_NAMED = (
 )
 
 
+# the most bytes a graph file may hold: room for the 8 332 504-byte graph6
+# line of a 10 000-vertex graph, the largest a graph6 id names
+_GRAPH_FILE_MAX_BYTES = 64 << 20
+
+
 def resolve_graph_input(text: str) -> Graph:
     """One input grammar everywhere: gen:spec, @file, or a graph6 literal.
 
     Files are sniffed: any line with two or more whitespace-separated
     tokens means an edge list, otherwise the first nonblank line is
-    graph6.
+    graph6. A file is read up to one byte past _GRAPH_FILE_MAX_BYTES, and
+    refused if it holds more, so an endless file such as /dev/zero ends.
     """
 
     text = text.strip()
@@ -355,11 +352,19 @@ def resolve_graph_input(text: str) -> Graph:
             raise DomainError("empty graph file name after '@'")
         path = Path(text[1:])
         try:
-            content = path.read_text(encoding="ascii")
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"graph file {path} is not ASCII: {exc}") from None
+            with path.open("rb") as f:
+                data = f.read(_GRAPH_FILE_MAX_BYTES + 1)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
             raise DomainError(f"cannot read graph file {path}: {exc}") from None
+        if len(data) > _GRAPH_FILE_MAX_BYTES:
+            raise DomainError(
+                f"graph file {path} is larger than the {_GRAPH_FILE_MAX_BYTES}-byte (64 MiB) "
+                f"limit on graph files"
+            )
+        try:
+            content = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"graph file {path} is not ASCII: {exc}") from None
         return parse_graph_file(content)
     return parse_graph6(text)
 

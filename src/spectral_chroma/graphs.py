@@ -73,15 +73,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _endpoint_array(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """Endpoint pairs as an (m, 2) int64 array, in iteration order."""
+    """Endpoint pairs as an (m, 2) int64 array, in iteration order.
+
+    The pairs must make an array of an integer dtype: a float, string or
+    bool endpoint is refused, not truncated or cast.
+    """
 
     try:
-        a = np.asarray(pairs if isinstance(pairs, np.ndarray) else tuple(pairs), dtype=np.int64)
-        if a.size and (a.ndim != 2 or a.shape[1] != 2):
-            raise ValueError("not pairs")
-    except (TypeError, ValueError, OverflowError):
+        a = np.asarray(pairs if isinstance(pairs, np.ndarray) else tuple(pairs))
+        if a.size and (a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iu"):
+            raise ValueError("not integer pairs")
+    except (TypeError, ValueError):
         raise DomainError("edges must be pairs of integer vertex indices") from None
-    return a.reshape(-1, 2)
+    return a.astype(np.int64, copy=False).reshape(-1, 2)
+
+
+def _require_positive(name: str, value: int) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +114,7 @@ class Graph:
     ends: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"vertex count must be a positive integer, got {self.n!r}")
+        _require_positive("vertex count", self.n)
         u, v = _endpoint_array(self.ends).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         bad = (lo == hi) | (lo < 0) | (hi >= self.n)
@@ -374,12 +383,12 @@ def parse_edge_list(text: str) -> Graph:
 
     An optional first nonblank line "n <count>" fixes the vertex count
     (needed for trailing isolated vertices); otherwise n is one more
-    than the largest index seen. Duplicate lines collapse. A vertex
-    count past _G6_MAX_N, the most a graph6 id names, is refused.
+    than the largest index seen. Duplicate lines collapse in Graph. A
+    vertex count past _G6_MAX_N, the most a graph6 id names, is refused.
     """
 
     declared_n: int | None = None
-    edges: set[Edge] = set()
+    edges: list[Edge] = []
     max_seen = -1
     first_content = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -408,7 +417,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative vertex index in {raw.strip()!r}")
         if u == v:
             raise ParseError(f"line {lineno}: loop edge ({u}, {v}) not allowed")
-        edges.add((min(u, v), max(u, v)))
+        edges.append((u, v))
         max_seen = max(max_seen, u, v)
     if declared_n is None and max_seen < 0:
         raise ParseError("edge list has no edges and no 'n <count>' line")
@@ -502,17 +511,11 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
 # Vertex labelings are fixed and documented per family so that equal
 # parameters always produce equal edge sets.
 
-def _require_positive(name: str, value: int) -> int:
-    if not isinstance(value, int) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def complete(n: int) -> Graph:
-    """K_n on vertices 0..n-1."""
+    """K_n on vertices 0..n-1: n parts of one vertex."""
 
     _require_positive("n", n)
-    return Graph(n, itertools.combinations(range(n), 2))
+    return complete_multipartite([1] * n)
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:

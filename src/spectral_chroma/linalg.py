@@ -5,6 +5,10 @@ goes through spectra_batch, one solve per (G, n, n) stack, or is
 derived from a solved one by negated_spectra; each integer-search probe
 goes through eigenvalues_batch. Every eigenvalue vector returned here is
 checked against its trace, and spectra_batch's against residuals too.
+validate_symmetric_stack is the package's one check of a raw matrix
+(square, finite, exactly symmetric): spectra_batch runs it on every
+stack, and certify on a raw adjacency matrix before its own zero-diagonal
+rule.
 
 A spectrum is a float64 row sorted non-increasing; check_spectra checks
 a (G, n) array of them once, and eigenvalues_sym returns a checked
@@ -51,7 +55,13 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.reshape(mask.shape[0], -1).any(axis=1).argmax())
 
 
-def _validate_symmetric_stack(stack: np.ndarray) -> np.ndarray:
+def validate_symmetric_stack(stack: np.ndarray) -> np.ndarray:
+    """A (G, n, n) stack as float64, after DomainError unless it is square, finite and symmetric.
+
+    Symmetry is exact; the first failing check names the first matrix
+    that fails it.
+    """
+
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DomainError(f"expected a (G, n, n) stack of square matrices, got shape {stack.shape}")
@@ -109,7 +119,7 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     raises NumericError.
     """
 
-    stack = _validate_symmetric_stack(stack)
+    stack = validate_symmetric_stack(stack)
     w, v = _solve(np.linalg.eigh, stack)
     limit = SPECTRUM_TOL * np.maximum(1.0, frobenius_norms(stack))
     worst = _worst_residuals(stack, w, v)

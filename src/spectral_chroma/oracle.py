@@ -39,7 +39,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, computed_once, graph6_rows, graphs_from_bits, parse_graph6
+from .graphs import (
+    Graph,
+    _require_positive,
+    computed_once,
+    graph6_rows,
+    graphs_from_bits,
+    parse_graph6,
+)
 
 _BACKTRACK_CEILING = 64
 
@@ -56,8 +63,7 @@ class Coloring:
     c: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 1:
-            raise DomainError(f"palette size must be a positive integer, got {self.c!r}")
+        _require_positive("palette size", self.c)
         colors = tuple(int(x) for x in self.colors)
         if not colors:
             raise DomainError("coloring needs at least one vertex")

@@ -1010,7 +1010,9 @@ class TestProbeStacks:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
         with pytest.raises(
-            NumericError, match=rf"^graph {offset + k}: eigensolve at c={zero[k]} disagrees"
+            NumericError,
+            match=rf"^graph {offset + k}: eigensolve at c={zero[k]}: "
+            r"eigenvalue sum disagrees with the trace$",
         ):
             full_reports(graphs)
 

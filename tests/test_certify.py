@@ -166,6 +166,30 @@ class TestConversion:
             with pytest.raises(DomainError, match=f"nonzero diagonal entry at vertex {vertex}$"):
                 call()
 
+    @pytest.mark.parametrize(
+        "a, error",
+        [
+            (
+                np.zeros((2, 3)),
+                r"expected a \(G, n, n\) stack of square matrices, got shape \(1, 2, 3\)",
+            ),
+            (np.array([[0.0, np.inf], [np.inf, 0.0]]), "matrix 0 contains non-finite entries"),
+            (np.array([[1.0, 1.0], [0.0, 0.0]]), "matrix 0 is not exactly symmetric"),
+        ],
+        ids=["not-square", "non-finite", "asymmetric-with-loop"],
+    )
+    def test_raw_matrix_refused_as_linalg_refuses_it(self, a, error):
+        # the square, finite and symmetric checks are linalg's, run before
+        # the zero diagonal: an asymmetric matrix with a loop names its asymmetry
+        col = Coloring((0, 1), 2)
+        calls = [
+            lambda: build_conversion(a, col),
+            lambda: verify_majorization_step(a, np.zeros((2, 2)), col),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^{error}$"):
+                call()
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_adjacency_refused(self, bad):
         # bad input, refused before any arithmetic warns or any check names symmetry

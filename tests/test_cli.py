@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from spectral_chroma import certify, cli, oracle
+from spectral_chroma import certify, cli, experiments, oracle
 from spectral_chroma.bounds import SWEPT_IDS, BoundId
 from spectral_chroma.certify import greedy_certificate_coloring
 from spectral_chroma.cli import main
@@ -118,6 +118,25 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", f"@{path}")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_endless_file_is_refused_at_the_cap(self, capsys):
+        # /dev/zero never ends: the read stops one byte past the cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "@/dev/zero")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: graph file /dev/zero is larger than the 67108864-byte (64 MiB) "
+            "limit on graph files\n"
+        )
+
+    def test_file_one_byte_over_the_cap_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "big.g6"
+        with path.open("wb") as f:
+            f.truncate(experiments._GRAPH_FILE_MAX_BYTES + 1)  # sparse: no data blocks written
+        code, out, err = run(capsys, "bounds", f"@{path}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: graph file {path} is larger than the 67108864-byte")
 
     def test_nul_byte_in_file_name_is_domain_error(self, capsys):
         # no file name holds a NUL byte; open() raises ValueError, not OSError

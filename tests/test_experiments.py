@@ -14,7 +14,7 @@ from paper_lemmas import graph_spectrum
 
 from spectral_chroma import experiments
 from spectral_chroma.bounds import BoundId, classical_bounds, full_report, round_display
-from spectral_chroma.errors import DomainError, NumericError
+from spectral_chroma.errors import DomainError, NumericError, ParseError
 from spectral_chroma.experiments import (
     _REDRAW_CAP,
     _sample_values,
@@ -415,6 +415,15 @@ class TestResolveGraphInput:
         path.write_text(emit_graph6(circulant(16, [1, 7, 8])) + "\n", encoding="ascii")
         g = resolve_graph_input(f"@{path}")
         assert g.edges == circulant(16, [1, 7, 8]).edges
+
+    def test_file_at_the_cap_is_read(self, tmp_path):
+        # the cap is inclusive: a file of exactly _GRAPH_FILE_MAX_BYTES is
+        # parsed, here as one graph6 line of NUL bytes, which the parser refuses
+        path = tmp_path / "cap.g6"
+        with path.open("wb") as f:
+            f.truncate(experiments._GRAPH_FILE_MAX_BYTES)
+        with pytest.raises(ParseError, match="^out-of-range graph6 byte 0 at offset 0$"):
+            resolve_graph_input(f"@{path}")
 
     def test_missing_file(self):
         with pytest.raises(DomainError, match="cannot read"):

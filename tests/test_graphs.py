@@ -62,6 +62,35 @@ class TestGraphInvariants:
         with pytest.raises(DomainError):
             Graph(0, frozenset())
 
+    @pytest.mark.parametrize("n", [0, 2.0, "3"])
+    def test_vertex_count_refusal_text(self, n):
+        error = f"^vertex count must be a positive integer, got {n!r}$"
+        with pytest.raises(DomainError, match=error):
+            Graph(n, frozenset())
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 1.5)],
+            [(0, "1")],
+            [(0.0, 2.9)],
+            [(True, False)],
+            [(0, 2**64)],
+            np.array([[0.0, 1.0]]),
+            [(0, 1), (1, 2, 0)],
+        ],
+        ids=["float", "str", "floats", "bools", "past-int64", "float-array", "ragged"],
+    )
+    def test_non_integer_endpoints_refused(self, pairs):
+        # refused, not truncated: (0, 1.5) once became the edge (0, 1)
+        with pytest.raises(DomainError, match="^edges must be pairs of integer vertex indices$"):
+            Graph(3, pairs)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_any_integer_dtype_accepted(self, dtype):
+        g = Graph(3, np.array([[2, 1], [0, 1]], dtype=dtype))
+        assert g.ends.dtype == np.int64 and g.ends.tolist() == [[0, 1], [1, 2]]
+
     def test_degrees(self):
         g = from_edges(4, [(0, 1), (0, 2), (0, 3)])
         assert list(g.degrees()) == [3, 1, 1, 1]

@@ -305,6 +305,15 @@ class TestGreedyColoring:
         assert col.c <= max(g.degrees(), default=0) + 1
 
 
+class TestColoringType:
+    @pytest.mark.parametrize("c", [0, -2, 2.0, "2"])
+    def test_palette_size_must_be_a_positive_integer(self, c):
+        # the rule and text of graphs._require_positive, shared with Graph's vertex count
+        error = f"^palette size must be a positive integer, got {c!r}$"
+        with pytest.raises(DomainError, match=error):
+            Coloring((0, 0), c)
+
+
 class TestEnumeration:
     def test_labeled_counts(self):
         assert sum(1 for _ in labeled_graphs(3)) == 8
